@@ -6,12 +6,12 @@ partitions (qpoly, partitions), expansion trees whose terms sum to a
 Gaussian binomial or a principal Schur specialization (koh, goh), and
 leaf markings that single out one coefficient of a product of
 q-integers (marking).  The coefficients module combines them and
-cross-checks every answer against an independent difference formula.
+cross-checks every answer against an independent difference formula;
+render writes trees of either family as text, JSON or DOT.
 """
 
 from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
-from .partitions import (Partition, count_in_rectangle, enumerate_partitions,
-                         enumerate_partitions_bounded)
+from .partitions import Partition, count_in_rectangle, enumerate_partitions
 from .koh import (KohTree, count_koh_trees, enumerate_koh_trees,
                   koh_child_type, koh_rhs_closed, koh_term, leaves, sigma,
                   validate_koh_tree)
@@ -19,39 +19,33 @@ from .goh import (Configuration, GohTree, count_goh_trees,
                   enumerate_configurations, enumerate_goh_trees, goh_leaves,
                   goh_rhs_closed, goh_sigma, goh_term, validate_configuration,
                   validate_goh_tree)
-from .marking import (DifferenceProfile, count_marked_trees, count_markings,
-                      enumerate_markings, marking_target, product_difference,
-                      region_contains)
+from .marking import (count_marked_trees, count_markings, enumerate_markings,
+                      marking_target)
 from .coefficients import (CoefficientReport, METHOD_BOTH, METHOD_DIFFERENCE,
                            METHOD_MARKED, hook_content, kronecker_two_row,
                            plethysm_two_row, plethysm_two_row_general,
                            schur_specialization_oracle)
 from .errors import (BudgetExceededError, CrossCheckFailedError,
-                     DegreeMismatchError, InvalidRowLengthError,
                      NonExactDivisionError, ParityViolationError,
-                     PreconditionViolationError, SizeMismatchError,
-                     StructureViolationError)
+                     PreconditionViolationError, StructureViolationError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ONE", "ZERO", "QPoly", "q_binomial", "q_int",
     "Partition", "count_in_rectangle", "enumerate_partitions",
-    "enumerate_partitions_bounded",
     "KohTree", "count_koh_trees", "enumerate_koh_trees", "koh_child_type",
     "koh_rhs_closed", "koh_term", "leaves", "sigma", "validate_koh_tree",
     "Configuration", "GohTree", "count_goh_trees", "enumerate_configurations",
     "enumerate_goh_trees", "goh_leaves", "goh_rhs_closed", "goh_sigma",
     "goh_term", "validate_configuration", "validate_goh_tree",
-    "DifferenceProfile", "count_marked_trees", "count_markings",
-    "enumerate_markings", "marking_target", "product_difference",
-    "region_contains",
+    "count_marked_trees", "count_markings", "enumerate_markings",
+    "marking_target",
     "CoefficientReport", "METHOD_BOTH", "METHOD_DIFFERENCE", "METHOD_MARKED",
     "hook_content", "kronecker_two_row", "plethysm_two_row",
     "plethysm_two_row_general", "schur_specialization_oracle",
-    "BudgetExceededError", "CrossCheckFailedError", "DegreeMismatchError",
-    "InvalidRowLengthError", "NonExactDivisionError", "ParityViolationError",
-    "PreconditionViolationError", "SizeMismatchError",
+    "BudgetExceededError", "CrossCheckFailedError", "NonExactDivisionError",
+    "ParityViolationError", "PreconditionViolationError",
     "StructureViolationError",
     "__version__",
 ]

@@ -19,24 +19,21 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import json
 import os
 import sys
 
-from . import goh, koh
 from .coefficients import (DEFAULT_FILLING_BUDGET, DEFAULT_TREE_BUDGET,
                            METHOD_BOTH, METHOD_DIFFERENCE, METHOD_MARKED,
-                           hook_content, kronecker_two_row, plethysm_two_row,
-                           plethysm_two_row_general,
-                           schur_specialization_oracle)
+                           goh_family, koh_family, kronecker_two_row,
+                           plethysm_two_row, plethysm_two_row_general)
 from .errors import (BudgetExceededError, CrossCheckFailedError,
-                     InvalidRowLengthError, PreconditionViolationError,
-                     SizeMismatchError)
-from .koh import _fmt_parts
-from .marking import count_markings, enumerate_markings, marking_target
-from .partitions import Partition, count_in_rectangle, enumerate_partitions
-from .qpoly import ZERO, q_binomial
+                     PreconditionViolationError)
+from .koh import leaf_term
+from .marking import count_marked_trees, enumerate_markings, marking_target
+from .partitions import Partition, enumerate_partitions
+from .qpoly import ZERO
+from .render import tree_to_dict, tree_to_dot, tree_to_text
 
 DEFAULT_WORKERS = 1
 
@@ -46,19 +43,6 @@ _METHODS = {
     "difference_formula": METHOD_DIFFERENCE,
     "both": METHOD_BOTH,
 }
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: a single command plus its options."""
-
-    command: str
-    options: dict
-    method: str = METHOD_BOTH
-    output_format: str = "text"
-    workers: int = DEFAULT_WORKERS
-    max_trees: int = DEFAULT_TREE_BUDGET
-    max_fillings: int = DEFAULT_FILLING_BUDGET
 
 
 def _parse_partition(text: str) -> Partition:
@@ -176,24 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    options = {key: value for key, value in vars(args).items()
-               if key not in ("command", "method", "output_format",
-                              "max_trees", "max_fillings", "workers")}
-    return RunConfig(
-        command=args.command,
-        options=options,
-        method=getattr(args, "method", METHOD_BOTH),
-        output_format=getattr(args, "output_format", "text"),
-        workers=_resolve(getattr(args, "workers", None),
-                         "KOHTREES_WORKERS", DEFAULT_WORKERS),
-        max_trees=_resolve(getattr(args, "max_trees", None),
-                           "KOHTREES_MAX_TREES", DEFAULT_TREE_BUDGET),
-        max_fillings=_resolve(getattr(args, "max_fillings", None),
-                              "KOHTREES_MAX_FILLINGS", DEFAULT_FILLING_BUDGET),
-    )
-
-
 def _print_report(report, fmt: str) -> None:
     if fmt == "json":
         payload = {"coefficient": report.value, "method": report.method,
@@ -205,160 +171,103 @@ def _print_report(report, fmt: str) -> None:
         print(f"method: {report.method}")
 
 
-def _term_text(shift: int, leaf_values: tuple[int, ...]) -> str:
-    factors = [f"[{a + 1}]" for a in leaf_values]
-    if shift == 1:
-        factors.insert(0, "q")
-    elif shift:
-        factors.insert(0, f"q^{shift}")
-    return "*".join(factors)
-
-
-def _koh_root_text(tree: koh.KohTree) -> str:
-    return f"({_fmt_parts(tree.mu.parts)},{tree.a},{tree.b})"
-
-
-def _goh_root_text(tree: goh.GohTree) -> str:
-    chain = "[" + ",".join(_fmt_parts(nu.parts) for nu in tree.config.nus) + "]"
-    return f"({_fmt_parts(tree.lam.parts)},{chain},{tree.k})"
-
-
-def _run_trees(config: RunConfig) -> int:
-    opts = config.options
-    if config.command == "koh":
-        n, k = opts["n"], opts["k"]
-        items = koh.enumerate_koh_trees(n, k, max_trees=config.max_trees)
-        total = n * k
-        mod = koh
-        leaves_of = koh.leaves
-        sigma_of = koh.sigma
-        root_text = _koh_root_text
-    else:
-        mu, k = opts["mu"], opts["k"]
-        items = goh.enumerate_goh_trees(mu, k, max_trees=config.max_trees)
-        total = mu.size * k
-        mod = goh
-        leaves_of = goh.goh_leaves
-        sigma_of = goh.goh_sigma
-        root_text = _goh_root_text
-
-    r = opts.get("r")
+def _run_trees(args: argparse.Namespace) -> int:
+    family = (koh_family(args.n, args.k) if args.family == "koh"
+              else goh_family(args.mu, args.k))
+    r, total = args.r, family.total
     if r is not None and (r < 0 or 2 * r > total):
         raise PreconditionViolationError(
             f"need 0 <= 2r <= {total}, got r={r}")
-
+    trees = family.trees(args.max_trees)
     if r is None:
-        entries = [(tree, None) for tree in items]
+        entries = [(tree, None) for tree in trees]
     else:
-        entries = [(tree, marks) for tree in items
+        leaf_tuples = [family.leaves(tree) for tree in trees]
+        pairs = count_marked_trees(leaf_tuples, total, r)
+        if pairs > args.max_trees:
+            raise BudgetExceededError(
+                f"{pairs} marked trees exceed the budget {args.max_trees}")
+        entries = [(tree, marks) for tree, lv in zip(trees, leaf_tuples)
                    for marks in enumerate_markings(
-                       leaves_of(tree),
-                       marking_target(sum(leaves_of(tree)), total, r))]
+                       lv, marking_target(sum(lv), total, r))]
 
-    fmt = config.output_format
-    if fmt == "json":
-        print(json.dumps([mod.tree_to_dict(tree, marks, r)
-                          if marks is not None else mod.tree_to_dict(tree)
-                          for tree, marks in entries]))
-    elif fmt == "dot":
-        blocks = [mod.tree_to_dot(tree, marks, r, graph_name=f"tree_{i}")
-                  if marks is not None
-                  else mod.tree_to_dot(tree, graph_name=f"tree_{i}")
-                  for i, (tree, marks) in enumerate(entries)]
-        sys.stdout.write("".join(blocks))
+    if args.output_format == "json":
+        print(json.dumps([tree_to_dict(tree, marks, r) for tree, marks in entries]))
+    elif args.output_format == "dot":
+        sys.stdout.write("".join(tree_to_dot(tree, marks, r, graph_name=f"tree_{i}")
+                                 for i, (tree, marks) in enumerate(entries)))
     else:
         for i, (tree, marks) in enumerate(entries):
-            lv = leaves_of(tree)
-            line = (f"tree {i}: root={root_text(tree)} "
-                    f"leaves=({','.join(str(a) for a in lv)}) "
-                    f"sigma={sigma_of(tree)} "
-                    f"term={_term_text(sigma_of(tree) // 2, lv)}")
-            if marks is not None:
-                line += f" marks=({','.join(str(m) for m in marks)})"
-            print(line)
+            print(f"tree {i}: {tree_to_text(tree, marks)}")
         label = "marked trees" if r is not None else "trees"
         print(f"total {label}: {len(entries)}")
     return 0
 
 
+def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool, str]:
+    """Check one cell of either family: the tree terms against every
+    reference polynomial, then the marked count against the difference
+    route at every r.  Each tree's leaf tuple is read once."""
+    params, k, max_trees, max_fillings = cell
+    if family_name == "koh":
+        label, family = f"koh n={params} k={k}", koh_family(params, k)
+    else:
+        label = f"goh mu=[{','.join(map(str, params))}] k={k}"
+        family = goh_family(Partition(params), k)
+    total = family.total
+    trees = family.trees(max_trees)
+    leaf_tuples = [family.leaves(tree) for tree in trees]
+    tree_sum = sum((leaf_term(total, lv) for lv in leaf_tuples), start=ZERO)
+    references = family.references(max_fillings)
+    reference = references[0][1]
+    if tree_sum != reference or any(p != reference for _, p in references[1:]):
+        detail = (f"{label}\n  tree sum: {tree_sum}\n"
+                  + "".join(f"  {name}: {p}\n" for name, p in references))
+    else:
+        for r in range(total // 2 + 1):
+            marked = count_marked_trees(leaf_tuples, total, r)
+            diff = family.difference(r)
+            if marked != diff:
+                detail = (f"{label} r={r}\n  marked trees: {marked}\n"
+                          f"  {family.route} difference: {diff}\n")
+                break
+        else:
+            return label, True, ""
+    return label, False, (detail + "  witness trees: "
+                          + json.dumps([tree_to_dict(t) for t in trees]))
+
+
+# the per-family entry points a worker process runs: top-level, so the
+# pool can pickle them by name
 def _verify_koh_cell(cell: tuple) -> tuple[str, bool, str]:
-    """Check one (n, k): tree sum, closed form, and every marked count."""
-    n, k, max_trees = cell
-    label = f"koh n={n} k={k}"
-    trees = koh.enumerate_koh_trees(n, k, max_trees=max_trees)
-    tree_sum = sum((koh.koh_term(t) for t in trees), start=ZERO)
-    reference = q_binomial(n, k)
-    closed = koh.koh_rhs_closed(n, k)
-    if tree_sum != reference or closed != reference:
-        detail = (f"{label}\n  tree sum: {tree_sum}\n  reference: {reference}\n"
-                  f"  closed form: {closed}\n  witness trees: "
-                  + json.dumps([koh.tree_to_dict(t) for t in trees]))
-        return label, False, detail
-    for r in range(n * k // 2 + 1):
-        marked = sum(count_markings(koh.leaves(t),
-                                    marking_target(sum(koh.leaves(t)), n * k, r))
-                     for t in trees)
-        diff = count_in_rectangle(n, k, r) - count_in_rectangle(n, k, r - 1)
-        if marked != diff:
-            detail = (f"{label} r={r}\n  marked trees: {marked}\n"
-                      f"  rectangle difference: {diff}\n  witness trees: "
-                      + json.dumps([koh.tree_to_dict(t) for t in trees]))
-            return label, False, detail
-    return label, True, ""
+    return _verify_cell("koh", cell)
 
 
 def _verify_goh_cell(cell: tuple) -> tuple[str, bool, str]:
-    """Check one (mu, k): tree sum, closed form, oracle, marked counts."""
-    mu_parts, k, max_trees, max_fillings = cell
-    mu = Partition(mu_parts)
-    label = f"goh mu={_fmt_parts(mu_parts)} k={k}"
-    trees = goh.enumerate_goh_trees(mu, k, max_trees=max_trees)
-    tree_sum = sum((goh.goh_term(t) for t in trees), start=ZERO)
-    reference = hook_content(mu, k)
-    closed = goh.goh_rhs_closed(mu, k)
-    oracle = schur_specialization_oracle(mu, k, max_fillings=max_fillings)
-    if tree_sum != reference or closed != reference or oracle != reference:
-        detail = (f"{label}\n  tree sum: {tree_sum}\n  hook content: {reference}\n"
-                  f"  closed form: {closed}\n  tableau oracle: {oracle}\n"
-                  f"  witness trees: "
-                  + json.dumps([goh.tree_to_dict(t) for t in trees]))
-        return label, False, detail
-    total = mu.size * k
-    for r in range(total // 2 + 1):
-        marked = sum(count_markings(goh.goh_leaves(t),
-                                    marking_target(sum(goh.goh_leaves(t)), total, r))
-                     for t in trees)
-        diff = reference.coeff(r) - reference.coeff(r - 1)
-        if marked != diff:
-            detail = (f"{label} r={r}\n  marked trees: {marked}\n"
-                      f"  specialization difference: {diff}\n  witness trees: "
-                      + json.dumps([goh.tree_to_dict(t) for t in trees]))
-            return label, False, detail
-    return label, True, ""
+    return _verify_cell("goh", cell)
 
 
-def _run_verify(config: RunConfig) -> int:
-    opts = config.options
-    if config.command == "koh":
-        if opts["max_n"] < 0 or opts["max_k"] < 1:
+def _run_verify(args: argparse.Namespace) -> int:
+    if args.family == "koh":
+        if args.max_n < 0 or args.max_k < 1:
             raise PreconditionViolationError(
-                f"need max-n >= 0 and max-k >= 1, got {opts['max_n']}, {opts['max_k']}")
-        cells = [(n, k, config.max_trees)
-                 for n in range(opts["max_n"] + 1)
-                 for k in range(1, opts["max_k"] + 1)]
+                f"need max-n >= 0 and max-k >= 1, got {args.max_n}, {args.max_k}")
+        cells = [(n, k, args.max_trees, args.max_fillings)
+                 for n in range(args.max_n + 1)
+                 for k in range(1, args.max_k + 1)]
         worker = _verify_koh_cell
     else:
-        if opts["max_size"] < 1 or opts["max_k"] < 1:
+        if args.max_size < 1 or args.max_k < 1:
             raise PreconditionViolationError(
-                f"need max-size >= 1 and max-k >= 1, got {opts['max_size']}, {opts['max_k']}")
-        cells = [(mu.parts, k, config.max_trees, config.max_fillings)
-                 for size in range(1, opts["max_size"] + 1)
+                f"need max-size >= 1 and max-k >= 1, got {args.max_size}, {args.max_k}")
+        cells = [(mu.parts, k, args.max_trees, args.max_fillings)
+                 for size in range(1, args.max_size + 1)
                  for mu in enumerate_partitions(size)
-                 for k in range(1, opts["max_k"] + 1)]
+                 for k in range(1, args.max_k + 1)]
         worker = _verify_goh_cell
 
-    if config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
+    if args.workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
             results = list(pool.map(worker, cells))
     else:
         results = [worker(cell) for cell in cells]
@@ -375,33 +284,6 @@ def _run_verify(config: RunConfig) -> int:
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation, writing to stdout."""
-    opts = config.options
-    if config.command == "kronecker":
-        report = kronecker_two_row(opts["n"], opts["k"], opts["r"],
-                                   method=config.method,
-                                   max_trees=config.max_trees)
-        _print_report(report, config.output_format)
-        return 0
-    if config.command == "plethysm":
-        report = plethysm_two_row(opts["mu"], opts["k"], opts["r"],
-                                  method=config.method,
-                                  max_trees=config.max_trees)
-        _print_report(report, config.output_format)
-        return 0
-    if config.command == "plethysm-general":
-        report = plethysm_two_row_general(opts["lam"], opts["mu"], opts["nu"],
-                                          method=config.method,
-                                          max_trees=config.max_trees)
-        _print_report(report, config.output_format)
-        return 0
-    if config.command in ("trees", "verify"):
-        inner = dataclasses.replace(config, command=opts["family"])
-        return (_run_trees if config.command == "trees" else _run_verify)(inner)
-    raise PreconditionViolationError(f"unknown command {config.command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -409,16 +291,34 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        config = _build_config(args)
-        return run(config)
+        args.workers = _resolve(getattr(args, "workers", None),
+                                "KOHTREES_WORKERS", DEFAULT_WORKERS)
+        args.max_trees = _resolve(args.max_trees, "KOHTREES_MAX_TREES",
+                                  DEFAULT_TREE_BUDGET)
+        args.max_fillings = _resolve(args.max_fillings, "KOHTREES_MAX_FILLINGS",
+                                     DEFAULT_FILLING_BUDGET)
+        if args.command == "trees":
+            return _run_trees(args)
+        if args.command == "verify":
+            return _run_verify(args)
+        if args.command == "kronecker":
+            report = kronecker_two_row(args.n, args.k, args.r, args.method,
+                                       args.max_trees)
+        elif args.command == "plethysm":
+            report = plethysm_two_row(args.mu, args.k, args.r, args.method,
+                                      args.max_trees)
+        else:
+            report = plethysm_two_row_general(args.lam, args.mu, args.nu,
+                                              args.method, args.max_trees)
+        _print_report(report, args.output_format)
+        return 0
     except BudgetExceededError as exc:
         print(f"BUDGET_EXCEEDED: {exc}", file=sys.stderr)
         return 1
     except CrossCheckFailedError as exc:
         print(f"CROSS_CHECK_FAILED: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionViolationError, SizeMismatchError,
-            InvalidRowLengthError) as exc:
+    except PreconditionViolationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

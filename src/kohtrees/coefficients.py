@@ -11,14 +11,16 @@ comparing them catches implementation drift in either one.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from collections.abc import Callable
 
 from .errors import (CrossCheckFailedError, BudgetExceededError,
-                     PreconditionViolationError, SizeMismatchError)
-from .goh import enumerate_goh_trees, goh_leaves
-from .koh import enumerate_koh_trees, leaves
-from .marking import count_markings, marking_target
+                     PreconditionViolationError)
+from .goh import enumerate_goh_trees, goh_leaves, goh_rhs_closed
+from .koh import enumerate_koh_trees, koh_rhs_closed, leaves
+from .marking import marked_counts
 from .partitions import Partition, count_in_rectangle
-from .qpoly import ONE, ZERO, QPoly, q_int
+from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
 
 METHOD_MARKED = "marked_trees"
 METHOD_DIFFERENCE = "difference_formula"
@@ -110,9 +112,74 @@ def schur_specialization_oracle(mu: Partition, k: int,
     return QPoly(coeffs)
 
 
-def _marked_counts(leaf_lists, total: int, r: int) -> tuple[int, ...]:
-    return tuple(count_markings(a, marking_target(sum(a), total, r))
-                 for a in leaf_lists)
+@dataclasses.dataclass(frozen=True)
+class TreeFamily:
+    """One tree family at fixed parameters, as both routes see it.
+
+    trees(max_trees) enumerates the expansion trees, leaves reads one
+    tree's leaf tuple, and total is their degree.  difference(r) is the
+    q^r minus q^(r-1) coefficient of the family's polynomial, computed
+    without trees by the route named in messages.  references(max_fillings)
+    lists named polynomials the tree terms must sum to, that polynomial
+    first.  where and degree_name word the error messages.
+    """
+
+    where: str
+    degree_name: str
+    total: int
+    trees: Callable[[int], tuple]
+    leaves: Callable[[object], tuple[int, ...]]
+    route: str
+    difference: Callable[[int], int]
+    references: Callable[[int], tuple[tuple[str, QPoly], ...]]
+
+
+def koh_family(n: int, k: int) -> TreeFamily:
+    """The KOH trees of type (n, k), summing to q_binomial(n, k)."""
+    return TreeFamily(
+        f"n={n}, k={k}", "nk", n * k,
+        lambda budget: enumerate_koh_trees(n, k, max_trees=budget), leaves,
+        "rectangle",
+        lambda r: count_in_rectangle(n, k, r) - count_in_rectangle(n, k, r - 1),
+        lambda max_fillings: (("reference", q_binomial(n, k)),
+                              ("closed form", koh_rhs_closed(n, k))))
+
+
+def goh_family(mu: Partition, k: int) -> TreeFamily:
+    """The GOH trees of (mu, k), summing to s_mu(1, q, ..., q^k)."""
+    spec = functools.cache(lambda: hook_content(mu, k))
+    return TreeFamily(
+        f"mu={mu!r}, k={k}", "|mu|k", mu.size * k,
+        lambda budget: enumerate_goh_trees(mu, k, max_trees=budget), goh_leaves,
+        "specialization", lambda r: spec().coeff(r) - spec().coeff(r - 1),
+        lambda max_fillings: (
+            ("hook content", spec()), ("closed form", goh_rhs_closed(mu, k)),
+            ("tableau oracle",
+             schur_specialization_oracle(mu, k, max_fillings=max_fillings))))
+
+
+def _two_row(family: TreeFamily, r: int, method: str,
+             max_trees: int | None) -> CoefficientReport:
+    _check_method(method)
+    total, name = family.total, family.degree_name
+    if r < 0 or 2 * r > total:
+        raise PreconditionViolationError(
+            f"need 0 <= 2r <= {name}, got r={r} with {name}={total}")
+    witness = None
+    if method in (METHOD_MARKED, METHOD_BOTH):
+        budget = DEFAULT_TREE_BUDGET if max_trees is None else max_trees
+        witness = marked_counts(map(family.leaves, family.trees(budget)), total, r)
+        marked = sum(witness)
+    if method == METHOD_MARKED:
+        return CoefficientReport(marked, method, witness)
+    diff = family.difference(r)
+    if method == METHOD_DIFFERENCE:
+        return CoefficientReport(diff, method)
+    if marked != diff:
+        raise CrossCheckFailedError(
+            f"marked trees give {marked} but the {family.route} difference "
+            f"gives {diff} for {family.where}, r={r}")
+    return CoefficientReport(marked, METHOD_BOTH, witness)
 
 
 def kronecker_two_row(n: int, k: int, r: int, method: str = METHOD_BOTH,
@@ -123,30 +190,10 @@ def kronecker_two_row(n: int, k: int, r: int, method: str = METHOD_BOTH,
     >>> kronecker_two_row(3, 4, 6).value
     1
     """
-    _check_method(method)
     if n < 1 or k < 1:
         raise PreconditionViolationError(
             f"rectangle sides must be positive, got n={n}, k={k}")
-    if r < 0 or 2 * r > n * k:
-        raise PreconditionViolationError(
-            f"need 0 <= 2r <= nk, got r={r} with nk={n * k}")
-    witness = None
-    if method in (METHOD_MARKED, METHOD_BOTH):
-        budget = DEFAULT_TREE_BUDGET if max_trees is None else max_trees
-        trees = enumerate_koh_trees(n, k, max_trees=budget)
-        witness = _marked_counts((leaves(t) for t in trees), n * k, r)
-        marked = sum(witness)
-    if method in (METHOD_DIFFERENCE, METHOD_BOTH):
-        diff = count_in_rectangle(n, k, r) - count_in_rectangle(n, k, r - 1)
-    if method == METHOD_MARKED:
-        return CoefficientReport(marked, method, witness)
-    if method == METHOD_DIFFERENCE:
-        return CoefficientReport(diff, method)
-    if marked != diff:
-        raise CrossCheckFailedError(
-            f"marked trees give {marked} but the rectangle difference gives "
-            f"{diff} for n={n}, k={k}, r={r}")
-    return CoefficientReport(marked, METHOD_BOTH, witness)
+    return _two_row(koh_family(n, k), r, method, max_trees)
 
 
 def plethysm_two_row(mu: Partition, k: int, r: int, method: str = METHOD_BOTH,
@@ -157,33 +204,11 @@ def plethysm_two_row(mu: Partition, k: int, r: int, method: str = METHOD_BOTH,
     >>> plethysm_two_row(Partition((2, 1)), 2, 2).value
     1
     """
-    _check_method(method)
     if not mu:
         raise PreconditionViolationError("the outer partition must be nonempty")
     if k < 1:
         raise PreconditionViolationError(f"the row length k must be positive, got {k}")
-    total = mu.size * k
-    if r < 0 or 2 * r > total:
-        raise PreconditionViolationError(
-            f"need 0 <= 2r <= |mu|k, got r={r} with |mu|k={total}")
-    witness = None
-    if method in (METHOD_MARKED, METHOD_BOTH):
-        budget = DEFAULT_TREE_BUDGET if max_trees is None else max_trees
-        trees = enumerate_goh_trees(mu, k, max_trees=budget)
-        witness = _marked_counts((goh_leaves(t) for t in trees), total, r)
-        marked = sum(witness)
-    if method in (METHOD_DIFFERENCE, METHOD_BOTH):
-        poly = hook_content(mu, k)
-        diff = poly.coeff(r) - poly.coeff(r - 1)
-    if method == METHOD_MARKED:
-        return CoefficientReport(marked, method, witness)
-    if method == METHOD_DIFFERENCE:
-        return CoefficientReport(diff, method)
-    if marked != diff:
-        raise CrossCheckFailedError(
-            f"marked trees give {marked} but the specialization difference "
-            f"gives {diff} for mu={mu!r}, k={k}, r={r}")
-    return CoefficientReport(marked, METHOD_BOTH, witness)
+    return _two_row(goh_family(mu, k), r, method, max_trees)
 
 
 def plethysm_two_row_general(lam: Partition, mu: Partition, nu: Partition,
@@ -205,7 +230,7 @@ def plethysm_two_row_general(lam: Partition, mu: Partition, nu: Partition,
         raise PreconditionViolationError(
             f"the target partition must have at most two rows, got {lam!r}")
     if lam.size != mu.size * nu.size:
-        raise SizeMismatchError(
+        raise PreconditionViolationError(
             f"|lam| = {lam.size} must equal |mu| * |nu| = {mu.size * nu.size}")
     if not mu:
         return CoefficientReport(1, method)

@@ -10,16 +10,8 @@ class NonExactDivisionError(ArithmeticError):
     """Polynomial division hit a non-integer step or a nonzero remainder."""
 
 
-class InvalidRowLengthError(ValueError):
-    """A row length was requested that does not occur in the partition."""
-
-
 class StructureViolationError(ValueError):
     """A tree or configuration breaks one of its defining constraints."""
-
-
-class DegreeMismatchError(ValueError):
-    """A difference profile's declared degree disagrees with its data."""
 
 
 class ParityViolationError(ValueError):
@@ -28,10 +20,6 @@ class ParityViolationError(ValueError):
 
 class PreconditionViolationError(ValueError):
     """An argument lies outside the range where the computation is valid."""
-
-
-class SizeMismatchError(ValueError):
-    """Partition sizes fail the compatibility requirement for plethysm."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -20,14 +20,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+from typing import ClassVar
 
-from .errors import (BudgetExceededError, ParityViolationError,
-                     PreconditionViolationError, StructureViolationError)
-from .koh import (KohTree, count_koh_trees, enumerate_koh_trees, leaves,
-                  tree_to_dict as _koh_to_dict, tree_from_dict as _koh_from_dict,
-                  validate_koh_tree, _emit_dot_node, _fmt_parts)
+from .errors import (BudgetExceededError, PreconditionViolationError,
+                     StructureViolationError)
+from .koh import (KohTree, count_koh_trees, enumerate_koh_trees, leaf_sigma,
+                  leaf_term, leaves, validate_koh_tree)
+from .koh import tree_from_dict as koh_from_dict
 from .partitions import Partition, enumerate_partitions
-from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
+from .qpoly import ZERO, QPoly, q_binomial
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,7 +164,13 @@ class GohTree:
 
     labeled holds ((i, j), subtree) pairs in lexicographic edge order;
     extra is the unlabeled subtree, present exactly when m_stat < k.
+    The class attributes and the properties below give the node view
+    KohTree gives, so leaves() and the writers take either family.
     """
+
+    family: ClassVar[str] = "goh"
+    child_key: ClassVar[str] = "koh"
+    is_leaf: ClassVar[bool] = False
 
     config: Configuration
     k: int
@@ -173,6 +180,22 @@ class GohTree:
     @property
     def lam(self) -> Partition:
         return self.config.lam
+
+    @property
+    def degree(self) -> int:
+        return self.lam.size * self.k
+
+    @property
+    def children(self) -> tuple[tuple[tuple[int, int] | None, KohTree], ...]:
+        """The labeled subtrees, then the unlabeled one under edge None."""
+        if self.extra is None:
+            return self.labeled
+        return self.labeled + ((None, self.extra),)
+
+    def root_fields(self) -> dict:
+        return {"lambda": list(self.lam.parts),
+                "config": [list(nu.parts) for nu in self.config.nus],
+                "k": self.k}
 
 
 def _slots(config: Configuration) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -237,32 +260,17 @@ def enumerate_goh_trees(lam: Partition, k: int, max_trees: int | None = None) ->
 
 def goh_leaves(tree: GohTree) -> tuple[int, ...]:
     """Leaf labels: labeled subtrees in edge order, then the unlabeled one."""
-    out: tuple[int, ...] = ()
-    for _, sub in tree.labeled:
-        out += leaves(sub)
-    if tree.extra is not None:
-        out += leaves(tree.extra)
-    return out
+    return leaves(tree)
 
 
 def goh_sigma(tree: GohTree) -> int:
     """|lam| * k minus the leaf sum; even and nonnegative on valid trees."""
-    s = tree.lam.size * tree.k - sum(goh_leaves(tree))
-    if s < 0:
-        raise StructureViolationError(
-            f"leaf sum exceeds {tree.lam.size}*{tree.k}")
-    if s % 2:
-        raise ParityViolationError(
-            f"odd defect {s} for shape {tree.lam!r} with k={tree.k}")
-    return s
+    return leaf_sigma(tree.degree, goh_leaves(tree))
 
 
 def goh_term(tree: GohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over all leaves."""
-    prod = ONE
-    for a in goh_leaves(tree):
-        prod = prod * q_int(a)
-    return prod.shift(goh_sigma(tree) // 2)
+    return leaf_term(tree.degree, goh_leaves(tree))
 
 
 def validate_goh_tree(tree: GohTree) -> None:
@@ -290,26 +298,7 @@ def validate_goh_tree(tree: GohTree) -> None:
         raise StructureViolationError("unexpected unlabeled subtree")
 
 
-# --- serialization ---
-
-def tree_to_dict(tree: GohTree, marks: tuple[int, ...] | None = None,
-                 r: int | None = None) -> dict:
-    """JSON-ready dict; the unlabeled child carries edge null."""
-    children = [{"edge": [i, j], "koh": _koh_to_dict(sub)}
-                for (i, j), sub in tree.labeled]
-    if tree.extra is not None:
-        children.append({"edge": None, "koh": _koh_to_dict(tree.extra)})
-    d: dict = {
-        "lambda": list(tree.lam.parts),
-        "config": [list(nu.parts) for nu in tree.config.nus],
-        "k": tree.k,
-        "children": children,
-    }
-    if marks is not None:
-        d["marks"] = list(marks)
-        d["r"] = r
-    return d
-
+# --- reading the dict form back ---
 
 def tree_from_dict(data: dict) -> GohTree:
     """Parse the dict form back into a validated tree."""
@@ -320,7 +309,7 @@ def tree_from_dict(data: dict) -> GohTree:
         labeled = []
         extra = None
         for entry in data["children"]:
-            sub = _koh_from_dict(entry["koh"])
+            sub = koh_from_dict(entry["koh"])
             if entry["edge"] is None:
                 if extra is not None:
                     raise StructureViolationError("two unlabeled children")
@@ -335,26 +324,3 @@ def tree_from_dict(data: dict) -> GohTree:
     tree = GohTree(Configuration(lam, nus), k, tuple(labeled), extra)
     validate_goh_tree(tree)
     return tree
-
-
-def tree_to_dot(tree: GohTree, marks: tuple[int, ...] | None = None,
-                r: int | None = None, graph_name: str = "goh") -> str:
-    """DOT rendering; subtree edges keep their (i, j) labels, the
-    unlabeled edge stays bare."""
-    lines = [f"digraph {graph_name} {{", "  node [shape=plaintext];"]
-    if r is not None:
-        lines.append(f'  label="r = {r}";')
-        lines.append("  labelloc=top;")
-    ids = itertools.count()
-    root = f"n{next(ids)}"
-    chain = "[" + ",".join(_fmt_parts(nu.parts) for nu in tree.config.nus) + "]"
-    lines.append(f'  {root} [label="({_fmt_parts(tree.lam.parts)}, {chain}, {tree.k})"];')
-    remaining = list(marks) if marks is not None else None
-    for (i, j), sub in tree.labeled:
-        cid = _emit_dot_node(sub, ids, lines, remaining)
-        lines.append(f'  {root} -> {cid} [label="{i},{j}"];')
-    if tree.extra is not None:
-        cid = _emit_dot_node(tree.extra, ids, lines, remaining)
-        lines.append(f"  {root} -> {cid};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -17,10 +17,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+from typing import ClassVar
 
-from .errors import (BudgetExceededError, InvalidRowLengthError,
-                     ParityViolationError, PreconditionViolationError,
-                     StructureViolationError)
+from .errors import (BudgetExceededError, ParityViolationError,
+                     PreconditionViolationError, StructureViolationError)
 from .partitions import Partition, enumerate_partitions
 from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
 
@@ -29,7 +29,14 @@ _LEAF_MU = Partition((1,))
 
 @dataclasses.dataclass(frozen=True)
 class KohTree:
-    """Tree node; children are (edge label, subtree) pairs, edges ascending."""
+    """Tree node; children are (edge label, subtree) pairs, edges ascending.
+
+    family and child_key name the tree in DOT output and its subtrees in
+    the dict form; root_fields() gives the root label in that form.
+    """
+
+    family: ClassVar[str] = "koh"
+    child_key: ClassVar[str] = "tree"
 
     mu: Partition
     a: int
@@ -39,6 +46,13 @@ class KohTree:
     @property
     def is_leaf(self) -> bool:
         return self.b == 1
+
+    @property
+    def degree(self) -> int:
+        return self.a * self.b
+
+    def root_fields(self) -> dict:
+        return {"mu": list(self.mu.parts), "a": self.a, "b": self.b}
 
 
 def koh_child_type(mu: Partition, a: int, j: int) -> tuple[int, int]:
@@ -52,7 +66,7 @@ def koh_child_type(mu: Partition, a: int, j: int) -> tuple[int, int]:
     """
     m = mu.mult(j)
     if m == 0:
-        raise InvalidRowLengthError(f"no row of length {j} in {mu!r}")
+        raise PreconditionViolationError(f"no row of length {j} in {mu!r}")
     return (a + 2) * j - 2 * mu.q_stat(j), m
 
 
@@ -117,8 +131,12 @@ def enumerate_koh_trees(n: int, k: int, max_trees: int | None = None) -> tuple[K
     return _tree_table(n, k)
 
 
-def leaves(tree: KohTree) -> tuple[int, ...]:
-    """Leaf labels in depth-first order, children taken by ascending edge."""
+def leaves(tree) -> tuple[int, ...]:
+    """Leaf labels in depth-first order, children taken in edge order.
+
+    Works on a tree of either family: a GohTree is an inner node whose
+    children are KOH subtrees.
+    """
     if tree.is_leaf:
         return (tree.a,)
     out: tuple[int, ...] = ()
@@ -127,24 +145,34 @@ def leaves(tree: KohTree) -> tuple[int, ...]:
     return out
 
 
-def sigma(tree: KohTree) -> int:
-    """a*b minus the leaf sum; even and nonnegative on valid trees."""
-    s = tree.a * tree.b - sum(leaves(tree))
+def leaf_sigma(degree: int, leaf_values: tuple[int, ...]) -> int:
+    """The tree degree minus the leaf sum; even and nonnegative on valid
+    trees of either family."""
+    s = degree - sum(leaf_values)
     if s < 0:
         raise StructureViolationError(
-            f"leaf sum exceeds {tree.a}*{tree.b} for root {tree.mu!r}")
+            f"leaf sum {sum(leaf_values)} exceeds the degree {degree}")
     if s % 2:
-        raise ParityViolationError(
-            f"odd defect {s} for tree of type ({tree.a}, {tree.b})")
+        raise ParityViolationError(f"odd defect {s} below the degree {degree}")
     return s
+
+
+def leaf_term(degree: int, leaf_values: tuple[int, ...]) -> QPoly:
+    """q^(sigma/2) times the product of [leaf + 1]_q over the leaves."""
+    prod = ONE
+    for a in leaf_values:
+        prod = prod * q_int(a)
+    return prod.shift(leaf_sigma(degree, leaf_values) // 2)
+
+
+def sigma(tree: KohTree) -> int:
+    """a*b minus the leaf sum; even and nonnegative on valid trees."""
+    return leaf_sigma(tree.degree, leaves(tree))
 
 
 def koh_term(tree: KohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over the leaves."""
-    prod = ONE
-    for a in leaves(tree):
-        prod = prod * q_int(a)
-    return prod.shift(sigma(tree) // 2)
+    return leaf_term(tree.degree, leaves(tree))
 
 
 def koh_rhs_closed(n: int, k: int) -> QPoly:
@@ -200,22 +228,7 @@ def validate_koh_tree(tree: KohTree, expected_type: tuple[int, int] | None = Non
         validate_koh_tree(child)
 
 
-# --- serialization ---
-
-def tree_to_dict(tree: KohTree, marks: tuple[int, ...] | None = None,
-                 r: int | None = None) -> dict:
-    """JSON-ready dict; marks/r attach a marking to the whole tree."""
-    d: dict = {
-        "mu": list(tree.mu.parts),
-        "a": tree.a,
-        "b": tree.b,
-        "children": [{"edge": j, "tree": tree_to_dict(c)} for j, c in tree.children],
-    }
-    if marks is not None:
-        d["marks"] = list(marks)
-        d["r"] = r
-    return d
-
+# --- reading the dict form back ---
 
 def _tree_from_dict(data: dict) -> KohTree:
     try:
@@ -233,38 +246,3 @@ def tree_from_dict(data: dict) -> KohTree:
     tree = _tree_from_dict(data)
     validate_koh_tree(tree)
     return tree
-
-
-def _fmt_parts(parts) -> str:
-    return "[" + ",".join(str(p) for p in parts) + "]"
-
-
-def _emit_dot_node(tree: KohTree, ids: itertools.count, lines: list[str],
-                   marks: list[int] | None) -> str:
-    nid = f"n{next(ids)}"
-    if tree.is_leaf:
-        lines.append(f'  {nid} [label="{tree.a}"];')
-        if marks is not None:
-            k = marks.pop(0)
-            mid = f"n{next(ids)}"
-            lines.append(f'  {mid} [label="{k}", shape=circle];')
-            lines.append(f"  {nid} -> {mid} [style=dashed, arrowhead=none];")
-        return nid
-    label = f"({_fmt_parts(tree.mu.parts)}, {tree.a}, {tree.b})"
-    lines.append(f'  {nid} [label="{label}"];')
-    for j, child in tree.children:
-        cid = _emit_dot_node(child, ids, lines, marks)
-        lines.append(f'  {nid} -> {cid} [label="{j}"];')
-    return nid
-
-
-def tree_to_dot(tree: KohTree, marks: tuple[int, ...] | None = None,
-                r: int | None = None, graph_name: str = "koh") -> str:
-    """DOT rendering; leaves abbreviate to their a value, marks get circles."""
-    lines = [f"digraph {graph_name} {{", "  node [shape=plaintext];"]
-    if r is not None:
-        lines.append(f'  label="r = {r}";')
-        lines.append("  labelloc=top;")
-    _emit_dot_node(tree, itertools.count(), lines, list(marks) if marks is not None else None)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

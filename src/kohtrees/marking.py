@@ -7,101 +7,17 @@ vector k_1 <= ... <= k_t with k_1 = 0 whose steps obey
 
 The number of markings ending at k_t = k equals c_k - c_{k-1}, where
 c_r is the coefficient of q^r in the product of the [a_i + 1]_q, valid
-up to the symmetry center k <= (a_1 + ... + a_t) / 2.  The same
-difference can be computed without polynomials by folding difference
-profiles through a two-dimensional index region; both routes live here
-so they can be played against each other.
+up to the symmetry center k <= (a_1 + ... + a_t) / 2.  Summed over the
+leaf sequences of an expansion tree family, with each tree's target
+shifted by its power of q, the counts give one coefficient difference
+of the family's polynomial; marked_counts is that sum, tree by tree.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterable, Sequence
 
-from .errors import (DegreeMismatchError, ParityViolationError,
-                     PreconditionViolationError)
-from .qpoly import QPoly
-
-
-@dataclasses.dataclass(frozen=True)
-class DifferenceProfile:
-    """Successive coefficient differences of a symmetric unimodal polynomial.
-
-    diffs[i] = c_i - c_{i-1} for 0 <= i <= degree // 2; the upper half
-    is determined by symmetry and never stored.
-    """
-
-    degree: int
-    diffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 0 or len(self.diffs) != self.degree // 2 + 1:
-            raise DegreeMismatchError(
-                f"degree {self.degree} needs {max(self.degree, 0) // 2 + 1} "
-                f"differences, got {len(self.diffs)}")
-
-    @classmethod
-    def of_q_int(cls, a: int) -> DifferenceProfile:
-        """Profile of [a+1]_q: a single rise at index 0.
-
-        >>> DifferenceProfile.of_q_int(5).diffs
-        (1, 0, 0)
-        """
-        if a < 0:
-            raise PreconditionViolationError(f"q-integer index must be >= 0, got {a}")
-        return cls(a, (1,) + (0,) * (a // 2))
-
-    @classmethod
-    def of_poly(cls, p: QPoly, degree: int | None = None) -> DifferenceProfile:
-        d = p.degree if degree is None else degree
-        if d < 0:
-            d = 0
-        return cls(d, tuple(p.coeff(i) - p.coeff(i - 1) for i in range(d // 2 + 1)))
-
-
-def region_contains(r: int, s: int, k: int, i: int, j: int) -> bool:
-    """Whether (i, j) lies in the index region feeding difference k of a
-    product of symmetric unimodal polynomials of degrees r and s."""
-    if i < 0 or j < 0 or 2 * i > r or 2 * j > s:
-        return False
-    rem = k - i - j
-    return 0 <= rem <= min(r - 2 * i, s - 2 * j)
-
-
-def _combine(p1: DifferenceProfile, p2: DifferenceProfile) -> DifferenceProfile:
-    r, s = p1.degree, p2.degree
-    mid = (r + s) // 2
-    out = [0] * (mid + 1)
-    for i, da in enumerate(p1.diffs):
-        if not da:
-            continue
-        for j, db in enumerate(p2.diffs):
-            if not db:
-                continue
-            # contributes to every k with 0 <= k-i-j <= min(r-2i, s-2j)
-            lo = i + j
-            hi = min(lo + min(r - 2 * i, s - 2 * j), mid)
-            for k in range(lo, hi + 1):
-                out[k] += da * db
-    return DifferenceProfile(r + s, tuple(out))
-
-
-def product_difference(profiles: Sequence[DifferenceProfile], k: int) -> int:
-    """c_k - c_{k-1} for the product of the profiled polynomials.
-
-    Folds the profiles pairwise through the index region, never touching
-    the upper coefficient halves.  k must not exceed half the total
-    degree; negative k gives 0.
-    """
-    acc = DifferenceProfile(0, (1,))
-    for p in profiles:
-        acc = _combine(acc, p)
-    if k < 0:
-        return 0
-    if 2 * k > acc.degree:
-        raise PreconditionViolationError(
-            f"difference index {k} lies past the symmetry center {acc.degree}/2")
-    return acc.diffs[k]
+from .errors import ParityViolationError, PreconditionViolationError
 
 
 def _check_leaves(a: Sequence[int]) -> None:
@@ -173,14 +89,21 @@ def marking_target(leaf_sum: int, total: int, r: int) -> int:
     return r - (total - leaf_sum) // 2
 
 
-def count_marked_trees(leaf_lists: Iterable[Sequence[int]], total: int, r: int) -> int:
-    """Total number of (tree, marking) pairs selecting coefficient r.
+def marked_counts(leaf_lists: Iterable[Sequence[int]], total: int,
+                  r: int) -> tuple[int, ...]:
+    """Per tree, the number of markings selecting coefficient r.
 
     Valid for 0 <= r <= total/2.  Each tree contributes the markings of
-    its leaf sequence at the tree's own target.
+    its leaf sequence at the tree's own target; leaf_lists is consumed
+    once, so a generator keeps only one leaf sequence alive at a time.
     """
     if r < 0 or 2 * r > total:
         raise PreconditionViolationError(
             f"coefficient index {r} outside 0..{total}/2")
-    return sum(count_markings(ls, marking_target(sum(ls), total, r))
-               for ls in leaf_lists)
+    return tuple(count_markings(ls, marking_target(sum(ls), total, r))
+                 for ls in leaf_lists)
+
+
+def count_marked_trees(leaf_lists: Iterable[Sequence[int]], total: int, r: int) -> int:
+    """Total number of (tree, marking) pairs selecting coefficient r."""
+    return sum(marked_counts(leaf_lists, total, r))

@@ -86,14 +86,12 @@ class Partition:
 
 
 @functools.cache
-def _bounded(n: int, max_part: int, max_length: int) -> tuple[tuple[int, ...], ...]:
+def _bounded(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)
-    if max_part <= 0 or max_length <= 0:
-        return ()
     rows: list[tuple[int, ...]] = []
     for first in range(min(n, max_part), 0, -1):
-        for rest in _bounded(n - first, first, max_length - 1):
+        for rest in _bounded(n - first, first):
             rows.append((first,) + rest)
     return tuple(rows)
 
@@ -106,15 +104,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative number: {n}")
-    return [Partition(t) for t in _bounded(n, n, n)]
-
-
-def enumerate_partitions_bounded(n: int, max_part: int, max_length: int) -> list[Partition]:
-    """Partitions of n with parts <= max_part and at most max_length parts,
-    in the same lexicographically decreasing order."""
-    if n < 0:
-        raise ValueError(f"cannot partition a negative number: {n}")
-    return [Partition(t) for t in _bounded(n, max_part, max_length)]
+    return [Partition(t) for t in _bounded(n, n)]
 
 
 @functools.cache

@@ -167,6 +167,23 @@ def test_budget_exit(capsys):
     assert err.startswith("BUDGET_EXCEEDED:")
 
 
+def test_marked_listing_budget_counts_markings(capsys):
+    argv = ("trees", "koh", "--n", "12", "--k", "12", "--r", "40")
+    code, out, err = run_cli(capsys, *argv, "--max-trees", "1000")
+    assert (code, out) == (1, "")
+    assert err.startswith("BUDGET_EXCEEDED: 1233 marked trees")
+    code, out, _ = run_cli(capsys, *argv, "--max-trees", "2000")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "total marked trees: 1233"
+
+
+def test_marked_listing_checks_r_before_building_trees(capsys):
+    code, _, err = run_cli(capsys, "trees", "koh", "--n", "30", "--k", "30",
+                           "--r", "451", "--max-trees", "1")
+    assert code == 2
+    assert err.startswith("usage error: need 0 <= 2r <= 900")
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("KOHTREES_MAX_TREES", "10")
     code, _, err = run_cli(capsys, "trees", "koh", "--n", "8", "--k", "9")
@@ -218,8 +235,9 @@ def test_verify_output_stable_across_workers(capsys):
 
 def test_verify_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "_verify_koh_cell",
-        lambda cell: (f"koh n={cell[0]} k={cell[1]}", False, "forced failure"))
+        cli, "_verify_cell",
+        lambda family, cell: (f"{family} n={cell[0]} k={cell[1]}", False,
+                              "forced failure"))
     code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "0",
                            "--max-k", "1")
     assert code == 1

@@ -6,7 +6,7 @@ from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
                                    plethysm_two_row, plethysm_two_row_general,
                                    schur_specialization_oracle)
 from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
-                             PreconditionViolationError, SizeMismatchError)
+                             PreconditionViolationError)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ONE, QPoly, q_binomial
 
@@ -194,7 +194,7 @@ def test_general_reduction_validates():
     with pytest.raises(PreconditionViolationError):
         plethysm_two_row_general(Partition((2, 1, 1)), Partition((2,)),
                                  Partition((2,)))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(PreconditionViolationError, match=r"\|lam\| = 3 must equal"):
         plethysm_two_row_general(Partition((3,)), Partition((2,)),
                                  Partition((2,)))
 

@@ -7,10 +7,11 @@ from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
 from kohtrees.goh import (Configuration, GohTree, count_goh_trees,
                           enumerate_configurations, enumerate_goh_trees,
                           goh_leaves, goh_rhs_closed, goh_sigma, goh_term,
-                          tree_from_dict, tree_to_dict, tree_to_dot,
-                          validate_configuration, validate_goh_tree)
+                          tree_from_dict, validate_configuration,
+                          validate_goh_tree)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ZERO
+from kohtrees.render import tree_to_dict, tree_to_dot
 
 
 def tree_sum(mu, k):

@@ -2,15 +2,15 @@ import json
 
 import pytest
 
-from kohtrees.errors import (BudgetExceededError, InvalidRowLengthError,
-                             ParityViolationError, PreconditionViolationError,
+from kohtrees.errors import (BudgetExceededError, ParityViolationError,
+                             PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.koh import (KohTree, count_koh_trees, enumerate_koh_trees,
                           koh_child_type, koh_rhs_closed, koh_term, leaves,
-                          sigma, tree_from_dict, tree_to_dict, tree_to_dot,
-                          validate_koh_tree)
+                          sigma, tree_from_dict, validate_koh_tree)
 from kohtrees.partitions import Partition
 from kohtrees.qpoly import ZERO, q_binomial
+from kohtrees.render import tree_to_dict, tree_to_dot
 
 
 def tree_sum(n, k):
@@ -21,7 +21,7 @@ def test_child_type_formula():
     assert koh_child_type(Partition((4, 3, 1, 1)), 8, 1) == (2, 2)
     assert koh_child_type(Partition((4, 3, 1, 1)), 8, 3) == (14, 1)
     assert koh_child_type(Partition((4, 3, 1, 1)), 8, 4) == (22, 1)
-    with pytest.raises(InvalidRowLengthError):
+    with pytest.raises(PreconditionViolationError, match="no row of length 2"):
         koh_child_type(Partition((4, 3, 1, 1)), 8, 2)
 
 

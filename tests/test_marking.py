@@ -3,13 +3,10 @@ import random
 
 import pytest
 
-from kohtrees.errors import (DegreeMismatchError, ParityViolationError,
-                             PreconditionViolationError)
-from kohtrees.marking import (DifferenceProfile, count_marked_trees,
-                              count_markings, enumerate_markings,
-                              marking_target, product_difference,
-                              region_contains)
-from kohtrees.qpoly import ONE, QPoly, q_int
+from kohtrees.errors import ParityViolationError, PreconditionViolationError
+from kohtrees.marking import (count_marked_trees, count_markings,
+                              enumerate_markings, marking_target)
+from kohtrees.qpoly import ONE, q_int
 
 
 def product_of_q_ints(a):
@@ -36,53 +33,6 @@ def brute_force_markings(a, target):
         if ok:
             found.append(ks)
     return found
-
-
-def test_profile_validates_length():
-    DifferenceProfile(4, (1, 0, 0))
-    with pytest.raises(DegreeMismatchError):
-        DifferenceProfile(4, (1, 0))
-    with pytest.raises(DegreeMismatchError):
-        DifferenceProfile(-1, (1,))
-
-
-def test_profile_of_q_int():
-    assert DifferenceProfile.of_q_int(5).diffs == (1, 0, 0)
-    assert DifferenceProfile.of_q_int(0) == DifferenceProfile(0, (1,))
-    with pytest.raises(PreconditionViolationError):
-        DifferenceProfile.of_q_int(-1)
-
-
-def test_profile_of_poly():
-    p = QPoly([1, 2, 4, 2, 1])
-    assert DifferenceProfile.of_poly(p) == DifferenceProfile(4, (1, 1, 2))
-    assert DifferenceProfile.of_poly(QPoly()) == DifferenceProfile(0, (0,))
-
-
-def test_region_membership():
-    assert region_contains(4, 2, 1, 0, 0)
-    assert region_contains(4, 2, 3, 1, 0)
-    assert not region_contains(4, 2, 3, 1, 1)
-    assert not region_contains(4, 2, 1, 3, 0)
-    assert not region_contains(4, 2, 5, 0, 0)
-    assert not region_contains(4, 2, 1, -1, 0)
-
-
-def test_product_difference_matches_polynomial_expansion():
-    vectors = [(1,), (3,), (2, 2), (1, 1, 1, 1), (4, 1, 3), (2, 6, 2, 4)]
-    for a in vectors:
-        poly = product_of_q_ints(a)
-        profiles = [DifferenceProfile.of_q_int(x) for x in a]
-        for k in range(sum(a) // 2 + 1):
-            want = poly.coeff(k) - poly.coeff(k - 1)
-            assert product_difference(profiles, k) == want
-        assert product_difference(profiles, -1) == 0
-
-
-def test_product_difference_rejects_past_center():
-    profiles = [DifferenceProfile.of_q_int(2)]
-    with pytest.raises(PreconditionViolationError):
-        product_difference(profiles, 2)
 
 
 def test_count_markings_small_cases():

@@ -1,8 +1,7 @@
 import pytest
 
 from kohtrees.partitions import (Partition, count_in_rectangle,
-                                 enumerate_partitions,
-                                 enumerate_partitions_bounded)
+                                 enumerate_partitions)
 from kohtrees.qpoly import q_binomial
 
 
@@ -77,15 +76,6 @@ def test_enumerate_partitions_order_and_counts():
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     with pytest.raises(ValueError):
         enumerate_partitions(-1)
-
-
-def test_enumerate_partitions_bounded():
-    inside = enumerate_partitions_bounded(4, 2, 3)
-    assert [p.parts for p in inside] == [(2, 2), (2, 1, 1)]
-    assert enumerate_partitions_bounded(0, 3, 3) == [Partition()]
-    assert enumerate_partitions_bounded(5, 2, 2) == []
-    for p in enumerate_partitions_bounded(6, 3, 4):
-        assert p.size == 6 and len(p) <= 4 and all(x <= 3 for x in p)
 
 
 def test_count_in_rectangle_agrees_with_gaussian_coefficients():
