@@ -17,10 +17,9 @@ from .koh import (KohTree, count_koh_trees, enumerate_koh_trees,
                   validate_koh_tree)
 from .goh import (Configuration, GohTree, count_goh_trees,
                   enumerate_configurations, enumerate_goh_trees, goh_leaves,
-                  goh_rhs_closed, goh_sigma, goh_term, validate_configuration,
+                  goh_rhs_closed, goh_term, validate_configuration,
                   validate_goh_tree)
-from .marking import (count_marked_trees, count_markings, enumerate_markings,
-                      marking_target)
+from .marking import count_markings, enumerate_markings, marking_target
 from .coefficients import (CoefficientReport, METHOD_BOTH, METHOD_DIFFERENCE,
                            METHOD_MARKED, hook_content, kronecker_two_row,
                            plethysm_two_row, plethysm_two_row_general,
@@ -37,10 +36,9 @@ __all__ = [
     "KohTree", "count_koh_trees", "enumerate_koh_trees", "koh_child_type",
     "koh_rhs_closed", "koh_term", "leaves", "sigma", "validate_koh_tree",
     "Configuration", "GohTree", "count_goh_trees", "enumerate_configurations",
-    "enumerate_goh_trees", "goh_leaves", "goh_rhs_closed", "goh_sigma",
-    "goh_term", "validate_configuration", "validate_goh_tree",
-    "count_marked_trees", "count_markings", "enumerate_markings",
-    "marking_target",
+    "enumerate_goh_trees", "goh_leaves", "goh_rhs_closed", "goh_term",
+    "validate_configuration", "validate_goh_tree",
+    "count_markings", "enumerate_markings", "marking_target",
     "CoefficientReport", "METHOD_BOTH", "METHOD_DIFFERENCE", "METHOD_MARKED",
     "hook_content", "kronecker_two_row", "plethysm_two_row",
     "plethysm_two_row_general", "schur_specialization_oracle",

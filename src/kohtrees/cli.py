@@ -7,12 +7,14 @@ Subcommands
     trees koh --n N --k K [--r R] [--format text|json|dot]
     trees goh --mu P --k K [--r R] [--format text|json|dot]
     verify koh --max-n A --max-k B [--workers W]
-    verify goh --max-size A --max-k B [--workers W]
+    verify goh --max-size A --max-k B [--workers W] [--max-fillings F]
 
 Exit status: 0 on success, 1 on a verification, cross-check, or budget
-failure, 2 on a usage error.  The budget and worker flags fall back to
-the environment variables KOHTREES_MAX_TREES, KOHTREES_MAX_FILLINGS
-and KOHTREES_WORKERS before their defaults.
+failure, 2 on a usage error.  Every command takes --max-trees; only
+verify takes --workers, and only verify goh takes --max-fillings.  Each
+flag falls back to its environment variable (KOHTREES_MAX_TREES,
+KOHTREES_WORKERS, KOHTREES_MAX_FILLINGS) before its default, and a
+command reads only the variables of the flags it takes.
 """
 
 from __future__ import annotations
@@ -25,17 +27,18 @@ import sys
 
 from .coefficients import (DEFAULT_FILLING_BUDGET, DEFAULT_TREE_BUDGET,
                            METHOD_BOTH, METHOD_DIFFERENCE, METHOD_MARKED,
-                           goh_family, koh_family, kronecker_two_row,
-                           plethysm_two_row, plethysm_two_row_general)
+                           check_identities, goh_family, koh_family,
+                           kronecker_two_row, marked_listing, plethysm_two_row,
+                           plethysm_two_row_general)
 from .errors import (BudgetExceededError, CrossCheckFailedError,
                      PreconditionViolationError)
-from .koh import leaf_term
-from .marking import count_marked_trees, enumerate_markings, marking_target
 from .partitions import Partition, enumerate_partitions
-from .qpoly import ZERO
 from .render import tree_to_dict, tree_to_dot, tree_to_text
 
 DEFAULT_WORKERS = 1
+
+# trees printed with a failing verify cell; the cell may hold thousands
+WITNESS_TREES = 5
 
 _METHODS = {
     "marked_trees": METHOD_MARKED,
@@ -93,8 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     limits = argparse.ArgumentParser(add_help=False)
     limits.add_argument("--max-trees", type=int, default=None,
                         help="enumeration budget (env KOHTREES_MAX_TREES)")
-    limits.add_argument("--max-fillings", type=int, default=None,
-                        help="tableau oracle budget (env KOHTREES_MAX_FILLINGS)")
 
     kron = sub.add_parser("kronecker", parents=[limits],
                           help="two-row rectangular Kronecker coefficient")
@@ -157,6 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vgoh.add_argument("--max-k", type=int, required=True)
     vgoh.add_argument("--workers", type=int, default=None,
                       help="worker processes (env KOHTREES_WORKERS)")
+    vgoh.add_argument("--max-fillings", type=int, default=None,
+                      help="tableau oracle budget (env KOHTREES_MAX_FILLINGS)")
     return parser
 
 
@@ -174,22 +177,9 @@ def _print_report(report, fmt: str) -> None:
 def _run_trees(args: argparse.Namespace) -> int:
     family = (koh_family(args.n, args.k) if args.family == "koh"
               else goh_family(args.mu, args.k))
-    r, total = args.r, family.total
-    if r is not None and (r < 0 or 2 * r > total):
-        raise PreconditionViolationError(
-            f"need 0 <= 2r <= {total}, got r={r}")
-    trees = family.trees(args.max_trees)
-    if r is None:
-        entries = [(tree, None) for tree in trees]
-    else:
-        leaf_tuples = [family.leaves(tree) for tree in trees]
-        pairs = count_marked_trees(leaf_tuples, total, r)
-        if pairs > args.max_trees:
-            raise BudgetExceededError(
-                f"{pairs} marked trees exceed the budget {args.max_trees}")
-        entries = [(tree, marks) for tree, lv in zip(trees, leaf_tuples)
-                   for marks in enumerate_markings(
-                       lv, marking_target(sum(lv), total, r))]
+    r = args.r
+    entries = ([(tree, None) for tree in family.trees(args.max_trees)] if r is None
+               else marked_listing(family, r, args.max_trees))
 
     if args.output_format == "json":
         print(json.dumps([tree_to_dict(tree, marks, r) for tree, marks in entries]))
@@ -205,36 +195,22 @@ def _run_trees(args: argparse.Namespace) -> int:
 
 
 def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool, str]:
-    """Check one cell of either family: the tree terms against every
-    reference polynomial, then the marked count against the difference
-    route at every r.  Each tree's leaf tuple is read once."""
+    """Check one cell of either family; a failing cell's detail is the
+    cross-check message and the first WITNESS_TREES trees as JSON."""
     params, k, max_trees, max_fillings = cell
     if family_name == "koh":
         label, family = f"koh n={params} k={k}", koh_family(params, k)
     else:
         label = f"goh mu=[{','.join(map(str, params))}] k={k}"
         family = goh_family(Partition(params), k)
-    total = family.total
-    trees = family.trees(max_trees)
-    leaf_tuples = [family.leaves(tree) for tree in trees]
-    tree_sum = sum((leaf_term(total, lv) for lv in leaf_tuples), start=ZERO)
-    references = family.references(max_fillings)
-    reference = references[0][1]
-    if tree_sum != reference or any(p != reference for _, p in references[1:]):
-        detail = (f"{label}\n  tree sum: {tree_sum}\n"
-                  + "".join(f"  {name}: {p}\n" for name, p in references))
-    else:
-        for r in range(total // 2 + 1):
-            marked = count_marked_trees(leaf_tuples, total, r)
-            diff = family.difference(r)
-            if marked != diff:
-                detail = (f"{label} r={r}\n  marked trees: {marked}\n"
-                          f"  {family.route} difference: {diff}\n")
-                break
-        else:
-            return label, True, ""
-    return label, False, (detail + "  witness trees: "
-                          + json.dumps([tree_to_dict(t) for t in trees]))
+    try:
+        check_identities(family, max_trees, max_fillings)
+    except CrossCheckFailedError as exc:
+        trees = family.trees(max_trees)
+        shown = [tree_to_dict(tree) for tree in trees[:WITNESS_TREES]]
+        return label, False, (f"{label}\n  {exc}\n  witness trees ({len(shown)} "
+                              f"of {len(trees)}): {json.dumps(shown)}")
+    return label, True, ""
 
 
 # the per-family entry points a worker process runs: top-level, so the
@@ -248,26 +224,29 @@ def _verify_goh_cell(cell: tuple) -> tuple[str, bool, str]:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    workers = _resolve(args.workers, "KOHTREES_WORKERS", DEFAULT_WORKERS)
     if args.family == "koh":
         if args.max_n < 0 or args.max_k < 1:
             raise PreconditionViolationError(
                 f"need max-n >= 0 and max-k >= 1, got {args.max_n}, {args.max_k}")
-        cells = [(n, k, args.max_trees, args.max_fillings)
+        cells = [(n, k, args.max_trees, None)
                  for n in range(args.max_n + 1)
                  for k in range(1, args.max_k + 1)]
         worker = _verify_koh_cell
     else:
+        max_fillings = _resolve(args.max_fillings, "KOHTREES_MAX_FILLINGS",
+                                DEFAULT_FILLING_BUDGET)
         if args.max_size < 1 or args.max_k < 1:
             raise PreconditionViolationError(
                 f"need max-size >= 1 and max-k >= 1, got {args.max_size}, {args.max_k}")
-        cells = [(mu.parts, k, args.max_trees, args.max_fillings)
+        cells = [(mu.parts, k, args.max_trees, max_fillings)
                  for size in range(1, args.max_size + 1)
                  for mu in enumerate_partitions(size)
                  for k in range(1, args.max_k + 1)]
         worker = _verify_goh_cell
 
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(worker, cells))
     else:
         results = [worker(cell) for cell in cells]
@@ -291,12 +270,8 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        args.workers = _resolve(getattr(args, "workers", None),
-                                "KOHTREES_WORKERS", DEFAULT_WORKERS)
         args.max_trees = _resolve(args.max_trees, "KOHTREES_MAX_TREES",
                                   DEFAULT_TREE_BUDGET)
-        args.max_fillings = _resolve(args.max_fillings, "KOHTREES_MAX_FILLINGS",
-                                     DEFAULT_FILLING_BUDGET)
         if args.command == "trees":
             return _run_trees(args)
         if args.command == "verify":

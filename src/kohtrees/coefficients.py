@@ -17,8 +17,8 @@ from collections.abc import Callable
 from .errors import (CrossCheckFailedError, BudgetExceededError,
                      PreconditionViolationError)
 from .goh import enumerate_goh_trees, goh_leaves, goh_rhs_closed
-from .koh import enumerate_koh_trees, koh_rhs_closed, leaves
-from .marking import marked_counts
+from .koh import enumerate_koh_trees, koh_rhs_closed, leaf_term, leaves
+from .marking import enumerate_markings, marked_counts, marking_target
 from .partitions import Partition, count_in_rectangle
 from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
 
@@ -116,12 +116,13 @@ def schur_specialization_oracle(mu: Partition, k: int,
 class TreeFamily:
     """One tree family at fixed parameters, as both routes see it.
 
-    trees(max_trees) enumerates the expansion trees, leaves reads one
-    tree's leaf tuple, and total is their degree.  difference(r) is the
-    q^r minus q^(r-1) coefficient of the family's polynomial, computed
-    without trees by the route named in messages.  references(max_fillings)
-    lists named polynomials the tree terms must sum to, that polynomial
-    first.  where and degree_name word the error messages.
+    trees(max_trees) enumerates the expansion trees, the same tuple on
+    every call; leaves reads one tree's leaf tuple, and total is their
+    degree.  difference(r) is the q^r minus q^(r-1) coefficient of the
+    family's polynomial, computed without trees by the route named in
+    messages.  references(max_fillings) lists named polynomials the tree
+    terms must sum to, that polynomial first.  where and degree_name word
+    the error messages.
     """
 
     where: str
@@ -131,7 +132,7 @@ class TreeFamily:
     leaves: Callable[[object], tuple[int, ...]]
     route: str
     difference: Callable[[int], int]
-    references: Callable[[int], tuple[tuple[str, QPoly], ...]]
+    references: Callable[[int | None], tuple[tuple[str, QPoly], ...]]
 
 
 def koh_family(n: int, k: int) -> TreeFamily:
@@ -150,7 +151,8 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
     spec = functools.cache(lambda: hook_content(mu, k))
     return TreeFamily(
         f"mu={mu!r}, k={k}", "|mu|k", mu.size * k,
-        lambda budget: enumerate_goh_trees(mu, k, max_trees=budget), goh_leaves,
+        functools.cache(lambda budget: enumerate_goh_trees(mu, k, max_trees=budget)),
+        goh_leaves,
         "specialization", lambda r: spec().coeff(r) - spec().coeff(r - 1),
         lambda max_fillings: (
             ("hook content", spec()), ("closed form", goh_rhs_closed(mu, k)),
@@ -158,28 +160,80 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
              schur_specialization_oracle(mu, k, max_fillings=max_fillings))))
 
 
-def _two_row(family: TreeFamily, r: int, method: str,
-             max_trees: int | None) -> CoefficientReport:
+def _two_row(family: TreeFamily, rs: range, method: str, max_trees: int | None,
+             references: tuple[tuple[str, QPoly], ...] = ()
+             ) -> tuple[CoefficientReport, ...]:
+    """The coefficient at every r in rs: the one route for both families.
+
+    The method and every r are checked before any tree is built.  The
+    marked route builds the trees once, reads each leaf tuple once and
+    marks it at every r.  The tree terms must first sum to each of the
+    references, if any are given; with method both, the marked count
+    must then equal the difference at every r.  The first disagreement
+    raises CrossCheckFailedError.
+    """
     _check_method(method)
     total, name = family.total, family.degree_name
-    if r < 0 or 2 * r > total:
-        raise PreconditionViolationError(
-            f"need 0 <= 2r <= {name}, got r={r} with {name}={total}")
-    witness = None
-    if method in (METHOD_MARKED, METHOD_BOTH):
-        budget = DEFAULT_TREE_BUDGET if max_trees is None else max_trees
-        witness = marked_counts(map(family.leaves, family.trees(budget)), total, r)
-        marked = sum(witness)
-    if method == METHOD_MARKED:
-        return CoefficientReport(marked, method, witness)
-    diff = family.difference(r)
+    for r in rs:
+        if r < 0 or 2 * r > total:
+            raise PreconditionViolationError(
+                f"need 0 <= 2r <= {name}, got r={r} with {name}={total}")
     if method == METHOD_DIFFERENCE:
-        return CoefficientReport(diff, method)
-    if marked != diff:
-        raise CrossCheckFailedError(
-            f"marked trees give {marked} but the {family.route} difference "
-            f"gives {diff} for {family.where}, r={r}")
-    return CoefficientReport(marked, METHOD_BOTH, witness)
+        return tuple(CoefficientReport(family.difference(r), method) for r in rs)
+    budget = DEFAULT_TREE_BUDGET if max_trees is None else max_trees
+    leaf_tuples = map(family.leaves, family.trees(budget))
+    if references:
+        leaf_tuples = tuple(leaf_tuples)
+        tree_sum = sum((leaf_term(total, lv) for lv in leaf_tuples), start=ZERO)
+        wrong = [f"the {ref} gives {p}" for ref, p in references if p != tree_sum]
+        if wrong:
+            raise CrossCheckFailedError(
+                f"tree terms sum to {tree_sum} but {' and '.join(wrong)} "
+                f"for {family.where}")
+    reports = []
+    for r, witness in zip(rs, marked_counts(leaf_tuples, total, rs)):
+        marked = sum(witness)
+        if method == METHOD_BOTH:
+            diff = family.difference(r)
+            if marked != diff:
+                raise CrossCheckFailedError(
+                    f"marked trees give {marked} but the {family.route} "
+                    f"difference gives {diff} for {family.where}, r={r}")
+        reports.append(CoefficientReport(marked, method, witness))
+    return tuple(reports)
+
+
+def check_identities(family: TreeFamily, max_trees: int,
+                     max_fillings: int | None) -> None:
+    """Check one cell of a family both ways, raising CrossCheckFailedError.
+
+    The tree terms must sum to every reference polynomial (the tableau
+    oracle stops past max_fillings fillings), then the marked count must
+    equal the difference at every r from 0 to half the degree.
+    """
+    family.trees(max_trees)  # over budget: fail before the oracle runs
+    _two_row(family, range(family.total // 2 + 1), METHOD_BOTH, max_trees,
+             family.references(max_fillings))
+
+
+def marked_listing(family: TreeFamily, r: int,
+                   max_trees: int) -> list[tuple[object, tuple[int, ...]]]:
+    """Every (tree, marking) pair selecting coefficient r, in tree order.
+
+    The pairs are counted before any marking is listed; more than
+    max_trees of them raise BudgetExceededError.
+    """
+    (report,) = _two_row(family, range(r, r + 1), METHOD_MARKED, max_trees)
+    if report.value > max_trees:
+        raise BudgetExceededError(
+            f"{report.value} marked trees exceed the budget {max_trees}")
+    pairs = []
+    for tree, count in zip(family.trees(max_trees), report.witness_counts):
+        if count:
+            lv = family.leaves(tree)
+            pairs.extend((tree, marks) for marks in enumerate_markings(
+                lv, marking_target(sum(lv), family.total, r)))
+    return pairs
 
 
 def kronecker_two_row(n: int, k: int, r: int, method: str = METHOD_BOTH,
@@ -193,7 +247,7 @@ def kronecker_two_row(n: int, k: int, r: int, method: str = METHOD_BOTH,
     if n < 1 or k < 1:
         raise PreconditionViolationError(
             f"rectangle sides must be positive, got n={n}, k={k}")
-    return _two_row(koh_family(n, k), r, method, max_trees)
+    return _two_row(koh_family(n, k), range(r, r + 1), method, max_trees)[0]
 
 
 def plethysm_two_row(mu: Partition, k: int, r: int, method: str = METHOD_BOTH,
@@ -208,7 +262,7 @@ def plethysm_two_row(mu: Partition, k: int, r: int, method: str = METHOD_BOTH,
         raise PreconditionViolationError("the outer partition must be nonempty")
     if k < 1:
         raise PreconditionViolationError(f"the row length k must be positive, got {k}")
-    return _two_row(goh_family(mu, k), r, method, max_trees)
+    return _two_row(goh_family(mu, k), range(r, r + 1), method, max_trees)[0]
 
 
 def plethysm_two_row_general(lam: Partition, mu: Partition, nu: Partition,

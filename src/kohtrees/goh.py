@@ -13,6 +13,10 @@ expansion tree of type (P^i_j, mult_j(nu^i)) on each (i, j) with
 mult_j(nu^i) > 0, plus, when m = len(nu^1) < k, one extra unlabeled
 subtree of type (n, k - m).  Summing q^(sigma/2) times the product of
 [leaf + 1]_q over all trees gives s_lam(1, q, ..., q^k).
+
+_child_types states that child rule once; counting, enumeration,
+validation and parsing all read it.  goh_rhs_closed spells the same
+sum out independently, as the reference the trees are checked against.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from typing import ClassVar
 
 from .errors import (BudgetExceededError, PreconditionViolationError,
                      StructureViolationError)
-from .koh import (KohTree, count_koh_trees, enumerate_koh_trees, leaf_sigma,
-                  leaf_term, leaves, validate_koh_tree)
+from .koh import (KohTree, count_koh_trees, enumerate_koh_trees, leaf_term,
+                  leaves, validate_koh_tree)
 from .koh import tree_from_dict as koh_from_dict
 from .partitions import Partition, enumerate_partitions
 from .qpoly import ZERO, QPoly, q_binomial
@@ -160,12 +165,13 @@ def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
 
 @dataclasses.dataclass(frozen=True)
 class GohTree:
-    """Root configuration with one expansion subtree per occupied slot.
+    """Root configuration with one expansion subtree per child type.
 
-    labeled holds ((i, j), subtree) pairs in lexicographic edge order;
-    extra is the unlabeled subtree, present exactly when m_stat < k.
-    The class attributes and the properties below give the node view
-    KohTree gives, so leaves() and the writers take either family.
+    children holds (edge, subtree) pairs in the order _child_types gives:
+    the occupied (i, j) slots lexicographically, then the unlabeled
+    subtree under edge None when m_stat < k.  The class attributes and
+    the properties below give the node view KohTree gives, so leaves()
+    and the writers take either family.
     """
 
     family: ClassVar[str] = "goh"
@@ -174,8 +180,7 @@ class GohTree:
 
     config: Configuration
     k: int
-    labeled: tuple[tuple[tuple[int, int], KohTree], ...]
-    extra: KohTree | None
+    children: tuple[tuple[tuple[int, int] | None, KohTree], ...]
 
     @property
     def lam(self) -> Partition:
@@ -185,28 +190,27 @@ class GohTree:
     def degree(self) -> int:
         return self.lam.size * self.k
 
-    @property
-    def children(self) -> tuple[tuple[tuple[int, int] | None, KohTree], ...]:
-        """The labeled subtrees, then the unlabeled one under edge None."""
-        if self.extra is None:
-            return self.labeled
-        return self.labeled + ((None, self.extra),)
-
     def root_fields(self) -> dict:
         return {"lambda": list(self.lam.parts),
                 "config": [list(nu.parts) for nu in self.config.nus],
                 "k": self.k}
 
 
-def _slots(config: Configuration) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """(edge, child type) pairs in lexicographic edge order."""
+def _child_types(config: Configuration, k: int
+                 ) -> list[tuple[tuple[int, int] | None, tuple[int, int]]]:
+    """(edge, KOH type) of every subtree of a tree for (config, k), in edge
+    order: (P^i_j, mult_j(nu^i)) on each occupied slot (i, j), then
+    (|lam|, k - m) under edge None when m = m_stat < k.  Needs m <= k."""
     ell, n = len(config.lam), config.lam.size
-    out = []
+    out: list[tuple[tuple[int, int] | None, tuple[int, int]]] = []
     for i in range(1, ell):
         for j in range(1, n + 1):
             mj = config.nus[i].mult(j)
             if mj:
                 out.append(((i, j), (config.p_stat(i, j), mj)))
+    m = config.m_stat()
+    if m < k:
+        out.append((None, (n, k - m)))
     return out
 
 
@@ -215,25 +219,14 @@ def count_goh_trees(lam: Partition, k: int) -> int:
     _check_shape(lam)
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
-    n = lam.size
-    total = 0
-    for config in enumerate_configurations(lam):
-        m = config.m_stat()
-        if m > k:
-            continue
-        prod = 1
-        for _, (ca, cb) in _slots(config):
-            prod *= count_koh_trees(ca, cb)
-        if m < k:
-            prod *= count_koh_trees(n, k - m)
-        total += prod
-    return total
+    return sum(math.prod(count_koh_trees(*ctype) for _, ctype in _child_types(config, k))
+               for config in enumerate_configurations(lam) if config.m_stat() <= k)
 
 
 def enumerate_goh_trees(lam: Partition, k: int, max_trees: int | None = None) -> tuple[GohTree, ...]:
     """All trees for (lam, k): configurations in canonical order, then the
-    product of subtree choices with later slots varying fastest and the
-    unlabeled slot varying last."""
+    product of subtree choices with later edges varying fastest, so the
+    unlabeled subtree varies fastest of all."""
     _check_shape(lam)
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
@@ -242,30 +235,20 @@ def enumerate_goh_trees(lam: Partition, k: int, max_trees: int | None = None) ->
         if total > max_trees:
             raise BudgetExceededError(
                 f"{total} trees for ({lam!r}, {k}) exceed the budget {max_trees}")
-    n = lam.size
     out: list[GohTree] = []
     for config in enumerate_configurations(lam):
-        m = config.m_stat()
-        if m > k:
+        if config.m_stat() > k:
             continue
         choice_sets = [tuple((edge, t) for t in enumerate_koh_trees(ca, cb))
-                       for edge, (ca, cb) in _slots(config)]
-        extras: tuple[KohTree | None, ...]
-        extras = enumerate_koh_trees(n, k - m) if m < k else (None,)
-        for combo in itertools.product(*choice_sets):
-            for extra in extras:
-                out.append(GohTree(config, k, combo, extra))
+                       for edge, (ca, cb) in _child_types(config, k)]
+        for children in itertools.product(*choice_sets):
+            out.append(GohTree(config, k, children))
     return tuple(out)
 
 
 def goh_leaves(tree: GohTree) -> tuple[int, ...]:
     """Leaf labels: labeled subtrees in edge order, then the unlabeled one."""
     return leaves(tree)
-
-
-def goh_sigma(tree: GohTree) -> int:
-    """|lam| * k minus the leaf sum; even and nonnegative on valid trees."""
-    return leaf_sigma(tree.degree, goh_leaves(tree))
 
 
 def goh_term(tree: GohTree) -> QPoly:
@@ -282,20 +265,14 @@ def validate_goh_tree(tree: GohTree) -> None:
     if m > tree.k:
         raise StructureViolationError(
             f"m_stat {m} exceeds k = {tree.k}; no such tree exists")
-    slots = _slots(tree.config)
-    if tuple(edge for edge, _ in tree.labeled) != tuple(edge for edge, _ in slots):
+    types = _child_types(tree.config, tree.k)
+    edges = [edge for edge, _ in tree.children]
+    if edges != [edge for edge, _ in types]:
         raise StructureViolationError(
-            f"labeled edges {[e for e, _ in tree.labeled]} do not match the "
-            f"occupied slots {[e for e, _ in slots]}")
-    for (edge, sub), (_, ctype) in zip(tree.labeled, slots):
+            f"edges {edges} do not match the child slots "
+            f"{[edge for edge, _ in types]}")
+    for (_, sub), (_, ctype) in zip(tree.children, types):
         validate_koh_tree(sub, expected_type=ctype)
-    if m < tree.k:
-        if tree.extra is None:
-            raise StructureViolationError("missing unlabeled subtree")
-        validate_koh_tree(tree.extra,
-                          expected_type=(tree.lam.size, tree.k - m))
-    elif tree.extra is not None:
-        raise StructureViolationError("unexpected unlabeled subtree")
 
 
 # --- reading the dict form back ---
@@ -306,21 +283,13 @@ def tree_from_dict(data: dict) -> GohTree:
         lam = Partition(data["lambda"])
         nus = tuple(Partition(p) for p in data["config"])
         k = data["k"]
-        labeled = []
-        extra = None
-        for entry in data["children"]:
-            sub = koh_from_dict(entry["koh"])
-            if entry["edge"] is None:
-                if extra is not None:
-                    raise StructureViolationError("two unlabeled children")
-                extra = sub
-            else:
-                i, j = entry["edge"]
-                labeled.append(((i, j), sub))
+        children = tuple((None if entry["edge"] is None else tuple(entry["edge"]),
+                          koh_from_dict(entry["koh"]))
+                         for entry in data["children"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, StructureViolationError):
             raise
         raise StructureViolationError(f"malformed tree payload: {exc}") from exc
-    tree = GohTree(Configuration(lam, nus), k, tuple(labeled), extra)
+    tree = GohTree(Configuration(lam, nus), k, children)
     validate_goh_tree(tree)
     return tree

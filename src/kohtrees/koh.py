@@ -165,8 +165,9 @@ def leaf_term(degree: int, leaf_values: tuple[int, ...]) -> QPoly:
     return prod.shift(leaf_sigma(degree, leaf_values) // 2)
 
 
-def sigma(tree: KohTree) -> int:
-    """a*b minus the leaf sum; even and nonnegative on valid trees."""
+def sigma(tree) -> int:
+    """The tree's degree minus its leaf sum, for a tree of either family;
+    even and nonnegative on valid trees."""
     return leaf_sigma(tree.degree, leaves(tree))
 
 

@@ -10,7 +10,9 @@ c_r is the coefficient of q^r in the product of the [a_i + 1]_q, valid
 up to the symmetry center k <= (a_1 + ... + a_t) / 2.  Summed over the
 leaf sequences of an expansion tree family, with each tree's target
 shifted by its power of q, the counts give one coefficient difference
-of the family's polynomial; marked_counts is that sum, tree by tree.
+of the family's polynomial.  marked_counts gives the terms of that sum,
+tree by tree, for every r of a range; the coefficients module checks
+the range and adds them up.
 """
 
 from __future__ import annotations
@@ -90,20 +92,18 @@ def marking_target(leaf_sum: int, total: int, r: int) -> int:
 
 
 def marked_counts(leaf_lists: Iterable[Sequence[int]], total: int,
-                  r: int) -> tuple[int, ...]:
-    """Per tree, the number of markings selecting coefficient r.
+                  rs: range) -> tuple[tuple[int, ...], ...]:
+    """For each r in rs, the number of markings of each tree that select
+    coefficient r, trees in order.
 
-    Valid for 0 <= r <= total/2.  Each tree contributes the markings of
-    its leaf sequence at the tree's own target; leaf_lists is consumed
-    once, so a generator keeps only one leaf sequence alive at a time.
+    Valid for 0 <= r <= total/2, a range the caller checks.  Each tree
+    contributes the markings of its leaf sequence at the tree's own
+    target.  leaf_lists is consumed once, each sequence marked at every r
+    before the next is read, so a generator keeps only one alive at a time.
     """
-    if r < 0 or 2 * r > total:
-        raise PreconditionViolationError(
-            f"coefficient index {r} outside 0..{total}/2")
-    return tuple(count_markings(ls, marking_target(sum(ls), total, r))
-                 for ls in leaf_lists)
-
-
-def count_marked_trees(leaf_lists: Iterable[Sequence[int]], total: int, r: int) -> int:
-    """Total number of (tree, marking) pairs selecting coefficient r."""
-    return sum(marked_counts(leaf_lists, total, r))
+    counts = tuple([] for _ in rs)
+    for ls in leaf_lists:
+        leaf_sum = sum(ls)
+        for r, column in zip(rs, counts):
+            column.append(count_markings(ls, marking_target(leaf_sum, total, r)))
+    return tuple(map(tuple, counts))

@@ -14,12 +14,12 @@ from kohtrees.coefficients import (hook_content, kronecker_two_row,
                                    plethysm_two_row_general,
                                    schur_specialization_oracle)
 from kohtrees.goh import (enumerate_configurations, enumerate_goh_trees,
-                          goh_leaves, goh_rhs_closed, goh_sigma, goh_term,
+                          goh_leaves, goh_rhs_closed, goh_term,
                           validate_goh_tree, Configuration, GohTree)
 from kohtrees.koh import (KohTree, enumerate_koh_trees, koh_rhs_closed,
                           koh_term, leaves, sigma, validate_koh_tree)
-from kohtrees.marking import (count_marked_trees, count_markings,
-                              enumerate_markings, marking_target)
+from kohtrees.marking import (count_markings, enumerate_markings,
+                              marked_counts, marking_target)
 from kohtrees.partitions import (Partition, count_in_rectangle,
                                  enumerate_partitions)
 from kohtrees.qpoly import ONE, QPoly, ZERO, q_binomial, q_int
@@ -141,23 +141,24 @@ def test_criterion_3_marked_koh_counts_match_rectangle_differences():
         for k in range(1, 37):
             if n * k > 36:
                 break
-            leaf_lists = [leaves(t) for t in enumerate_koh_trees(n, k)]
-            for r in range(n * k // 2 + 1):
-                marked = count_marked_trees(leaf_lists, n * k, r)
-                assert marked == (count_in_rectangle(n, k, r)
-                                  - count_in_rectangle(n, k, r - 1))
+            rs = range(n * k // 2 + 1)
+            counts = marked_counts(map(leaves, enumerate_koh_trees(n, k)),
+                                   n * k, rs)
+            for r, per_tree in zip(rs, counts):
+                assert sum(per_tree) == (count_in_rectangle(n, k, r)
+                                         - count_in_rectangle(n, k, r - 1))
 
 
 def test_criterion_4_marked_goh_counts_match_hook_content_differences():
     for size in range(1, 6):
         for mu in enumerate_partitions(size):
             for k in range(1, 5):
-                leaf_lists = [goh_leaves(t)
-                              for t in enumerate_goh_trees(mu, k)]
+                rs = range(size * k // 2 + 1)
+                counts = marked_counts(
+                    map(goh_leaves, enumerate_goh_trees(mu, k)), size * k, rs)
                 poly = hook_content(mu, k)
-                for r in range(size * k // 2 + 1):
-                    marked = count_marked_trees(leaf_lists, size * k, r)
-                    assert marked == poly.coeff(r) - poly.coeff(r - 1)
+                for r, per_tree in zip(rs, counts):
+                    assert sum(per_tree) == poly.coeff(r) - poly.coeff(r - 1)
 
 
 def fixture_tree_8_9():
@@ -226,10 +227,11 @@ def test_criterion_5e_goh_tree_with_term_q20_5_2_10():
     sub11 = KohTree(Partition((3, 1)), 2, 4, ((1, leaf(0)), (3, leaf(4))))
     sub21 = KohTree(Partition((3,)), 0, 3, ((3, leaf(0)),))
     tree = GohTree(config, 6, (((1, 1), sub11), ((1, 2), leaf(0)),
-                               ((2, 1), sub21), ((3, 1), leaf(1))), leaf(9))
+                               ((2, 1), sub21), ((3, 1), leaf(1)),
+                               (None, leaf(9))))
     assert tree in enumerate_goh_trees(lam, 6)
     assert goh_leaves(tree) == (0, 4, 0, 0, 1, 9)
-    assert goh_sigma(tree) == 40
+    assert sigma(tree) == 40
     expected = (q_int(4) * q_int(1) * q_int(9)).shift(20)
     assert goh_term(tree) == expected
     display = (1, 3, 5, 7, 9, 10, 10, 10, 10, 10, 9, 7, 5, 3, 1)
@@ -298,12 +300,10 @@ def test_criterion_8_structural_invariants_and_positivity():
             for k in range(1, 5):
                 for t in enumerate_goh_trees(mu, k):
                     validate_goh_tree(t)
-                    s = goh_sigma(t)
+                    s = sigma(t)
                     assert s >= 0 and s % 2 == 0
-                    for _, sub in t.labeled:
+                    for _, sub in t.children:
                         check_node(sub)
-                    if t.extra is not None:
-                        check_node(t.extra)
                     term = goh_term(t)
                     assert term.is_symmetric(size * k)
                     assert term.is_unimodal()

@@ -181,7 +181,7 @@ def test_marked_listing_checks_r_before_building_trees(capsys):
     code, _, err = run_cli(capsys, "trees", "koh", "--n", "30", "--k", "30",
                            "--r", "451", "--max-trees", "1")
     assert code == 2
-    assert err.startswith("usage error: need 0 <= 2r <= 900")
+    assert err.startswith("usage error: need 0 <= 2r <= nk, got r=451 with nk=900")
 
 
 def test_budget_env_override(capsys, monkeypatch):
@@ -252,3 +252,79 @@ def test_runs_are_deterministic(capsys):
     second = run_cli(capsys, "trees", "goh", "--mu", "3,1", "--k", "3",
                      "--format", "json")
     assert first == second
+
+
+def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
+    import kohtrees.coefficients as coefficients
+    real = coefficients.count_in_rectangle
+    monkeypatch.setattr(coefficients, "count_in_rectangle",
+                        lambda n, k, r: 0 if (n, k) == (6, 6) else real(n, k, r))
+    code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "6",
+                           "--max-k", "6")
+    assert code == 1
+    assert "FAIL koh n=6 k=6\n" in out
+    assert "checked 42 cells: 41 passed, 1 failed" in out
+    detail = out.split("first counterexample:\n", 1)[1]
+    assert detail.startswith(
+        "koh n=6 k=6\n  marked trees give 1 but the rectangle difference "
+        "gives 0 for n=6, k=6, r=0\n")
+    witness = detail.splitlines()[2]
+    prefix = f"  witness trees ({cli.WITNESS_TREES} of 20): "
+    assert witness.startswith(prefix)
+    assert len(json.loads(witness[len(prefix):])) == cli.WITNESS_TREES
+    assert len(detail) < 4000
+    assert len(out) < 5000
+
+
+def test_failing_goh_cell_reports_the_tree_sum(capsys, monkeypatch):
+    import kohtrees.coefficients as coefficients
+    from kohtrees.qpoly import ONE, ZERO
+    real = coefficients.hook_content
+    monkeypatch.setattr(
+        coefficients, "hook_content",
+        lambda mu, k: real(mu, k) + (ONE if (mu.parts, k) == ((2, 2), 5) else ZERO))
+    code, out, _ = run_cli(capsys, "verify", "goh", "--max-size", "4",
+                           "--max-k", "5")
+    assert code == 1
+    assert "FAIL goh mu=[2,2] k=5\n" in out
+    assert "checked 55 cells: 54 passed, 1 failed" in out
+    detail = out.split("first counterexample:\n", 1)[1]
+    assert detail.startswith("goh mu=[2,2] k=5\n  tree terms sum to ")
+    assert "but the hook content gives " in detail.splitlines()[1]
+    assert "the closed form" not in detail
+    assert detail.splitlines()[2].startswith(
+        f"  witness trees ({cli.WITNESS_TREES} of 9): ")
+    assert len(out) < 5000
+
+
+def test_commands_read_only_their_own_settings(capsys, monkeypatch):
+    kron = ("kronecker", "--n", "3", "--k", "4", "--r", "6")
+    monkeypatch.setenv("KOHTREES_WORKERS", "0")
+    assert run_cli(capsys, *kron)[0] == 0
+    code, _, err = run_cli(capsys, "verify", "koh", "--max-n", "1", "--max-k", "1")
+    assert code == 2
+    assert "workers must be positive" in err
+    monkeypatch.delenv("KOHTREES_WORKERS")
+    monkeypatch.setenv("KOHTREES_MAX_FILLINGS", "lots")
+    assert run_cli(capsys, *kron)[0] == 0
+    assert run_cli(capsys, "trees", "goh", "--mu", "2,1", "--k", "2")[0] == 0
+    assert run_cli(capsys, "verify", "koh", "--max-n", "1", "--max-k", "1")[0] == 0
+    code, _, err = run_cli(capsys, "verify", "goh", "--max-size", "1", "--max-k", "1")
+    assert code == 2
+    assert "KOHTREES_MAX_FILLINGS must be an integer" in err
+
+
+def test_max_fillings_is_offered_only_by_verify_goh(capsys):
+    for argv in (("kronecker", "--n", "3", "--k", "4", "--r", "6"),
+                 ("plethysm", "--mu", "2,1", "--k", "2", "--r", "2"),
+                 ("plethysm-general", "--lambda", "4,2", "--mu", "2", "--nu", "2,1"),
+                 ("trees", "koh", "--n", "2", "--k", "2"),
+                 ("trees", "goh", "--mu", "2,1", "--k", "2"),
+                 ("verify", "koh", "--max-n", "1", "--max-k", "1")):
+        code, _, err = run_cli(capsys, *argv, "--max-fillings", "10")
+        assert code == 2
+        assert "unrecognized arguments: --max-fillings" in err
+    code, _, err = run_cli(capsys, "verify", "goh", "--max-size", "3", "--max-k", "2",
+                           "--max-fillings", "1")
+    assert code == 1
+    assert err.startswith("BUDGET_EXCEEDED:")

@@ -6,9 +6,10 @@ from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import (Configuration, GohTree, count_goh_trees,
                           enumerate_configurations, enumerate_goh_trees,
-                          goh_leaves, goh_rhs_closed, goh_sigma, goh_term,
+                          goh_leaves, goh_rhs_closed, goh_term,
                           tree_from_dict, validate_configuration,
                           validate_goh_tree)
+from kohtrees.koh import sigma
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ZERO
 from kohtrees.render import tree_to_dict, tree_to_dot
@@ -123,17 +124,16 @@ def test_unlabeled_child_present_exactly_when_room_remains():
     for mu in enumerate_partitions(4):
         for k in range(1, 4):
             for t in enumerate_goh_trees(mu, k):
-                if t.config.m_stat() < k:
-                    assert t.extra is not None
-                else:
-                    assert t.extra is None
+                unlabeled = [sub for edge, sub in t.children if edge is None]
+                assert len(unlabeled) == (t.config.m_stat() < k)
+                assert not unlabeled or t.children[-1][0] is None
 
 
 def test_sigma_even_and_nonnegative():
     for mu in enumerate_partitions(5):
         for k in range(1, 4):
             for t in enumerate_goh_trees(mu, k):
-                s = goh_sigma(t)
+                s = sigma(t)
                 assert s >= 0 and s % 2 == 0
 
 
@@ -146,17 +146,18 @@ def test_validate_accepts_all_enumerated_trees():
 
 
 def test_validate_rejects_dropped_subtree():
-    t = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2) if t.labeled)
-    broken = GohTree(t.config, t.k, (), t.extra)
+    t = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
+             if t.children[0][0] is not None)
+    broken = GohTree(t.config, t.k, t.children[1:])
     with pytest.raises(StructureViolationError):
         validate_goh_tree(broken)
 
 
 def test_validate_rejects_missing_extra():
     t = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
-             if t.extra is not None)
+             if t.children[-1][0] is None)
     with pytest.raises(StructureViolationError):
-        validate_goh_tree(GohTree(t.config, t.k, t.labeled, None))
+        validate_goh_tree(GohTree(t.config, t.k, t.children[:-1]))
 
 
 def test_json_round_trip():
@@ -174,6 +175,18 @@ def test_from_dict_rejects_garbage():
     bad = dict(good, k=5)
     with pytest.raises(StructureViolationError):
         tree_from_dict(bad)
+
+
+def test_from_dict_rejects_a_misplaced_unlabeled_subtree():
+    tree = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
+                if len(t.children) >= 2 and t.children[-1][0] is None)
+    good = tree_to_dict(tree)
+    unlabeled = good["children"][-1]
+    assert unlabeled["edge"] is None
+    for children in (good["children"] + [unlabeled],
+                     [unlabeled] + good["children"][:-1]):
+        with pytest.raises(StructureViolationError):
+            tree_from_dict(dict(good, children=children))
 
 
 def test_dot_output_shape():

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from kohtrees.errors import ParityViolationError, PreconditionViolationError
-from kohtrees.marking import (count_marked_trees, count_markings,
-                              enumerate_markings, marking_target)
+from kohtrees.marking import (count_markings, enumerate_markings,
+                              marked_counts, marking_target)
 from kohtrees.qpoly import ONE, q_int
 
 
@@ -87,9 +87,8 @@ def test_marking_target():
         marking_target(3, 6, 1)
 
 
-def test_count_marked_trees_range_checked():
-    with pytest.raises(PreconditionViolationError):
-        count_marked_trees([(1, 1)], 4, 3)
-    # the two leaf lists of the (2, 2) tree family
-    assert count_marked_trees([(4,), (0,)], 4, 2) == 1
-    assert count_marked_trees([(4,), (0,)], 4, 1) == 0
+def test_marked_counts_per_tree_at_each_r():
+    # the two leaf lists of the (2, 2) tree family, read from a generator
+    leaf_lists = (ls for ls in [(4,), (0,)])
+    assert marked_counts(leaf_lists, 4, range(3)) == ((1, 0), (0, 0), (0, 1))
+    assert marked_counts([(4,), (0,)], 4, range(2, 3)) == ((0, 1),)
