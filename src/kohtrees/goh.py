@@ -14,9 +14,12 @@ mult_j(nu^i) > 0, plus, when m = len(nu^1) < k, one extra unlabeled
 subtree of type (n, k - m).  Summing q^(sigma/2) times the product of
 [leaf + 1]_q over all trees gives s_lam(1, q, ..., q^k).
 
-_child_types states that child rule once; counting, enumeration,
-validation and parsing all read it.  goh_rhs_closed spells the same
-sum out independently, as the reference the trees are checked against.
+_floor states the chain rule once, on cached column-sum vectors:
+enumeration keeps a level only at or above it in every column, and
+p_stat (so validation) reads P^i_j off it.  _child_types states the
+child rule once; counting, enumeration, validation and parsing all read
+it.  goh_rhs_closed spells the same sum out independently, as the
+reference the trees are checked against.
 """
 
 from __future__ import annotations
@@ -25,15 +28,48 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from typing import ClassVar
 
 from .errors import (BudgetExceededError, PreconditionViolationError,
                      StructureViolationError)
 from .koh import (KohTree, count_koh_trees, enumerate_koh_trees, leaf_term,
-                  leaves, validate_koh_tree)
+                  leaves, payload_int, validate_koh_tree)
 from .koh import tree_from_dict as koh_from_dict
 from .partitions import Partition, enumerate_partitions
 from .qpoly import ZERO, QPoly, q_binomial
+
+
+@functools.cache
+def _column_sums(nu: Partition, n: int) -> tuple[int, ...]:
+    """(Q_0(nu), ..., Q_n(nu)): Q_j is the sum of the first j conjugate
+    parts, so index j reads column j.
+
+    >>> _column_sums(Partition((3, 1)), 4)
+    (0, 2, 3, 4, 4)
+    """
+    conj = nu.conjugate().parts
+    return tuple(itertools.accumulate(
+        (conj[j] if j < len(conj) else 0 for j in range(n)), initial=0))
+
+
+@functools.cache
+def _floor(lower: Partition, mid: Partition, n: int) -> tuple[int, ...]:
+    """2 Q(mid) - Q(lower), column by column.
+
+    This is the chain rule, stated once: the level above mid is
+    admissible when its column sums are at least this floor in every
+    column, and P_j is its column sum minus floor_j.
+    """
+    mid_sums = _column_sums(mid, n)
+    return tuple(map(operator.sub, map(operator.add, mid_sums, mid_sums),
+                     _column_sums(lower, n)))
+
+
+@functools.cache
+def _level(size: int, n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """The partitions of size in canonical order, each with its column sums."""
+    return tuple((nu, _column_sums(nu, n)) for nu in enumerate_partitions(size))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,8 +88,8 @@ class Configuration:
         if not (1 <= i < ell) or not (1 <= j <= n):
             raise IndexError(
                 f"p_stat index (i={i}, j={j}) outside 1..{ell - 1} x 1..{n}")
-        return (self.nus[i + 1].q_stat(j) - 2 * self.nus[i].q_stat(j)
-                + self.nus[i - 1].q_stat(j))
+        nus = self.nus
+        return _column_sums(nus[i + 1], n)[j] - _floor(nus[i - 1], nus[i], n)[j]
 
     def m_stat(self) -> int:
         """Number of parts of nu^1 (first entry of its conjugate)."""
@@ -108,29 +144,26 @@ def validate_configuration(config: Configuration) -> None:
 @functools.cache
 def enumerate_configurations(lam: Partition) -> tuple[Configuration, ...]:
     """All admissible chains for lam, levels filled in canonical partition
-    order, with the nonnegativity filter applied incrementally."""
+    order.  Each level keeps only the partitions whose column sums lie on
+    or above the floor its two lower levels set."""
     _check_shape(lam)
     ell, n = len(lam), lam.size
-    level_sizes = [sum(lam.parts[i:]) for i in range(1, ell)]
+    levels = [_level(sum(lam.parts[i:]), n) for i in range(1, ell + 1)]
     found: list[Configuration] = []
-
-    def newest_level_ok(chain: list[Partition]) -> bool:
-        i = len(chain) - 2  # the level whose second difference is now fixed
-        return all(chain[i + 1].q_stat(j) - 2 * chain[i].q_stat(j)
-                   + chain[i - 1].q_stat(j) >= 0
-                   for j in range(1, n + 1))
 
     def extend(chain: list[Partition]) -> None:
         depth = len(chain)
         if depth == ell + 1:
             found.append(Configuration(lam, tuple(chain)))
             return
-        options = ([Partition()] if depth == ell
-                   else enumerate_partitions(level_sizes[depth - 1]))
-        for nu in options:
+        options = levels[depth - 1]
+        if depth >= 2:
+            floor = _floor(chain[-2], chain[-1], n)
+            options = [(nu, sums) for nu, sums in options
+                       if all(map(operator.ge, sums, floor))]
+        for nu, _ in options:
             chain.append(nu)
-            if depth < 2 or newest_level_ok(chain):
-                extend(chain)
+            extend(chain)
             chain.pop()
 
     extend([Partition((1,) * n)])
@@ -204,10 +237,8 @@ def _child_types(config: Configuration, k: int
     ell, n = len(config.lam), config.lam.size
     out: list[tuple[tuple[int, int] | None, tuple[int, int]]] = []
     for i in range(1, ell):
-        for j in range(1, n + 1):
-            mj = config.nus[i].mult(j)
-            if mj:
-                out.append(((i, j), (config.p_stat(i, j), mj)))
+        for j in config.nus[i].distinct_parts():
+            out.append(((i, j), (config.p_stat(i, j), config.nus[i].mult(j))))
     m = config.m_stat()
     if m < k:
         out.append((None, (n, k - m)))
@@ -282,13 +313,14 @@ def tree_from_dict(data: dict) -> GohTree:
     try:
         lam = Partition(data["lambda"])
         nus = tuple(Partition(p) for p in data["config"])
-        k = data["k"]
-        children = tuple((None if entry["edge"] is None else tuple(entry["edge"]),
+        k = payload_int(data["k"], "k")
+        children = tuple((None if entry["edge"] is None
+                          else tuple(payload_int(x, "edge") for x in entry["edge"]),
                           koh_from_dict(entry["koh"]))
                          for entry in data["children"])
+    except StructureViolationError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, StructureViolationError):
-            raise
         raise StructureViolationError(f"malformed tree payload: {exc}") from exc
     tree = GohTree(Configuration(lam, nus), k, children)
     validate_goh_tree(tree)

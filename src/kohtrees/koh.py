@@ -231,12 +231,24 @@ def validate_koh_tree(tree: KohTree, expected_type: tuple[int, int] | None = Non
 
 # --- reading the dict form back ---
 
+def payload_int(value, field: str) -> int:
+    """A number field of a tree payload, which must be an int and not a
+    bool; anything else raises StructureViolationError."""
+    if type(value) is not int:
+        raise StructureViolationError(
+            f"malformed tree payload: {field} must be an integer, got {value!r}")
+    return value
+
+
 def _tree_from_dict(data: dict) -> KohTree:
     try:
         mu = Partition(data["mu"])
-        a, b = data["a"], data["b"]
-        children = tuple((entry["edge"], _tree_from_dict(entry["tree"]))
+        a, b = payload_int(data["a"], "a"), payload_int(data["b"], "b")
+        children = tuple((payload_int(entry["edge"], "edge"),
+                          _tree_from_dict(entry["tree"]))
                          for entry in data["children"])
+    except StructureViolationError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureViolationError(f"malformed tree payload: {exc}") from exc
     return KohTree(mu, a, b, children)

@@ -18,7 +18,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()) -> None:
         ps = tuple(parts)
         for i, p in enumerate(ps):
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
             if i and ps[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {ps}")

@@ -122,6 +122,14 @@ def test_plethysm_methods_agree():
         assert sum(marked.witness_counts) == marked.value
 
 
+def test_plethysm_on_a_large_shape_cross_checks():
+    mu = Partition((7, 6, 5, 4))
+    for r, value in ((30, 7), (66, 2926)):
+        report = plethysm_two_row(mu, 6, r, method=METHOD_BOTH)
+        assert report.value == value
+        assert sum(report.witness_counts) == value
+
+
 def test_plethysm_preconditions():
     with pytest.raises(PreconditionViolationError):
         plethysm_two_row(Partition(), 2, 0)

@@ -41,6 +41,44 @@ def test_configuration_count_for_staircase_shape():
     assert len(enumerate_configurations(Partition((3, 3, 2, 1)))) == 7
 
 
+def brute_force_configurations(lam):
+    """Every chain of partitions of the level sizes, depth first in
+    canonical partition order, each level kept when every second
+    difference it fixes is nonnegative, checked column by column with
+    q_stat."""
+    ell, n = len(lam), lam.size
+    found = []
+
+    def extend(chain):
+        depth = len(chain)
+        if depth == ell + 1:
+            found.append(Configuration(lam, tuple(chain)))
+            return
+        for nu in enumerate_partitions(sum(lam.parts[depth:])):
+            if depth >= 2 and any(
+                    nu.q_stat(j) - 2 * chain[-1].q_stat(j) + chain[-2].q_stat(j) < 0
+                    for j in range(1, n + 1)):
+                continue
+            extend(chain + [nu])
+
+    extend([Partition((1,) * n)])
+    return tuple(found)
+
+
+def test_configurations_match_the_brute_force_oracle_in_order():
+    for size in range(1, 10):
+        for lam in enumerate_partitions(size):
+            configs = enumerate_configurations(lam)
+            assert configs == brute_force_configurations(lam), lam
+            for config in configs:
+                validate_configuration(config)
+
+
+def test_configuration_counts_for_large_shapes():
+    assert len(enumerate_configurations(Partition((7, 6, 5, 4)))) == 960
+    assert len(enumerate_configurations(Partition((3, 3, 3, 3, 3)))) == 32
+
+
 def test_specific_configuration_statistics():
     lam = Partition((3, 3, 2, 1))
     nus = (Partition((1,) * 9), Partition((2, 1, 1, 1, 1)),
@@ -175,6 +213,22 @@ def test_from_dict_rejects_garbage():
     bad = dict(good, k=5)
     with pytest.raises(StructureViolationError):
         tree_from_dict(bad)
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True])
+def test_from_dict_rejects_a_number_field_that_is_not_an_int(value):
+    with pytest.raises(StructureViolationError, match="k must be an integer"):
+        tree_from_dict({"lambda": [1], "config": [[1], []], "k": value,
+                        "children": []})
+    good = tree_to_dict(enumerate_goh_trees(Partition((2, 1)), 2)[0])
+    entry = good["children"][0]
+    assert entry["edge"] == [1, 1]
+    for edge in ([1, value], [value, 1]):
+        children = [dict(entry, edge=edge)] + good["children"][1:]
+        with pytest.raises(StructureViolationError, match="edge must be an integer"):
+            tree_from_dict(dict(good, children=children))
+    with pytest.raises(StructureViolationError, match="parts must be positive integers"):
+        tree_from_dict(dict(good, config=[[1, 1, 1], [value], []]))
 
 
 def test_from_dict_rejects_a_misplaced_unlabeled_subtree():

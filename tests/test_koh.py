@@ -151,6 +151,21 @@ def test_from_dict_rejects_garbage():
         tree_from_dict({"mu": [2, 3], "a": 1, "b": 5, "children": []})
 
 
+@pytest.mark.parametrize("value", ["3", 3.5, 3.0, True])
+def test_from_dict_rejects_a_number_field_that_is_not_an_int(value):
+    for field in ("a", "b"):
+        leaf = dict({"mu": [1], "a": 3, "b": 1, "children": []}, **{field: value})
+        with pytest.raises(StructureViolationError,
+                           match=f"{field} must be an integer"):
+            tree_from_dict(leaf)
+    good = tree_to_dict(enumerate_koh_trees(3, 2)[0])
+    children = [dict(good["children"][0], edge=value)] + good["children"][1:]
+    with pytest.raises(StructureViolationError, match="edge must be an integer"):
+        tree_from_dict(dict(good, children=children))
+    with pytest.raises(StructureViolationError, match="parts must be positive integers"):
+        tree_from_dict(dict(good, mu=[value, 1]))
+
+
 def test_dot_output_shape():
     t = enumerate_koh_trees(8, 9)[0]
     dot = tree_to_dot(t)

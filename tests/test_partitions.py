@@ -14,6 +14,8 @@ def test_construction_validates():
         Partition((1, 0))
     with pytest.raises(ValueError):
         Partition((1.5,))
+    with pytest.raises(ValueError):
+        Partition((2, True))
 
 
 def test_basic_protocol():
