@@ -20,7 +20,6 @@ command reads only the variables of the flags it takes.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -246,6 +245,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         worker = _verify_goh_cell
 
     if workers > 1:
+        # imported only here: the pool module pulls in logging, which
+        # every other command would pay for at startup
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(worker, cells))
     else:

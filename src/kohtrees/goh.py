@@ -196,15 +196,17 @@ def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
     return total
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class GohTree:
     """Root configuration with one expansion subtree per child type.
 
     children holds (edge, subtree) pairs in the order _child_types gives:
     the occupied (i, j) slots lexicographically, then the unlabeled
-    subtree under edge None when m_stat < k.  The class attributes and
-    the properties below give the node view KohTree gives, so leaves()
-    and the writers take either family.
+    subtree under edge None when m_stat < k.  The class attributes, the
+    properties and leaf_values (the subtrees' stored leaf tuples joined
+    in edge order, set at construction and left out of equality, hashing
+    and repr) give the node view KohTree gives, so leaves() and the
+    writers take either family.
     """
 
     family: ClassVar[str] = "goh"
@@ -214,6 +216,14 @@ class GohTree:
     config: Configuration
     k: int
     children: tuple[tuple[tuple[int, int] | None, KohTree], ...]
+    leaf_values: tuple[int, ...] = dataclasses.field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        values = ()
+        for _, child in self.children:
+            values += child.leaf_values
+        object.__setattr__(self, "leaf_values", values)
 
     @property
     def lam(self) -> Partition:
@@ -245,33 +255,41 @@ def _child_types(config: Configuration, k: int
     return out
 
 
-def count_goh_trees(lam: Partition, k: int) -> int:
-    """Number of trees for (lam, k), without materializing them."""
+def _typed_configurations(lam: Partition, k: int
+                          ) -> list[tuple[Configuration, list]]:
+    """Each configuration of lam with m_stat <= k, in canonical order,
+    with its child types: counting and building share one list."""
     _check_shape(lam)
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
-    return sum(math.prod(count_koh_trees(*ctype) for _, ctype in _child_types(config, k))
-               for config in enumerate_configurations(lam) if config.m_stat() <= k)
+    return [(config, _child_types(config, k))
+            for config in enumerate_configurations(lam) if config.m_stat() <= k]
+
+
+def _tree_count(typed: list[tuple[Configuration, list]]) -> int:
+    return sum(math.prod(count_koh_trees(*ctype) for _, ctype in types)
+               for _, types in typed)
+
+
+def count_goh_trees(lam: Partition, k: int) -> int:
+    """Number of trees for (lam, k), without materializing them."""
+    return _tree_count(_typed_configurations(lam, k))
 
 
 def enumerate_goh_trees(lam: Partition, k: int, max_trees: int | None = None) -> tuple[GohTree, ...]:
     """All trees for (lam, k): configurations in canonical order, then the
     product of subtree choices with later edges varying fastest, so the
     unlabeled subtree varies fastest of all."""
-    _check_shape(lam)
-    if k < 0:
-        raise PreconditionViolationError(f"k must be nonnegative, got {k}")
+    typed = _typed_configurations(lam, k)
     if max_trees is not None:
-        total = count_goh_trees(lam, k)
+        total = _tree_count(typed)
         if total > max_trees:
             raise BudgetExceededError(
                 f"{total} trees for ({lam!r}, {k}) exceed the budget {max_trees}")
     out: list[GohTree] = []
-    for config in enumerate_configurations(lam):
-        if config.m_stat() > k:
-            continue
+    for config, types in typed:
         choice_sets = [tuple((edge, t) for t in enumerate_koh_trees(ca, cb))
-                       for edge, (ca, cb) in _child_types(config, k)]
+                       for edge, (ca, cb) in types]
         for children in itertools.product(*choice_sets):
             out.append(GohTree(config, k, children))
     return tuple(out)

@@ -27,12 +27,15 @@ from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
 _LEAF_MU = Partition((1,))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class KohTree:
     """Tree node; children are (edge label, subtree) pairs, edges ascending.
 
     family and child_key name the tree in DOT output and its subtrees in
     the dict form; root_fields() gives the root label in that form.
+    leaf_values, the leaf labels in depth-first order, is computed once
+    when the node is built, from its children's stored tuples; it takes
+    no part in equality, hashing or repr.
     """
 
     family: ClassVar[str] = "koh"
@@ -42,6 +45,17 @@ class KohTree:
     a: int
     b: int
     children: tuple[tuple[int, KohTree], ...] = ()
+    leaf_values: tuple[int, ...] = dataclasses.field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.is_leaf:
+            values = (self.a,)
+        else:
+            values = ()
+            for _, child in self.children:
+                values += child.leaf_values
+        object.__setattr__(self, "leaf_values", values)
 
     @property
     def is_leaf(self) -> bool:
@@ -135,14 +149,10 @@ def leaves(tree) -> tuple[int, ...]:
     """Leaf labels in depth-first order, children taken in edge order.
 
     Works on a tree of either family: a GohTree is an inner node whose
-    children are KOH subtrees.
+    children are KOH subtrees.  The tuple is the one stored when the
+    tree was built.
     """
-    if tree.is_leaf:
-        return (tree.a,)
-    out: tuple[int, ...] = ()
-    for _, child in tree.children:
-        out += leaves(child)
-    return out
+    return tree.leaf_values
 
 
 def leaf_sigma(degree: int, leaf_values: tuple[int, ...]) -> int:

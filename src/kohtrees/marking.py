@@ -13,10 +13,18 @@ shifted by its power of q, the counts give one coefficient difference
 of the family's polynomial.  marked_counts gives the terms of that sum,
 tree by tree, for every r of a range; the coefficients module checks
 the range and adds them up.
+
+count_markings keeps, leaf by leaf, the number of markings ending at
+each value 0..target; since a state v moves to every value of one
+interval, a step adds its ways over those intervals through a difference
+array and one running sum.  A marking value never exceeds half the
+leaf sum (the slack a_1 + ... + a_i - 2 k_i stays nonnegative), so a
+target past that bound counts 0 before any table is allocated.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 
 from .errors import ParityViolationError, PreconditionViolationError
@@ -25,33 +33,41 @@ from .errors import ParityViolationError, PreconditionViolationError
 def _check_leaves(a: Sequence[int]) -> None:
     if not a:
         raise PreconditionViolationError("marking needs a nonempty leaf sequence")
-    if any(x < 0 for x in a):
+    if min(a) < 0:
         raise PreconditionViolationError(f"leaf labels must be nonnegative, got {tuple(a)}")
 
 
 def count_markings(a: Sequence[int], target: int) -> int:
     """Number of markings of a with final value target.
 
-    Infeasible targets (negative, unreachable, or nonzero with a single
-    leaf) simply count 0.
+    Infeasible targets (negative, past half the leaf sum, unreachable,
+    or nonzero with a single leaf) simply count 0.
 
     >>> count_markings((1, 1, 1, 1), 1)
     3
     """
     _check_leaves(a)
-    if target < 0:
+    if target < 0 or 2 * target > sum(a):
         return 0
-    dp = {0: 1}
+    if len(a) == 1:
+        return int(target == 0)
+    # dp[v]: markings of the leaves read so far whose last value is v
+    dp = [1]
     prefix = a[0]
-    for nxt in a[1:]:
-        step: dict[int, int] = {}
-        for v, ways in dp.items():
-            hi = min(v + min(prefix - 2 * v, nxt), target)
-            for w in range(v, hi + 1):
-                step[w] = step.get(w, 0) + ways
-        dp = step
+    for nxt in a[1:-1]:
+        # no step reaches past half the new prefix sum
+        top = min(target, (prefix + nxt) // 2)
+        diff = [0] * (top + 2)
+        for v, ways in enumerate(dp):
+            if ways:
+                diff[v] += ways
+                diff[min(v + min(prefix - 2 * v, nxt), top) + 1] -= ways
+        diff.pop()
+        dp = list(itertools.accumulate(diff))
         prefix += nxt
-    return dp.get(target, 0)
+    # the last step must land on target: v >= target - a_last and
+    # target - v <= prefix - 2v
+    return sum(dp[max(0, target - a[-1]):max(0, prefix - target + 1)])
 
 
 def enumerate_markings(a: Sequence[int], target: int) -> tuple[tuple[int, ...], ...]:

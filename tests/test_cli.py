@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import kohtrees
 from kohtrees import cli
 from kohtrees.goh import tree_from_dict as goh_from_dict
 from kohtrees.koh import tree_from_dict as koh_from_dict
@@ -328,3 +332,13 @@ def test_max_fillings_is_offered_only_by_verify_goh(capsys):
                            "--max-fillings", "1")
     assert code == 1
     assert err.startswith("BUDGET_EXCEEDED:")
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(kohtrees.__file__))
+    probe = ("import sys, kohtrees.cli; "
+             "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "False\n"

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from kohtrees import goh
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import (Configuration, GohTree, count_goh_trees,
@@ -9,7 +11,7 @@ from kohtrees.goh import (Configuration, GohTree, count_goh_trees,
                           goh_leaves, goh_rhs_closed, goh_term,
                           tree_from_dict, validate_configuration,
                           validate_goh_tree)
-from kohtrees.koh import sigma
+from kohtrees.koh import leaves, sigma
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ZERO
 from kohtrees.render import tree_to_dict, tree_to_dot
@@ -241,6 +243,62 @@ def test_from_dict_rejects_a_misplaced_unlabeled_subtree():
                      [unlabeled] + good["children"][:-1]):
         with pytest.raises(StructureViolationError):
             tree_from_dict(dict(good, children=children))
+
+
+def depth_first_leaves(tree):
+    """Leaf labels read by walking the tree (a GOH root is never a leaf)."""
+    if tree.is_leaf:
+        return (tree.a,)
+    return tuple(a for _, child in tree.children for a in depth_first_leaves(child))
+
+
+def test_stored_leaf_tuples_match_a_depth_first_reading():
+    for size in range(1, 7):
+        for mu in enumerate_partitions(size):
+            for k in range(0, 4):
+                for t in enumerate_goh_trees(mu, k):
+                    walked = depth_first_leaves(t)
+                    assert leaves(t) == walked
+                    assert leaves(tree_from_dict(tree_to_dict(t))) == walked
+
+
+def test_stored_leaf_tuple_is_not_part_of_the_value():
+    (field,) = [f for f in dataclasses.fields(GohTree) if f.name == "leaf_values"]
+    assert not (field.init or field.compare or field.repr)
+    t = enumerate_goh_trees(Partition((2, 1)), 2)[0]
+    assert "leaf_values" not in repr(t)
+    twin = GohTree(t.config, t.k, t.children)
+    object.__setattr__(twin, "leaf_values", (99,))
+    assert twin == t and hash(twin) == hash(t)
+    assert not hasattr(t, "__dict__")
+
+
+def test_child_types_run_once_per_configuration(monkeypatch):
+    lam, k = Partition((4, 3, 2)), 3
+    kept = sum(c.m_stat() <= k for c in enumerate_configurations(lam))
+    assert 0 < kept < len(enumerate_configurations(lam))
+    calls = []
+    original = goh._child_types
+
+    def counted(config, k):
+        calls.append(config)
+        return original(config, k)
+
+    monkeypatch.setattr(goh, "_child_types", counted)
+    total = count_goh_trees(lam, k)
+    calls.clear()
+    assert len(enumerate_goh_trees(lam, k, max_trees=total)) == total
+    assert len(calls) == len(set(calls)) == kept
+    calls.clear()
+
+    def no_trees(*args, **kwargs):
+        raise AssertionError("a tree was built over budget")
+
+    monkeypatch.setattr(goh, "GohTree", no_trees)
+    monkeypatch.setattr(goh, "enumerate_koh_trees", no_trees)
+    with pytest.raises(BudgetExceededError):
+        enumerate_goh_trees(lam, k, max_trees=total - 1)
+    assert len(calls) == kept
 
 
 def test_dot_output_shape():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,33 @@ from kohtrees.render import tree_to_dict, tree_to_dot
 
 def tree_sum(n, k):
     return sum((koh_term(t) for t in enumerate_koh_trees(n, k)), start=ZERO)
+
+
+def depth_first_leaves(tree):
+    """Leaf labels read by walking the tree, children in edge order."""
+    if tree.is_leaf:
+        return (tree.a,)
+    return tuple(a for _, child in tree.children for a in depth_first_leaves(child))
+
+
+def test_stored_leaf_tuples_match_a_depth_first_reading():
+    for n in range(0, 8):
+        for k in range(1, 7):
+            for t in enumerate_koh_trees(n, k):
+                assert leaves(t) == depth_first_leaves(t)
+                back = tree_from_dict(tree_to_dict(t))
+                assert leaves(back) == depth_first_leaves(t)
+
+
+def test_stored_leaf_tuple_is_not_part_of_the_value():
+    (field,) = [f for f in dataclasses.fields(KohTree) if f.name == "leaf_values"]
+    assert not (field.init or field.compare or field.repr)
+    t = enumerate_koh_trees(5, 4)[3]
+    assert "leaf_values" not in repr(t)
+    twin = KohTree(t.mu, t.a, t.b, t.children)
+    object.__setattr__(twin, "leaf_values", (99,))
+    assert twin == t and hash(twin) == hash(t)
+    assert not hasattr(t, "__dict__")
 
 
 def test_child_type_formula():

@@ -1,7 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohtrees.errors import ParityViolationError, PreconditionViolationError
 from kohtrees.marking import (count_markings, enumerate_markings,
@@ -33,6 +36,56 @@ def brute_force_markings(a, target):
         if ok:
             found.append(ks)
     return found
+
+
+def dict_dp_markings(a, target):
+    """The marking DP kept in a dict of reachable values, one value of the
+    new range at a time: the reference the prefix-sum DP is checked against."""
+    if target < 0:
+        return 0
+    dp = {0: 1}
+    prefix = a[0]
+    for nxt in a[1:]:
+        step = {}
+        for v, ways in dp.items():
+            hi = min(v + min(prefix - 2 * v, nxt), target)
+            for w in range(v, hi + 1):
+                step[w] = step.get(w, 0) + ways
+        dp = step
+        prefix += nxt
+    return dp.get(target, 0)
+
+
+# listing every marking is kept to instances this small; the oracle and
+# the coefficient difference check the rest
+LISTED_MARKINGS_CAP = 20_000
+
+
+@st.composite
+def leaves_and_target(draw):
+    a = tuple(draw(st.lists(st.integers(0, 15), min_size=1, max_size=7)))
+    return a, draw(st.integers(-2, sum(a) // 2 + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaves_and_target())
+def test_count_matches_the_dict_oracle_listing_and_coefficients(case):
+    a, target = case
+    count = count_markings(a, target)
+    assert count == dict_dp_markings(a, target)
+    if count <= LISTED_MARKINGS_CAP:
+        assert count == len(enumerate_markings(a, target))
+    if 0 <= 2 * target <= sum(a):
+        poly = product_of_q_ints(a)
+        assert count == poly.coeff(target) - poly.coeff(target - 1)
+
+
+def test_a_target_past_half_the_leaf_sum_counts_zero_at_once():
+    start = time.perf_counter()
+    assert count_markings((1, 1), 10 ** 12) == 0
+    assert time.perf_counter() - start < 1.0
+    assert count_markings((3, 4), 3) == 1
+    assert count_markings((3, 4), 4) == 0
 
 
 def test_count_markings_small_cases():
