@@ -22,7 +22,7 @@ from typing import ClassVar
 from .errors import (BudgetExceededError, ParityViolationError,
                      PreconditionViolationError, StructureViolationError)
 from .partitions import Partition, enumerate_partitions
-from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
+from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int_product
 
 _LEAF_MU = Partition((1,))
 
@@ -169,10 +169,7 @@ def leaf_sigma(degree: int, leaf_values: tuple[int, ...]) -> int:
 
 def leaf_term(degree: int, leaf_values: tuple[int, ...]) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over the leaves."""
-    prod = ONE
-    for a in leaf_values:
-        prod = prod * q_int(a)
-    return prod.shift(leaf_sigma(degree, leaf_values) // 2)
+    return q_int_product(leaf_values).shift(leaf_sigma(degree, leaf_values) // 2)
 
 
 def sigma(tree) -> int:

@@ -14,12 +14,29 @@ of the family's polynomial.  marked_counts gives the terms of that sum,
 tree by tree, for every r of a range; the coefficients module checks
 the range and adds them up.
 
-count_markings keeps, leaf by leaf, the number of markings ending at
-each value 0..target; since a state v moves to every value of one
-interval, a step adds its ways over those intervals through a difference
-array and one running sum.  A marking value never exceeds half the
-leaf sum (the slack a_1 + ... + a_i - 2 k_i stays nonnegative), so a
-target past that bound counts 0 before any table is allocated.
+Two kernels count markings.  Call s = a_1 + ... + a_i - 2 k_i the slack
+of a marking after i leaves: it starts at a_1, a leaf a moves it to
+every value from |s - a| to s + a in steps of 2, and it ends at
+sum(a) - 2 k_t.
+
+- count_markings(a, target) counts one final value.  It keeps, leaf by
+  leaf, the number of markings ending at each value 0..target; since a
+  state v moves to every value of one interval, a step adds its ways
+  over those intervals through a difference array and one running sum.
+  A marking value never exceeds half the leaf sum (the slack stays
+  nonnegative), so a target past that bound counts 0 before any table
+  is allocated.
+- slack_counts(a) counts every final value at once, by walking the
+  slack.  Its states cover all of 0..sum(a), one parity at a time, and
+  a step range-adds them through a stride-2 difference array and one
+  running sum.
+
+A tree's markings select coefficient r exactly when their final slack
+is total - 2r, whatever the tree's power shift, so one slack walk per
+tree answers every r.  marked_counts walks the slack when it is asked
+for more than one r (the verify sweeps) and calls count_markings, whose
+table stops at the target, for a single r (a coefficient query or a
+marked listing), where the whole walk costs several times more.
 """
 
 from __future__ import annotations
@@ -70,6 +87,39 @@ def count_markings(a: Sequence[int], target: int) -> int:
     return sum(dp[max(0, target - a[-1]):max(0, prefix - target + 1)])
 
 
+def slack_counts(a: Sequence[int]) -> list[int]:
+    """Number of markings of a at each final slack s = sum(a) - 2 k_t,
+    listed for s = 0..sum(a); slacks of the other parity count 0.
+
+    The count at slack sum(a) - 2t is count_markings(a, t).
+
+    >>> slack_counts((1, 1, 1, 1))
+    [2, 0, 3, 0, 1]
+    """
+    _check_leaves(a)
+    # ways[j]: markings of the leaves read so far with slack parity + 2j
+    prefix = a[0]
+    parity = prefix % 2
+    ways = [0] * (prefix // 2) + [1]
+    for nxt in a[1:]:
+        # slack s = parity + 2j moves to |s - nxt| .. s + nxt, whose
+        # halves (rounded down) index the new states
+        size = (prefix + nxt) // 2 + 1
+        diff = [0] * (size + 1)
+        for j, w in enumerate(ways):
+            if w:
+                s = parity + 2 * j
+                diff[abs(s - nxt) // 2] += w
+                diff[(s + nxt) // 2 + 1] -= w
+        diff.pop()
+        ways = list(itertools.accumulate(diff))
+        prefix += nxt
+        parity = prefix % 2
+    out = [0] * (prefix + 1)
+    out[parity::2] = ways
+    return out
+
+
 def enumerate_markings(a: Sequence[int], target: int) -> tuple[tuple[int, ...], ...]:
     """All markings with final value target, lexicographically increasing."""
     _check_leaves(a)
@@ -114,12 +164,20 @@ def marked_counts(leaf_lists: Iterable[Sequence[int]], total: int,
 
     Valid for 0 <= r <= total/2, a range the caller checks.  Each tree
     contributes the markings of its leaf sequence at the tree's own
-    target.  leaf_lists is consumed once, each sequence marked at every r
-    before the next is read, so a generator keeps only one alive at a time.
+    target, whose final slack is total - 2r.  With more than one r,
+    each leaf sequence is walked once by slack_counts and read at every
+    r; with one r, count_markings counts that target alone.
     """
-    counts = tuple([] for _ in rs)
+    if len(rs) == 1:
+        (r,) = rs
+        return (tuple(count_markings(ls, marking_target(sum(ls), total, r))
+                      for ls in leaf_lists),)
+    slacks = [total - 2 * r for r in rs]
+    rows = []
     for ls in leaf_lists:
         leaf_sum = sum(ls)
-        for r, column in zip(rs, counts):
-            column.append(count_markings(ls, marking_target(leaf_sum, total, r)))
-    return tuple(map(tuple, counts))
+        marking_target(leaf_sum, total, 0)  # an odd defect has no target
+        by_slack = slack_counts(ls)
+        # slacks past the leaf sum, of trees far below the degree, count 0
+        rows.append([by_slack[s] if s <= leaf_sum else 0 for s in slacks])
+    return tuple(zip(*rows)) if rows else tuple(() for _ in rs)

@@ -280,6 +280,28 @@ def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
     assert len(out) < 5000
 
 
+def test_a_marking_dropped_by_the_slack_walk_fails_its_cell(capsys, monkeypatch):
+    import kohtrees.marking as marking
+    real = marking.slack_counts
+
+    def drop_one(a):
+        # (36,) is the one-leaf tree of koh n=6 k=6 and of no other cell
+        # here; drop its marking with every value 0
+        by_slack = real(a)
+        if tuple(a) == (36,):
+            by_slack[36] -= 1
+        return by_slack
+
+    monkeypatch.setattr(marking, "slack_counts", drop_one)
+    code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "6",
+                           "--max-k", "6", "--workers", "1")
+    assert code == 1
+    assert "FAIL koh n=6 k=6\n" in out
+    assert "checked 42 cells: 41 passed, 1 failed" in out
+    assert ("marked trees give 0 but the rectangle difference gives 1 "
+            "for n=6, k=6, r=0\n") in out
+
+
 def test_failing_goh_cell_reports_the_tree_sum(capsys, monkeypatch):
     import kohtrees.coefficients as coefficients
     from kohtrees.qpoly import ONE, ZERO

@@ -6,11 +6,12 @@ import pytest
 from kohtrees.errors import (BudgetExceededError, ParityViolationError,
                              PreconditionViolationError,
                              StructureViolationError)
+from kohtrees.goh import enumerate_goh_trees
 from kohtrees.koh import (KohTree, count_koh_trees, enumerate_koh_trees,
-                          koh_child_type, koh_rhs_closed, koh_term, leaves,
-                          sigma, tree_from_dict, validate_koh_tree)
-from kohtrees.partitions import Partition
-from kohtrees.qpoly import ZERO, q_binomial
+                          koh_child_type, koh_rhs_closed, koh_term, leaf_term,
+                          leaves, sigma, tree_from_dict, validate_koh_tree)
+from kohtrees.partitions import Partition, enumerate_partitions
+from kohtrees.qpoly import ONE, ZERO, q_binomial, q_int
 from kohtrees.render import tree_to_dict, tree_to_dot
 
 
@@ -32,6 +33,18 @@ def test_stored_leaf_tuples_match_a_depth_first_reading():
                 assert leaves(t) == depth_first_leaves(t)
                 back = tree_from_dict(tree_to_dict(t))
                 assert leaves(back) == depth_first_leaves(t)
+
+
+def test_leaf_term_is_the_shifted_product_of_q_integers():
+    trees = [t for n in range(0, 9) for k in range(1, 9)
+             for t in enumerate_koh_trees(n, k)]
+    trees += [t for size in range(1, 7) for mu in enumerate_partitions(size)
+              for k in range(1, 5) for t in enumerate_goh_trees(mu, k)]
+    for t in trees:
+        product = ONE
+        for a in leaves(t):
+            product = product * q_int(a)
+        assert leaf_term(t.degree, leaves(t)) == product.shift(sigma(t) // 2)
 
 
 def test_stored_leaf_tuple_is_not_part_of_the_value():

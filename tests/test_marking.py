@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohtrees.errors import ParityViolationError, PreconditionViolationError
+from kohtrees.goh import enumerate_goh_trees
+from kohtrees.koh import enumerate_koh_trees, leaves
 from kohtrees.marking import (count_markings, enumerate_markings,
-                              marked_counts, marking_target)
+                              marked_counts, marking_target, slack_counts)
+from kohtrees.partitions import enumerate_partitions
 from kohtrees.qpoly import ONE, q_int
 
 
@@ -80,6 +83,32 @@ def test_count_matches_the_dict_oracle_listing_and_coefficients(case):
         assert count == poly.coeff(target) - poly.coeff(target - 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 15), min_size=1, max_size=7).map(tuple))
+def test_slack_counts_match_the_one_target_kernel_and_the_dict_oracle(a):
+    by_slack = slack_counts(a)
+    assert len(by_slack) == sum(a) + 1
+    for target in range(-2, sum(a) // 2 + 3):
+        s = sum(a) - 2 * target
+        # slots past either end of the vector count 0
+        count = by_slack[s] if 0 <= s < len(by_slack) else 0
+        assert count == count_markings(a, target) == dict_dp_markings(a, target)
+
+
+def test_slack_counts_small_cases():
+    assert slack_counts((4,)) == [0, 0, 0, 0, 1]
+    assert slack_counts((0, 0)) == [1]
+    assert slack_counts((2, 2)) == [1, 0, 1, 0, 1]
+    assert slack_counts((3, 1)) == [0, 0, 1, 0, 1]
+
+
+def test_slack_counts_validates_leaves():
+    with pytest.raises(PreconditionViolationError, match="nonempty leaf sequence"):
+        slack_counts(())
+    with pytest.raises(PreconditionViolationError, match="must be nonnegative"):
+        slack_counts((1, -1))
+
+
 def test_a_target_past_half_the_leaf_sum_counts_zero_at_once():
     start = time.perf_counter()
     assert count_markings((1, 1), 10 ** 12) == 0
@@ -145,3 +174,24 @@ def test_marked_counts_per_tree_at_each_r():
     leaf_lists = (ls for ls in [(4,), (0,)])
     assert marked_counts(leaf_lists, 4, range(3)) == ((1, 0), (0, 0), (0, 1))
     assert marked_counts([(4,), (0,)], 4, range(2, 3)) == ((0, 1),)
+
+
+def small_families():
+    """(leaf tuples, degree) of every KOH type with n, k <= 8 and every GOH
+    shape of size <= 6 with k <= 4."""
+    for n in range(0, 9):
+        for k in range(1, 9):
+            yield [leaves(t) for t in enumerate_koh_trees(n, k)], n * k
+    for size in range(1, 7):
+        for mu in enumerate_partitions(size):
+            for k in range(1, 5):
+                yield [leaves(t) for t in enumerate_goh_trees(mu, k)], size * k
+
+
+def test_the_all_r_walk_matches_the_single_r_count_tree_by_tree():
+    for leaf_lists, total in small_families():
+        rs = range(total // 2 + 1)
+        all_r = marked_counts(iter(leaf_lists), total, rs)
+        assert len(all_r) == len(rs)
+        for r, witness in zip(rs, all_r):
+            assert witness == marked_counts(leaf_lists, total, range(r, r + 1))[0]

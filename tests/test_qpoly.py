@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohtrees.errors import NonExactDivisionError
-from kohtrees.qpoly import ONE, ZERO, QPoly, q_binomial, q_int
+from kohtrees.qpoly import ONE, ZERO, QPoly, q_binomial, q_int, q_int_product
 
 
 def test_trailing_zeros_trimmed():
@@ -101,8 +103,26 @@ def test_str_rendering():
 
 def test_q_int_validates():
     assert q_int(0) == ONE
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"q_int needs a >= 0, got -1"):
         q_int(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=8))
+def test_q_int_product_matches_repeated_multiplication(labels):
+    expected = ONE
+    for a in labels:
+        expected = expected * q_int(a)
+    assert q_int_product(labels) == expected
+    assert q_int_product(iter(labels)) == expected
+
+
+def test_q_int_product_edge_cases():
+    assert q_int_product(()) == ONE
+    assert q_int_product((0, 0, 0)) == ONE
+    assert q_int_product((0, 3)) == q_int(3)
+    with pytest.raises(ValueError, match=r"q_int needs a >= 0, got -1"):
+        q_int_product((2, -1))
 
 
 def test_q_binomial_small_values():
