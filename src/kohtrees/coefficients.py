@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from collections.abc import Callable
 
 from .errors import (CrossCheckFailedError, BudgetExceededError,
@@ -184,7 +185,11 @@ def _two_row(family: TreeFamily, rs: range, method: str, max_trees: int | None,
     leaf_tuples = map(family.leaves, family.trees(budget))
     if references:
         leaf_tuples = tuple(leaf_tuples)
-        tree_sum = sum((leaf_term(total, lv) for lv in leaf_tuples), start=ZERO)
+        coeffs = [0] * (total + 1)
+        # add in place: a term's degree, (total + leaf sum) / 2, is at most total
+        for term in (leaf_term(total, lv).coeffs for lv in leaf_tuples):
+            coeffs[:len(term)] = map(operator.add, coeffs, term)
+        tree_sum = QPoly(coeffs)
         wrong = [f"the {ref} gives {p}" for ref, p in references if p != tree_sum]
         if wrong:
             raise CrossCheckFailedError(

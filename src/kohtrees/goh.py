@@ -18,8 +18,11 @@ _floor states the chain rule once, on cached column-sum vectors:
 enumeration keeps a level only at or above it in every column, and
 p_stat (so validation) reads P^i_j off it.  _child_types states the
 child rule once; counting, enumeration, validation and parsing all read
-it.  goh_rhs_closed spells the same sum out independently, as the
-reference the trees are checked against.
+it.  A configuration with its child types has the shape of a KOH
+production, so counting, building and the child check are the ones koh
+uses for its own trees (koh.count_trees, koh.build_trees,
+koh.check_children).  goh_rhs_closed spells the same sum out
+independently, as the reference the trees are checked against.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
 import operator
 from typing import ClassVar
 
 from .errors import (BudgetExceededError, PreconditionViolationError,
                      StructureViolationError)
-from .koh import (KohTree, count_koh_trees, enumerate_koh_trees, leaf_term,
-                  leaves, payload_int, validate_koh_tree)
+from .koh import (KohTree, build_trees, check_children, count_trees,
+                  leaf_term, leaves, payload_int)
 from .koh import tree_from_dict as koh_from_dict
 from .partitions import Partition, enumerate_partitions
 from .qpoly import ZERO, QPoly, q_binomial
@@ -266,14 +268,9 @@ def _typed_configurations(lam: Partition, k: int
             for config in enumerate_configurations(lam) if config.m_stat() <= k]
 
 
-def _tree_count(typed: list[tuple[Configuration, list]]) -> int:
-    return sum(math.prod(count_koh_trees(*ctype) for _, ctype in types)
-               for _, types in typed)
-
-
 def count_goh_trees(lam: Partition, k: int) -> int:
     """Number of trees for (lam, k), without materializing them."""
-    return _tree_count(_typed_configurations(lam, k))
+    return count_trees(_typed_configurations(lam, k))
 
 
 def enumerate_goh_trees(lam: Partition, k: int, max_trees: int | None = None) -> tuple[GohTree, ...]:
@@ -281,18 +278,10 @@ def enumerate_goh_trees(lam: Partition, k: int, max_trees: int | None = None) ->
     product of subtree choices with later edges varying fastest, so the
     unlabeled subtree varies fastest of all."""
     typed = _typed_configurations(lam, k)
-    if max_trees is not None:
-        total = _tree_count(typed)
-        if total > max_trees:
-            raise BudgetExceededError(
-                f"{total} trees for ({lam!r}, {k}) exceed the budget {max_trees}")
-    out: list[GohTree] = []
-    for config, types in typed:
-        choice_sets = [tuple((edge, t) for t in enumerate_koh_trees(ca, cb))
-                       for edge, (ca, cb) in types]
-        for children in itertools.product(*choice_sets):
-            out.append(GohTree(config, k, children))
-    return tuple(out)
+    if max_trees is not None and (total := count_trees(typed)) > max_trees:
+        raise BudgetExceededError(
+            f"{total} trees for ({lam!r}, {k}) exceed the budget {max_trees}")
+    return build_trees(typed, lambda config, children: GohTree(config, k, children))
 
 
 def goh_leaves(tree: GohTree) -> tuple[int, ...]:
@@ -314,14 +303,7 @@ def validate_goh_tree(tree: GohTree) -> None:
     if m > tree.k:
         raise StructureViolationError(
             f"m_stat {m} exceeds k = {tree.k}; no such tree exists")
-    types = _child_types(tree.config, tree.k)
-    edges = [edge for edge, _ in tree.children]
-    if edges != [edge for edge, _ in types]:
-        raise StructureViolationError(
-            f"edges {edges} do not match the child slots "
-            f"{[edge for edge, _ in types]}")
-    for (_, sub), (_, ctype) in zip(tree.children, types):
-        validate_koh_tree(sub, expected_type=ctype)
+    check_children(tree, _child_types(tree.config, tree.k))
 
 
 # --- reading the dict form back ---

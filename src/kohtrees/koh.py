@@ -10,6 +10,13 @@ along edge j carries
 Branches where a' would go negative produce no trees at all.  Summing
 q^(sigma/2) times the product of [leaf + 1]_q over all trees of type
 (n, k) recovers q_binomial(n, k); sigma is nk minus the leaf sum.
+
+_productions(n, k) states this rule once for a type: the partitions of
+k whose child widths are all nonnegative, each with its child types from
+_child_types, the per-node rule (validation reads only that, since a
+payload's b is unbounded).  Counting, building and the closed form read
+it.  count_trees, build_trees and check_children serve both families: a
+GOH configuration with its child types is a production too.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
+from collections.abc import Callable, Sequence
 from typing import ClassVar
 
 from .errors import (BudgetExceededError, ParityViolationError,
@@ -90,41 +99,67 @@ def _check_type(n: int, k: int) -> None:
             f"tree type needs n >= 0 and k >= 1, got ({n}, {k})")
 
 
+def _child_types(mu: Partition, a: int) -> list[tuple[int, tuple[int, int]]]:
+    """(edge j, child type) along each distinct row j of mu, in edge order,
+    for a node labeled (mu, a, |mu|); a child width may come out negative."""
+    return [(j, koh_child_type(mu, a, j)) for j in mu.distinct_parts()]
+
+
+@functools.cache
+def _productions(n: int, k: int) -> tuple[tuple[Partition, list], ...]:
+    """(mu, child types) for every mu of k, in canonical order, whose child
+    widths are all nonnegative: the root labels of the type (n, k)."""
+    typed = ((mu, _child_types(mu, n)) for mu in enumerate_partitions(k))
+    return tuple((mu, types) for mu, types in typed
+                 if all(ca >= 0 for _, (ca, _) in types))
+
+
+def count_trees(productions: Sequence[tuple[object, list]]) -> int:
+    """Number of trees over a production list: for each label, the
+    product of the KOH tree counts at its child types."""
+    return sum(math.prod(count_koh_trees(*ctype) for _, ctype in types)
+               for _, types in productions)
+
+
+def build_trees(productions: Sequence[tuple[object, list]],
+                node: Callable[[object, tuple], object]) -> tuple:
+    """node(label, children) for every label and every choice of one KOH
+    subtree per child type, labels in order and later edges varying
+    fastest."""
+    out = []
+    for label, types in productions:
+        slots = [tuple((edge, t) for t in _tree_table(*ctype))
+                 for edge, ctype in types]
+        out.extend(node(label, children) for children in itertools.product(*slots))
+    return tuple(out)
+
+
+def check_children(tree, types: list) -> None:
+    """Check that tree's edges are the edges of its child types, in order,
+    and that each subtree is a valid KOH tree of its type, raising
+    StructureViolationError."""
+    edges = [edge for edge, _ in tree.children]
+    if edges != [edge for edge, _ in types]:
+        raise StructureViolationError(
+            f"edges {edges} do not match the child slots "
+            f"{[edge for edge, _ in types]}")
+    for (_, child), (_, ctype) in zip(tree.children, types):
+        validate_koh_tree(child, expected_type=ctype)
+
+
 @functools.cache
 def count_koh_trees(n: int, k: int) -> int:
     """Number of trees of type (n, k), computed without materializing them."""
     _check_type(n, k)
-    if k == 1:
-        return 1
-    total = 0
-    for mu in enumerate_partitions(k):
-        prod = 1
-        for j in mu.distinct_parts():
-            ca, cb = koh_child_type(mu, n, j)
-            if ca < 0:
-                prod = 0
-                break
-            prod *= count_koh_trees(ca, cb)
-        total += prod
-    return total
+    return 1 if k == 1 else count_trees(_productions(n, k))
 
 
 @functools.cache
 def _tree_table(n: int, k: int) -> tuple[KohTree, ...]:
     if k == 1:
         return (KohTree(_LEAF_MU, n, 1),)
-    out: list[KohTree] = []
-    for mu in enumerate_partitions(k):
-        slots: list[tuple[tuple[int, KohTree], ...]] = []
-        for j in mu.distinct_parts():
-            ca, cb = koh_child_type(mu, n, j)
-            if ca < 0:
-                break
-            slots.append(tuple((j, t) for t in _tree_table(ca, cb)))
-        else:
-            for combo in itertools.product(*slots):
-                out.append(KohTree(mu, n, k, combo))
-    return tuple(out)
+    return build_trees(_productions(n, k),
+                       lambda mu, children: KohTree(mu, n, k, children))
 
 
 def enumerate_koh_trees(n: int, k: int, max_trees: int | None = None) -> tuple[KohTree, ...]:
@@ -137,11 +172,9 @@ def enumerate_koh_trees(n: int, k: int, max_trees: int | None = None) -> tuple[K
     and BudgetExceededError raised before anything is built.
     """
     _check_type(n, k)
-    if max_trees is not None:
-        total = count_koh_trees(n, k)
-        if total > max_trees:
-            raise BudgetExceededError(
-                f"{total} trees of type ({n}, {k}) exceed the budget {max_trees}")
+    if max_trees is not None and (total := count_koh_trees(n, k)) > max_trees:
+        raise BudgetExceededError(
+            f"{total} trees of type ({n}, {k}) exceed the budget {max_trees}")
     return _tree_table(n, k)
 
 
@@ -187,21 +220,17 @@ def koh_rhs_closed(n: int, k: int) -> QPoly:
     """Closed-form partition sum equal to q_binomial(n, k).
 
     For each partition lam of k: q^(2 b_stat) times the product over the
-    distinct row lengths of q_binomial at the child type.  A negative
-    child width kills the summand, matching the pruned trees.
+    distinct row lengths of q_binomial at the child type.  Partitions
+    with a negative child width are left out, matching the pruned trees.
     """
     if n < 0 or k < 0:
         raise PreconditionViolationError(
             f"closed form needs n >= 0 and k >= 0, got ({n}, {k})")
     total = ZERO
-    for lam in enumerate_partitions(k):
+    for lam, types in _productions(n, k):
         term = ONE.shift(2 * lam.b_stat())
-        for j in lam.distinct_parts():
-            ca, cb = koh_child_type(lam, n, j)
-            if ca < 0:
-                term = ZERO
-                break
-            term = term * q_binomial(ca, cb)
+        for _, ctype in types:
+            term = term * q_binomial(*ctype)
         total = total + term
     return total
 
@@ -224,16 +253,7 @@ def validate_koh_tree(tree: KohTree, expected_type: tuple[int, int] | None = Non
         if tree.mu != _LEAF_MU or tree.children:
             raise StructureViolationError(f"malformed leaf {tree!r}")
         return
-    edges = tuple(j for j, _ in tree.children)
-    if edges != tree.mu.distinct_parts():
-        raise StructureViolationError(
-            f"edges {edges} do not match distinct rows of {tree.mu!r}")
-    for j, child in tree.children:
-        if (child.a, child.b) != koh_child_type(tree.mu, tree.a, j):
-            raise StructureViolationError(
-                f"child type ({child.a}, {child.b}) wrong along edge {j} "
-                f"of ({tree.mu!r}, {tree.a}, {tree.b})")
-        validate_koh_tree(child)
+    check_children(tree, _child_types(tree.mu, tree.a))
 
 
 # --- reading the dict form back ---

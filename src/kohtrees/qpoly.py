@@ -80,15 +80,7 @@ class QPoly:
             out[i] += c
         return QPoly(out)
 
-    def __neg__(self) -> QPoly:
-        return QPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: QPoly) -> QPoly:
-        return self + (-other)
-
-    def __mul__(self, other: QPoly | int) -> QPoly:
-        if isinstance(other, int):
-            return QPoly(tuple(c * other for c in self.coeffs))
+    def __mul__(self, other: QPoly) -> QPoly:
         if self.is_zero or other.is_zero:
             return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -97,8 +89,6 @@ class QPoly:
                 for j, d in enumerate(other.coeffs):
                     out[i + j] += c * d
         return QPoly(out)
-
-    __rmul__ = __mul__
 
     def exact_div(self, other: QPoly) -> QPoly:
         """Quotient self / other, demanding exactness.

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kohtrees import goh
+from kohtrees import goh, koh
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import (Configuration, GohTree, count_goh_trees,
@@ -233,6 +233,22 @@ def test_from_dict_rejects_a_number_field_that_is_not_an_int(value):
         tree_from_dict(dict(good, config=[[1, 1, 1], [value], []]))
 
 
+def test_from_dict_rejects_missing_and_extra_edges_and_wrong_child_types():
+    tree = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
+                if len(t.children) >= 2 and t.children[0][1].is_leaf)
+    good = tree_to_dict(tree)
+    tree_from_dict(good)
+    kids = good["children"]
+    for children in (kids[1:], kids[:-1], kids + kids[-1:],
+                     kids + [dict(kids[0], edge=[1, 2])]):
+        with pytest.raises(StructureViolationError, match="do not match"):
+            tree_from_dict(dict(good, children=children))
+    first = kids[0]
+    leaf = dict(first["koh"], a=first["koh"]["a"] + 1)
+    with pytest.raises(StructureViolationError, match="!= expected"):
+        tree_from_dict(dict(good, children=[dict(first, koh=leaf)] + kids[1:]))
+
+
 def test_from_dict_rejects_a_misplaced_unlabeled_subtree():
     tree = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
                 if len(t.children) >= 2 and t.children[-1][0] is None)
@@ -295,10 +311,15 @@ def test_child_types_run_once_per_configuration(monkeypatch):
         raise AssertionError("a tree was built over budget")
 
     monkeypatch.setattr(goh, "GohTree", no_trees)
-    monkeypatch.setattr(goh, "enumerate_koh_trees", no_trees)
+    # the shared builder reads every KOH subtree from this table
+    monkeypatch.setattr(koh, "_tree_table", no_trees)
     with pytest.raises(BudgetExceededError):
         enumerate_goh_trees(lam, k, max_trees=total - 1)
     assert len(calls) == kept
+    # the patched table is the live subtree source: within budget it is read
+    monkeypatch.setattr(goh, "GohTree", GohTree)
+    with pytest.raises(AssertionError, match="over budget"):
+        enumerate_goh_trees(lam, k, max_trees=total)
 
 
 def test_dot_output_shape():

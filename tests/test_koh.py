@@ -1,8 +1,11 @@
 import dataclasses
+import functools
+import itertools
 import json
 
 import pytest
 
+from kohtrees import koh
 from kohtrees.errors import (BudgetExceededError, ParityViolationError,
                              PreconditionViolationError,
                              StructureViolationError)
@@ -13,6 +16,58 @@ from kohtrees.koh import (KohTree, count_koh_trees, enumerate_koh_trees,
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ONE, ZERO, q_binomial, q_int
 from kohtrees.render import tree_to_dict, tree_to_dot
+
+
+@functools.cache
+def oracle_count(n, k):
+    """Tree count by the loop over partitions that predates koh._productions."""
+    if k == 1:
+        return 1
+    total = 0
+    for mu in enumerate_partitions(k):
+        prod = 1
+        for j in mu.distinct_parts():
+            ca, cb = koh_child_type(mu, n, j)
+            if ca < 0:
+                prod = 0
+                break
+            prod *= oracle_count(ca, cb)
+        total += prod
+    return total
+
+
+@functools.cache
+def oracle_trees(n, k):
+    """Trees of type (n, k) built by the same loop, in canonical order."""
+    if k == 1:
+        return (KohTree(Partition((1,)), n, 1),)
+    out = []
+    for mu in enumerate_partitions(k):
+        slots = []
+        for j in mu.distinct_parts():
+            ca, cb = koh_child_type(mu, n, j)
+            if ca < 0:
+                break
+            slots.append(tuple((j, t) for t in oracle_trees(ca, cb)))
+        else:
+            for combo in itertools.product(*slots):
+                out.append(KohTree(mu, n, k, combo))
+    return tuple(out)
+
+
+def oracle_closed(n, k):
+    """The closed-form partition sum by the same loop."""
+    total = ZERO
+    for lam in enumerate_partitions(k):
+        term = ONE.shift(2 * lam.b_stat())
+        for j in lam.distinct_parts():
+            ca, cb = koh_child_type(lam, n, j)
+            if ca < 0:
+                term = ZERO
+                break
+            term = term * q_binomial(ca, cb)
+        total = total + term
+    return total
 
 
 def tree_sum(n, k):
@@ -89,6 +144,35 @@ def test_count_matches_enumeration():
             assert count_koh_trees(n, k) == len(enumerate_koh_trees(n, k))
 
 
+def test_productions_agree_with_the_loop_over_partitions():
+    for n in range(0, 10):
+        assert koh_rhs_closed(n, 0) == oracle_closed(n, 0)
+        for k in range(1, 10):
+            assert enumerate_koh_trees(n, k) == oracle_trees(n, k)
+            assert count_koh_trees(n, k) == oracle_count(n, k)
+            assert koh_rhs_closed(n, k) == oracle_closed(n, k)
+
+
+def test_child_types_run_once_per_node_label(monkeypatch):
+    for cache in (koh._productions, koh._tree_table, koh.count_koh_trees):
+        cache.cache_clear()
+    calls = []
+    original = koh.koh_child_type
+
+    def counted(mu, a, j):
+        calls.append((a, mu, j))
+        return original(mu, a, j)
+
+    monkeypatch.setattr(koh, "koh_child_type", counted)
+    for n in range(0, 8):
+        for k in range(1, 8):
+            count_koh_trees(n, k)
+            enumerate_koh_trees(n, k)
+            koh_rhs_closed(n, k)
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
 def test_known_tree_counts():
     assert count_koh_trees(8, 9) == 70
     assert count_koh_trees(12, 17) == 3003
@@ -118,6 +202,17 @@ def test_budget_enforced_before_materializing():
     with pytest.raises(BudgetExceededError):
         enumerate_koh_trees(8, 9, max_trees=69)
     assert len(enumerate_koh_trees(8, 9, max_trees=70)) == 70
+
+
+def test_budget_is_checked_before_any_tree_is_built(monkeypatch):
+    def no_trees(*args, **kwargs):
+        raise AssertionError("a tree was built over budget")
+
+    koh.count_koh_trees.cache_clear()
+    monkeypatch.setattr(koh, "KohTree", no_trees)
+    monkeypatch.setattr(koh, "_tree_table", no_trees)
+    with pytest.raises(BudgetExceededError, match="70 trees"):
+        enumerate_koh_trees(8, 9, max_trees=69)
 
 
 def test_sigma_even_and_nonnegative():
@@ -171,6 +266,42 @@ def test_validate_rejects_wrong_child_type():
 def test_validate_rejects_missing_edge():
     with pytest.raises(StructureViolationError):
         validate_koh_tree(KohTree(Partition((2,)), 1, 2, ()))
+
+
+def tree_with_a_leaf_child():
+    """A tree of type (3, 2) whose first child is a leaf, as a payload."""
+    (tree,) = [t for t in enumerate_koh_trees(3, 2) if t.children[0][1].is_leaf]
+    return tree_to_dict(tree)
+
+
+def test_from_dict_rejects_missing_and_extra_edges():
+    good = tree_with_a_leaf_child()
+    tree_from_dict(good)
+    extra = {"edge": 1, "tree": {"mu": [1], "a": 0, "b": 1, "children": []}}
+    for children in ([], good["children"] + good["children"],
+                     good["children"] + [extra]):
+        with pytest.raises(StructureViolationError, match="do not match"):
+            tree_from_dict(dict(good, children=children))
+
+
+def test_from_dict_rejects_a_wrong_child_type():
+    good = tree_with_a_leaf_child()
+    first = good["children"][0]
+    leaf = dict(first["tree"], a=first["tree"]["a"] + 1)
+    children = [dict(first, tree=leaf)] + good["children"][1:]
+    with pytest.raises(StructureViolationError, match="!= expected"):
+        tree_from_dict(dict(good, children=children))
+
+
+def test_validation_lists_no_partitions_of_the_payload_size(monkeypatch):
+    def unbounded(size):
+        raise AssertionError(f"listed the partitions of {size}")
+
+    monkeypatch.setattr(koh, "enumerate_partitions", unbounded)
+    leaf = {"mu": [1], "a": 0, "b": 1, "children": []}
+    tree = tree_from_dict({"mu": [60], "a": 0, "b": 60,
+                           "children": [{"edge": 60, "tree": leaf}]})
+    assert leaves(tree) == (0,)
 
 
 def test_json_round_trip():
