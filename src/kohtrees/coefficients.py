@@ -17,11 +17,11 @@ from collections.abc import Callable
 
 from .errors import (CrossCheckFailedError, BudgetExceededError,
                      PreconditionViolationError)
-from .goh import enumerate_goh_trees, goh_leaves, goh_rhs_closed
+from .goh import enumerate_goh_trees, goh_rhs_closed
 from .koh import enumerate_koh_trees, koh_rhs_closed, leaf_term, leaves
 from .marking import enumerate_markings, marked_counts, marking_target
 from .partitions import Partition, count_in_rectangle
-from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
+from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int_product
 
 METHOD_MARKED = "marked_trees"
 METHOD_DIFFERENCE = "difference_formula"
@@ -65,13 +65,13 @@ def hook_content(mu: Partition, k: int) -> QPoly:
         return ONE
     if len(mu) > k + 1:
         return ZERO
-    conj = mu.conjugate()
-    num, den = ONE, ONE
-    for i, row_len in enumerate(mu.parts, start=1):
-        for j in range(1, row_len + 1):
-            num = num * q_int(k + j - i)
-            hook = mu.parts[i - 1] + conj.parts[j - 1] - i - j + 1
-            den = den * q_int(hook - 1)
+    conj = mu.conjugate().parts
+    cells = [(i, j) for i, row_len in enumerate(mu.parts, start=1)
+             for j in range(1, row_len + 1)]
+    num = q_int_product(k + j - i for i, j in cells)
+    # label a stands for [a + 1]_q: cell (i, j) gives [k + 1 + j - i]_q
+    # over [hook]_q
+    den = q_int_product(mu.parts[i - 1] + conj[j - 1] - i - j for i, j in cells)
     return num.exact_div(den).shift(mu.b_stat())
 
 
@@ -118,19 +118,17 @@ class TreeFamily:
     """One tree family at fixed parameters, as both routes see it.
 
     trees(max_trees) enumerates the expansion trees, the same tuple on
-    every call; leaves reads one tree's leaf tuple, and total is their
-    degree.  difference(r) is the q^r minus q^(r-1) coefficient of the
-    family's polynomial, computed without trees by the route named in
-    messages.  references(max_fillings) lists named polynomials the tree
-    terms must sum to, that polynomial first.  where and degree_name word
-    the error messages.
+    every call, and total is their degree.  difference(r) is the q^r
+    minus q^(r-1) coefficient of the family's polynomial, computed
+    without trees by the route named in messages.  references(max_fillings)
+    lists named polynomials the tree terms must sum to, that polynomial
+    first.  where and degree_name word the error messages.
     """
 
     where: str
     degree_name: str
     total: int
     trees: Callable[[int], tuple]
-    leaves: Callable[[object], tuple[int, ...]]
     route: str
     difference: Callable[[int], int]
     references: Callable[[int | None], tuple[tuple[str, QPoly], ...]]
@@ -140,8 +138,7 @@ def koh_family(n: int, k: int) -> TreeFamily:
     """The KOH trees of type (n, k), summing to q_binomial(n, k)."""
     return TreeFamily(
         f"n={n}, k={k}", "nk", n * k,
-        lambda budget: enumerate_koh_trees(n, k, max_trees=budget), leaves,
-        "rectangle",
+        lambda budget: enumerate_koh_trees(n, k, max_trees=budget), "rectangle",
         lambda r: count_in_rectangle(n, k, r) - count_in_rectangle(n, k, r - 1),
         lambda max_fillings: (("reference", q_binomial(n, k)),
                               ("closed form", koh_rhs_closed(n, k))))
@@ -153,7 +150,6 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
     return TreeFamily(
         f"mu={mu!r}, k={k}", "|mu|k", mu.size * k,
         functools.cache(lambda budget: enumerate_goh_trees(mu, k, max_trees=budget)),
-        goh_leaves,
         "specialization", lambda r: spec().coeff(r) - spec().coeff(r - 1),
         lambda max_fillings: (
             ("hook content", spec()), ("closed form", goh_rhs_closed(mu, k)),
@@ -182,7 +178,7 @@ def _two_row(family: TreeFamily, rs: range, method: str, max_trees: int | None,
     if method == METHOD_DIFFERENCE:
         return tuple(CoefficientReport(family.difference(r), method) for r in rs)
     budget = DEFAULT_TREE_BUDGET if max_trees is None else max_trees
-    leaf_tuples = map(family.leaves, family.trees(budget))
+    leaf_tuples = map(leaves, family.trees(budget))
     if references:
         leaf_tuples = tuple(leaf_tuples)
         coeffs = [0] * (total + 1)
@@ -235,7 +231,7 @@ def marked_listing(family: TreeFamily, r: int,
     pairs = []
     for tree, count in zip(family.trees(max_trees), report.witness_counts):
         if count:
-            lv = family.leaves(tree)
+            lv = leaves(tree)
             pairs.extend((tree, marks) for marks in enumerate_markings(
                 lv, marking_target(sum(lv), family.total, r)))
     return pairs

@@ -14,29 +14,22 @@ of the family's polynomial.  marked_counts gives the terms of that sum,
 tree by tree, for every r of a range; the coefficients module checks
 the range and adds them up.
 
-Two kernels count markings.  Call s = a_1 + ... + a_i - 2 k_i the slack
-of a marking after i leaves: it starts at a_1, a leaf a moves it to
-every value from |s - a| to s + a in steps of 2, and it ends at
-sum(a) - 2 k_t.
+One DP counts markings.  It reads the leaves in order and keeps the
+number of markings ending at each value 0..top, top capped by half the
+prefix sum read so far, since a marking value never exceeds it.  A
+state v moves to every value of one interval, so a step adds its ways
+over those intervals through a difference array and one running sum.
 
-- count_markings(a, target) counts one final value.  It keeps, leaf by
-  leaf, the number of markings ending at each value 0..target; since a
-  state v moves to every value of one interval, a step adds its ways
-  over those intervals through a difference array and one running sum.
-  A marking value never exceeds half the leaf sum (the slack stays
-  nonnegative), so a target past that bound counts 0 before any table
-  is allocated.
-- slack_counts(a) counts every final value at once, by walking the
-  slack.  Its states cover all of 0..sum(a), one parity at a time, and
-  a step range-adds them through a stride-2 difference array and one
-  running sum.
-
-A tree's markings select coefficient r exactly when their final slack
-is total - 2r, whatever the tree's power shift, so one slack walk per
-tree answers every r.  marked_counts walks the slack when it is asked
-for more than one r (the verify sweeps) and calls count_markings, whose
-table stops at the target, for a single r (a coefficient query or a
-marked listing), where the whole walk costs several times more.
+- count_markings(a, target) counts one final value: it runs the DP over
+  all leaves but the last with top = target, then sums the values the
+  last step can leave at target.  A target past half the leaf sum
+  counts 0 before any table is allocated.
+- marked_counts reads a range of r from one table per tree.  A tree's
+  target at r is r minus its power shift, so the table run up to the
+  last r's target, shifted by that power, lines up with the range.  For
+  a single r (a coefficient query or a marked listing) it calls
+  count_markings, whose table stops at the one target and leaves out
+  the last leaf.
 """
 
 from __future__ import annotations
@@ -54,6 +47,33 @@ def _check_leaves(a: Sequence[int]) -> None:
         raise PreconditionViolationError(f"leaf labels must be nonnegative, got {tuple(a)}")
 
 
+def _value_counts(a: Sequence[int], top: int) -> list[int]:
+    """Number of markings of a ending at each value 0..min(top, sum(a) // 2),
+    or at 0 alone for a single leaf; values past the end count 0.
+
+    >>> _value_counts((1, 1, 1, 1), 5)
+    [1, 3, 2]
+    """
+    _check_leaves(a)
+    if top < 0:
+        return []
+    # dp[v]: markings of the leaves read so far whose last value is v
+    dp = [1]
+    prefix = a[0]
+    for nxt in a[1:]:
+        # no step reaches past half the new prefix sum
+        hi = min(top, (prefix + nxt) // 2)
+        diff = [0] * (hi + 2)
+        for v, ways in enumerate(dp):
+            if ways:
+                diff[v] += ways
+                diff[min(v + min(prefix - 2 * v, nxt), hi) + 1] -= ways
+        diff.pop()
+        dp = list(itertools.accumulate(diff))
+        prefix += nxt
+    return dp
+
+
 def count_markings(a: Sequence[int], target: int) -> int:
     """Number of markings of a with final value target.
 
@@ -68,56 +88,11 @@ def count_markings(a: Sequence[int], target: int) -> int:
         return 0
     if len(a) == 1:
         return int(target == 0)
-    # dp[v]: markings of the leaves read so far whose last value is v
-    dp = [1]
-    prefix = a[0]
-    for nxt in a[1:-1]:
-        # no step reaches past half the new prefix sum
-        top = min(target, (prefix + nxt) // 2)
-        diff = [0] * (top + 2)
-        for v, ways in enumerate(dp):
-            if ways:
-                diff[v] += ways
-                diff[min(v + min(prefix - 2 * v, nxt), top) + 1] -= ways
-        diff.pop()
-        dp = list(itertools.accumulate(diff))
-        prefix += nxt
+    dp = _value_counts(a[:-1], target)
+    prefix = sum(a) - a[-1]
     # the last step must land on target: v >= target - a_last and
     # target - v <= prefix - 2v
     return sum(dp[max(0, target - a[-1]):max(0, prefix - target + 1)])
-
-
-def slack_counts(a: Sequence[int]) -> list[int]:
-    """Number of markings of a at each final slack s = sum(a) - 2 k_t,
-    listed for s = 0..sum(a); slacks of the other parity count 0.
-
-    The count at slack sum(a) - 2t is count_markings(a, t).
-
-    >>> slack_counts((1, 1, 1, 1))
-    [2, 0, 3, 0, 1]
-    """
-    _check_leaves(a)
-    # ways[j]: markings of the leaves read so far with slack parity + 2j
-    prefix = a[0]
-    parity = prefix % 2
-    ways = [0] * (prefix // 2) + [1]
-    for nxt in a[1:]:
-        # slack s = parity + 2j moves to |s - nxt| .. s + nxt, whose
-        # halves (rounded down) index the new states
-        size = (prefix + nxt) // 2 + 1
-        diff = [0] * (size + 1)
-        for j, w in enumerate(ways):
-            if w:
-                s = parity + 2 * j
-                diff[abs(s - nxt) // 2] += w
-                diff[(s + nxt) // 2 + 1] -= w
-        diff.pop()
-        ways = list(itertools.accumulate(diff))
-        prefix += nxt
-        parity = prefix % 2
-    out = [0] * (prefix + 1)
-    out[parity::2] = ways
-    return out
 
 
 def enumerate_markings(a: Sequence[int], target: int) -> tuple[tuple[int, ...], ...]:
@@ -162,22 +137,21 @@ def marked_counts(leaf_lists: Iterable[Sequence[int]], total: int,
     """For each r in rs, the number of markings of each tree that select
     coefficient r, trees in order.
 
-    Valid for 0 <= r <= total/2, a range the caller checks.  Each tree
-    contributes the markings of its leaf sequence at the tree's own
-    target, whose final slack is total - 2r.  With more than one r,
-    each leaf sequence is walked once by slack_counts and read at every
-    r; with one r, count_markings counts that target alone.
+    rs is a range of consecutive r with 0 <= r <= total/2, which the
+    caller checks.  Each tree contributes the markings of its leaf
+    sequence at the tree's own target, r minus its power shift.  With
+    more than one r, one value table per tree, padded by the shift, is
+    read at every r; with one r, count_markings counts that target alone.
     """
     if len(rs) == 1:
         (r,) = rs
         return (tuple(count_markings(ls, marking_target(sum(ls), total, r))
                       for ls in leaf_lists),)
-    slacks = [total - 2 * r for r in rs]
     rows = []
     for ls in leaf_lists:
-        leaf_sum = sum(ls)
-        marking_target(leaf_sum, total, 0)  # an odd defect has no target
-        by_slack = slack_counts(ls)
-        # slacks past the leaf sum, of trees far below the degree, count 0
-        rows.append([by_slack[s] if s <= leaf_sum else 0 for s in slacks])
+        shift = rs[0] - marking_target(sum(ls), total, rs[0])
+        row = [0] * shift + _value_counts(ls, rs[-1] - shift)
+        # a one-leaf table stops at value 0; the r past it count 0
+        row += [0] * (rs[-1] + 1 - len(row))
+        rows.append(row[rs[0]:rs[-1] + 1])
     return tuple(zip(*rows)) if rows else tuple(() for _ in rs)

@@ -280,19 +280,19 @@ def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
     assert len(out) < 5000
 
 
-def test_a_marking_dropped_by_the_slack_walk_fails_its_cell(capsys, monkeypatch):
+def test_a_marking_dropped_by_the_value_table_fails_its_cell(capsys, monkeypatch):
     import kohtrees.marking as marking
-    real = marking.slack_counts
+    real = marking._value_counts
 
-    def drop_one(a):
+    def drop_one(a, top):
         # (36,) is the one-leaf tree of koh n=6 k=6 and of no other cell
-        # here; drop its marking with every value 0
-        by_slack = real(a)
+        # here; drop its marking with value 0
+        by_value = real(a, top)
         if tuple(a) == (36,):
-            by_slack[36] -= 1
-        return by_slack
+            by_value[0] -= 1
+        return by_value
 
-    monkeypatch.setattr(marking, "slack_counts", drop_one)
+    monkeypatch.setattr(marking, "_value_counts", drop_one)
     code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "6",
                            "--max-k", "6", "--workers", "1")
     assert code == 1

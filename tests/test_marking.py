@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from kohtrees.errors import ParityViolationError, PreconditionViolationError
 from kohtrees.goh import enumerate_goh_trees
 from kohtrees.koh import enumerate_koh_trees, leaves
-from kohtrees.marking import (count_markings, enumerate_markings,
-                              marked_counts, marking_target, slack_counts)
+from kohtrees.marking import (_value_counts, count_markings, enumerate_markings,
+                              marked_counts, marking_target)
 from kohtrees.partitions import enumerate_partitions
 from kohtrees.qpoly import ONE, q_int
 
@@ -85,28 +85,31 @@ def test_count_matches_the_dict_oracle_listing_and_coefficients(case):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 15), min_size=1, max_size=7).map(tuple))
-def test_slack_counts_match_the_one_target_kernel_and_the_dict_oracle(a):
-    by_slack = slack_counts(a)
-    assert len(by_slack) == sum(a) + 1
-    for target in range(-2, sum(a) // 2 + 3):
-        s = sum(a) - 2 * target
-        # slots past either end of the vector count 0
-        count = by_slack[s] if 0 <= s < len(by_slack) else 0
+def test_value_counts_match_the_one_target_kernel_and_the_dict_oracle(a):
+    top = sum(a) // 2
+    by_value = _value_counts(a, top)
+    assert len(by_value) == (top + 1 if len(a) > 1 else 1)
+    for target in range(-2, top + 3):
+        # slots past either end of the table count 0
+        count = by_value[target] if 0 <= target < len(by_value) else 0
         assert count == count_markings(a, target) == dict_dp_markings(a, target)
 
 
-def test_slack_counts_small_cases():
-    assert slack_counts((4,)) == [0, 0, 0, 0, 1]
-    assert slack_counts((0, 0)) == [1]
-    assert slack_counts((2, 2)) == [1, 0, 1, 0, 1]
-    assert slack_counts((3, 1)) == [0, 0, 1, 0, 1]
+def test_value_counts_small_cases():
+    assert _value_counts((4,), 9) == [1]
+    assert _value_counts((4,), -1) == []
+    assert _value_counts((0, 0), 3) == [1]
+    assert _value_counts((2, 2), 9) == [1, 1, 1]
+    assert _value_counts((3, 1), 9) == [1, 1, 0]
+    # the table stops at top, whatever the leaf sum allows
+    assert _value_counts((1, 1, 1, 1), 1) == [1, 3]
 
 
-def test_slack_counts_validates_leaves():
+def test_value_counts_validates_leaves():
     with pytest.raises(PreconditionViolationError, match="nonempty leaf sequence"):
-        slack_counts(())
+        _value_counts((), 0)
     with pytest.raises(PreconditionViolationError, match="must be nonnegative"):
-        slack_counts((1, -1))
+        _value_counts((1, -1), 0)
 
 
 def test_a_target_past_half_the_leaf_sum_counts_zero_at_once():
@@ -174,6 +177,9 @@ def test_marked_counts_per_tree_at_each_r():
     leaf_lists = (ls for ls in [(4,), (0,)])
     assert marked_counts(leaf_lists, 4, range(3)) == ((1, 0), (0, 0), (0, 1))
     assert marked_counts([(4,), (0,)], 4, range(2, 3)) == ((0, 1),)
+    # a power shift past the whole range: zeros at every r, and no more
+    assert marked_counts([(0,)], 6, range(2)) == ((0,), (0,))
+    assert marked_counts([(0,)], 6, range(1, 4)) == ((0,), (0,), (1,))
 
 
 def small_families():
@@ -190,8 +196,12 @@ def small_families():
 
 def test_the_all_r_walk_matches_the_single_r_count_tree_by_tree():
     for leaf_lists, total in small_families():
-        rs = range(total // 2 + 1)
-        all_r = marked_counts(iter(leaf_lists), total, rs)
-        assert len(all_r) == len(rs)
-        for r, witness in zip(rs, all_r):
-            assert witness == marked_counts(leaf_lists, total, range(r, r + 1))[0]
+        top = total // 2
+        # every r, then ranges that start above 0 or stop below total // 2
+        ranges = [range(top + 1), range(1, top), range(top // 2, top + 1),
+                  range(top // 2, top)]
+        for rs in (rs for rs in ranges if len(rs) >= 2):
+            all_r = marked_counts(iter(leaf_lists), total, rs)
+            assert len(all_r) == len(rs)
+            for r, witness in zip(rs, all_r):
+                assert witness == marked_counts(leaf_lists, total, range(r, r + 1))[0]
