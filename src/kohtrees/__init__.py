@@ -25,8 +25,8 @@ from .coefficients import (CoefficientReport, METHOD_BOTH, METHOD_DIFFERENCE,
                            plethysm_two_row, plethysm_two_row_general,
                            schur_specialization_oracle)
 from .errors import (BudgetExceededError, CrossCheckFailedError,
-                     NonExactDivisionError, ParityViolationError,
-                     PreconditionViolationError, StructureViolationError)
+                     NonExactDivisionError, PreconditionViolationError,
+                     StructureViolationError)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "hook_content", "kronecker_two_row", "plethysm_two_row",
     "plethysm_two_row_general", "schur_specialization_oracle",
     "BudgetExceededError", "CrossCheckFailedError", "NonExactDivisionError",
-    "ParityViolationError", "PreconditionViolationError",
-    "StructureViolationError",
+    "PreconditionViolationError", "StructureViolationError",
     "__version__",
 ]

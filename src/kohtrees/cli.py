@@ -24,13 +24,14 @@ import json
 import os
 import sys
 
-from .coefficients import (DEFAULT_FILLING_BUDGET, DEFAULT_TREE_BUDGET,
-                           METHOD_BOTH, METHOD_DIFFERENCE, METHOD_MARKED,
-                           check_identities, goh_family, koh_family,
-                           kronecker_two_row, marked_listing, plethysm_two_row,
+from .coefficients import (DEFAULT_FILLING_BUDGET, METHOD_BOTH,
+                           METHOD_DIFFERENCE, METHOD_MARKED, check_identities,
+                           goh_family, koh_family, kronecker_two_row,
+                           marked_listing, plethysm_two_row,
                            plethysm_two_row_general)
 from .errors import (BudgetExceededError, CrossCheckFailedError,
                      PreconditionViolationError)
+from .koh import DEFAULT_TREE_BUDGET
 from .partitions import Partition, enumerate_partitions
 from .render import tree_to_dict, tree_to_dot, tree_to_text
 
@@ -85,6 +86,14 @@ def _resolve(flag_value: int | None, env_name: str, default: int) -> int:
     return value
 
 
+def _add_method_and_format(parser: argparse.ArgumentParser,
+                           method_default: str) -> None:
+    parser.add_argument("--method", type=_parse_method, default=method_default,
+                        metavar="{marked-trees,difference,both}")
+    parser.add_argument("--format", dest="output_format", default="text",
+                        choices=("text", "json"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kohtrees",
@@ -101,10 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kron.add_argument("--n", type=int, required=True, help="rectangle width")
     kron.add_argument("--k", type=int, required=True, help="rectangle height")
     kron.add_argument("--r", type=int, required=True, help="second-row length")
-    kron.add_argument("--method", type=_parse_method, default=METHOD_BOTH,
-                      metavar="{marked-trees,difference,both}")
-    kron.add_argument("--format", dest="output_format", default="text",
-                      choices=("text", "json"))
+    _add_method_and_format(kron, METHOD_BOTH)
 
     plet = sub.add_parser("plethysm", parents=[limits],
                           help="two-row coefficient of s_mu plethysm a row")
@@ -112,10 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="outer partition, e.g. 3,3,2,1")
     plet.add_argument("--k", type=int, required=True, help="inner row length")
     plet.add_argument("--r", type=int, required=True, help="second-row length")
-    plet.add_argument("--method", type=_parse_method, default=METHOD_BOTH,
-                      metavar="{marked-trees,difference,both}")
-    plet.add_argument("--format", dest="output_format", default="text",
-                      choices=("text", "json"))
+    _add_method_and_format(plet, METHOD_BOTH)
 
     gen = sub.add_parser("plethysm-general", parents=[limits],
                          help="coefficient of s_lambda in s_mu plethysm s_nu")
@@ -123,42 +126,30 @@ def _build_parser() -> argparse.ArgumentParser:
                      required=True, help="target partition, at most two rows")
     gen.add_argument("--mu", type=_parse_partition, required=True)
     gen.add_argument("--nu", type=_parse_partition, required=True)
-    gen.add_argument("--method", type=_parse_method, default=METHOD_DIFFERENCE,
-                     metavar="{marked-trees,difference,both}")
-    gen.add_argument("--format", dest="output_format", default="text",
-                     choices=("text", "json"))
+    _add_method_and_format(gen, METHOD_DIFFERENCE)
 
     trees = sub.add_parser("trees", help="list expansion trees")
     tsub = trees.add_subparsers(dest="family", required=True)
-    tkoh = tsub.add_parser("koh", parents=[limits])
-    tkoh.add_argument("--n", type=int, required=True)
-    tkoh.add_argument("--k", type=int, required=True)
-    tkoh.add_argument("--r", type=int, default=None,
-                      help="list marked trees for this coefficient")
-    tkoh.add_argument("--format", dest="output_format", default="text",
-                      choices=("text", "json", "dot"))
-    tgoh = tsub.add_parser("goh", parents=[limits])
-    tgoh.add_argument("--mu", type=_parse_partition, required=True)
-    tgoh.add_argument("--k", type=int, required=True)
-    tgoh.add_argument("--r", type=int, default=None,
-                      help="list marked trees for this coefficient")
-    tgoh.add_argument("--format", dest="output_format", default="text",
-                      choices=("text", "json", "dot"))
-
     verify = sub.add_parser("verify", help="run an identity sweep")
     vsub = verify.add_subparsers(dest="family", required=True)
-    vkoh = vsub.add_parser("koh", parents=[limits])
-    vkoh.add_argument("--max-n", type=int, required=True)
-    vkoh.add_argument("--max-k", type=int, required=True)
-    vkoh.add_argument("--workers", type=int, default=None,
-                      help="worker processes (env KOHTREES_WORKERS)")
-    vgoh = vsub.add_parser("goh", parents=[limits])
-    vgoh.add_argument("--max-size", type=int, required=True)
-    vgoh.add_argument("--max-k", type=int, required=True)
-    vgoh.add_argument("--workers", type=int, default=None,
-                      help="worker processes (env KOHTREES_WORKERS)")
-    vgoh.add_argument("--max-fillings", type=int, default=None,
-                      help="tableau oracle budget (env KOHTREES_MAX_FILLINGS)")
+    for family, shape, shape_type, size in (
+            ("koh", "--n", int, "--max-n"),
+            ("goh", "--mu", _parse_partition, "--max-size")):
+        listing = tsub.add_parser(family, parents=[limits])
+        listing.add_argument(shape, type=shape_type, required=True)
+        listing.add_argument("--k", type=int, required=True)
+        listing.add_argument("--r", type=int, default=None,
+                             help="list marked trees for this coefficient")
+        listing.add_argument("--format", dest="output_format", default="text",
+                             choices=("text", "json", "dot"))
+        sweep = vsub.add_parser(family, parents=[limits])
+        sweep.add_argument(size, type=int, required=True)
+        sweep.add_argument("--max-k", type=int, required=True)
+        sweep.add_argument("--workers", type=int, default=None,
+                           help="worker processes (env KOHTREES_WORKERS)")
+    # the loop ends on verify goh, the one sweep with a tableau oracle
+    sweep.add_argument("--max-fillings", type=int, default=None,
+                       help="tableau oracle budget (env KOHTREES_MAX_FILLINGS)")
     return parser
 
 
@@ -228,7 +219,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         if args.max_n < 0 or args.max_k < 1:
             raise PreconditionViolationError(
                 f"need max-n >= 0 and max-k >= 1, got {args.max_n}, {args.max_k}")
-        cells = [(n, k, args.max_trees, None)
+        cells = [(n, k, args.max_trees, DEFAULT_FILLING_BUDGET)
                  for n in range(args.max_n + 1)
                  for k in range(1, args.max_k + 1)]
         worker = _verify_koh_cell

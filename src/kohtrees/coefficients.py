@@ -18,7 +18,8 @@ from collections.abc import Callable
 from .errors import (CrossCheckFailedError, BudgetExceededError,
                      PreconditionViolationError)
 from .goh import enumerate_goh_trees, goh_rhs_closed
-from .koh import enumerate_koh_trees, koh_rhs_closed, leaf_term, leaves
+from .koh import (DEFAULT_TREE_BUDGET, enumerate_koh_trees, koh_rhs_closed,
+                  leaf_term, leaves)
 from .marking import enumerate_markings, marked_counts, marking_target
 from .partitions import Partition, count_in_rectangle
 from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int_product
@@ -27,7 +28,6 @@ METHOD_MARKED = "marked_trees"
 METHOD_DIFFERENCE = "difference_formula"
 METHOD_BOTH = "both"
 
-DEFAULT_TREE_BUDGET = 10 ** 7
 DEFAULT_FILLING_BUDGET = 10 ** 6
 
 
@@ -131,7 +131,7 @@ class TreeFamily:
     trees: Callable[[int], tuple]
     route: str
     difference: Callable[[int], int]
-    references: Callable[[int | None], tuple[tuple[str, QPoly], ...]]
+    references: Callable[[int], tuple[tuple[str, QPoly], ...]]
 
 
 def koh_family(n: int, k: int) -> TreeFamily:
@@ -157,17 +157,15 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
              schur_specialization_oracle(mu, k, max_fillings=max_fillings))))
 
 
-def _two_row(family: TreeFamily, rs: range, method: str, max_trees: int | None,
-             references: tuple[tuple[str, QPoly], ...] = ()
-             ) -> tuple[CoefficientReport, ...]:
+def _two_row(family: TreeFamily, rs: range, method: str,
+             max_trees: int) -> tuple[CoefficientReport, ...]:
     """The coefficient at every r in rs: the one route for both families.
 
     The method and every r are checked before any tree is built.  The
     marked route builds the trees once, reads each leaf tuple once and
-    marks it at every r.  The tree terms must first sum to each of the
-    references, if any are given; with method both, the marked count
-    must then equal the difference at every r.  The first disagreement
-    raises CrossCheckFailedError.
+    marks it at every r.  With method both, the marked count must equal
+    the difference at every r; the first disagreement raises
+    CrossCheckFailedError.
     """
     _check_method(method)
     total, name = family.total, family.degree_name
@@ -177,20 +175,7 @@ def _two_row(family: TreeFamily, rs: range, method: str, max_trees: int | None,
                 f"need 0 <= 2r <= {name}, got r={r} with {name}={total}")
     if method == METHOD_DIFFERENCE:
         return tuple(CoefficientReport(family.difference(r), method) for r in rs)
-    budget = DEFAULT_TREE_BUDGET if max_trees is None else max_trees
-    leaf_tuples = map(leaves, family.trees(budget))
-    if references:
-        leaf_tuples = tuple(leaf_tuples)
-        coeffs = [0] * (total + 1)
-        # add in place: a term's degree, (total + leaf sum) / 2, is at most total
-        for term in (leaf_term(total, lv).coeffs for lv in leaf_tuples):
-            coeffs[:len(term)] = map(operator.add, coeffs, term)
-        tree_sum = QPoly(coeffs)
-        wrong = [f"the {ref} gives {p}" for ref, p in references if p != tree_sum]
-        if wrong:
-            raise CrossCheckFailedError(
-                f"tree terms sum to {tree_sum} but {' and '.join(wrong)} "
-                f"for {family.where}")
+    leaf_tuples = map(leaves, family.trees(max_trees))
     reports = []
     for r, witness in zip(rs, marked_counts(leaf_tuples, total, rs)):
         marked = sum(witness)
@@ -205,16 +190,28 @@ def _two_row(family: TreeFamily, rs: range, method: str, max_trees: int | None,
 
 
 def check_identities(family: TreeFamily, max_trees: int,
-                     max_fillings: int | None) -> None:
+                     max_fillings: int = DEFAULT_FILLING_BUDGET) -> None:
     """Check one cell of a family both ways, raising CrossCheckFailedError.
 
     The tree terms must sum to every reference polynomial (the tableau
     oracle stops past max_fillings fillings), then the marked count must
-    equal the difference at every r from 0 to half the degree.
+    equal the difference at every r from 0 to half the degree.  The
+    trees are read first, so a tree budget fails before the oracle runs.
     """
-    family.trees(max_trees)  # over budget: fail before the oracle runs
-    _two_row(family, range(family.total // 2 + 1), METHOD_BOTH, max_trees,
-             family.references(max_fillings))
+    total = family.total
+    coeffs = [0] * (total + 1)
+    # add in place: a term's degree, (total + leaf sum) / 2, is at most total
+    for tree in family.trees(max_trees):
+        term = leaf_term(total, leaves(tree)).coeffs
+        coeffs[:len(term)] = map(operator.add, coeffs, term)
+    tree_sum = QPoly(coeffs)
+    wrong = [f"the {ref} gives {p}"
+             for ref, p in family.references(max_fillings) if p != tree_sum]
+    if wrong:
+        raise CrossCheckFailedError(
+            f"tree terms sum to {tree_sum} but {' and '.join(wrong)} "
+            f"for {family.where}")
+    _two_row(family, range(total // 2 + 1), METHOD_BOTH, max_trees)
 
 
 def marked_listing(family: TreeFamily, r: int,
@@ -238,7 +235,7 @@ def marked_listing(family: TreeFamily, r: int,
 
 
 def kronecker_two_row(n: int, k: int, r: int, method: str = METHOD_BOTH,
-                      max_trees: int | None = None) -> CoefficientReport:
+                      max_trees: int = DEFAULT_TREE_BUDGET) -> CoefficientReport:
     """Kronecker coefficient of (nk - r, r) with two copies of the
     k by n rectangle.
 
@@ -252,7 +249,7 @@ def kronecker_two_row(n: int, k: int, r: int, method: str = METHOD_BOTH,
 
 
 def plethysm_two_row(mu: Partition, k: int, r: int, method: str = METHOD_BOTH,
-                     max_trees: int | None = None) -> CoefficientReport:
+                     max_trees: int = DEFAULT_TREE_BUDGET) -> CoefficientReport:
     """Coefficient of the two-row Schur function (|mu|k - r, r) in the
     plethysm of mu with a single row of length k.
 
@@ -268,7 +265,7 @@ def plethysm_two_row(mu: Partition, k: int, r: int, method: str = METHOD_BOTH,
 
 def plethysm_two_row_general(lam: Partition, mu: Partition, nu: Partition,
                              method: str = METHOD_DIFFERENCE,
-                             max_trees: int | None = None) -> CoefficientReport:
+                             max_trees: int = DEFAULT_TREE_BUDGET) -> CoefficientReport:
     """Coefficient of s_lam in the plethysm of mu with nu, for lam with
     at most two rows.
 

@@ -14,10 +14,6 @@ class StructureViolationError(ValueError):
     """A tree or configuration breaks one of its defining constraints."""
 
 
-class ParityViolationError(ValueError):
-    """A quantity that must be even came out odd."""
-
-
 class PreconditionViolationError(ValueError):
     """An argument lies outside the range where the computation is valid."""
 

@@ -35,8 +35,8 @@ from typing import ClassVar
 
 from .errors import (BudgetExceededError, PreconditionViolationError,
                      StructureViolationError)
-from .koh import (KohTree, build_trees, check_children, count_trees,
-                  leaf_term, leaves, payload_int)
+from .koh import (DEFAULT_TREE_BUDGET, KohTree, build_trees, check_children,
+                  count_trees, leaf_term, leaves, payload_int)
 from .koh import tree_from_dict as koh_from_dict
 from .partitions import Partition, enumerate_partitions
 from .qpoly import ZERO, QPoly, q_binomial
@@ -273,12 +273,14 @@ def count_goh_trees(lam: Partition, k: int) -> int:
     return count_trees(_typed_configurations(lam, k))
 
 
-def enumerate_goh_trees(lam: Partition, k: int, max_trees: int | None = None) -> tuple[GohTree, ...]:
+def enumerate_goh_trees(lam: Partition, k: int,
+                        max_trees: int = DEFAULT_TREE_BUDGET) -> tuple[GohTree, ...]:
     """All trees for (lam, k): configurations in canonical order, then the
     product of subtree choices with later edges varying fastest, so the
-    unlabeled subtree varies fastest of all."""
+    unlabeled subtree varies fastest of all.  The trees are counted first:
+    more than max_trees raise BudgetExceededError before any is built."""
     typed = _typed_configurations(lam, k)
-    if max_trees is not None and (total := count_trees(typed)) > max_trees:
+    if (total := count_trees(typed)) > max_trees:
         raise BudgetExceededError(
             f"{total} trees for ({lam!r}, {k}) exceed the budget {max_trees}")
     return build_trees(typed, lambda config, children: GohTree(config, k, children))

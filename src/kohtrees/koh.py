@@ -28,12 +28,15 @@ import math
 from collections.abc import Callable, Sequence
 from typing import ClassVar
 
-from .errors import (BudgetExceededError, ParityViolationError,
-                     PreconditionViolationError, StructureViolationError)
+from .errors import (BudgetExceededError, PreconditionViolationError,
+                     StructureViolationError)
 from .partitions import Partition, enumerate_partitions
 from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int_product
 
 _LEAF_MU = Partition((1,))
+
+# the tree budget of both families' enumerators when a caller names none
+DEFAULT_TREE_BUDGET = 10 ** 7
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -162,17 +165,18 @@ def _tree_table(n: int, k: int) -> tuple[KohTree, ...]:
                        lambda mu, children: KohTree(mu, n, k, children))
 
 
-def enumerate_koh_trees(n: int, k: int, max_trees: int | None = None) -> tuple[KohTree, ...]:
+def enumerate_koh_trees(n: int, k: int,
+                        max_trees: int = DEFAULT_TREE_BUDGET) -> tuple[KohTree, ...]:
     """All trees of type (n, k) in a fixed canonical order.
 
     Root partitions run lexicographically decreasing and subtree choices
     at later edges vary fastest, so the order is deterministic.  Results
     are cached and subtrees are shared, which is safe because trees are
-    immutable.  With max_trees set, the (cheap) count is checked first
-    and BudgetExceededError raised before anything is built.
+    immutable.  The (cheap) count is checked first: more than max_trees
+    trees raise BudgetExceededError before anything is built.
     """
     _check_type(n, k)
-    if max_trees is not None and (total := count_koh_trees(n, k)) > max_trees:
+    if (total := count_koh_trees(n, k)) > max_trees:
         raise BudgetExceededError(
             f"{total} trees of type ({n}, {k}) exceed the budget {max_trees}")
     return _tree_table(n, k)
@@ -196,7 +200,7 @@ def leaf_sigma(degree: int, leaf_values: tuple[int, ...]) -> int:
         raise StructureViolationError(
             f"leaf sum {sum(leaf_values)} exceeds the degree {degree}")
     if s % 2:
-        raise ParityViolationError(f"odd defect {s} below the degree {degree}")
+        raise StructureViolationError(f"odd defect {s} below the degree {degree}")
     return s
 
 

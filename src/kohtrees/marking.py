@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 
-from .errors import ParityViolationError, PreconditionViolationError
+from .errors import PreconditionViolationError
 
 
 def _check_leaves(a: Sequence[int]) -> None:
@@ -127,7 +127,7 @@ def marking_target(leaf_sum: int, total: int, r: int) -> int:
     must be even (it is twice the power shift of the tree's term).
     """
     if (total - leaf_sum) % 2:
-        raise ParityViolationError(
+        raise PreconditionViolationError(
             f"defect {total} - {leaf_sum} is odd; no marking target exists")
     return r - (total - leaf_sum) // 2
 

@@ -56,13 +56,6 @@ class QPoly:
             return self.coeffs[r]
         return 0
 
-    def low_degree(self) -> int | None:
-        """Smallest exponent carrying a nonzero coefficient, None if zero."""
-        for r, c in enumerate(self.coeffs):
-            if c:
-                return r
-        return None
-
     def shift(self, d: int) -> QPoly:
         """Multiply by q^d; d must be nonnegative."""
         if d < 0:
@@ -146,13 +139,6 @@ class QPoly:
             elif cur > prev and falling:
                 return False
         return True
-
-    def evaluate(self, x: int) -> int:
-        """Value at q = x; evaluate(1) is the coefficient sum."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def __str__(self) -> str:
         if self.is_zero:

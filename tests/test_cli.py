@@ -212,6 +212,20 @@ def test_bad_env_value_is_usage_error(capsys, monkeypatch):
     assert code == 2
 
 
+def test_zero_flags_are_usage_errors(capsys):
+    for argv, name in (
+            (("kronecker", "--n", "3", "--k", "4", "--r", "6", "--max-trees", "0"),
+             "max_trees"),
+            (("verify", "koh", "--max-n", "1", "--max-k", "1", "--workers", "0"),
+             "workers"),
+            (("verify", "goh", "--max-size", "1", "--max-k", "1",
+              "--max-fillings", "0"), "max_fillings")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {name} must be positive, got 0\n"
+
+
 def test_verify_koh_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "3",
                            "--max-k", "3")

@@ -2,7 +2,8 @@ import pytest
 
 from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
                                    METHOD_MARKED, CoefficientReport,
-                                   hook_content, kronecker_two_row,
+                                   check_identities, goh_family,
+                                   hook_content, koh_family, kronecker_two_row,
                                    plethysm_two_row, plethysm_two_row_general,
                                    schur_specialization_oracle)
 from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
@@ -97,6 +98,9 @@ def test_kronecker_budget_propagates():
         kronecker_two_row(8, 9, 10, method=METHOD_MARKED, max_trees=3)
     assert kronecker_two_row(8, 9, 10, method=METHOD_DIFFERENCE,
                              max_trees=3).value >= 0
+    # no budget argument means the default budget
+    with pytest.raises(BudgetExceededError, match="exceed the budget 10000000$"):
+        kronecker_two_row(28, 28, 1, method=METHOD_MARKED)
 
 
 def test_kronecker_cross_check_trips_on_disagreement(monkeypatch):
@@ -205,6 +209,31 @@ def test_general_reduction_validates():
     with pytest.raises(PreconditionViolationError, match=r"\|lam\| = 3 must equal"):
         plethysm_two_row_general(Partition((3,)), Partition((2,)),
                                  Partition((2,)))
+
+
+def test_check_identities_defaults_the_filling_budget():
+    check_identities(goh_family(Partition((2, 1)), 2), 100)
+    check_identities(koh_family(4, 3), 100)
+
+
+def test_check_identities_reads_the_trees_before_the_oracle(monkeypatch):
+    import kohtrees.coefficients as coefficients
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran over the tree budget")
+
+    monkeypatch.setattr(coefficients, "schur_specialization_oracle", no_oracle)
+    with pytest.raises(BudgetExceededError, match="trees"):
+        check_identities(goh_family(Partition((2, 2)), 5), 1)
+
+
+def test_check_identities_rejects_a_wrong_tree_sum(monkeypatch):
+    import kohtrees.coefficients as coefficients
+    monkeypatch.setattr(coefficients, "koh_rhs_closed", lambda n, k: ONE)
+    with pytest.raises(CrossCheckFailedError,
+                       match=r"^tree terms sum to .* but the closed form gives 1 "
+                             r"for n=2, k=2$"):
+        check_identities(koh_family(2, 2), 100)
 
 
 def test_report_is_frozen():

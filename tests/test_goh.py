@@ -322,6 +322,19 @@ def test_child_types_run_once_per_configuration(monkeypatch):
         enumerate_goh_trees(lam, k, max_trees=total)
 
 
+def test_no_budget_argument_means_the_default_budget(monkeypatch):
+    def no_trees(*args, **kwargs):
+        raise AssertionError("a tree was built over budget")
+
+    monkeypatch.setattr(goh, "GohTree", no_trees)
+    monkeypatch.setattr(koh, "_tree_table", no_trees)
+    # one row: a single configuration whose one slot is a (28, 28) KOH tree
+    with pytest.raises(BudgetExceededError,
+                       match=f"40116600 trees .* exceed the budget "
+                             f"{koh.DEFAULT_TREE_BUDGET}$"):
+        enumerate_goh_trees(Partition((28,)), 28)
+
+
 def test_dot_output_shape():
     t = enumerate_goh_trees(Partition((2, 1)), 2)[0]
     dot = tree_to_dot(t)

@@ -6,8 +6,7 @@ import json
 import pytest
 
 from kohtrees import koh
-from kohtrees.errors import (BudgetExceededError, ParityViolationError,
-                             PreconditionViolationError,
+from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import enumerate_goh_trees
 from kohtrees.koh import (KohTree, count_koh_trees, enumerate_koh_trees,
@@ -215,6 +214,17 @@ def test_budget_is_checked_before_any_tree_is_built(monkeypatch):
         enumerate_koh_trees(8, 9, max_trees=69)
 
 
+def test_no_budget_argument_means_the_default_budget(monkeypatch):
+    def no_trees(*args, **kwargs):
+        raise AssertionError("a tree was built over budget")
+
+    monkeypatch.setattr(koh, "_tree_table", no_trees)
+    with pytest.raises(BudgetExceededError,
+                       match=r"40116600 trees of type \(28, 28\) exceed "
+                             f"the budget {koh.DEFAULT_TREE_BUDGET}$"):
+        enumerate_koh_trees(28, 28)
+
+
 def test_sigma_even_and_nonnegative():
     for n in range(0, 6):
         for k in range(1, 6):
@@ -225,7 +235,7 @@ def test_sigma_even_and_nonnegative():
 
 def test_sigma_rejects_malformed_trees():
     odd = KohTree(Partition((2,)), 2, 2, ((2, KohTree(Partition((1,)), 1, 1)),))
-    with pytest.raises(ParityViolationError):
+    with pytest.raises(StructureViolationError, match="odd defect"):
         sigma(odd)
     negative = KohTree(Partition((2,)), 0, 2,
                        ((2, KohTree(Partition((1,)), 5, 1)),))

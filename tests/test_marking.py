@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohtrees.errors import ParityViolationError, PreconditionViolationError
+from kohtrees.errors import PreconditionViolationError
 from kohtrees.goh import enumerate_goh_trees
 from kohtrees.koh import enumerate_koh_trees, leaves
 from kohtrees.marking import (_value_counts, count_markings, enumerate_markings,
@@ -168,7 +168,7 @@ def test_marking_count_is_leaf_order_independent():
 def test_marking_target():
     assert marking_target(36, 72, 18) == 0
     assert marking_target(64, 204, 81) == 11
-    with pytest.raises(ParityViolationError):
+    with pytest.raises(PreconditionViolationError, match="odd"):
         marking_target(3, 6, 1)
 
 
