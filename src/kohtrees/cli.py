@@ -184,9 +184,11 @@ def _run_trees(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool, str]:
-    """Check one cell of either family; a failing cell's detail is the
-    cross-check message and the first WITNESS_TREES trees as JSON."""
+def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool | None, str]:
+    """Check one cell of either family: (label, ok, detail).  ok is None
+    when the cell ran over a budget, its detail the budget message; a
+    failing cell's detail is the cross-check message and the first
+    WITNESS_TREES trees as JSON."""
     params, k, max_trees, max_fillings = cell
     if family_name == "koh":
         label, family = f"koh n={params} k={k}", koh_family(params, k)
@@ -195,6 +197,8 @@ def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool, str]:
         family = goh_family(Partition(params), k)
     try:
         check_identities(family, max_trees, max_fillings)
+    except BudgetExceededError as exc:
+        return label, None, str(exc)
     except CrossCheckFailedError as exc:
         trees = family.trees(max_trees)
         shown = [tree_to_dict(tree) for tree in trees[:WITNESS_TREES]]
@@ -205,15 +209,25 @@ def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool, str]:
 
 # the per-family entry points a worker process runs: top-level, so the
 # pool can pickle them by name
-def _verify_koh_cell(cell: tuple) -> tuple[str, bool, str]:
+def _verify_koh_cell(cell: tuple) -> tuple[str, bool | None, str]:
     return _verify_cell("koh", cell)
 
 
-def _verify_goh_cell(cell: tuple) -> tuple[str, bool, str]:
+def _verify_goh_cell(cell: tuple) -> tuple[str, bool | None, str]:
     return _verify_cell("goh", cell)
 
 
+_CELL_STATUS = {True: "PASS", False: "FAIL", None: "BUDGET"}
+
+
 def _run_verify(args: argparse.Namespace) -> int:
+    """Check every cell and print one status line per cell, then a summary.
+
+    A cell over a budget prints BUDGET and the sweep goes on; the summary
+    counts such cells only when there are any, and the first budget
+    message goes to stderr.  Exit status 1 when any cell failed or ran
+    over a budget.
+    """
     workers = _resolve(args.workers, "KOHTREES_WORKERS", DEFAULT_WORKERS)
     if args.family == "koh":
         if args.max_n < 0 or args.max_k < 1:
@@ -244,16 +258,19 @@ def _run_verify(args: argparse.Namespace) -> int:
     else:
         results = [worker(cell) for cell in cells]
 
-    failures = [detail for _, ok, detail in results if not ok]
+    failures = [detail for _, ok, detail in results if ok is False]
+    over = [detail for _, ok, detail in results if ok is None]
     for label, ok, _ in results:
-        print(f"{'PASS' if ok else 'FAIL'} {label}")
-    print(f"checked {len(results)} cells: {len(results) - len(failures)} "
-          f"passed, {len(failures)} failed")
+        print(f"{_CELL_STATUS[ok]} {label}")
+    passed = len(results) - len(failures) - len(over)
+    print(f"checked {len(results)} cells: {passed} passed, {len(failures)} failed"
+          + (f", {len(over)} over budget" if over else ""))
     if failures:
         print("first counterexample:")
         print(failures[0])
-        return 1
-    return 0
+    if over:
+        print(f"BUDGET_EXCEEDED: {over[0]}", file=sys.stderr)
+    return 1 if failures or over else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import operator
+import itertools
 from collections.abc import Callable
 
 from .errors import (CrossCheckFailedError, BudgetExceededError,
                      PreconditionViolationError)
 from .goh import enumerate_goh_trees, goh_rhs_closed
 from .koh import (DEFAULT_TREE_BUDGET, enumerate_koh_trees, koh_rhs_closed,
-                  leaf_term, leaves)
+                  leaf_term_sum, leaves)
 from .marking import enumerate_markings, marked_counts, marking_target
 from .partitions import Partition, count_in_rectangle
-from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int_product
+from .qpoly import (ONE, ZERO, QPoly, pack_width, q_binomial, q_int_product,
+                    unpack)
 
 METHOD_MARKED = "marked_trees"
 METHOD_DIFFERENCE = "difference_formula"
@@ -77,40 +78,46 @@ def hook_content(mu: Partition, k: int) -> QPoly:
 
 def schur_specialization_oracle(mu: Partition, k: int,
                                 max_fillings: int = DEFAULT_FILLING_BUDGET) -> QPoly:
-    """s_mu(1, q, ..., q^k) by summing q^|T| over semistandard fillings.
+    """s_mu(1, q, ..., q^k) as the sum of q^|T| over semistandard fillings.
 
     Fillings use entries 0..k, weakly increasing along rows and strictly
-    increasing down columns.  Slow but assumption-free; stops with
-    BudgetExceededError past max_fillings fillings.
+    increasing down columns.  The cells holding entries up to i form a
+    shape lam^i, so a filling is a chain of shapes inside mu ending at
+    lam^k = mu, each step lam^i / lam^(i-1) a horizontal strip adding
+    i times its size to |T|.  One pass per entry carries every reachable
+    shape with its polynomial, packed at the width of (k+1)^|mu|, which
+    bounds the number of fillings.  Independent of the hook-content
+    formula; more than max_fillings fillings (the coefficient sum) raise
+    BudgetExceededError.
+
+    >>> schur_specialization_oracle(Partition((2, 1)), 2).coeffs
+    (0, 1, 2, 2, 2, 1)
     """
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
     if not mu:
         return ONE
     rows = mu.parts
-    coeffs = [0] * (mu.size * k + 1)
-    filling = [[0] * r for r in rows]
-    seen = 0
-
-    def fill(i: int, j: int, total: int) -> None:
-        nonlocal seen
-        if i == len(rows):
-            seen += 1
-            if seen > max_fillings:
-                raise BudgetExceededError(
-                    f"more than {max_fillings} fillings of {mu!r}")
-            coeffs[total] += 1
-            return
-        ni, nj = (i, j + 1) if j + 1 < rows[i] else (i + 1, 0)
-        lo = filling[i][j - 1] if j else 0
-        if i and j < rows[i - 1]:
-            lo = max(lo, filling[i - 1][j] + 1)
-        for v in range(lo, k + 1):
-            filling[i][j] = v
-            fill(ni, nj, total + v)
-
-    fill(0, 0, 0)
-    return QPoly(coeffs)
+    width = pack_width((k + 1) ** mu.size)
+    shapes = {(0,) * len(rows): 1}
+    for i in range(k + 1):
+        # k - i strips still to come must fill mu / nu, one cell per column
+        # each, so row j of nu reaches at least row j + k - i of mu; at
+        # i = k that makes nu = mu
+        floor = rows[k - i:] + (0,) * (k - i)
+        step = 8 * width * i
+        grown: dict[tuple[int, ...], int] = {}
+        for lam, value in shapes.items():
+            size = sum(lam)
+            # a horizontal strip: row j grows up to the old row above it
+            tops = (rows[0] + 1, *(min(r, top) + 1 for r, top in zip(rows[1:], lam)))
+            for nu in itertools.product(*map(range, map(max, lam, floor), tops)):
+                grown[nu] = grown.get(nu, 0) + (value << step * (sum(nu) - size))
+        shapes = grown
+    result = unpack(shapes.get(rows, 0), width)
+    if sum(result.coeffs) > max_fillings:
+        raise BudgetExceededError(f"more than {max_fillings} fillings of {mu!r}")
+    return result
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,17 +201,12 @@ def check_identities(family: TreeFamily, max_trees: int,
     """Check one cell of a family both ways, raising CrossCheckFailedError.
 
     The tree terms must sum to every reference polynomial (the tableau
-    oracle stops past max_fillings fillings), then the marked count must
+    oracle raises past max_fillings fillings), then the marked count must
     equal the difference at every r from 0 to half the degree.  The
     trees are read first, so a tree budget fails before the oracle runs.
     """
     total = family.total
-    coeffs = [0] * (total + 1)
-    # add in place: a term's degree, (total + leaf sum) / 2, is at most total
-    for tree in family.trees(max_trees):
-        term = leaf_term(total, leaves(tree)).coeffs
-        coeffs[:len(term)] = map(operator.add, coeffs, term)
-    tree_sum = QPoly(coeffs)
+    tree_sum = leaf_term_sum(total, [leaves(tree) for tree in family.trees(max_trees)])
     wrong = [f"the {ref} gives {p}"
              for ref, p in family.references(max_fillings) if p != tree_sum]
     if wrong:

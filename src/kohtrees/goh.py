@@ -39,7 +39,7 @@ from .koh import (DEFAULT_TREE_BUDGET, KohTree, build_trees, check_children,
                   count_trees, leaf_term, leaves, payload_int)
 from .koh import tree_from_dict as koh_from_dict
 from .partitions import Partition, enumerate_partitions
-from .qpoly import ZERO, QPoly, q_binomial
+from .qpoly import QPoly, q_binomial, sum_of_products
 
 
 @functools.cache
@@ -183,19 +183,19 @@ def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
     ell, n = len(lam), lam.size
-    total = ZERO
+    terms = []
     for config in enumerate_configurations(lam):
         m = config.m_stat()
         if m > k:
             continue
-        term = q_binomial(n, k - m).shift(config.tau_stat())
+        factors = [q_binomial(n, k - m)]
         for i in range(1, ell):
             for j in range(1, n + 1):
                 mj = config.nus[i].mult(j)
                 if mj:
-                    term = term * q_binomial(config.p_stat(i, j), mj)
-        total = total + term
-    return total
+                    factors.append(q_binomial(config.p_stat(i, j), mj))
+        terms.append((config.tau_stat(), factors))
+    return sum_of_products(terms)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -31,7 +31,8 @@ from typing import ClassVar
 from .errors import (BudgetExceededError, PreconditionViolationError,
                      StructureViolationError)
 from .partitions import Partition, enumerate_partitions
-from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int_product
+from .qpoly import (QPoly, pack_width, packed_q_int, q_binomial, q_int_product,
+                    sum_of_products, unpack)
 
 _LEAF_MU = Partition((1,))
 
@@ -209,6 +210,25 @@ def leaf_term(degree: int, leaf_values: tuple[int, ...]) -> QPoly:
     return q_int_product(leaf_values).shift(leaf_sigma(degree, leaf_values) // 2)
 
 
+def leaf_term_sum(degree: int, leaf_tuples: Sequence[tuple[int, ...]]) -> QPoly:
+    """The sum of leaf_term(degree, lv) over leaf_tuples, on packed ints.
+
+    The width comes from the sum at q = 1, the sum over the tuples of
+    the product of their a + 1, so the terms fit it whatever they sum to.
+    """
+    width = pack_width(sum(math.prod(a + 1 for a in lv) for lv in leaf_tuples))
+    q_ints: dict[int, int] = {}
+    total = 0
+    for lv in leaf_tuples:
+        term = 1
+        for a in lv:
+            if a not in q_ints:
+                q_ints[a] = packed_q_int(a, width)
+            term *= q_ints[a]
+        total += term << (8 * width * (leaf_sigma(degree, lv) // 2))
+    return unpack(total, width)
+
+
 def sigma(tree) -> int:
     """The tree's degree minus its leaf sum, for a tree of either family;
     even and nonnegative on valid trees."""
@@ -230,13 +250,9 @@ def koh_rhs_closed(n: int, k: int) -> QPoly:
     if n < 0 or k < 0:
         raise PreconditionViolationError(
             f"closed form needs n >= 0 and k >= 0, got ({n}, {k})")
-    total = ZERO
-    for lam, types in _productions(n, k):
-        term = ONE.shift(2 * lam.b_stat())
-        for _, ctype in types:
-            term = term * q_binomial(*ctype)
-        total = total + term
-    return total
+    return sum_of_products(
+        (2 * lam.b_stat(), [q_binomial(*ctype) for _, ctype in types])
+        for lam, types in _productions(n, k))
 
 
 def validate_koh_tree(tree: KohTree, expected_type: tuple[int, int] | None = None) -> None:

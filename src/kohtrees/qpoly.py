@@ -9,8 +9,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import NonExactDivisionError
 
@@ -196,25 +197,109 @@ def q_int_product(labels: Iterable[int]) -> QPoly:
     return QPoly(coeffs)
 
 
+# --- packed polynomials ---
+#
+# A polynomial with nonnegative coefficients, each below 2^(8 width), is
+# held as its value at q = 2^(8 width), a Python int: one coefficient per
+# width-byte slot.  Evaluation at that q is a ring map, so <<, + and *
+# on the ints shift, add and multiply the polynomials; only the final
+# result needs its coefficients to fit their slots when it is unpacked.
+# Every coefficient of a sum of products of such polynomials is at most
+# its value at q = 1, which callers compute beside it with plain ints.
+
+
+def pack_width(bound: int) -> int:
+    """Bytes per slot for packed coefficients in 0..bound.
+
+    >>> pack_width(255), pack_width(256)
+    (1, 2)
+    """
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def pack(p: QPoly, width: int) -> int:
+    """p at q = 2^(8 width); every coefficient must lie in 0..2^(8 width) - 1.
+
+    >>> pack(QPoly([1, 2]), 1)
+    513
+    """
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in p.coeffs),
+                          "little")
+
+
+def packed_q_int(a: int, width: int) -> int:
+    """The q-integer [a+1]_q packed at the given width.
+
+    >>> packed_q_int(2, 1) == pack(q_int(2), 1)
+    True
+    """
+    _check_q_int(a)
+    base = 1 << (8 * width)
+    return (base ** (a + 1) - 1) // (base - 1)
+
+
+def unpack(value: int, width: int) -> QPoly:
+    """The polynomial packed in value at the given width.
+
+    >>> unpack(513, 1).coeffs
+    (1, 2)
+    """
+    data = value.to_bytes(-(-value.bit_length() // (8 * width)) * width, "little")
+    if width == 1:
+        return QPoly(data)
+    return QPoly(int.from_bytes(data[i:i + width], "little")
+                 for i in range(0, len(data), width))
+
+
+def sum_of_products(terms: Iterable[tuple[int, Sequence[QPoly]]]) -> QPoly:
+    """The sum over terms (shift, factors) of q^shift times the product of
+    the factors, whose coefficients must be nonnegative.
+
+    The products run on packed ints, each distinct factor packed once, at
+    the width of the sum's value at q = 1: the sum over terms of the
+    product of the factors' coefficient sums.
+
+    >>> sum_of_products([(0, [q_int(1), q_int(1)]), (3, [ONE])]).coeffs
+    (1, 2, 1, 1)
+    """
+    # a term with a zero factor is zero, and its other factors need not fit
+    kept = [(shift, factors, value) for shift, factors in terms
+            if (value := math.prod(sum(f.coeffs) for f in factors))]
+    width = pack_width(sum(value for _, _, value in kept))
+    packed: dict[QPoly, int] = {}
+    total = 0
+    for shift, factors, _ in kept:
+        term = 1
+        for f in factors:
+            if f not in packed:
+                packed[f] = pack(f, width)
+            term *= packed[f]
+        total += term << (8 * width * shift)
+    return unpack(total, width)
+
+
 @functools.cache
 def q_binomial(n: int, k: int) -> QPoly:
     """Generating function for partitions inside a k-row, n-column box.
 
     Built from the Pascal-style recurrence
     B(n, k) = B(n, k-1) + q^k B(n-1, k), never by division, so every
-    coefficient is an exact partition count.  A negative argument gives
-    the zero polynomial.  The cache is safe under concurrent use: the
-    function is pure, so racing writes are idempotent.
+    coefficient is an exact partition count.  The recurrence runs on
+    packed ints, whose width comes from the same recurrence at q = 1,
+    the binomial C(n+k, k).  A negative argument gives the zero
+    polynomial.  The cache is safe under concurrent use: the function is
+    pure, so racing writes are idempotent.
 
     >>> q_binomial(2, 2).coeffs
     (1, 1, 2, 1, 1)
     """
     if n < 0 or k < 0:
         return ZERO
+    width = pack_width(math.comb(n + k, k))
     # column[i] holds B(i, j) while stage j runs; i ascending keeps the
     # already-updated B(i-1, j) available
-    column = [ONE] * (n + 1)
+    column = [1] * (n + 1)
     for j in range(1, k + 1):
         for i in range(1, n + 1):
-            column[i] = column[i] + column[i - 1].shift(j)
-    return column[n]
+            column[i] += column[i - 1] << (8 * width * j)
+    return unpack(column[n], width)

@@ -3,7 +3,7 @@
 Every criterion checks integer identities with zero tolerance.  Slow
 helpers are kept deliberately independent of the code paths they judge:
 coefficient differences come from a scalar partition-count recurrence,
-Schur specializations from direct tableau enumeration, and plethysm
+Schur specializations from a count of semistandard tableaux, and plethysm
 coefficients from monomial substitution in two variables.
 """
 

@@ -264,6 +264,46 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "forced failure" in out
 
 
+def test_a_sweep_marks_over_budget_cells_and_goes_on(capsys):
+    for workers in ("1", "2"):
+        code, out, err = run_cli(capsys, "verify", "koh", "--max-n", "5",
+                                 "--max-k", "5", "--max-trees", "3",
+                                 "--workers", workers)
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 31
+        assert [line for line in lines if not line.startswith("PASS")] == [
+            "BUDGET koh n=3 k=4", "BUDGET koh n=4 k=4", "BUDGET koh n=4 k=5",
+            "BUDGET koh n=5 k=4", "BUDGET koh n=5 k=5",
+            "checked 30 cells: 25 passed, 0 failed, 5 over budget"]
+        assert err == "BUDGET_EXCEEDED: 4 trees of type (3, 4) exceed the budget 3\n"
+
+        code, out, err = run_cli(capsys, "verify", "goh", "--max-size", "3",
+                                 "--max-k", "2", "--max-fillings", "5",
+                                 "--workers", workers)
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+            "BUDGET goh mu=[2] k=2", "BUDGET goh mu=[3] k=2",
+            "BUDGET goh mu=[2,1] k=2",
+            "checked 12 cells: 9 passed, 0 failed, 3 over budget"]
+        assert err == "BUDGET_EXCEEDED: more than 5 fillings of Partition([2])\n"
+
+
+def test_a_sweep_with_failed_and_over_budget_cells_reports_both(capsys, monkeypatch):
+    def cell(family, cell):
+        n = cell[0]
+        return (f"{family} n={n} k={cell[1]}", {0: True, 1: False, 2: None}[n],
+                f"detail {n}")
+    monkeypatch.setattr(cli, "_verify_cell", cell)
+    code, out, err = run_cli(capsys, "verify", "koh", "--max-n", "2",
+                             "--max-k", "1")
+    assert code == 1
+    assert out == ("PASS koh n=0 k=1\nFAIL koh n=1 k=1\nBUDGET koh n=2 k=1\n"
+                   "checked 3 cells: 1 passed, 1 failed, 1 over budget\n"
+                   "first counterexample:\ndetail 1\n")
+    assert err == "BUDGET_EXCEEDED: detail 2\n"
+
+
 def test_runs_are_deterministic(capsys):
     first = run_cli(capsys, "trees", "goh", "--mu", "3,1", "--k", "3",
                     "--format", "json")

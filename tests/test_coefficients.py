@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
                                    METHOD_MARKED, CoefficientReport,
@@ -9,7 +11,8 @@ from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
 from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
                              PreconditionViolationError)
 from kohtrees.partitions import Partition, enumerate_partitions
-from kohtrees.qpoly import ONE, QPoly, q_binomial
+from kohtrees.koh import DEFAULT_TREE_BUDGET, leaf_term, leaf_term_sum, leaves
+from kohtrees.qpoly import ONE, ZERO, QPoly, q_binomial
 
 
 def test_hook_content_base_cases():
@@ -42,15 +45,75 @@ def test_hook_content_known_polynomial():
 
 
 def test_hook_content_matches_tableau_oracle():
-    for size in range(1, 6):
+    for size in range(1, 9):
         for mu in enumerate_partitions(size):
-            for k in range(0, 5):
+            for k in range(0, 7):
                 assert hook_content(mu, k) == schur_specialization_oracle(mu, k)
 
 
 def test_oracle_budget():
     with pytest.raises(BudgetExceededError):
         schur_specialization_oracle(Partition((3, 2)), 4, max_fillings=5)
+
+
+def test_oracle_budget_boundary():
+    # s_(2,1)(1, q, q^2) = q + 2q^2 + 2q^3 + 2q^4 + q^5: 8 fillings
+    mu = Partition((2, 1))
+    assert schur_specialization_oracle(mu, 2, max_fillings=8) == hook_content(mu, 2)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^more than 7 fillings of Partition\(\[2, 1\]\)$"):
+        schur_specialization_oracle(mu, 2, max_fillings=7)
+
+
+def enumerated_fillings(mu, k, max_fillings):
+    """s_mu(1, q, ..., q^k) by listing every semistandard filling with
+    entries 0..k, one at a time, stopping past max_fillings of them: the
+    oracle for the horizontal-strip count."""
+    rows = mu.parts
+    if not rows:
+        return ONE
+    coeffs = [0] * (mu.size * k + 1)
+    filling = [[0] * r for r in rows]
+    seen = 0
+
+    def fill(i, j, total):
+        nonlocal seen
+        if i == len(rows):
+            seen += 1
+            if seen > max_fillings:
+                raise BudgetExceededError(
+                    f"more than {max_fillings} fillings of {mu!r}")
+            coeffs[total] += 1
+            return
+        ni, nj = (i, j + 1) if j + 1 < rows[i] else (i + 1, 0)
+        lo = filling[i][j - 1] if j else 0
+        if i and j < rows[i - 1]:
+            lo = max(lo, filling[i - 1][j] + 1)
+        for v in range(lo, k + 1):
+            filling[i][j] = v
+            fill(ni, nj, total + v)
+
+    fill(0, 0, 0)
+    return QPoly(coeffs)
+
+
+def partitions_of_size(lo, hi):
+    return st.integers(lo, hi).flatmap(
+        lambda size: st.sampled_from(enumerate_partitions(size)))
+
+
+def _outcome(oracle, mu, k, max_fillings):
+    try:
+        return oracle(mu, k, max_fillings)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitions_of_size(1, 6), st.integers(0, 4), st.integers(1, 300))
+def test_strip_count_matches_listed_fillings_and_their_budget(mu, k, max_fillings):
+    assert (_outcome(schur_specialization_oracle, mu, k, max_fillings)
+            == _outcome(enumerated_fillings, mu, k, max_fillings))
 
 
 def test_oracle_base_cases():
@@ -240,3 +303,17 @@ def test_report_is_frozen():
     report = CoefficientReport(1, METHOD_BOTH, (1,))
     with pytest.raises(AttributeError):
         report.value = 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.builds(koh_family, st.integers(0, 9), st.integers(1, 7)),
+                 st.builds(goh_family, partitions_of_size(1, 6), st.integers(0, 4))))
+def test_tree_sums_are_symmetric_and_unimodal(family):
+    leaf_tuples = [leaves(tree) for tree in family.trees(DEFAULT_TREE_BUDGET)]
+    tree_sum = leaf_term_sum(family.total, leaf_tuples)
+    assert tree_sum.is_symmetric(family.total)
+    assert tree_sum.is_unimodal()
+    schoolbook = ZERO
+    for lv in leaf_tuples:
+        schoolbook = schoolbook + leaf_term(family.total, lv)
+    assert tree_sum == schoolbook

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohtrees.errors import NonExactDivisionError
-from kohtrees.qpoly import ONE, ZERO, QPoly, q_binomial, q_int, q_int_product
+from kohtrees.qpoly import (ONE, ZERO, QPoly, pack, pack_width, packed_q_int,
+                            q_binomial, q_int, q_int_product, sum_of_products,
+                            unpack)
 
 
 def test_trailing_zeros_trimmed():
@@ -135,9 +137,65 @@ def test_q_binomial_symmetric_and_unimodal():
             assert p.is_unimodal()
 
 
+def schoolbook_q_binomial(n, k):
+    """B(n, k) = B(n, k-1) + q^k B(n-1, k) on QPoly sums: the oracle for
+    the packed recurrence."""
+    column = [ONE] * (n + 1)
+    for j in range(1, k + 1):
+        for i in range(1, n + 1):
+            column[i] = column[i] + column[i - 1].shift(j)
+    return column[n]
+
+
+def test_q_binomial_matches_the_qpoly_recurrence():
+    for n in range(13):
+        for k in range(13):
+            assert q_binomial(n, k) == schoolbook_q_binomial(n, k)
+
+
 def test_q_binomial_pascal_recurrence():
     for n in range(1, 6):
         for k in range(1, 6):
             lhs = q_binomial(n, k)
             rhs = q_binomial(n, k - 1) + q_binomial(n - 1, k).shift(k)
             assert lhs == rhs
+
+
+def test_pack_width_fits_the_bound():
+    assert [pack_width(b) for b in (0, 1, 255, 256, 2 ** 64 - 1, 2 ** 64)] == [
+        1, 1, 1, 2, 8, 9]
+
+
+def test_pack_round_trips_and_packs_q_integers():
+    assert pack(ZERO, 3) == 0 and unpack(0, 3) == ZERO
+    p = QPoly([5, 0, 2 ** 70, 0, 1])
+    assert unpack(pack(p, 9), 9) == p
+    for width in (1, 2, 5):
+        for a in range(6):
+            assert packed_q_int(a, width) == pack(q_int(a), width)
+    with pytest.raises(ValueError, match=r"q_int needs a >= 0, got -1"):
+        packed_q_int(-1, 1)
+
+
+nonnegative = st.lists(st.integers(0, 2 ** 70), max_size=6).map(QPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.lists(nonnegative, max_size=3)),
+                max_size=4))
+def test_packed_sums_and_products_match_schoolbook(terms):
+    expected = ZERO
+    bound = 0
+    for shift, factors in terms:
+        product = ONE
+        for f in factors:
+            product = product * f
+        expected = expected + product.shift(shift)
+        bound += math.prod(sum(f.coeffs) for f in factors)
+    assert sum_of_products(terms) == expected
+    # the same sum by hand from the four helpers
+    width = pack_width(bound)
+    packed = sum(math.prod(pack(f, width) for f in factors) << 8 * width * shift
+                 for shift, factors in terms
+                 if math.prod(sum(f.coeffs) for f in factors))
+    assert unpack(packed, width) == expected
