@@ -15,12 +15,15 @@ verify takes --workers, and only verify goh takes --max-fillings.  Each
 flag falls back to its environment variable (KOHTREES_MAX_TREES,
 KOHTREES_WORKERS, KOHTREES_MAX_FILLINGS) before its default, and a
 command reads only the variables of the flags it takes.
+
+Each command imports only what it runs: json and the tree writers load
+inside the commands that print them, and the GOH module through
+coefficients.goh_family, so a kronecker query compiles neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -33,7 +36,6 @@ from .errors import (BudgetExceededError, CrossCheckFailedError,
                      PreconditionViolationError)
 from .koh import DEFAULT_TREE_BUDGET
 from .partitions import Partition, enumerate_partitions
-from .render import tree_to_dict, tree_to_dot, tree_to_text
 
 DEFAULT_WORKERS = 1
 
@@ -155,6 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_report(report, fmt: str) -> None:
     if fmt == "json":
+        import json
         payload = {"coefficient": report.value, "method": report.method,
                    "witness_counts": list(report.witness_counts)
                    if report.witness_counts is not None else None}
@@ -165,6 +168,8 @@ def _print_report(report, fmt: str) -> None:
 
 
 def _run_trees(args: argparse.Namespace) -> int:
+    import json
+    from .render import tree_to_dict, tree_to_dot, tree_to_text
     family = (koh_family(args.n, args.k) if args.family == "koh"
               else goh_family(args.mu, args.k))
     r = args.r
@@ -200,6 +205,8 @@ def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool | None, str]:
     except BudgetExceededError as exc:
         return label, None, str(exc)
     except CrossCheckFailedError as exc:
+        import json
+        from .render import tree_to_dict
         trees = family.trees(max_trees)
         shown = [tree_to_dict(tree) for tree in trees[:WITNESS_TREES]]
         return label, False, (f"{label}\n  {exc}\n  witness trees ({len(shown)} "

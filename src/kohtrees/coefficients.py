@@ -10,20 +10,18 @@ comparing them catches implementation drift in either one.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from collections.abc import Callable
 
 from .errors import (CrossCheckFailedError, BudgetExceededError,
                      PreconditionViolationError)
-from .goh import enumerate_goh_trees, goh_rhs_closed
 from .koh import (DEFAULT_TREE_BUDGET, enumerate_koh_trees, koh_rhs_closed,
                   leaf_term_sum, leaves)
 from .marking import enumerate_markings, marked_counts, marking_target
 from .partitions import Partition, count_in_rectangle
-from .qpoly import (ONE, ZERO, QPoly, pack_width, q_binomial, q_int_product,
-                    unpack)
+from .qpoly import (ONE, ZERO, QPoly, _Value, pack_width, q_binomial,
+                    q_int_product, unpack)
 
 METHOD_MARKED = "marked_trees"
 METHOD_DIFFERENCE = "difference_formula"
@@ -32,17 +30,21 @@ METHOD_BOTH = "both"
 DEFAULT_FILLING_BUDGET = 10 ** 6
 
 
-@dataclasses.dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(_Value):
     """A computed coefficient plus how it was obtained.
 
     witness_counts lists the marked-tree count per expansion tree, in
     enumeration order, when the marked route ran; otherwise None.
     """
 
-    value: int
-    method: str
-    witness_counts: tuple[int, ...] | None = None
+    __slots__ = ("_value", "_method", "_witness_counts")
+    _fields = ("value", "method", "witness_counts")
+
+    def __init__(self, value: int, method: str,
+                 witness_counts: tuple[int, ...] | None = None) -> None:
+        self._value = value
+        self._method = method
+        self._witness_counts = witness_counts
 
 
 def _check_method(method: str) -> None:
@@ -120,8 +122,7 @@ def schur_specialization_oracle(mu: Partition, k: int,
     return result
 
 
-@dataclasses.dataclass(frozen=True)
-class TreeFamily:
+class TreeFamily(_Value):
     """One tree family at fixed parameters, as both routes see it.
 
     trees(max_trees) enumerates the expansion trees, the same tuple on
@@ -132,13 +133,22 @@ class TreeFamily:
     first.  where and degree_name word the error messages.
     """
 
-    where: str
-    degree_name: str
-    total: int
-    trees: Callable[[int], tuple]
-    route: str
-    difference: Callable[[int], int]
-    references: Callable[[int], tuple[tuple[str, QPoly], ...]]
+    __slots__ = ("_where", "_degree_name", "_total", "_trees", "_route",
+                 "_difference", "_references")
+    _fields = ("where", "degree_name", "total", "trees", "route", "difference",
+               "references")
+
+    def __init__(self, where: str, degree_name: str, total: int,
+                 trees: Callable[[int], tuple], route: str,
+                 difference: Callable[[int], int],
+                 references: Callable[[int], tuple[tuple[str, QPoly], ...]]) -> None:
+        self._where = where
+        self._degree_name = degree_name
+        self._total = total
+        self._trees = trees
+        self._route = route
+        self._difference = difference
+        self._references = references
 
 
 def koh_family(n: int, k: int) -> TreeFamily:
@@ -153,6 +163,8 @@ def koh_family(n: int, k: int) -> TreeFamily:
 
 def goh_family(mu: Partition, k: int) -> TreeFamily:
     """The GOH trees of (mu, k), summing to s_mu(1, q, ..., q^k)."""
+    # imported here: a kronecker query never compiles the GOH module
+    from .goh import enumerate_goh_trees, goh_rhs_closed
     spec = functools.cache(lambda: hook_content(mu, k))
     return TreeFamily(
         f"mu={mu!r}, k={k}", "|mu|k", mu.size * k,

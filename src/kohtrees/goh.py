@@ -27,11 +27,9 @@ independently, as the reference the trees are checked against.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
-from typing import ClassVar
 
 from .errors import (BudgetExceededError, PreconditionViolationError,
                      StructureViolationError)
@@ -39,7 +37,7 @@ from .koh import (DEFAULT_TREE_BUDGET, KohTree, build_trees, check_children,
                   count_trees, leaf_term, leaves, payload_int)
 from .koh import tree_from_dict as koh_from_dict
 from .partitions import Partition, enumerate_partitions
-from .qpoly import QPoly, q_binomial, sum_of_products
+from .qpoly import QPoly, _Value, q_binomial, sum_of_products
 
 
 @functools.cache
@@ -74,28 +72,31 @@ def _level(size: int, n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
     return tuple((nu, _column_sums(nu, n)) for nu in enumerate_partitions(size))
 
 
-@dataclasses.dataclass(frozen=True)
-class Configuration:
+class Configuration(_Value):
     """An admissible chain of partitions below a fixed shape."""
 
-    lam: Partition
-    nus: tuple[Partition, ...]
+    __slots__ = ("_lam", "_nus")
+    _fields = ("lam", "nus")
+
+    def __init__(self, lam: Partition, nus: tuple[Partition, ...]) -> None:
+        self._lam = lam
+        self._nus = nus
 
     def p_stat(self, i: int, j: int) -> int:
         """Mixed second difference at level i, column j.
 
         Defined for 1 <= i < len(lam) and 1 <= j <= |lam|.
         """
-        ell, n = len(self.lam), self.lam.size
+        ell, n = len(self._lam), self._lam.size
         if not (1 <= i < ell) or not (1 <= j <= n):
             raise IndexError(
                 f"p_stat index (i={i}, j={j}) outside 1..{ell - 1} x 1..{n}")
-        nus = self.nus
+        nus = self._nus
         return _column_sums(nus[i + 1], n)[j] - _floor(nus[i - 1], nus[i], n)[j]
 
     def m_stat(self) -> int:
         """Number of parts of nu^1 (first entry of its conjugate)."""
-        return len(self.nus[1])
+        return len(self._nus[1])
 
     def tau_stat(self) -> int:
         """Power shift of the configuration.
@@ -104,15 +105,15 @@ class Configuration:
         alpha^i_j (alpha^i_j - alpha^{i+1}_j), with alpha^i the
         conjugate of nu^i padded with zeros.
         """
-        n = self.lam.size
-        alphas = [nu.conjugate().parts for nu in self.nus]
+        n = self._lam.size
+        alphas = [nu.conjugate().parts for nu in self._nus]
 
         def col(i: int, j: int) -> int:
             row = alphas[i]
             return row[j - 1] if j <= len(row) else 0
 
         return sum(col(i, j) * (col(i, j) - col(i + 1, j))
-                   for i in range(1, len(self.lam))
+                   for i in range(1, len(self._lam))
                    for j in range(1, n + 1))
 
 
@@ -198,8 +199,7 @@ def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
     return sum_of_products(terms)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class GohTree:
+class GohTree(_Value):
     """Root configuration with one expansion subtree per child type.
 
     children holds (edge, subtree) pairs in the order _child_types gives:
@@ -211,29 +211,29 @@ class GohTree:
     writers take either family.
     """
 
-    family: ClassVar[str] = "goh"
-    child_key: ClassVar[str] = "koh"
-    is_leaf: ClassVar[bool] = False
+    __slots__ = ("_config", "_k", "_children", "_leaf_values")
+    _fields = ("config", "k", "children")
+    family = "goh"
+    child_key = "koh"
+    is_leaf = False
 
-    config: Configuration
-    k: int
-    children: tuple[tuple[tuple[int, int] | None, KohTree], ...]
-    leaf_values: tuple[int, ...] = dataclasses.field(
-        init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, config: Configuration, k: int,
+                 children: tuple[tuple[tuple[int, int] | None, KohTree], ...]) -> None:
+        self._config = config
+        self._k = k
+        self._children = children
         values = ()
-        for _, child in self.children:
+        for _, child in children:
             values += child.leaf_values
-        object.__setattr__(self, "leaf_values", values)
+        self._leaf_values = values
 
     @property
     def lam(self) -> Partition:
-        return self.config.lam
+        return self._config.lam
 
     @property
     def degree(self) -> int:
-        return self.lam.size * self.k
+        return self.lam.size * self._k
 
     def root_fields(self) -> dict:
         return {"lambda": list(self.lam.parts),

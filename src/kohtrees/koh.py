@@ -15,24 +15,24 @@ _productions(n, k) states this rule once for a type: the partitions of
 k whose child widths are all nonnegative, each with its child types from
 _child_types, the per-node rule (validation reads only that, since a
 payload's b is unbounded).  Counting, building and the closed form read
-it.  count_trees, build_trees and check_children serve both families: a
+it; counts and tree tuples are filled bottom up over the types below
+the one asked for (_fill), never by recursing down a chain of types.
+count_trees, build_trees and check_children serve both families: a
 GOH configuration with its child types is a production too.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 from collections.abc import Callable, Sequence
-from typing import ClassVar
 
 from .errors import (BudgetExceededError, PreconditionViolationError,
                      StructureViolationError)
-from .partitions import Partition, enumerate_partitions
-from .qpoly import (QPoly, pack_width, packed_q_int, q_binomial, q_int_product,
-                    sum_of_products, unpack)
+from .partitions import Partition
+from .qpoly import (QPoly, _Value, pack_width, packed_q_int, q_binomial,
+                    q_int_product, sum_of_products, unpack)
 
 _LEAF_MU = Partition((1,))
 
@@ -40,8 +40,7 @@ _LEAF_MU = Partition((1,))
 DEFAULT_TREE_BUDGET = 10 ** 7
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class KohTree:
+class KohTree(_Value):
     """Tree node; children are (edge label, subtree) pairs, edges ascending.
 
     family and child_key name the tree in DOT output and its subtrees in
@@ -51,35 +50,35 @@ class KohTree:
     no part in equality, hashing or repr.
     """
 
-    family: ClassVar[str] = "koh"
-    child_key: ClassVar[str] = "tree"
+    __slots__ = ("_mu", "_a", "_b", "_children", "_leaf_values")
+    _fields = ("mu", "a", "b", "children")
+    family = "koh"
+    child_key = "tree"
 
-    mu: Partition
-    a: int
-    b: int
-    children: tuple[tuple[int, KohTree], ...] = ()
-    leaf_values: tuple[int, ...] = dataclasses.field(
-        init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.is_leaf:
-            values = (self.a,)
+    def __init__(self, mu: Partition, a: int, b: int,
+                 children: tuple[tuple[int, KohTree], ...] = ()) -> None:
+        self._mu = mu
+        self._a = a
+        self._b = b
+        self._children = children
+        if b == 1:
+            self._leaf_values = (a,)
         else:
             values = ()
-            for _, child in self.children:
-                values += child.leaf_values
-        object.__setattr__(self, "leaf_values", values)
+            for _, child in children:
+                values += child._leaf_values
+            self._leaf_values = values
 
     @property
     def is_leaf(self) -> bool:
-        return self.b == 1
+        return self._b == 1
 
     @property
     def degree(self) -> int:
-        return self.a * self.b
+        return self._a * self._b
 
     def root_fields(self) -> dict:
-        return {"mu": list(self.mu.parts), "a": self.a, "b": self.b}
+        return {"mu": list(self._mu.parts), "a": self._a, "b": self._b}
 
 
 def koh_child_type(mu: Partition, a: int, j: int) -> tuple[int, int]:
@@ -112,10 +111,32 @@ def _child_types(mu: Partition, a: int) -> list[tuple[int, tuple[int, int]]]:
 @functools.cache
 def _productions(n: int, k: int) -> tuple[tuple[Partition, list], ...]:
     """(mu, child types) for every mu of k, in canonical order, whose child
-    widths are all nonnegative: the root labels of the type (n, k)."""
-    typed = ((mu, _child_types(mu, n)) for mu in enumerate_partitions(k))
-    return tuple((mu, types) for mu, types in typed
-                 if all(ca >= 0 for _, (ca, _) in types))
+    widths are all nonnegative: the root labels of the type (n, k).
+
+    Parts are placed largest first.  Once part j is placed as the m-th,
+    every later part is at most j, so q_stat(j) is already m j plus the
+    size left to place after j, and the width along edge j is final.  A
+    prefix whose width is negative is dropped before it is extended; the
+    width falls with j, so each level stops at its first such part.
+    """
+    found = []
+
+    def extend(parts: list[int], rest: int) -> None:
+        if not rest:
+            mu = Partition(parts)
+            found.append((mu, _child_types(mu, n)))
+            return
+        m = len(parts) + 1
+        for j in range(min(rest, parts[-1] if parts else rest), 0, -1):
+            # (n + 2) j - 2 q_stat(j) < 0, whatever parts follow
+            if (n + 2) * j < 2 * (m * j + rest - j):
+                break
+            parts.append(j)
+            extend(parts, rest - j)
+            parts.pop()
+
+    extend([], k)
+    return tuple(found)
 
 
 def count_trees(productions: Sequence[tuple[object, list]]) -> int:
@@ -151,19 +172,53 @@ def check_children(tree, types: list) -> None:
         validate_koh_tree(child, expected_type=ctype)
 
 
-@functools.cache
-def count_koh_trees(n: int, k: int) -> int:
-    """Number of trees of type (n, k), computed without materializing them."""
-    _check_type(n, k)
+def _fill(table: dict, n: int, k: int, value: Callable[[int, int], object]):
+    """table[n, k], first setting table[t] = value(*t) for every type t
+    reachable from (n, k) that the table lacks, children before parents.
+
+    A child type has a smaller b, or the same b and a smaller a (only
+    mu = (1^b) keeps b, with a' = a + 2 - 2b), so ascending (b, a) puts
+    children first.  Filling in that order instead of recursing keeps
+    the stack flat on thin types: (a, 2) has a chain of about a/2 levels.
+    """
+    if (n, k) not in table:
+        todo, seen = [(n, k)], {(n, k)}
+        for a, b in todo:
+            if b > 1:
+                for _, types in _productions(a, b):
+                    for _, ctype in types:
+                        if ctype not in seen and ctype not in table:
+                            seen.add(ctype)
+                            todo.append(ctype)
+        for a, b in sorted(todo, key=lambda t: (t[1], t[0])):
+            table[a, b] = value(a, b)
+    return table[n, k]
+
+
+# tree counts and tree tuples by type, each type filled once
+_COUNTS: dict[tuple[int, int], int] = {}
+_TREES: dict[tuple[int, int], tuple[KohTree, ...]] = {}
+
+
+def _count_type(n: int, k: int) -> int:
     return 1 if k == 1 else count_trees(_productions(n, k))
 
 
-@functools.cache
-def _tree_table(n: int, k: int) -> tuple[KohTree, ...]:
+def _build_type(n: int, k: int) -> tuple[KohTree, ...]:
     if k == 1:
         return (KohTree(_LEAF_MU, n, 1),)
     return build_trees(_productions(n, k),
                        lambda mu, children: KohTree(mu, n, k, children))
+
+
+def count_koh_trees(n: int, k: int) -> int:
+    """Number of trees of type (n, k), computed without materializing them."""
+    _check_type(n, k)
+    return _fill(_COUNTS, n, k, _count_type)
+
+
+def _tree_table(n: int, k: int) -> tuple[KohTree, ...]:
+    return _fill(_TREES, n, k, _build_type)
 
 
 def enumerate_koh_trees(n: int, k: int,

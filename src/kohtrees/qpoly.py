@@ -6,7 +6,6 @@ the only division on offer refuses to leave a remainder.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -16,8 +15,43 @@ from collections.abc import Iterable, Sequence
 from .errors import NonExactDivisionError
 
 
-@dataclasses.dataclass(init=False, frozen=True)
-class QPoly:
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in _fields and keeps each field, and
+    anything else it stores, in a slot named after it with a leading
+    underscore, which its __init__ sets directly.  Every slot reads
+    through a read-only property of the plain name, so assigning or
+    deleting it raises AttributeError, and no instance has a __dict__.
+    Two values are equal when they have the same class and equal fields;
+    they hash as the tuple of their fields and repr as Class(field=...).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for slot in cls.__slots__:
+            setattr(cls, slot[1:], property(operator.attrgetter(slot)))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class QPoly(_Value):
     """Polynomial in q, stored as a dense coefficient tuple.
 
     coeffs[r] is the coefficient of q^r.  Trailing zeros are trimmed on
@@ -29,13 +63,14 @@ class QPoly:
     -1
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("_coeffs",)
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._coeffs = tuple(cs)
 
     @property
     def degree(self) -> int:

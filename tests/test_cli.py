@@ -410,6 +410,31 @@ def test_max_fillings_is_offered_only_by_verify_goh(capsys):
     assert err.startswith("BUDGET_EXCEEDED:")
 
 
+def test_thin_rectangles_get_an_answer(capsys):
+    # trees of type (400, 2) are 200 levels deep
+    assert run_cli(capsys, "kronecker", "--n", "400", "--k", "2", "--r", "5") == (
+        0, "coefficient: 0\nmethod: both\n", "")
+
+
+def _modules_after(*argv):
+    """The modules loaded once a fresh process has run the CLI on argv."""
+    src = os.path.dirname(os.path.dirname(kohtrees.__file__))
+    probe = ("import sys; from kohtrees import cli; cli.main(sys.argv[1:]); "
+             "print(*sorted(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_a_query_loads_only_the_modules_it_runs():
+    kron = _modules_after("kronecker", "--n", "6", "--k", "6", "--r", "9")
+    assert "kohtrees.koh" in kron
+    assert not kron & {"dataclasses", "kohtrees.goh", "kohtrees.render"}
+    pleth = _modules_after("plethysm", "--mu", "2,1", "--k", "2", "--r", "1")
+    assert "kohtrees.goh" in pleth
+    assert "kohtrees.render" not in pleth
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     src = os.path.dirname(os.path.dirname(kohtrees.__file__))
     probe = ("import sys, kohtrees.cli; "

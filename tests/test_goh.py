@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import json
 
 import pytest
@@ -279,12 +279,11 @@ def test_stored_leaf_tuples_match_a_depth_first_reading():
 
 
 def test_stored_leaf_tuple_is_not_part_of_the_value():
-    (field,) = [f for f in dataclasses.fields(GohTree) if f.name == "leaf_values"]
-    assert not (field.init or field.compare or field.repr)
+    assert list(inspect.signature(GohTree).parameters) == ["config", "k", "children"]
     t = enumerate_goh_trees(Partition((2, 1)), 2)[0]
     assert "leaf_values" not in repr(t)
     twin = GohTree(t.config, t.k, t.children)
-    object.__setattr__(twin, "leaf_values", (99,))
+    twin._leaf_values = (99,)  # the slot behind the read-only leaf_values
     assert twin == t and hash(twin) == hash(t)
     assert not hasattr(t, "__dict__")
 

@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import inspect
 import itertools
 import json
 
@@ -102,12 +102,11 @@ def test_leaf_term_is_the_shifted_product_of_q_integers():
 
 
 def test_stored_leaf_tuple_is_not_part_of_the_value():
-    (field,) = [f for f in dataclasses.fields(KohTree) if f.name == "leaf_values"]
-    assert not (field.init or field.compare or field.repr)
+    assert list(inspect.signature(KohTree).parameters) == ["mu", "a", "b", "children"]
     t = enumerate_koh_trees(5, 4)[3]
     assert "leaf_values" not in repr(t)
     twin = KohTree(t.mu, t.a, t.b, t.children)
-    object.__setattr__(twin, "leaf_values", (99,))
+    twin._leaf_values = (99,)  # the slot behind the read-only leaf_values
     assert twin == t and hash(twin) == hash(t)
     assert not hasattr(t, "__dict__")
 
@@ -153,8 +152,9 @@ def test_productions_agree_with_the_loop_over_partitions():
 
 
 def test_child_types_run_once_per_node_label(monkeypatch):
-    for cache in (koh._productions, koh._tree_table, koh.count_koh_trees):
-        cache.cache_clear()
+    koh._productions.cache_clear()
+    koh._COUNTS.clear()
+    koh._TREES.clear()
     calls = []
     original = koh.koh_child_type
 
@@ -170,6 +170,50 @@ def test_child_types_run_once_per_node_label(monkeypatch):
             koh_rhs_closed(n, k)
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def filtered_productions(n, k):
+    """Root labels by the rule _productions replaced: every partition of k
+    with its child types, kept when no child width is negative."""
+    typed = ((mu, koh._child_types(mu, n)) for mu in enumerate_partitions(k))
+    return tuple((mu, types) for mu, types in typed
+                 if all(ca >= 0 for _, (ca, _) in types))
+
+
+def test_pruned_productions_match_filtering_after():
+    for n in range(0, 13):
+        for k in range(0, 15):
+            assert koh._productions(n, k) == filtered_productions(n, k)
+
+
+def test_productions_build_only_the_partitions_they_keep(monkeypatch):
+    built = []
+    original = koh._child_types
+
+    def counted(mu, a):
+        built.append(mu.parts)
+        return original(mu, a)
+
+    koh._productions.cache_clear()
+    monkeypatch.setattr(koh, "_child_types", counted)
+    # p(45) = 89,134, but only (45) has a nonnegative width at n = 0
+    assert [mu.parts for mu, _ in koh._productions(0, 45)] == [(45,)]
+    assert built == [(45,)]
+    assert count_koh_trees(0, 1500) == 1
+    koh._productions.cache_clear()
+
+
+def test_thin_types_need_no_deep_recursion():
+    # (a, 2) has the child (a - 2, 2) through mu = (1, 1): a chain of
+    # a/2 levels, past the default recursion limit here
+    assert count_koh_trees(3000, 2) == 1501
+    trees = enumerate_koh_trees(600, 2)
+    assert len(trees) == 301
+    assert leaves(trees[0]) == (1200,) and leaves(trees[-1]) == (0,)
+    depth, node = 0, trees[-1]
+    while node.children:
+        depth, node = depth + 1, node.children[-1][1]
+    assert depth == 301
 
 
 def test_known_tree_counts():
@@ -207,7 +251,7 @@ def test_budget_is_checked_before_any_tree_is_built(monkeypatch):
     def no_trees(*args, **kwargs):
         raise AssertionError("a tree was built over budget")
 
-    koh.count_koh_trees.cache_clear()
+    koh._COUNTS.clear()
     monkeypatch.setattr(koh, "KohTree", no_trees)
     monkeypatch.setattr(koh, "_tree_table", no_trees)
     with pytest.raises(BudgetExceededError, match="70 trees"):
@@ -304,10 +348,11 @@ def test_from_dict_rejects_a_wrong_child_type():
 
 
 def test_validation_lists_no_partitions_of_the_payload_size(monkeypatch):
-    def unbounded(size):
-        raise AssertionError(f"listed the partitions of {size}")
+    def unbounded(n, k):
+        raise AssertionError(f"listed the partitions of {k}")
 
-    monkeypatch.setattr(koh, "enumerate_partitions", unbounded)
+    # the one place koh lists partitions
+    monkeypatch.setattr(koh, "_productions", unbounded)
     leaf = {"mu": [1], "a": 0, "b": 1, "children": []}
     tree = tree_from_dict({"mu": [60], "a": 0, "b": 60,
                            "children": [{"edge": 60, "tree": leaf}]})
