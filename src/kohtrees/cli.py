@@ -7,14 +7,12 @@ Subcommands
     trees koh --n N --k K [--r R] [--format text|json|dot]
     trees goh --mu P --k K [--r R] [--format text|json|dot]
     verify koh --max-n A --max-k B [--workers W]
-    verify goh --max-size A --max-k B [--workers W] [--max-fillings F]
+    verify goh --max-size A --max-k B [--workers W]
 
 Exit status: 0 on success, 1 on a verification, cross-check, or budget
-failure, 2 on a usage error.  Every command takes --max-trees; only
-verify takes --workers, and only verify goh takes --max-fillings.  Each
-flag falls back to its environment variable (KOHTREES_MAX_TREES,
-KOHTREES_WORKERS, KOHTREES_MAX_FILLINGS) before its default, and a
-command reads only the variables of the flags it takes.
+failure, 2 on a usage error.  Every command takes --max-trees (default
+koh.DEFAULT_TREE_BUDGET); only verify takes --workers (default 1).  Both
+must be positive.
 
 Each command imports only what it runs: json and the tree writers load
 inside the commands that print them, and the GOH module through
@@ -24,20 +22,16 @@ coefficients.goh_family, so a kronecker query compiles neither.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .coefficients import (DEFAULT_FILLING_BUDGET, METHOD_BOTH,
-                           METHOD_DIFFERENCE, METHOD_MARKED, check_identities,
-                           goh_family, koh_family, kronecker_two_row,
-                           marked_listing, plethysm_two_row,
+from .coefficients import (METHOD_BOTH, METHOD_DIFFERENCE, METHOD_MARKED,
+                           check_identities, goh_family, koh_family,
+                           kronecker_two_row, marked_listing, plethysm_two_row,
                            plethysm_two_row_general)
 from .errors import (BudgetExceededError, CrossCheckFailedError,
                      PreconditionViolationError)
 from .koh import DEFAULT_TREE_BUDGET
 from .partitions import Partition, enumerate_partitions
-
-DEFAULT_WORKERS = 1
 
 # trees printed with a failing verify cell; the cell may hold thousands
 WITNESS_TREES = 5
@@ -68,26 +62,6 @@ def _parse_method(text: str) -> str:
             f"unknown method {text!r}; choose marked-trees, difference or both")
 
 
-def _resolve(flag_value: int | None, env_name: str, default: int) -> int:
-    """Flag beats environment beats default; the result must be positive."""
-    if flag_value is not None:
-        value = flag_value
-    else:
-        raw = os.environ.get(env_name)
-        if raw is None:
-            value = default
-        else:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise PreconditionViolationError(
-                    f"{env_name} must be an integer, got {raw!r}")
-    if value < 1:
-        raise PreconditionViolationError(
-            f"{env_name.replace('KOHTREES_', '').lower()} must be positive, got {value}")
-    return value
-
-
 def _add_method_and_format(parser: argparse.ArgumentParser,
                            method_default: str) -> None:
     parser.add_argument("--method", type=_parse_method, default=method_default,
@@ -104,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--max-trees", type=int, default=None,
-                        help="enumeration budget (env KOHTREES_MAX_TREES)")
+    limits.add_argument("--max-trees", type=int, default=DEFAULT_TREE_BUDGET,
+                        help="enumeration budget")
 
     kron = sub.add_parser("kronecker", parents=[limits],
                           help="two-row rectangular Kronecker coefficient")
@@ -147,11 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sweep = vsub.add_parser(family, parents=[limits])
         sweep.add_argument(size, type=int, required=True)
         sweep.add_argument("--max-k", type=int, required=True)
-        sweep.add_argument("--workers", type=int, default=None,
-                           help="worker processes (env KOHTREES_WORKERS)")
-    # the loop ends on verify goh, the one sweep with a tableau oracle
-    sweep.add_argument("--max-fillings", type=int, default=None,
-                       help="tableau oracle budget (env KOHTREES_MAX_FILLINGS)")
+        sweep.add_argument("--workers", type=int, default=1,
+                           help="worker processes")
     return parser
 
 
@@ -170,14 +141,26 @@ def _print_report(report, fmt: str) -> None:
 def _run_trees(args: argparse.Namespace) -> int:
     import json
     from .render import tree_to_dict, tree_to_dot, tree_to_text
-    family = (koh_family(args.n, args.k) if args.family == "koh"
-              else goh_family(args.mu, args.k))
+    if args.family == "koh":
+        family = koh_family(args.n, args.k)
+    elif args.k < 1:
+        # the one-node tree of k = 0 has no leaf to mark or write a term for
+        raise PreconditionViolationError(
+            f"the row length k must be positive, got {args.k}")
+    else:
+        family = goh_family(args.mu, args.k)
     r = args.r
     entries = ([(tree, None) for tree in family.trees(args.max_trees)] if r is None
                else marked_listing(family, r, args.max_trees))
 
     if args.output_format == "json":
-        print(json.dumps([tree_to_dict(tree, marks, r) for tree, marks in entries]))
+        try:
+            text = json.dumps([tree_to_dict(tree, marks, r) for tree, marks in entries])
+        except RecursionError:
+            raise BudgetExceededError(
+                "a tree is too deep to write as JSON; "
+                "--format text or dot prints it") from None
+        print(text)
     elif args.output_format == "dot":
         sys.stdout.write("".join(tree_to_dot(tree, marks, r, graph_name=f"tree_{i}")
                                  for i, (tree, marks) in enumerate(entries)))
@@ -194,14 +177,14 @@ def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool | None, str]:
     when the cell ran over a budget, its detail the budget message; a
     failing cell's detail is the cross-check message and the first
     WITNESS_TREES trees as JSON."""
-    params, k, max_trees, max_fillings = cell
+    params, k, max_trees = cell
     if family_name == "koh":
         label, family = f"koh n={params} k={k}", koh_family(params, k)
     else:
         label = f"goh mu=[{','.join(map(str, params))}] k={k}"
         family = goh_family(Partition(params), k)
     try:
-        check_identities(family, max_trees, max_fillings)
+        check_identities(family, max_trees)
     except BudgetExceededError as exc:
         return label, None, str(exc)
     except CrossCheckFailedError as exc:
@@ -235,32 +218,29 @@ def _run_verify(args: argparse.Namespace) -> int:
     message goes to stderr.  Exit status 1 when any cell failed or ran
     over a budget.
     """
-    workers = _resolve(args.workers, "KOHTREES_WORKERS", DEFAULT_WORKERS)
     if args.family == "koh":
         if args.max_n < 0 or args.max_k < 1:
             raise PreconditionViolationError(
                 f"need max-n >= 0 and max-k >= 1, got {args.max_n}, {args.max_k}")
-        cells = [(n, k, args.max_trees, DEFAULT_FILLING_BUDGET)
+        cells = [(n, k, args.max_trees)
                  for n in range(args.max_n + 1)
                  for k in range(1, args.max_k + 1)]
         worker = _verify_koh_cell
     else:
-        max_fillings = _resolve(args.max_fillings, "KOHTREES_MAX_FILLINGS",
-                                DEFAULT_FILLING_BUDGET)
         if args.max_size < 1 or args.max_k < 1:
             raise PreconditionViolationError(
                 f"need max-size >= 1 and max-k >= 1, got {args.max_size}, {args.max_k}")
-        cells = [(mu.parts, k, args.max_trees, max_fillings)
+        cells = [(mu.parts, k, args.max_trees)
                  for size in range(1, args.max_size + 1)
                  for mu in enumerate_partitions(size)
                  for k in range(1, args.max_k + 1)]
         worker = _verify_goh_cell
 
-    if workers > 1:
+    if args.workers > 1:
         # imported only here: the pool module pulls in logging, which
         # every other command would pay for at startup
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
             results = list(pool.map(worker, cells))
     else:
         results = [worker(cell) for cell in cells]
@@ -287,8 +267,10 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        args.max_trees = _resolve(args.max_trees, "KOHTREES_MAX_TREES",
-                                  DEFAULT_TREE_BUDGET)
+        for name in ("max_trees", "workers"):
+            if getattr(args, name, 1) < 1:
+                raise PreconditionViolationError(
+                    f"{name} must be positive, got {getattr(args, name)}")
         if args.command == "trees":
             return _run_trees(args)
         if args.command == "verify":

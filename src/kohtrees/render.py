@@ -62,26 +62,30 @@ def tree_to_dot(tree, marks: tuple[int, ...] | None = None,
         lines.append("  labelloc=top;")
     ids = itertools.count()
     remaining = iter(marks) if marks is not None else None
-
-    def emit(node) -> str:
+    # nodes in preorder, each child's edge line held on the stack until
+    # its whole subtree is written: an explicit stack, so the depth of a
+    # thin tree is not bounded by the interpreter's recursion limit
+    stack: list = [(tree, None, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent, edge = item
         nid = f"n{next(ids)}"
+        if edge is not None:
+            label = ",".join(map(str, edge)) if isinstance(edge, tuple) else edge
+            stack.append(f'  {parent} -> {nid} [label="{label}"];')
+        elif parent is not None:
+            stack.append(f"  {parent} -> {nid};")
         if node.is_leaf:
             lines.append(f'  {nid} [label="{node.a}"];')
             if remaining is not None:
                 mid = f"n{next(ids)}"
                 lines.append(f'  {mid} [label="{next(remaining)}", shape=circle];')
                 lines.append(f"  {nid} -> {mid} [style=dashed, arrowhead=none];")
-            return nid
-        lines.append(f'  {nid} [label="{_root_label(node, ", ")}"];')
-        for edge, child in node.children:
-            cid = emit(child)
-            if edge is None:
-                lines.append(f"  {nid} -> {cid};")
-            else:
-                label = ",".join(map(str, edge)) if isinstance(edge, tuple) else edge
-                lines.append(f'  {nid} -> {cid} [label="{label}"];')
-        return nid
-
-    emit(tree)
+        else:
+            lines.append(f'  {nid} [label="{_root_label(node, ", ")}"];')
+            stack.extend((child, nid, e) for e, child in reversed(node.children))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kohtrees
 from kohtrees import cli
@@ -188,42 +194,29 @@ def test_marked_listing_checks_r_before_building_trees(capsys):
     assert err.startswith("usage error: need 0 <= 2r <= nk, got r=451 with nk=900")
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("KOHTREES_MAX_TREES", "10")
-    code, _, err = run_cli(capsys, "trees", "koh", "--n", "8", "--k", "9")
-    assert code == 1
-    assert err.startswith("BUDGET_EXCEEDED:")
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("KOHTREES_MAX_TREES", "10")
-    code, out, _ = run_cli(capsys, "trees", "koh", "--n", "8", "--k", "9",
-                           "--max-trees", "100")
-    assert code == 0
-    assert out.strip().splitlines()[-1] == "total trees: 70"
-
-
-def test_bad_env_value_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("KOHTREES_MAX_TREES", "lots")
-    code, _, err = run_cli(capsys, "trees", "koh", "--n", "2", "--k", "2")
-    assert code == 2
-    monkeypatch.setenv("KOHTREES_MAX_TREES", "0")
-    code, _, _ = run_cli(capsys, "trees", "koh", "--n", "2", "--k", "2")
-    assert code == 2
-
-
 def test_zero_flags_are_usage_errors(capsys):
     for argv, name in (
             (("kronecker", "--n", "3", "--k", "4", "--r", "6", "--max-trees", "0"),
              "max_trees"),
             (("verify", "koh", "--max-n", "1", "--max-k", "1", "--workers", "0"),
-             "workers"),
-            (("verify", "goh", "--max-size", "1", "--max-k", "1",
-              "--max-fillings", "0"), "max_fillings")):
+             "workers")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == f"usage error: {name} must be positive, got 0\n"
+
+
+def test_max_fillings_is_no_option(capsys):
+    code, out, err = run_cli(capsys, "verify", "goh", "--max-size", "3",
+                             "--max-k", "2", "--max-fillings", "5")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --max-fillings 5" in err
+
+
+def test_trees_goh_needs_a_positive_k(capsys):
+    for marked in ((), ("--r", "0")):
+        assert run_cli(capsys, "trees", "goh", "--mu", "1", "--k", "0", *marked) == (
+            2, "", "usage error: the row length k must be positive, got 0\n")
 
 
 def test_verify_koh_passes(capsys):
@@ -240,6 +233,15 @@ def test_verify_goh_passes(capsys):
                            "--max-k", "2")
     assert code == 0
     assert "checked 12 cells: 12 passed, 0 failed" in out
+
+
+def test_verify_goh_passes_a_cell_of_a_million_fillings(capsys):
+    # mu = (5, 2, 1), k = 11 has 210 trees and 1,098,240 fillings
+    code, out, err = run_cli(capsys, "verify", "goh", "--max-size", "8",
+                             "--max-k", "11")
+    assert (code, err) == (0, "")
+    assert "PASS goh mu=[5,2,1] k=11\n" in out
+    assert out.endswith("checked 726 cells: 726 passed, 0 failed\n")
 
 
 def test_verify_output_stable_across_workers(capsys):
@@ -279,14 +281,14 @@ def test_a_sweep_marks_over_budget_cells_and_goes_on(capsys):
         assert err == "BUDGET_EXCEEDED: 4 trees of type (3, 4) exceed the budget 3\n"
 
         code, out, err = run_cli(capsys, "verify", "goh", "--max-size", "3",
-                                 "--max-k", "2", "--max-fillings", "5",
+                                 "--max-k", "2", "--max-trees", "1",
                                  "--workers", workers)
         assert code == 1
         assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
             "BUDGET goh mu=[2] k=2", "BUDGET goh mu=[3] k=2",
-            "BUDGET goh mu=[2,1] k=2",
-            "checked 12 cells: 9 passed, 0 failed, 3 over budget"]
-        assert err == "BUDGET_EXCEEDED: more than 5 fillings of Partition([2])\n"
+            "checked 12 cells: 10 passed, 0 failed, 2 over budget"]
+        assert err == ("BUDGET_EXCEEDED: 2 trees for (Partition([2]), 2) "
+                       "exceed the budget 1\n")
 
 
 def test_a_sweep_with_failed_and_over_budget_cells_reports_both(capsys, monkeypatch):
@@ -377,43 +379,100 @@ def test_failing_goh_cell_reports_the_tree_sum(capsys, monkeypatch):
     assert len(out) < 5000
 
 
-def test_commands_read_only_their_own_settings(capsys, monkeypatch):
-    kron = ("kronecker", "--n", "3", "--k", "4", "--r", "6")
-    monkeypatch.setenv("KOHTREES_WORKERS", "0")
-    assert run_cli(capsys, *kron)[0] == 0
-    code, _, err = run_cli(capsys, "verify", "koh", "--max-n", "1", "--max-k", "1")
-    assert code == 2
-    assert "workers must be positive" in err
-    monkeypatch.delenv("KOHTREES_WORKERS")
-    monkeypatch.setenv("KOHTREES_MAX_FILLINGS", "lots")
-    assert run_cli(capsys, *kron)[0] == 0
-    assert run_cli(capsys, "trees", "goh", "--mu", "2,1", "--k", "2")[0] == 0
-    assert run_cli(capsys, "verify", "koh", "--max-n", "1", "--max-k", "1")[0] == 0
-    code, _, err = run_cli(capsys, "verify", "goh", "--max-size", "1", "--max-k", "1")
-    assert code == 2
-    assert "KOHTREES_MAX_FILLINGS must be an integer" in err
-
-
-def test_max_fillings_is_offered_only_by_verify_goh(capsys):
-    for argv in (("kronecker", "--n", "3", "--k", "4", "--r", "6"),
-                 ("plethysm", "--mu", "2,1", "--k", "2", "--r", "2"),
-                 ("plethysm-general", "--lambda", "4,2", "--mu", "2", "--nu", "2,1"),
-                 ("trees", "koh", "--n", "2", "--k", "2"),
-                 ("trees", "goh", "--mu", "2,1", "--k", "2"),
-                 ("verify", "koh", "--max-n", "1", "--max-k", "1")):
-        code, _, err = run_cli(capsys, *argv, "--max-fillings", "10")
-        assert code == 2
-        assert "unrecognized arguments: --max-fillings" in err
-    code, _, err = run_cli(capsys, "verify", "goh", "--max-size", "3", "--max-k", "2",
-                           "--max-fillings", "1")
-    assert code == 1
-    assert err.startswith("BUDGET_EXCEEDED:")
-
-
 def test_thin_rectangles_get_an_answer(capsys):
     # trees of type (400, 2) are 200 levels deep
     assert run_cli(capsys, "kronecker", "--n", "400", "--k", "2", "--r", "5") == (
         0, "coefficient: 0\nmethod: both\n", "")
+
+
+def test_a_tree_past_the_recursion_limit_prints_as_dot_but_not_as_json(capsys):
+    # r = 2100 marks one tree of type (2100, 2): a chain of 1,051 inner
+    # nodes down to one leaf, past the interpreter's recursion limit
+    argv = ("trees", "koh", "--n", "2100", "--k", "2", "--r", "2100")
+    code, out, err = run_cli(capsys, *argv, "--format", "dot")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:4] == ["digraph tree_0 {", "  node [shape=plaintext];",
+                         '  label="r = 2100";', "  labelloc=top;"]
+    assert lines[-1] == "}"
+    # every node is defined once, in preorder, and every node but the
+    # root is entered by one edge (the mark's dashed edge included)
+    defined = [m.group(1) for line in lines
+               if (m := re.match(r"  (n\d+) \[label=", line))]
+    entered = [m.group(1) for line in lines
+               if (m := re.match(r"  n\d+ -> (n\d+)", line))]
+    assert defined == [f"n{i}" for i in range(len(defined))]
+    assert sorted(entered) == sorted(defined[1:])
+    assert len(defined) == 1053  # 1,051 inner nodes, one leaf, one mark
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == ("BUDGET_EXCEEDED: a tree is too deep to write as JSON; "
+                   "--format text or dot prints it\n")
+
+
+# small values only: the tree budget is compared with a count that
+# count_koh_trees finishes first, so it does not bound that count's work
+_INTS = st.sampled_from([*map(str, range(-1, 13)), "", "x", "1.5", "1e3", " 3"])
+_PARTITIONS = st.one_of(
+    st.lists(st.integers(-1, 6), max_size=4)
+    .filter(lambda parts: sum(map(abs, parts)) <= 6)
+    .map(lambda parts: ",".join(map(str, parts))),
+    st.sampled_from(["[2,1]", "[]", "x", "2,,1", "1;1"]))
+_MAX_TREES = st.sampled_from(["-1", "0", "1", "5", "1000", "x"])
+_WORKERS = st.sampled_from(["-1", "0", "1", "x"])
+_QUERY = {"--max-trees": _MAX_TREES,
+          "--method": st.sampled_from(["marked-trees", "difference", "both", "guess"]),
+          "--format": st.sampled_from(["text", "json", "dot", "xml"])}
+
+
+def _argv(command, required, optional):
+    """command, then every required option and some optional ones, each
+    with a value drawn from its strategy."""
+    def piece(option, value):
+        return value.map(lambda v: [option, v])
+    pieces = [piece(option, value) for option, value in required.items()]
+    pieces += [st.just([]) | piece(option, value) for option, value in optional.items()]
+    return st.tuples(*pieces).map(
+        lambda drawn: [*command, *(token for piece in drawn for token in piece)])
+
+
+_ARGVS = st.one_of(
+    _argv(["kronecker"], {"--n": _INTS, "--k": _INTS,
+                          "--r": st.integers(-1, 80).map(str)}, _QUERY),
+    _argv(["plethysm"], {"--mu": _PARTITIONS, "--k": _INTS,
+                         "--r": st.integers(-1, 40).map(str)}, _QUERY),
+    _argv(["plethysm-general"], {"--lambda": _PARTITIONS, "--mu": _PARTITIONS,
+                                 "--nu": _PARTITIONS}, _QUERY),
+    _argv(["trees", "koh"], {"--n": _INTS, "--k": _INTS},
+          {"--r": st.integers(-1, 40).map(str), **_QUERY}),
+    _argv(["trees", "goh"], {"--mu": _PARTITIONS, "--k": _INTS},
+          {"--r": st.integers(-1, 20).map(str), **_QUERY}),
+    _argv(["verify", "koh"], {"--max-n": _INTS, "--max-k": _INTS},
+          {"--workers": _WORKERS, "--max-trees": _MAX_TREES}),
+    _argv(["verify", "goh"], {"--max-size": st.integers(-1, 6).map(str),
+                              "--max-k": _INTS},
+          {"--workers": _WORKERS, "--max-trees": _MAX_TREES,
+           "--max-fillings": st.sampled_from(["5", "0"])}),
+    # missing, repeated and misplaced options
+    st.lists(st.sampled_from(["kronecker", "trees", "verify", "koh", "goh",
+                              "--n", "--k", "3", "-1", "--help",
+                              "--max-fillings"]), max_size=5),
+)
+
+
+def _run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGVS)
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    code = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    if argv[:2] == ["verify", "goh"] and "--max-fillings" in argv:
+        assert code == 2
 
 
 def _modules_after(*argv):
