@@ -16,12 +16,13 @@ subtree of type (n, k - m).  Summing q^(sigma/2) times the product of
 
 _floor states the chain rule once, on cached column-sum vectors:
 enumeration keeps a level only at or above it in every column, and
-p_stat (so validation) reads P^i_j off it.  _child_types states the
-child rule once; counting, enumeration, validation and parsing all read
-it.  A configuration with its child types has the shape of a KOH
-production, so counting, building and the child check are the ones koh
-uses for its own trees (koh.count_trees, koh.build_trees,
-koh.check_children).  goh_rhs_closed spells the same sum out
+p_stat (so validation) reads P^i_j off it.  _ceiling is what the rule
+implies for the levels still to come, and prunes a level from above.
+_child_types states the child rule once; counting, enumeration,
+validation and parsing all read it.  A configuration with its child
+types has the shape of a KOH production, so counting, building and the
+child check are the ones koh uses for its own trees (koh.count_trees,
+koh.build_trees, koh.check_children).  goh_rhs_closed spells the same sum out
 independently, as the reference the trees are checked against.
 """
 
@@ -64,6 +65,19 @@ def _floor(lower: Partition, mid: Partition, n: int) -> tuple[int, ...]:
     mid_sums = _column_sums(mid, n)
     return tuple(map(operator.sub, map(operator.add, mid_sums, mid_sums),
                      _column_sums(lower, n)))
+
+
+@functools.cache
+def _ceiling(mid: Partition, left: int, n: int) -> tuple[int, ...]:
+    """left Q(mid) // (left + 1), column by column.
+
+    The differences Q(nu^i) - Q(nu^{i-1}) only grow with i, since the
+    chain rule makes their steps nonnegative, and Q(nu^l) = 0.  So a
+    level above mid with left levels still to come satisfies
+    (left + 1) Q(nu) <= left Q(mid) in every column: its column sums
+    are at most this ceiling.
+    """
+    return tuple(left * s // (left + 1) for s in _column_sums(mid, n))
 
 
 @functools.cache
@@ -148,7 +162,8 @@ def validate_configuration(config: Configuration) -> None:
 def enumerate_configurations(lam: Partition) -> tuple[Configuration, ...]:
     """All admissible chains for lam, levels filled in canonical partition
     order.  Each level keeps only the partitions whose column sums lie on
-    or above the floor its two lower levels set."""
+    or above the floor its two lower levels set, and on or below the
+    ceiling the level under it sets for the levels still to come."""
     _check_shape(lam)
     ell, n = len(lam), lam.size
     levels = [_level(sum(lam.parts[i:]), n) for i in range(1, ell + 1)]
@@ -159,7 +174,9 @@ def enumerate_configurations(lam: Partition) -> tuple[Configuration, ...]:
         if depth == ell + 1:
             found.append(Configuration(lam, tuple(chain)))
             return
-        options = levels[depth - 1]
+        ceiling = _ceiling(chain[-1], ell - depth, n)
+        options = [(nu, sums) for nu, sums in levels[depth - 1]
+                   if all(map(operator.le, sums, ceiling))]
         if depth >= 2:
             floor = _floor(chain[-2], chain[-1], n)
             options = [(nu, sums) for nu, sums in options

@@ -340,10 +340,10 @@ def test_a_marking_dropped_by_the_value_table_fails_its_cell(capsys, monkeypatch
     import kohtrees.marking as marking
     real = marking._value_counts
 
-    def drop_one(a, top):
+    def drop_one(a, top, table=None):
         # (36,) is the one-leaf tree of koh n=6 k=6 and of no other cell
         # here; drop its marking with value 0
-        by_value = real(a, top)
+        by_value = real(a, top, table)
         if tuple(a) == (36,):
             by_value[0] -= 1
         return by_value
@@ -356,6 +356,29 @@ def test_a_marking_dropped_by_the_value_table_fails_its_cell(capsys, monkeypatch
     assert "checked 42 cells: 41 passed, 1 failed" in out
     assert ("marked trees give 0 but the rectangle difference gives 1 "
             "for n=6, k=6, r=0\n") in out
+
+
+def test_a_single_r_query_counts_the_markings_of_each_tree_once(capsys, monkeypatch):
+    import kohtrees.marking as marking
+    from kohtrees.goh import enumerate_goh_trees
+    from kohtrees.koh import enumerate_koh_trees, leaves
+    from kohtrees.partitions import Partition
+    real, calls = marking.count_markings, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(marking, "count_markings", counted)
+    for argv, trees in [
+            (("kronecker", "--n", "6", "--k", "6", "--r", "9"), enumerate_koh_trees(6, 6)),
+            (("plethysm", "--mu", "3,2,1", "--k", "3", "--r", "4"),
+             enumerate_goh_trees(Partition((3, 2, 1)), 3))]:
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        # one call per tree, trees in order
+        assert calls == [leaves(tree) for tree in trees] and len(trees) > 1
 
 
 def test_failing_goh_cell_reports_the_tree_sum(capsys, monkeypatch):

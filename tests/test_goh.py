@@ -68,7 +68,7 @@ def brute_force_configurations(lam):
 
 
 def test_configurations_match_the_brute_force_oracle_in_order():
-    for size in range(1, 10):
+    for size in range(1, 11):
         for lam in enumerate_partitions(size):
             configs = enumerate_configurations(lam)
             assert configs == brute_force_configurations(lam), lam

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import time
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from kohtrees.errors import PreconditionViolationError
 from kohtrees.goh import enumerate_goh_trees
 from kohtrees.koh import enumerate_koh_trees, leaves
-from kohtrees.marking import (_value_counts, count_markings, enumerate_markings,
-                              marked_counts, marking_target)
+from kohtrees.marking import (_PrefixTable, _value_counts, count_markings,
+                              enumerate_markings, marked_counts, marking_target)
 from kohtrees.partitions import enumerate_partitions
 from kohtrees.qpoly import ONE, q_int
 
@@ -93,6 +94,60 @@ def test_value_counts_match_the_one_target_kernel_and_the_dict_oracle(a):
         # slots past either end of the table count 0
         count = by_value[target] if 0 <= target < len(by_value) else 0
         assert count == count_markings(a, target) == dict_dp_markings(a, target)
+
+
+@st.composite
+def trie_visits(draw):
+    """Leaf sequences that share prefixes, as the trees of a family do, and
+    a visit order over them with repeats, each visit with a target."""
+    leaf = st.one_of(st.just(0), st.integers(0, 9))
+    seqs = [tuple(draw(st.lists(leaf, min_size=1, max_size=6)))]
+    for _ in range(draw(st.integers(0, 10))):
+        base = draw(st.sampled_from(seqs))
+        keep = draw(st.integers(0, len(base)))
+        tail = draw(st.lists(leaf, min_size=0 if keep else 1, max_size=5))
+        seqs.append(base[:keep] + tuple(tail))
+    order = draw(st.lists(st.sampled_from(seqs), min_size=1, max_size=25))
+    return [(a, draw(st.integers(-2, sum(a) // 2 + 3))) for a in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trie_visits(), st.integers(0, 12))
+def test_counts_through_one_shared_table_are_exact(visits, cap):
+    # a cap below some targets makes the table raise it and start over
+    table = _PrefixTable(cap)
+    for a, target in visits:
+        shared = count_markings(a, target, table)
+        assert shared == count_markings(a, target) == dict_dp_markings(a, target), (a, target)
+        # the all-r path reads whole rows from the same table
+        by_value = _value_counts(a, target, table)
+        assert by_value == _value_counts(a, target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trie_visits())
+def test_all_r_counts_through_the_table_match_the_single_r_counts(visits):
+    total = max(sum(a) for a, _ in visits)
+    leaf_lists = [a for a, _ in visits if (total - sum(a)) % 2 == 0]
+    rs = range(total // 2 + 1)
+    all_r = marked_counts(leaf_lists, total, rs)
+    for r, witness in zip(rs, all_r):
+        assert witness == marked_counts(leaf_lists, total, range(r, r + 1))[0]
+        assert witness == tuple(dict_dp_markings(a, marking_target(sum(a), total, r))
+                                for a in leaf_lists)
+
+
+def test_the_table_keeps_the_rows_of_the_shared_prefix():
+    table = _PrefixTable(9)
+    first, second = (2, 2, 3, 1), (2, 2, 1, 4)
+    assert count_markings(first, 3, table) == dict_dp_markings(first, 3)
+    kept = table.rows[:2]
+    assert count_markings(second, 4, table) == dict_dp_markings(second, 4)
+    # the rows of (2,) and (2, 2) are the same lists; the third is new
+    assert all(map(operator.is_, table.rows[:2], kept)) and len(table.rows) == 3
+    # a target above the cap raises it and drops every row past the first
+    assert count_markings((2, 2, 20, 20), 20, table) == dict_dp_markings((2, 2, 20, 20), 20)
+    assert table.cap == 20 and table.rows[1] is not kept[1]
 
 
 def test_value_counts_small_cases():
