@@ -17,11 +17,24 @@ must be positive.
 Each command imports only what it runs: json and the tree writers load
 inside the commands that print them, and the GOH module through
 coefficients.goh_family, so a kronecker query compiles neither.
+
+As a process entry (main() with no argv: `python -m kohtrees.cli` and
+the kohtrees script) a command runs with the cyclic garbage collector
+off, and once it has printed it freezes every object, so that the
+collection at interpreter exit skips them too.  The trees, leaf tuples
+and tables a command builds hold no reference cycle (a test pins it for
+every library route), yet the collector would scan them over and over
+while they grow; reference counting frees them all the same, and only
+the argument parser's few hundred cyclic objects are left for the
+operating system to reclaim.  Verify workers forked from such a process
+inherit the setting.  main(argv), as tests and in-process callers use
+it, and every library call leave the collector as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .coefficients import (METHOD_BOTH, METHOD_DIFFERENCE, METHOD_MARKED,
@@ -261,6 +274,10 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the collector stays off in a process entry: see the module docstring
+    process = argv is None
+    if process:
+        gc.disable()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -295,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionViolationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if process:
+            gc.freeze()
 
 
 if __name__ == "__main__":

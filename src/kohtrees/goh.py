@@ -168,12 +168,15 @@ def enumerate_configurations(lam: Partition) -> tuple[Configuration, ...]:
     ell, n = len(lam), lam.size
     levels = [_level(sum(lam.parts[i:]), n) for i in range(1, ell + 1)]
     found: list[Configuration] = []
-
-    def extend(chain: list[Partition]) -> None:
+    # chains still to extend, the next one on top: a depth-first walk
+    # with no self-referencing closure
+    todo: list[tuple[Partition, ...]] = [(Partition((1,) * n),)]
+    while todo:
+        chain = todo.pop()
         depth = len(chain)
         if depth == ell + 1:
-            found.append(Configuration(lam, tuple(chain)))
-            return
+            found.append(Configuration(lam, chain))
+            continue
         ceiling = _ceiling(chain[-1], ell - depth, n)
         options = [(nu, sums) for nu, sums in levels[depth - 1]
                    if all(map(operator.le, sums, ceiling))]
@@ -181,12 +184,7 @@ def enumerate_configurations(lam: Partition) -> tuple[Configuration, ...]:
             floor = _floor(chain[-2], chain[-1], n)
             options = [(nu, sums) for nu, sums in options
                        if all(map(operator.ge, sums, floor))]
-        for nu, _ in options:
-            chain.append(nu)
-            extend(chain)
-            chain.pop()
-
-    extend([Partition((1,) * n)])
+        todo.extend(chain + (nu,) for nu, _ in reversed(options))
     return tuple(found)
 
 

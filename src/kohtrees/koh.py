@@ -120,22 +120,23 @@ def _productions(n: int, k: int) -> tuple[tuple[Partition, list], ...]:
     width falls with j, so each level stops at its first such part.
     """
     found = []
-
-    def extend(parts: list[int], rest: int) -> None:
+    # prefixes still to extend, the next one on top: a depth-first walk
+    # with no recursion and no self-referencing closure
+    todo: list[tuple[tuple[int, ...], int]] = [((), k)]
+    while todo:
+        parts, rest = todo.pop()
         if not rest:
             mu = Partition(parts)
             found.append((mu, _child_types(mu, n)))
-            return
+            continue
         m = len(parts) + 1
+        longer = []
         for j in range(min(rest, parts[-1] if parts else rest), 0, -1):
             # (n + 2) j - 2 q_stat(j) < 0, whatever parts follow
             if (n + 2) * j < 2 * (m * j + rest - j):
                 break
-            parts.append(j)
-            extend(parts, rest - j)
-            parts.pop()
-
-    extend([], k)
+            longer.append((parts + (j,), rest - j))
+        todo.extend(reversed(longer))
     return tuple(found)
 
 

@@ -47,7 +47,7 @@ row.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolationError
 
@@ -159,24 +159,33 @@ def enumerate_markings(a: Sequence[int], target: int) -> tuple[tuple[int, ...], 
     _check_leaves(a)
     if target < 0:
         return ()
-    t = len(a)
+    t, sums = len(a), list(itertools.accumulate(a))
+    if t == 1:
+        return ((0,),) if target == 0 else ()
     found: list[tuple[int, ...]] = []
-
-    def extend(ks: list[int], prefix: int) -> None:
+    # a depth-first walk without recursion, since its depth is the leaf
+    # count: values[j] yields the values left for ks[j + 1], in order
+    ks = [0]
+    values: list[Iterator[int]] = []
+    while True:
         i = len(ks)
-        if i == t:
-            if ks[-1] == target:
-                found.append(tuple(ks))
-            return
         v = ks[-1]
-        hi = min(v + min(prefix - 2 * v, a[i]), target)
-        for w in range(v, hi + 1):
-            ks.append(w)
-            extend(ks, prefix + a[i])
-            ks.pop()
-
-    extend([0], a[0])
-    return tuple(found)
+        hi = min(v + min(sums[i - 1] - 2 * v, a[i]), target)
+        if i < t - 1:
+            values.append(iter(range(v, hi + 1)))
+        elif hi == target:
+            # the last value must be the target, and no range passes it
+            found.append((*ks, target))
+        # step the deepest level that has a value left, dropping those past it
+        while values:
+            w = next(values[-1], None)
+            if w is not None:
+                del ks[len(values):]
+                ks.append(w)
+                break
+            values.pop()
+        else:
+            return tuple(found)
 
 
 def marking_target(leaf_sum: int, total: int, r: int) -> int:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -498,13 +499,15 @@ def test_fuzzed_argv_exits_0_1_or_2(argv):
         assert code == 2
 
 
+SRC = os.path.dirname(os.path.dirname(kohtrees.__file__))
+
+
 def _modules_after(*argv):
     """The modules loaded once a fresh process has run the CLI on argv."""
-    src = os.path.dirname(os.path.dirname(kohtrees.__file__))
     probe = ("import sys; from kohtrees import cli; cli.main(sys.argv[1:]); "
              "print(*sorted(sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
-                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=SRC))
     return set(out.stdout.splitlines()[-1].split())
 
 
@@ -518,10 +521,50 @@ def test_a_query_loads_only_the_modules_it_runs():
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    src = os.path.dirname(os.path.dirname(kohtrees.__file__))
     probe = ("import sys, kohtrees.cli; "
              "print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
+                         env=dict(os.environ, PYTHONPATH=SRC))
     assert out.stdout == "False\n"
+
+
+def _process(*argv):
+    """`python -m kohtrees.cli argv` in a fresh process, the entry users run."""
+    return subprocess.run([sys.executable, "-m", "kohtrees.cli", *argv],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=SRC))
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("kronecker_3_4_6.txt", "kronecker --n 3 --k 4 --r 6"),
+    ("kronecker_5_4_7_marked.json",
+     "kronecker --n 5 --k 4 --r 7 --method marked-trees --format json"),
+    ("plethysm_31_3_4.json", "plethysm --mu 3,1 --k 3 --r 4 --format json"),
+    ("trees_koh_4_3_r3.json", "trees koh --n 4 --k 3 --r 3 --format json"),
+    ("verify_goh_4_3.txt", "verify goh --max-size 4 --max-k 3"),
+])
+def test_the_process_entry_prints_the_golden_bytes(name, argv):
+    proc = _process(*argv.split())
+    with open(os.path.join(os.path.dirname(__file__), "golden", name), "rb") as f:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f.read(), b"")
+
+
+def test_the_process_entry_exits_1_over_budget_and_2_on_a_usage_error():
+    proc = _process("kronecker", "--n", "8", "--k", "9", "--r", "10",
+                    "--max-trees", "10")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"BUDGET_EXCEEDED: 70 trees of type (8, 9) exceed the budget 10\n"
+    proc = _process("kronecker", "--n", "3", "--k", "4", "--r", "99")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"usage error: need 0 <= 2r <= nk, got r=99 with nk=12\n"
+
+
+def test_only_the_process_entry_turns_the_collector_off():
+    probe = ("import gc, sys; from kohtrees import cli; "
+             "cli.main(['kronecker', '--n', '3', '--k', '4', '--r', '6']); "
+             "before = gc.isenabled(), gc.get_freeze_count(); cli.main(); "
+             "print(*before, gc.isenabled(), gc.get_freeze_count() > 0)")
+    out = subprocess.run([sys.executable, "-c", probe, "kronecker", "--n", "3",
+                          "--k", "4", "--r", "6"], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert out.stdout.splitlines()[-1] == "True 0 False True"

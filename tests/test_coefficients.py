@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,8 @@ from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
                                    METHOD_MARKED, CoefficientReport,
                                    check_identities, goh_family,
                                    hook_content, koh_family, kronecker_two_row,
-                                   plethysm_two_row, plethysm_two_row_general,
+                                   marked_listing, plethysm_two_row,
+                                   plethysm_two_row_general,
                                    schur_specialization_oracle)
 from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
                              PreconditionViolationError)
@@ -286,6 +289,31 @@ def test_check_identities_rejects_a_wrong_tree_sum(monkeypatch):
                        match=r"^tree terms sum to .* but the closed form gives 1 "
                              r"for n=2, k=2$"):
         check_identities(koh_family(2, 2), 100)
+
+
+def test_library_routes_leave_no_cyclic_garbage():
+    # the CLI runs with the cyclic collector off, which is sound only while
+    # reference counting frees everything a route builds; caches cleared,
+    # so every enumerator runs again
+    from kohtrees import goh, koh
+    koh._productions.cache_clear()
+    koh._COUNTS.clear()
+    koh._TREES.clear()
+    goh.enumerate_configurations.cache_clear()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kronecker_two_row(12, 12, 40)
+        plethysm_two_row(Partition((3, 2, 1)), 3, 5)
+        check_identities(koh_family(5, 4), DEFAULT_TREE_BUDGET)
+        check_identities(goh_family(Partition((2, 2)), 3), DEFAULT_TREE_BUDGET)
+        assert marked_listing(koh_family(6, 6), 9, DEFAULT_TREE_BUDGET)
+        assert marked_listing(goh_family(Partition((3, 1)), 3), 4, DEFAULT_TREE_BUDGET)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_report_is_frozen():

@@ -199,10 +199,16 @@ def test_count_matches_enumeration_and_brute_force():
         for target in range(sum(a) // 2 + 1):
             listed = enumerate_markings(a, target)
             assert len(listed) == count_markings(a, target)
-            assert sorted(listed) == sorted(brute_force_markings(a, target))
+            # both lexicographically increasing
+            assert list(listed) == brute_force_markings(a, target)
             for ks in listed:
                 assert ks[0] == 0 and ks[-1] == target
                 assert all(x <= y for x, y in zip(ks, ks[1:]))
+
+
+def test_listing_markings_needs_no_frame_per_leaf():
+    # 2,000 leaves, past the default recursion limit
+    assert enumerate_markings((1,) * 2000, 0) == ((0,) * 2000,)
 
 
 def test_markings_match_coefficient_differences():
