@@ -21,20 +21,29 @@ coefficients.goh_family, so a kronecker query compiles neither.
 As a process entry (main() with no argv: `python -m kohtrees.cli` and
 the kohtrees script) a command runs with the cyclic garbage collector
 off, and once it has printed it freezes every object, so that the
-collection at interpreter exit skips them too.  The trees, leaf tuples
-and tables a command builds hold no reference cycle (a test pins it for
-every library route), yet the collector would scan them over and over
-while they grow; reference counting frees them all the same, and only
-the argument parser's few hundred cyclic objects are left for the
-operating system to reclaim.  Verify workers forked from such a process
-inherit the setting.  main(argv), as tests and in-process callers use
-it, and every library call leave the collector as it is.
+collection at interpreter exit skips them too.  Run as
+`python -m kohtrees.cli`, the module switches it off before its own
+imports, which would otherwise set off collections while they load;
+the kohtrees script imports the module first and switches it off in
+main().  The trees, leaf tuples and tables a command builds hold no
+reference cycle (a test pins it for every library route), yet the
+collector would scan them over and over while they grow; reference
+counting frees them all the same, and only the argument parser's few
+hundred cyclic objects are left for the operating system to reclaim.
+Verify workers forked from such a process inherit the setting.
+main(argv), as tests and in-process callers use it, and every library
+call leave the collector as it is.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    # a process entry: the collector goes off before the imports below
+    gc.disable()
+
+import argparse
 import sys
 
 from .coefficients import (METHOD_BOTH, METHOD_DIFFERENCE, METHOD_MARKED,

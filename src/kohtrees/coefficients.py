@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Callable
 
 from .errors import (CrossCheckFailedError, BudgetExceededError,
-                     PreconditionViolationError)
+                     NonExactDivisionError, PreconditionViolationError)
 from .koh import (DEFAULT_TREE_BUDGET, enumerate_koh_trees, koh_rhs_closed,
                   leaf_term_sum, leaves)
 from .marking import enumerate_markings, marked_counts, marking_target
 from .partitions import Partition, count_in_rectangle
-from .qpoly import (ONE, ZERO, QPoly, _Value, pack_width, q_binomial,
-                    q_int_product, unpack)
+from .qpoly import (ONE, ZERO, QPoly, _Value, pack_width, packed_q_int,
+                    q_binomial, unpack)
 
 METHOD_MARKED = "marked_trees"
 METHOD_DIFFERENCE = "difference_formula"
@@ -50,6 +51,33 @@ def _check_method(method: str) -> None:
         raise PreconditionViolationError(f"unknown method {method!r}")
 
 
+def _q_int_ratio(tops: list[int], bottoms: list[int]) -> QPoly:
+    """The product of the q-integers [a + 1]_q over tops divided by the
+    product over bottoms, which must be a polynomial with nonnegative
+    coefficients; otherwise NonExactDivisionError.
+
+    One exact division of packed ints, at the width of the numerator's
+    value at q = 1, which no coefficient of the numerator, the
+    denominator or such a quotient exceeds.  A remainder raises, and so
+    does a quotient whose value at q = 1 times the denominator's is not
+    the numerator's: the quotient's slots times the denominator then
+    carry, as they do when the polynomial quotient has a negative
+    coefficient ([6]_q / ([2]_q [3]_q) = 1 - q + q^2).
+
+    >>> _q_int_ratio([3], [1]).coeffs
+    (1, 0, 1)
+    """
+    num_at_1 = math.prod(a + 1 for a in tops)
+    width = pack_width(num_at_1)
+    quot, rem = divmod(math.prod(packed_q_int(a, width) for a in tops),
+                       math.prod(packed_q_int(a, width) for a in bottoms))
+    ratio = unpack(quot, width)
+    if rem or sum(ratio.coeffs) * math.prod(a + 1 for a in bottoms) != num_at_1:
+        raise NonExactDivisionError(
+            f"the q-integers {tops} are not a multiple of the q-integers {bottoms}")
+    return ratio
+
+
 def hook_content(mu: Partition, k: int) -> QPoly:
     """s_mu(1, q, ..., q^k) as a polynomial in q.
 
@@ -69,11 +97,11 @@ def hook_content(mu: Partition, k: int) -> QPoly:
     conj = mu.conjugate().parts
     cells = [(i, j) for i, row_len in enumerate(mu.parts, start=1)
              for j in range(1, row_len + 1)]
-    num = q_int_product(k + j - i for i, j in cells)
     # label a stands for [a + 1]_q: cell (i, j) gives [k + 1 + j - i]_q
     # over [hook]_q
-    den = q_int_product(mu.parts[i - 1] + conj[j - 1] - i - j for i, j in cells)
-    return num.exact_div(den).shift(mu.b_stat())
+    return _q_int_ratio([k + j - i for i, j in cells],
+                        [mu.parts[i - 1] + conj[j - 1] - i - j for i, j in cells]
+                        ).shift(mu.b_stat())
 
 
 def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:

@@ -19,11 +19,13 @@ enumeration keeps a level only at or above it in every column, and
 p_stat (so validation) reads P^i_j off it.  _ceiling is what the rule
 implies for the levels still to come, and prunes a level from above.
 _child_types states the child rule once; counting, enumeration,
-validation and parsing all read it.  A configuration with its child
-types has the shape of a KOH production, so counting, building and the
-child check are the ones koh uses for its own trees (koh.count_trees,
-koh.build_trees, koh.check_children).  goh_rhs_closed spells the same sum out
-independently, as the reference the trees are checked against.
+validation and parsing all read it.  The slot types do not depend on k,
+so each configuration keeps them once computed.  A configuration with
+its child types has the shape of a KOH production, so counting,
+building and the child check are the ones koh uses for its own trees
+(koh.count_trees, koh.build_trees, koh.check_children).  goh_rhs_closed
+spells the same sum out independently, as the reference the trees are
+checked against, from its own per-shape cache (_closed_form_terms).
 """
 
 from __future__ import annotations
@@ -87,14 +89,22 @@ def _level(size: int, n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
 
 
 class Configuration(_Value):
-    """An admissible chain of partitions below a fixed shape."""
+    """An admissible chain of partitions below a fixed shape.
 
-    __slots__ = ("_lam", "_nus")
+    slot_types, the labeled child types of a tree over the chain, does
+    not depend on k: it is None until _child_types first needs it, then
+    kept.  enumerate_configurations caches a shape's configurations, so a
+    shape's slot types are computed once.  It takes no part in equality,
+    hashing or repr.
+    """
+
+    __slots__ = ("_lam", "_nus", "_slot_types")
     _fields = ("lam", "nus")
 
     def __init__(self, lam: Partition, nus: tuple[Partition, ...]) -> None:
         self._lam = lam
         self._nus = nus
+        self._slot_types = None
 
     def p_stat(self, i: int, j: int) -> int:
         """Mixed second difference at level i, column j.
@@ -188,6 +198,25 @@ def enumerate_configurations(lam: Partition) -> tuple[Configuration, ...]:
     return tuple(found)
 
 
+@functools.cache
+def _closed_form_terms(lam: Partition
+                       ) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """(m_stat, tau_stat, the (P^i_j, m_j) of the occupied slots) for every
+    configuration of lam: the part of goh_rhs_closed's terms that does not
+    depend on k, once per shape."""
+    ell, n = len(lam), lam.size
+    terms = []
+    for config in enumerate_configurations(lam):
+        slots = []
+        for i in range(1, ell):
+            for j in range(1, n + 1):
+                mj = config.nus[i].mult(j)
+                if mj:
+                    slots.append((config.p_stat(i, j), mj))
+        terms.append((config.m_stat(), config.tau_stat(), tuple(slots)))
+    return tuple(terms)
+
+
 def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
     """Configuration sum equal to s_lam(1, q, ..., q^k).
 
@@ -198,20 +227,10 @@ def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
     _check_shape(lam)
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
-    ell, n = len(lam), lam.size
-    terms = []
-    for config in enumerate_configurations(lam):
-        m = config.m_stat()
-        if m > k:
-            continue
-        factors = [q_binomial(n, k - m)]
-        for i in range(1, ell):
-            for j in range(1, n + 1):
-                mj = config.nus[i].mult(j)
-                if mj:
-                    factors.append(q_binomial(config.p_stat(i, j), mj))
-        terms.append((config.tau_stat(), factors))
-    return sum_of_products(terms)
+    n = lam.size
+    return sum_of_products(
+        (tau, [q_binomial(n, k - m), *(q_binomial(p, mj) for p, mj in slots)])
+        for m, tau, slots in _closed_form_terms(lam) if m <= k)
 
 
 class GohTree(_Value):
@@ -239,7 +258,7 @@ class GohTree(_Value):
         self._children = children
         values = ()
         for _, child in children:
-            values += child.leaf_values
+            values += child._leaf_values
         self._leaf_values = values
 
     @property
@@ -260,16 +279,18 @@ def _child_types(config: Configuration, k: int
                  ) -> list[tuple[tuple[int, int] | None, tuple[int, int]]]:
     """(edge, KOH type) of every subtree of a tree for (config, k), in edge
     order: (P^i_j, mult_j(nu^i)) on each occupied slot (i, j), then
-    (|lam|, k - m) under edge None when m = m_stat < k.  Needs m <= k."""
-    ell, n = len(config.lam), config.lam.size
-    out: list[tuple[tuple[int, int] | None, tuple[int, int]]] = []
-    for i in range(1, ell):
-        for j in config.nus[i].distinct_parts():
-            out.append(((i, j), (config.p_stat(i, j), config.nus[i].mult(j))))
+    (|lam|, k - m) under edge None when m = m_stat < k.  Needs m <= k.
+    The slot types are kept on the configuration (slot_types)."""
+    types = config._slot_types
+    if types is None:
+        nus = config.nus
+        types = config._slot_types = tuple(
+            ((i, j), (config.p_stat(i, j), nus[i].mult(j)))
+            for i in range(1, len(config.lam)) for j in nus[i].distinct_parts())
     m = config.m_stat()
     if m < k:
-        out.append((None, (n, k - m)))
-    return out
+        return [*types, (None, (config.lam.size, k - m))]
+    return list(types)
 
 
 def _typed_configurations(lam: Partition, k: int
@@ -298,7 +319,7 @@ def enumerate_goh_trees(lam: Partition, k: int,
     if (total := count_trees(typed)) > max_trees:
         raise BudgetExceededError(
             f"{total} trees for ({lam!r}, {k}) exceed the budget {max_trees}")
-    return build_trees(typed, lambda config, children: GohTree(config, k, children))
+    return build_trees(typed, GohTree, k)
 
 
 def goh_leaves(tree: GohTree) -> tuple[int, ...]:

@@ -90,10 +90,10 @@ def koh_child_type(mu: Partition, a: int, j: int) -> tuple[int, int]:
     >>> koh_child_type(Partition((4, 3, 1, 1)), 8, 1)
     (2, 2)
     """
-    m = mu.mult(j)
-    if m == 0:
-        raise PreconditionViolationError(f"no row of length {j} in {mu!r}")
-    return (a + 2) * j - 2 * mu.q_stat(j), m
+    for edge, ctype in _child_types(mu, a):
+        if edge == j:
+            return ctype
+    raise PreconditionViolationError(f"no row of length {j} in {mu!r}")
 
 
 def _check_type(n: int, k: int) -> None:
@@ -104,8 +104,24 @@ def _check_type(n: int, k: int) -> None:
 
 def _child_types(mu: Partition, a: int) -> list[tuple[int, tuple[int, int]]]:
     """(edge j, child type) along each distinct row j of mu, in edge order,
-    for a node labeled (mu, a, |mu|); a child width may come out negative."""
-    return [(j, koh_child_type(mu, a, j)) for j in mu.distinct_parts()]
+    for a node labeled (mu, a, |mu|); a child width may come out negative.
+
+    This is the child rule, stated once, in one pass over the runs of
+    equal parts, smallest first: mult(j) is the length of the run of j's,
+    and q_stat(j) is the sum of the smaller parts plus j times the number
+    of parts at least j.
+    """
+    parts = mu.parts
+    out = []
+    below = 0           # the sum of the parts smaller than j
+    end = len(parts)    # parts[:end] are the parts at least j
+    while end:
+        j = parts[end - 1]
+        start = parts.index(j)
+        out.append((j, ((a + 2) * j - 2 * (below + j * end), end - start)))
+        below += j * (end - start)
+        end = start
+    return out
 
 
 @functools.cache
@@ -148,15 +164,16 @@ def count_trees(productions: Sequence[tuple[object, list]]) -> int:
 
 
 def build_trees(productions: Sequence[tuple[object, list]],
-                node: Callable[[object, tuple], object]) -> tuple:
-    """node(label, children) for every label and every choice of one KOH
-    subtree per child type, labels in order and later edges varying
-    fastest."""
+                node: Callable[..., object], *fixed: object) -> tuple:
+    """node(label, *fixed, children) for every label and every choice of
+    one KOH subtree per child type, labels in order and later edges
+    varying fastest."""
     out = []
     for label, types in productions:
         slots = [tuple((edge, t) for t in _tree_table(*ctype))
                  for edge, ctype in types]
-        out.extend(node(label, children) for children in itertools.product(*slots))
+        out.extend(map(functools.partial(node, label, *fixed),
+                       itertools.product(*slots)))
     return tuple(out)
 
 
@@ -208,8 +225,7 @@ def _count_type(n: int, k: int) -> int:
 def _build_type(n: int, k: int) -> tuple[KohTree, ...]:
     if k == 1:
         return (KohTree(_LEAF_MU, n, 1),)
-    return build_trees(_productions(n, k),
-                       lambda mu, children: KohTree(mu, n, k, children))
+    return build_trees(_productions(n, k), KohTree, n, k)
 
 
 def count_koh_trees(n: int, k: int) -> int:

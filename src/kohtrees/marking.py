@@ -17,18 +17,19 @@ the range and adds them up.
 One DP counts markings.  It reads the leaves in order and keeps the
 number of markings ending at each value 0..cap, cut at half the prefix
 sum read so far, since a marking value never exceeds it.  A state v
-moves to every value of one interval, so a step adds its ways over
-those intervals through a difference array and one running sum.
+moves to every value of one interval, so a step (_step) adds its ways
+over those intervals through a difference array and one running sum.
 
-The DP rows live in a prefix table: the rows of the last leaf sequence
-it served, one per leaf.  A row depends only on the leaves up to it,
-so the next sequence keeps the rows of the prefix it shares with that
-one and computes only the rows past it.  Trees come in enumeration
-order, where later edges vary fastest, so most of a tree's rows are
-already there.  Cutting rows at a cap changes none of the values below
-it, so rows capped above a target serve it as long as the last step
-stops at the target; a target above the cap raises it and drops every
-row.
+The DP rows live in a prefix table, keyed by the leaf prefix they
+count.  A row depends only on the leaves up to it, so a sequence starts
+from the row of its longest prefix in the table and steps only past it.
+Trees come in enumeration order, where later edges vary fastest, so
+most of a tree's rows are already there, and a prefix that comes back
+in a later tree, adjacent or not, is stepped once.  The table holds a
+bounded number of values: a row that does not fit drops the others.
+Cutting rows at a cap changes none of the values below it, so rows
+capped above a target serve it as long as the last step stops at the
+target; a target above the cap raises it and drops every row.
 
 - count_markings(a, target) counts one final value from the row of all
   leaves but the last, summing the values the last step can leave at
@@ -59,60 +60,78 @@ def _check_leaves(a: Sequence[int]) -> None:
         raise PreconditionViolationError(f"leaf labels must be nonnegative, got {tuple(a)}")
 
 
-class _PrefixTable:
-    """The DP rows of the last leaf sequence served, kept for the next one.
+# the most row values a prefix table holds; a row past it starts it over
+_TABLE_CELLS = 4096
 
-    rows[i] counts the markings of leaves[:i + 1] by final value, up to
-    min(cap, half that prefix's leaf sum).  A row depends only on its
-    prefix and the cap, so a new sequence keeps the rows of its longest
-    common prefix with the last one and computes the rest; rows[0], the
-    one marking of a single leaf, holds for every sequence.  Values
-    below a cap never depend on the values above it, so a row capped at
-    cap is exact at every top <= cap; a top above the cap raises the cap
-    and drops every row past rows[0].
+
+def _step(dp: list[int], prefix: int, nxt: int, cap: int) -> list[int]:
+    """The row of a prefix one leaf nxt longer, from the row dp of a prefix
+    whose leaves sum to prefix: every state v moves to each value of
+    v..v + min(prefix - 2v, nxt), through a difference array and one
+    running sum, cut at cap and at half the new leaf sum, which no
+    marking value passes."""
+    hi = min(cap, (prefix + nxt) // 2)
+    diff = [0] * (hi + 2)
+    for v, ways in enumerate(dp):
+        if ways:
+            diff[v] += ways
+            diff[min(v + min(prefix - 2 * v, nxt), hi) + 1] -= ways
+    diff.pop()
+    return list(itertools.accumulate(diff))
+
+
+class _PrefixTable:
+    """DP rows by leaf prefix, for the leaf sequences of one call.
+
+    rows maps a prefix of two or more leaves to its markings by final
+    value, up to min(cap, half its leaf sum); the one marking of a single
+    leaf needs no entry.  A row depends only on its prefix and the cap,
+    so a sequence starts from the row of its longest stored prefix, and
+    a prefix is stepped once however many sequences share it, adjacent
+    or not.  Values below a cap never depend on the values above it, so
+    a row capped at cap is exact at every top <= cap; a top above the
+    cap raises the cap and drops every row.  The rows hold at most
+    _TABLE_CELLS values in all (or one longer row): a row that does not
+    fit drops the others first.
     """
 
-    __slots__ = ("cap", "leaves", "rows")
+    __slots__ = ("cap", "rows", "cells")
 
     def __init__(self, cap: int) -> None:
         self.cap = cap
-        self.leaves: Sequence[int] = ()
-        self.rows = [[1]]
+        self.rows: dict[tuple[int, ...], list[int]] = {}
+        self.cells = 0
 
     def row(self, a: Sequence[int], t: int, top: int) -> list[int]:
         """Markings of a[:t] by final value, exact at 0..min(top, half its
         leaf sum) and possibly longer; t >= 1, and the caller must not
         change the list."""
-        rows = self.rows
         if t == 1:
-            return rows[0]
+            return [1]
+        rows = self.rows
         if top > self.cap:
-            self.cap, self.leaves = top, ()
-        # rows[i] stays while a agrees with the last sequence through leaf i
-        keep = 0
-        for old, new in zip(self.leaves, a):
-            if old != new:
-                break
-            keep += 1
-        del rows[max(keep, 1):]
-        self.leaves = tuple(a)
-        n = len(rows)
-        if n >= t:
-            return rows[t - 1]
-        cap, dp, prefix = self.cap, rows[-1], sum(a[:n])
-        for nxt in a[n:t]:
-            # no step reaches past half the new prefix sum
-            hi = min(cap, (prefix + nxt) // 2)
-            diff = [0] * (hi + 2)
-            for v, ways in enumerate(dp):
-                if ways:
-                    diff[v] += ways
-                    diff[min(v + min(prefix - 2 * v, nxt), hi) + 1] -= ways
-            diff.pop()
-            dp = list(itertools.accumulate(diff))
+            self.cap, self.cells = top, 0
+            rows.clear()
+        key = tuple(a[:t])
+        dp = rows.get(key)
+        if dp is not None:
+            return dp
+        n = t - 1
+        while n > 1 and (dp := rows.get(key[:n])) is None:
+            n -= 1
+        if n == 1:
+            dp = [1]
+        cap, prefix = self.cap, sum(key[:n])
+        for i in range(n, t):
+            nxt = key[i]
+            dp = _step(dp, prefix, nxt, cap)
             prefix += nxt
-            rows.append(dp)
-        return rows[t - 1]
+            if self.cells + len(dp) > _TABLE_CELLS:
+                self.cells = 0
+                rows.clear()
+            rows[key[:i + 1]] = dp
+            self.cells += len(dp)
+        return dp
 
 
 def _value_counts(a: Sequence[int], top: int,
@@ -136,19 +155,19 @@ def count_markings(a: Sequence[int], target: int,
 
     Infeasible targets (negative, past half the leaf sum, unreachable,
     or nonzero with a single leaf) simply count 0.  table, when given,
-    serves the DP rows of a's leaves but the last, reusing those of the
-    prefix a shares with the sequence it served before.
+    serves the DP row of a's leaves but the last, from the rows it holds
+    of the longest prefix of a it has seen.
 
     >>> count_markings((1, 1, 1, 1), 1)
     3
     """
     _check_leaves(a)
-    if target < 0 or 2 * target > sum(a):
+    prefix = sum(a) - a[-1]
+    if target < 0 or 2 * target > prefix + a[-1]:
         return 0
     if len(a) == 1:
         return int(target == 0)
     dp = (table or _PrefixTable(target)).row(a, len(a) - 1, target)
-    prefix = sum(a) - a[-1]
     # the last step must land on target: v >= target - a_last and
     # target - v <= prefix - 2v; the row may run past target
     return sum(dp[max(0, target - a[-1]):max(0, min(target, prefix - target) + 1)])

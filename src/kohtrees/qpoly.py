@@ -25,6 +25,8 @@ class _Value:
     deleting it raises AttributeError, and no instance has a __dict__.
     Two values are equal when they have the same class and equal fields;
     they hash as the tuple of their fields and repr as Class(field=...).
+    Equality and hashing read that tuple off the field slots with one
+    attrgetter per class (_key), not through the properties.
     """
 
     __slots__ = ()
@@ -34,17 +36,19 @@ class _Value:
         super().__init_subclass__()
         for slot in cls.__slots__:
             setattr(cls, slot[1:], property(operator.attrgetter(slot)))
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        if cls._fields:
+            get = operator.attrgetter(*(f"_{name}" for name in cls._fields))
+            # attrgetter gives one field bare and several as a tuple
+            cls._key = staticmethod(get if len(cls._fields) > 1
+                                    else lambda value: (get(value),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key(self) == other._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

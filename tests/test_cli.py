@@ -568,3 +568,20 @@ def test_only_the_process_entry_turns_the_collector_off():
                           "--k", "4", "--r", "6"], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert out.stdout.splitlines()[-1] == "True 0 False True"
+
+
+def test_run_as_main_the_cli_imports_its_modules_without_collecting():
+    # a collection on every allocation: any collection while a kohtrees
+    # module is loaded records the modules loaded so far
+    probe = ("import gc, runpy, sys; import kohtrees; seen = []; "
+             "gc.callbacks.append(lambda phase, info: phase == 'start' and "
+             "seen.append([m for m in sys.modules if m.startswith('kohtrees.')])); "
+             "gc.set_threshold(1); sys.argv[0] = 'kohtrees.cli'\n"
+             "try: runpy.run_module('kohtrees.cli', run_name='__main__')\n"
+             "except SystemExit: pass\n"
+             "print(gc.isenabled(), len(seen), [s for s in seen if s])")
+    out = subprocess.run([sys.executable, "-c", probe, "kronecker", "--n", "3",
+                          "--k", "4", "--r", "6"], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=SRC))
+    enabled, collections, with_modules = out.stdout.splitlines()[-1].split(" ", 2)
+    assert enabled == "False" and int(collections) > 0 and with_modules == "[]"

@@ -6,16 +6,17 @@ from hypothesis import strategies as st
 
 from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
                                    METHOD_MARKED, CoefficientReport,
+                                   _q_int_ratio,
                                    check_identities, goh_family,
                                    hook_content, koh_family, kronecker_two_row,
                                    marked_listing, plethysm_two_row,
                                    plethysm_two_row_general,
                                    schur_specialization_oracle)
 from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
-                             PreconditionViolationError)
+                             NonExactDivisionError, PreconditionViolationError)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.koh import DEFAULT_TREE_BUDGET, leaf_term, leaf_term_sum, leaves
-from kohtrees.qpoly import ONE, ZERO, QPoly, q_binomial
+from kohtrees.qpoly import ONE, ZERO, QPoly, q_binomial, q_int_product
 
 
 def test_hook_content_base_cases():
@@ -334,3 +335,34 @@ def test_tree_sums_are_symmetric_and_unimodal(family):
     for lv in leaf_tuples:
         schoolbook = schoolbook + leaf_term(family.total, lv)
     assert tree_sum == schoolbook
+
+
+def exact_div_hook_content(mu, k):
+    """hook_content by QPoly.exact_div of the two q-integer products."""
+    if len(mu) > k + 1:
+        return ZERO
+    conj = mu.conjugate().parts
+    cells = [(i, j) for i, row_len in enumerate(mu.parts, start=1)
+             for j in range(1, row_len + 1)]
+    num = q_int_product(k + j - i for i, j in cells)
+    den = q_int_product(mu.parts[i - 1] + conj[j - 1] - i - j for i, j in cells)
+    return num.exact_div(den).shift(mu.b_stat())
+
+
+def test_packed_hook_content_matches_the_polynomial_division():
+    for size in range(1, 10):
+        for mu in enumerate_partitions(size):
+            for k in range(0, 9):
+                assert hook_content(mu, k) == exact_div_hook_content(mu, k), (mu, k)
+
+
+def test_the_packed_ratio_refuses_what_is_not_a_nonnegative_polynomial():
+    assert _q_int_ratio([5], [2]) == QPoly([1, 0, 0, 1])
+    # [2]_q / [3]_q leaves a remainder
+    with pytest.raises(NonExactDivisionError):
+        _q_int_ratio([1], [2])
+    # [6]_q / ([2]_q [3]_q) = 1 - q + q^2 divides exactly as ints, but the
+    # quotient's slots times the denominator carry: the q = 1 check fails
+    assert q_int_product([5]).exact_div(q_int_product([1, 2])) == QPoly([1, -1, 1])
+    with pytest.raises(NonExactDivisionError):
+        _q_int_ratio([5], [1, 2])

@@ -13,7 +13,7 @@ from kohtrees.goh import (Configuration, GohTree, count_goh_trees,
                           validate_goh_tree)
 from kohtrees.koh import leaves, sigma
 from kohtrees.partitions import Partition, enumerate_partitions
-from kohtrees.qpoly import ZERO
+from kohtrees.qpoly import ZERO, q_binomial, sum_of_products
 from kohtrees.render import tree_to_dict, tree_to_dot
 
 
@@ -340,3 +340,47 @@ def test_dot_output_shape():
     assert dot.startswith("digraph goh {")
     assert '"1,1"' in dot
     assert dot.rstrip().endswith("}")
+
+
+def brute_slot_types(config):
+    """The occupied slots ((i, j), (P^i_j, mult_j(nu^i))) by a scan over every
+    column j of every level, as the per-configuration loop read them."""
+    ell, n = len(config.lam), config.lam.size
+    return [((i, j), (config.p_stat(i, j), config.nus[i].mult(j)))
+            for i in range(1, ell) for j in range(1, n + 1) if config.nus[i].mult(j)]
+
+
+def test_slot_types_are_kept_once_per_shape_and_match_p_stat_and_mult():
+    for size in range(1, 10):
+        for lam in enumerate_partitions(size):
+            terms = goh._closed_form_terms(lam)
+            configs = enumerate_configurations(lam)
+            assert len(terms) == len(configs)
+            for config, (m, tau, slots) in zip(configs, terms):
+                slot_types = brute_slot_types(config)
+                types = goh._child_types(config, config.m_stat())
+                assert types == slot_types
+                # the kept tuple is the one read again, at every k
+                kept = config.slot_types
+                assert list(kept) == slot_types
+                goh._child_types(config, size + 1)
+                assert config.slot_types is kept
+                assert (m, tau) == (config.m_stat(), config.tau_stat())
+                assert list(slots) == [ctype for _, ctype in slot_types]
+
+
+def test_typed_configurations_and_closed_form_match_the_per_configuration_loop():
+    for size in range(1, 10):
+        for lam in enumerate_partitions(size):
+            for k in range(0, 9):
+                typed = goh._typed_configurations(lam, k)
+                kept = [c for c in enumerate_configurations(lam) if c.m_stat() <= k]
+                assert [c for c, _ in typed] == kept
+                for config, types in typed:
+                    m = config.m_stat()
+                    tail = [(None, (size, k - m))] if m < k else []
+                    assert types == brute_slot_types(config) + tail
+                terms = [(c.tau_stat(), [q_binomial(size, k - c.m_stat())]
+                          + [q_binomial(*ctype) for _, ctype in brute_slot_types(c)])
+                         for c in kept]
+                assert goh_rhs_closed(lam, k) == sum_of_products(terms)

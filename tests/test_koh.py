@@ -4,6 +4,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohtrees import koh
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
@@ -151,18 +153,18 @@ def test_productions_agree_with_the_loop_over_partitions():
             assert koh_rhs_closed(n, k) == oracle_closed(n, k)
 
 
-def test_child_types_run_once_per_node_label(monkeypatch):
+def test_one_child_type_pass_per_node_label(monkeypatch):
     koh._productions.cache_clear()
     koh._COUNTS.clear()
     koh._TREES.clear()
     calls = []
-    original = koh.koh_child_type
+    original = koh._child_types
 
-    def counted(mu, a, j):
-        calls.append((a, mu, j))
-        return original(mu, a, j)
+    def counted(mu, a):
+        calls.append((a, mu))
+        return original(mu, a)
 
-    monkeypatch.setattr(koh, "koh_child_type", counted)
+    monkeypatch.setattr(koh, "_child_types", counted)
     for n in range(0, 8):
         for k in range(1, 8):
             count_koh_trees(n, k)
@@ -170,6 +172,19 @@ def test_child_types_run_once_per_node_label(monkeypatch):
             koh_rhs_closed(n, k)
     assert calls
     assert len(calls) == len(set(calls))
+    # counting, building and the closed form read the same cached productions
+    assert len(calls) == sum(len(koh._productions(*t)) for t in {
+        (a, mu.size) for a, mu in calls})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 20).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),
+       st.integers(0, 30))
+def test_one_pass_child_types_follow_the_rule_edge_by_edge(mu, a):
+    expected = [(j, ((a + 2) * j - 2 * mu.q_stat(j), mu.mult(j)))
+                for j in mu.distinct_parts()]
+    assert koh._child_types(mu, a) == expected
+    assert [(j, koh_child_type(mu, a, j)) for j in mu.distinct_parts()] == expected
 
 
 def filtered_productions(n, k):

@@ -1,12 +1,13 @@
 import itertools
-import operator
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kohtrees import marking
 from kohtrees.errors import PreconditionViolationError
 from kohtrees.goh import enumerate_goh_trees
 from kohtrees.koh import enumerate_koh_trees, leaves
@@ -137,17 +138,68 @@ def test_all_r_counts_through_the_table_match_the_single_r_counts(visits):
                                 for a in leaf_lists)
 
 
-def test_the_table_keeps_the_rows_of_the_shared_prefix():
+# leaf sequences whose prefixes come back, one of them (3, 1, 4) in a
+# tree that is not the next one; every leaf sum is even, like 12
+SHARING = [(2, 2, 3, 1), (3, 1, 4), (2, 2, 1, 3), (3, 1, 4, 2), (2, 2, 3, 5)]
+
+
+def counted_steps(monkeypatch):
+    steps = []
+    original = marking._step
+
+    def counted(*args):
+        steps.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(marking, "_step", counted)
+    return steps
+
+
+def test_the_table_steps_each_prefix_once(monkeypatch):
+    expected = {a: _value_counts(a, 9) for a in SHARING}
+    steps = counted_steps(monkeypatch)
     table = _PrefixTable(9)
-    first, second = (2, 2, 3, 1), (2, 2, 1, 4)
-    assert count_markings(first, 3, table) == dict_dp_markings(first, 3)
-    kept = table.rows[:2]
-    assert count_markings(second, 4, table) == dict_dp_markings(second, 4)
-    # the rows of (2,) and (2, 2) are the same lists; the third is new
-    assert all(map(operator.is_, table.rows[:2], kept)) and len(table.rows) == 3
-    # a target above the cap raises it and drops every row past the first
+    for _ in range(2):
+        for a in SHARING:
+            assert _value_counts(a, 9, table) == expected[a]
+    prefixes = {a[:i] for a in SHARING for i in range(2, len(a) + 1)}
+    assert set(table.rows) == prefixes and len(steps) == len(prefixes)
+    assert table.cells == sum(map(len, table.rows.values()))
+    # a target above the cap raises it and drops every row
     assert count_markings((2, 2, 20, 20), 20, table) == dict_dp_markings((2, 2, 20, 20), 20)
-    assert table.cap == 20 and table.rows[1] is not kept[1]
+    assert table.cap == 20 and set(table.rows) == {(2, 2), (2, 2, 20)}
+
+
+def test_the_table_holds_a_bounded_number_of_values():
+    table = _PrefixTable(40)
+    rng = random.Random(3)
+    for _ in range(400):
+        a = tuple(rng.randint(0, 20) for _ in range(rng.randint(1, 8)))
+        for target in (0, 7, 40):
+            assert count_markings(a, target, table) == dict_dp_markings(a, target)
+        assert table.cells == sum(map(len, table.rows.values())) <= marking._TABLE_CELLS
+
+
+@pytest.mark.parametrize("rs", [range(3, 4), range(0, 7)])
+def test_marked_counts_steps_each_prefix_once_and_keeps_no_rows(monkeypatch, rs):
+    steps = counted_steps(monkeypatch)
+    tables = []
+
+    class Recorded(_PrefixTable):
+        def __init__(self, cap):
+            super().__init__(cap)
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(marking, "_PrefixTable", Recorded)
+    counts = marked_counts(SHARING, 12, rs)
+    # one r marks each tree from the row of all its leaves but the last
+    # (every target here is feasible), a range of r from the row of all
+    cut = 1 if len(rs) == 1 else 0
+    assert len(steps) == len({a[:i] for a in SHARING for i in range(2, len(a) + 1 - cut)})
+    assert len(tables) == 1 and tables[0]() is None
+    for r, witness in zip(rs, counts):
+        assert witness == tuple(dict_dp_markings(a, marking_target(sum(a), 12, r))
+                                for a in SHARING)
 
 
 def test_value_counts_small_cases():
