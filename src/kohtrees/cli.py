@@ -11,12 +11,16 @@ Subcommands
 
 Exit status: 0 on success, 1 on a verification, cross-check, or budget
 failure, 2 on a usage error.  Every command takes --max-trees (default
-koh.DEFAULT_TREE_BUDGET); only verify takes --workers (default 1).  Both
-must be positive.
+koh.DEFAULT_TREE_BUDGET); only verify takes --workers, by default the
+CPUs this process may run on.  Both must be positive.  A sweep splits
+its shapes between this process and workers - 1 forked children and
+prints the same bytes whatever the split; --workers 1, or a platform
+without os.fork, checks every cell in this process.
 
 Each command imports only what it runs: json and the tree writers load
-inside the commands that print them, and the GOH module through
-coefficients.goh_family, so a kronecker query compiles neither.
+inside the commands that print them, the worker split inside verify, and
+the GOH module through coefficients.goh_family, so a kronecker query
+compiles none of them.
 
 As a process entry (main() with no argv: `python -m kohtrees.cli` and
 the kohtrees script) a command runs with the cyclic garbage collector
@@ -44,6 +48,7 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse
+import os
 import sys
 
 from .coefficients import (METHOD_BOTH, METHOD_DIFFERENCE, METHOD_MARKED,
@@ -143,8 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sweep = vsub.add_parser(family, parents=[limits])
         sweep.add_argument(size, type=int, required=True)
         sweep.add_argument("--max-k", type=int, required=True)
-        sweep.add_argument("--workers", type=int, default=1,
-                           help="worker processes")
+        sweep.add_argument("--workers", type=int, default=_usable_cpus(),
+                           help="worker processes (default: the usable CPUs)")
     return parser
 
 
@@ -219,8 +224,8 @@ def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool | None, str]:
     return label, True, ""
 
 
-# the per-family entry points a worker process runs: top-level, so the
-# pool can pickle them by name
+# the per-family cell checks: module attributes, looked up when a sweep
+# starts, so a test can replace them
 def _verify_koh_cell(cell: tuple) -> tuple[str, bool | None, str]:
     return _verify_cell("koh", cell)
 
@@ -232,41 +237,41 @@ def _verify_goh_cell(cell: tuple) -> tuple[str, bool | None, str]:
 _CELL_STATUS = {True: "PASS", False: "FAIL", None: "BUDGET"}
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the default --workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_verify(args: argparse.Namespace) -> int:
     """Check every cell and print one status line per cell, then a summary.
 
     A cell over a budget prints BUDGET and the sweep goes on; the summary
     counts such cells only when there are any, and the first budget
     message goes to stderr.  Exit status 1 when any cell failed or ran
-    over a budget.
+    over a budget.  The cells of one shape (n, or mu) form a group that
+    one worker checks (workers.check_groups); the output does not depend
+    on the number of workers.
     """
     if args.family == "koh":
         if args.max_n < 0 or args.max_k < 1:
             raise PreconditionViolationError(
                 f"need max-n >= 0 and max-k >= 1, got {args.max_n}, {args.max_k}")
-        cells = [(n, k, args.max_trees)
-                 for n in range(args.max_n + 1)
-                 for k in range(1, args.max_k + 1)]
+        groups = [[(n, k, args.max_trees) for k in range(1, args.max_k + 1)]
+                  for n in range(args.max_n + 1)]
         worker = _verify_koh_cell
     else:
         if args.max_size < 1 or args.max_k < 1:
             raise PreconditionViolationError(
                 f"need max-size >= 1 and max-k >= 1, got {args.max_size}, {args.max_k}")
-        cells = [(mu.parts, k, args.max_trees)
-                 for size in range(1, args.max_size + 1)
-                 for mu in enumerate_partitions(size)
-                 for k in range(1, args.max_k + 1)]
+        groups = [[(mu.parts, k, args.max_trees) for k in range(1, args.max_k + 1)]
+                  for size in range(1, args.max_size + 1)
+                  for mu in enumerate_partitions(size)]
         worker = _verify_goh_cell
 
-    if args.workers > 1:
-        # imported only here: the pool module pulls in logging, which
-        # every other command would pay for at startup
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            results = list(pool.map(worker, cells))
-    else:
-        results = [worker(cell) for cell in cells]
-
+    from .workers import check_groups
+    results = check_groups(worker, groups, args.workers)
     failures = [detail for _, ok, detail in results if ok is False]
     over = [detail for _, ok, detail in results if ok is None]
     for label, ok, _ in results:

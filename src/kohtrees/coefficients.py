@@ -11,7 +11,6 @@ comparing them catches implementation drift in either one.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Callable
 
@@ -21,7 +20,7 @@ from .koh import (DEFAULT_TREE_BUDGET, enumerate_koh_trees, koh_rhs_closed,
                   leaf_term_sum, leaves)
 from .marking import enumerate_markings, marked_counts, marking_target
 from .partitions import Partition, count_in_rectangle
-from .qpoly import (ONE, ZERO, QPoly, _Value, pack_width, packed_q_int,
+from .qpoly import (ONE, ZERO, QPoly, _Value, pack, pack_width, packed_q_int,
                     q_binomial, unpack)
 
 METHOD_MARKED = "marked_trees"
@@ -104,6 +103,62 @@ def hook_content(mu: Partition, k: int) -> QPoly:
                         ).shift(mu.b_stat())
 
 
+class _StripPass:
+    """The horizontal-strip pass for one shape mu, extended on demand.
+
+    state is (width, shapes, values) after the entries run so far, 0..i:
+    shapes maps every shape inside mu that fillings with those entries
+    reach to the sum of q^|T| over the fillings, packed at width, and
+    values[i] is the one at mu: s_mu(1, q, ..., q^i).  A filling's
+    count bounds every coefficient, and there are at most (i+1)^|mu| of
+    them, so the width grows with i; the shapes are repacked when it
+    does.  An extension builds a new state and stores it in one step, so
+    a concurrent caller reads the old state or the new one, whole.
+    """
+
+    __slots__ = ("rows", "state")
+
+    def __init__(self, rows: tuple[int, ...]) -> None:
+        self.rows = rows
+        self.state = (1, {(0,) * len(rows): 1}, ())
+
+    def value(self, k: int) -> QPoly:
+        """s_mu(1, q, ..., q^k), running the entries up to k not yet run."""
+        rows = self.rows
+        width, shapes, values = self.state
+        for i in range(len(values), k + 1):
+            wider = pack_width((i + 1) ** sum(rows))
+            if wider != width:
+                shapes = {lam: pack(unpack(value, width), wider)
+                          for lam, value in shapes.items()}
+                width = wider
+            step = 8 * width * i
+            # the strip of entry i, one row at a time from the bottom: row
+            # j grows up to the row above it, which has not grown yet
+            for j in reversed(range(len(rows))):
+                grown: dict[tuple[int, ...], int] = {}
+                cap = rows[j]
+                for lam, value in shapes.items():
+                    low = lam[j]
+                    top = min(cap, lam[j - 1]) if j else cap
+                    grown[lam] = grown.get(lam, 0) + value
+                    if low < top:
+                        head, tail = lam[:j], lam[j + 1:]
+                        for part in range(low + 1, top + 1):
+                            value <<= step
+                            nu = head + (part,) + tail
+                            grown[nu] = grown.get(nu, 0) + value
+                shapes = grown
+            values += (unpack(shapes.get(rows, 0), width),)
+            self.state = width, shapes, values
+        return values[k]
+
+
+@functools.lru_cache(maxsize=8)
+def _strip_pass(rows: tuple[int, ...]) -> _StripPass:
+    return _StripPass(rows)
+
+
 def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:
     """s_mu(1, q, ..., q^k) as the sum of q^|T| over semistandard fillings.
 
@@ -112,9 +167,10 @@ def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:
     shape lam^i, so a filling is a chain of shapes inside mu ending at
     lam^k = mu, each step lam^i / lam^(i-1) a horizontal strip adding
     i times its size to |T|.  One pass per entry carries every reachable
-    shape with its polynomial, packed at the width of (k+1)^|mu|, which
-    bounds the number of fillings.  Its work grows with the number of
-    shapes inside mu, not of fillings, so it takes no budget.
+    shape with its polynomial.  The shapes reached after entry i do not
+    depend on k, so one pass per shape, kept for the last few shapes
+    asked (_strip_pass), answers every k of it.  Its work grows with the
+    number of shapes inside mu, not of fillings, so it takes no budget.
     Independent of the hook-content formula.
 
     >>> schur_specialization_oracle(Partition((2, 1)), 2).coeffs
@@ -124,24 +180,7 @@ def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
     if not mu:
         return ONE
-    rows = mu.parts
-    width = pack_width((k + 1) ** mu.size)
-    shapes = {(0,) * len(rows): 1}
-    for i in range(k + 1):
-        # k - i strips still to come must fill mu / nu, one cell per column
-        # each, so row j of nu reaches at least row j + k - i of mu; at
-        # i = k that makes nu = mu
-        floor = rows[k - i:] + (0,) * (k - i)
-        step = 8 * width * i
-        grown: dict[tuple[int, ...], int] = {}
-        for lam, value in shapes.items():
-            size = sum(lam)
-            # a horizontal strip: row j grows up to the old row above it
-            tops = (rows[0] + 1, *(min(r, top) + 1 for r, top in zip(rows[1:], lam)))
-            for nu in itertools.product(*map(range, map(max, lam, floor), tops)):
-                grown[nu] = grown.get(nu, 0) + (value << step * (sum(nu) - size))
-        shapes = grown
-    return unpack(shapes.get(rows, 0), width)
+    return _strip_pass(mu.parts).value(k)
 
 
 class TreeFamily(_Value):

@@ -93,9 +93,10 @@ class Configuration(_Value):
 
     slot_types, the labeled child types of a tree over the chain, does
     not depend on k: it is None until _child_types first needs it, then
-    kept.  enumerate_configurations caches a shape's configurations, so a
-    shape's slot types are computed once.  It takes no part in equality,
-    hashing or repr.
+    kept.  enumerate_configurations caches a shape's configurations, once
+    per level-1 bound, so a configuration's slot types are computed once
+    per list that holds it.  It takes no part in equality, hashing or
+    repr.
     """
 
     __slots__ = ("_lam", "_nus", "_slot_types")
@@ -168,13 +169,26 @@ def validate_configuration(config: Configuration) -> None:
                     f"negative second difference at (i={i}, j={j})")
 
 
-@functools.cache
-def enumerate_configurations(lam: Partition) -> tuple[Configuration, ...]:
-    """All admissible chains for lam, levels filled in canonical partition
-    order.  Each level keeps only the partitions whose column sums lie on
-    or above the floor its two lower levels set, and on or below the
-    ceiling the level under it sets for the levels still to come."""
+def enumerate_configurations(lam: Partition, m_max: int | None = None
+                             ) -> tuple[Configuration, ...]:
+    """All admissible chains for lam whose level 1 has at most m_max
+    parts (all of them when m_max is None), levels filled in canonical
+    partition order: the chains, and their order, that filtering all of
+    them on m_stat() <= m_max gives.  Each level keeps only the
+    partitions whose column sums lie on or above the floor its two lower
+    levels set, and on or below the ceiling the level under it sets for
+    the levels still to come.
+
+    Level 1 has |lam| - lam_1 cells, so no more parts: every m_max from
+    there on asks for all chains, and shares their cache entry.
+    """
     _check_shape(lam)
+    cells = lam.size - lam.parts[0]
+    return _configurations(lam, cells if m_max is None else min(m_max, cells))
+
+
+@functools.cache
+def _configurations(lam: Partition, m_max: int) -> tuple[Configuration, ...]:
     ell, n = len(lam), lam.size
     levels = [_level(sum(lam.parts[i:]), n) for i in range(1, ell + 1)]
     found: list[Configuration] = []
@@ -190,7 +204,9 @@ def enumerate_configurations(lam: Partition) -> tuple[Configuration, ...]:
         ceiling = _ceiling(chain[-1], ell - depth, n)
         options = [(nu, sums) for nu, sums in levels[depth - 1]
                    if all(map(operator.le, sums, ceiling))]
-        if depth >= 2:
+        if depth == 1:
+            options = [(nu, sums) for nu, sums in options if len(nu) <= m_max]
+        else:
             floor = _floor(chain[-2], chain[-1], n)
             options = [(nu, sums) for nu, sums in options
                        if all(map(operator.ge, sums, floor))]
@@ -301,7 +317,7 @@ def _typed_configurations(lam: Partition, k: int
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
     return [(config, _child_types(config, k))
-            for config in enumerate_configurations(lam) if config.m_stat() <= k]
+            for config in enumerate_configurations(lam, k)]
 
 
 def count_goh_trees(lam: Partition, k: int) -> int:

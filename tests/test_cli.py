@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kohtrees
-from kohtrees import cli
+from kohtrees import cli, koh
 from kohtrees.goh import tree_from_dict as goh_from_dict
 from kohtrees.koh import tree_from_dict as koh_from_dict
+from kohtrees.partitions import enumerate_partitions
 
 
 def run_cli(capsys, *argv):
@@ -307,6 +308,157 @@ def test_a_sweep_with_failed_and_over_budget_cells_reports_both(capsys, monkeypa
     assert err == "BUDGET_EXCEEDED: detail 2\n"
 
 
+def _sweep_cells(family, size, max_k):
+    """(shape, k) of every cell of a sweep, in sweep order."""
+    shapes = (range(size + 1) if family == "koh" else
+              [mu.parts for n in range(1, size + 1) for mu in enumerate_partitions(n)])
+    return [(shape, k) for shape in shapes for k in range(1, max_k + 1)]
+
+
+_SWEEPS = st.one_of(
+    st.tuples(st.just("koh"), st.just("--max-n"), st.integers(0, 7), st.integers(1, 7)),
+    st.tuples(st.just("goh"), st.just("--max-size"), st.integers(1, 6),
+              st.integers(1, 4)))
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SWEEPS, st.integers(2, 4), st.integers(1, 40), st.data())
+def test_a_forked_sweep_prints_what_one_worker_prints(sweep, workers, max_trees,
+                                                      data):
+    family, size_flag, size, max_k = sweep
+    cells = _sweep_cells(family, size, max_k)
+    failing = data.draw(st.none() | st.sampled_from(cells))
+    original = cli._verify_cell
+
+    def one_fails(family_name, cell):
+        label, ok, detail = original(family_name, cell)
+        if tuple(cell[:2]) == failing:
+            return label, False, f"forced failure at {label}"
+        return label, ok, detail
+
+    argv = ["verify", family, size_flag, str(size), "--max-k", str(max_k),
+            "--max-trees", str(max_trees)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_verify_cell", one_fails)
+        alone = _run_captured([*argv, "--workers", "1"])
+        split = _run_captured([*argv, "--workers", str(workers)])
+    assert split == alone
+    assert alone[1].startswith(("PASS", "FAIL", "BUDGET"))
+
+
+def test_a_child_that_raises_makes_the_sweep_raise_its_traceback(monkeypatch):
+    def cell(family, cell):
+        if cell[0] == 1:  # the second group: the child's share
+            raise ValueError("boom in n=1")
+        return f"{family} n={cell[0]} k={cell[1]}", True, ""
+
+    monkeypatch.setattr(cli, "_verify_cell", cell)
+    with pytest.raises(RuntimeError) as info:
+        _run_captured(["verify", "koh", "--max-n", "1", "--max-k", "2",
+                       "--workers", "2"])
+    message = str(info.value)
+    assert "raised:\nTraceback (most recent call last)" in message
+    assert "ValueError: boom in n=1" in message
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_dies_without_results_makes_the_sweep_raise(monkeypatch):
+    def cell(family, cell):
+        if cell[0] == 1:
+            os._exit(3)
+        return f"{family} n={cell[0]} k={cell[1]}", True, ""
+
+    monkeypatch.setattr(cli, "_verify_cell", cell)
+    with pytest.raises(RuntimeError, match=r"sent no results \(exit status 3\)"):
+        _run_captured(["verify", "koh", "--max-n", "1", "--max-k", "1",
+                       "--workers", "2"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_parent_that_raises_stops_and_reaps_its_children(monkeypatch):
+    import time
+    calls = []
+
+    def cell(family, cell):
+        calls.append(cell)
+        if cell[0] == 0:
+            raise ValueError("boom in the parent")
+        time.sleep(60)  # the child's share: long enough to need stopping
+
+    monkeypatch.setattr(cli, "_verify_cell", cell)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="boom in the parent"):
+        _run_captured(["verify", "koh", "--max-n", "2", "--max-k", "1",
+                       "--workers", "3"])
+    assert time.monotonic() - start < 30
+    assert calls == [(0, 1, koh.DEFAULT_TREE_BUDGET)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_beyond_the_shape_groups_start_no_process(capsys, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for max_n, started in ((0, 0), (1, 1), (2, 2)):
+        forks.clear()
+        code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", str(max_n),
+                               "--max-k", "2", "--workers", "4")
+        assert code == 0 and out.endswith(f"{2 * (max_n + 1)} passed, 0 failed\n")
+        assert len(forks) == started
+
+
+def test_without_fork_a_sweep_runs_in_process(capsys, monkeypatch):
+    one = run_cli(capsys, "verify", "goh", "--max-size", "3", "--max-k", "2",
+                  "--workers", "1")
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, "verify", "goh", "--max-size", "3", "--max-k", "2",
+                   "--workers", "4") == one
+
+
+def test_a_sweep_forks_no_child_while_another_thread_runs(capsys, monkeypatch):
+    import threading
+    one = run_cli(capsys, "verify", "koh", "--max-n", "3", "--max-k", "2",
+                  "--workers", "1")
+
+    def no_fork():
+        raise AssertionError("forked beside a running thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert run_cli(capsys, "verify", "koh", "--max-n", "3", "--max-k", "2",
+                       "--workers", "4") == one
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_workers_default_to_the_usable_cpus():
+    args = cli._build_parser().parse_args(["verify", "koh", "--max-n", "1",
+                                           "--max-k", "1"])
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    assert args.workers == usable
+
+
 def test_runs_are_deterministic(capsys):
     first = run_cli(capsys, "trees", "goh", "--mu", "3,1", "--k", "3",
                     "--format", "json")
@@ -514,10 +666,11 @@ def _modules_after(*argv):
 def test_a_query_loads_only_the_modules_it_runs():
     kron = _modules_after("kronecker", "--n", "6", "--k", "6", "--r", "9")
     assert "kohtrees.koh" in kron
-    assert not kron & {"dataclasses", "kohtrees.goh", "kohtrees.render"}
+    assert not kron & {"dataclasses", "kohtrees.goh", "kohtrees.render",
+                       "kohtrees.workers"}
     pleth = _modules_after("plethysm", "--mu", "2,1", "--k", "2", "--r", "1")
     assert "kohtrees.goh" in pleth
-    assert "kohtrees.render" not in pleth
+    assert not pleth & {"kohtrees.render", "kohtrees.workers"}
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
@@ -527,6 +680,12 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=SRC))
     assert out.stdout == "False\n"
+
+
+def test_a_split_sweep_loads_no_process_pool():
+    modules = _modules_after("verify", "koh", "--max-n", "2", "--max-k", "2",
+                             "--workers", "2")
+    assert not modules & {"concurrent.futures", "multiprocessing", "pickle"}
 
 
 def _process(*argv):

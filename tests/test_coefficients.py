@@ -1,9 +1,11 @@
 import gc
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kohtrees import coefficients
 from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
                                    METHOD_MARKED, CoefficientReport,
                                    _q_int_ratio,
@@ -16,7 +18,8 @@ from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
                              NonExactDivisionError, PreconditionViolationError)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.koh import DEFAULT_TREE_BUDGET, leaf_term, leaf_term_sum, leaves
-from kohtrees.qpoly import ONE, ZERO, QPoly, q_binomial, q_int_product
+from kohtrees.qpoly import (ONE, ZERO, QPoly, pack_width, q_binomial,
+                            q_int_product, unpack)
 
 
 def test_hook_content_base_cases():
@@ -53,6 +56,73 @@ def test_hook_content_matches_tableau_oracle():
         for mu in enumerate_partitions(size):
             for k in range(0, 7):
                 assert hook_content(mu, k) == schur_specialization_oracle(mu, k)
+
+
+def per_cell_strip_count(mu, k):
+    """s_mu(1, q, ..., q^k) by one strip pass for this k alone, all rows of
+    a strip at once, keeping only the shapes the strips still to come can
+    fill out to mu."""
+    if not mu:
+        return ONE
+    rows = mu.parts
+    width = pack_width((k + 1) ** mu.size)
+    shapes = {(0,) * len(rows): 1}
+    for i in range(k + 1):
+        # k - i strips still to come must fill mu / nu, one cell per column
+        # each, so row j of nu reaches at least row j + k - i of mu
+        floor = rows[k - i:] + (0,) * (k - i)
+        step = 8 * width * i
+        grown = {}
+        for lam, value in shapes.items():
+            size = sum(lam)
+            tops = (rows[0] + 1, *(min(r, top) + 1 for r, top in zip(rows[1:], lam)))
+            for nu in itertools.product(*map(range, map(max, lam, floor), tops)):
+                grown[nu] = grown.get(nu, 0) + (value << step * (sum(nu) - size))
+        shapes = grown
+    return unpack(shapes.get(rows, 0), width)
+
+
+def test_one_strip_pass_per_shape_matches_the_per_cell_pass():
+    for size in range(1, 10):
+        for mu in enumerate_partitions(size):
+            # extended one entry at a time, or run to the largest k at once
+            # and the smaller k read back
+            for ks in (range(8), (7, *range(7))):
+                coefficients._strip_pass.cache_clear()
+                for k in ks:
+                    assert schur_specialization_oracle(mu, k) == per_cell_strip_count(mu, k)
+    assert coefficients._strip_pass.cache_info().currsize <= 8
+
+
+def test_threads_sharing_a_strip_pass_read_whole_states():
+    import sys
+    import threading
+    mu = Partition((4, 3, 2, 1))
+    want = [per_cell_strip_count(mu, k) for k in range(9)]
+    coefficients._strip_pass.cache_clear()
+    got, errors = [], []
+
+    def ask(ks):
+        try:
+            got.extend((k, schur_specialization_oracle(mu, k)) for k in ks)
+        except Exception as exc:
+            errors.append(exc)
+
+    orders = (range(9), range(8, -1, -1), (4, 8, 2, 6, 0), (8, 7, 1, 3, 5))
+    threads = [threading.Thread(target=ask, args=(ks,)) for ks in orders * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(got) == 2 * (9 + 9 + 5 + 5)
+    assert all(value == want[k] for k, value in got)
 
 
 def enumerated_fillings(mu, k, max_fillings):
@@ -300,7 +370,7 @@ def test_library_routes_leave_no_cyclic_garbage():
     koh._productions.cache_clear()
     koh._COUNTS.clear()
     koh._TREES.clear()
-    goh.enumerate_configurations.cache_clear()
+    goh._configurations.cache_clear()
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()

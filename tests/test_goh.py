@@ -76,6 +76,17 @@ def test_configurations_match_the_brute_force_oracle_in_order():
                 validate_configuration(config)
 
 
+def test_level_1_bound_keeps_the_filtered_chains_in_order():
+    for size in range(1, 11):
+        for lam in enumerate_partitions(size):
+            every = enumerate_configurations(lam)
+            for k in range(0, 12):
+                assert enumerate_configurations(lam, k) == tuple(
+                    c for c in every if c.m_stat() <= k), (lam, k)
+            # a bound level 1 cannot reach shares the unbounded entry
+            assert enumerate_configurations(lam, size) is every
+
+
 def test_configuration_counts_for_large_shapes():
     assert len(enumerate_configurations(Partition((7, 6, 5, 4)))) == 960
     assert len(enumerate_configurations(Partition((3, 3, 3, 3, 3)))) == 32
