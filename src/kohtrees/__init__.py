@@ -21,8 +21,8 @@ _HOMES = {
     **dict.fromkeys(("Partition", "count_in_rectangle", "enumerate_partitions"),
                     "partitions"),
     **dict.fromkeys(("KohTree", "count_koh_trees", "enumerate_koh_trees",
-                     "koh_child_type", "koh_rhs_closed", "koh_term", "leaves",
-                     "sigma", "validate_koh_tree"), "koh"),
+                     "koh_rhs_closed", "koh_term", "leaves", "sigma",
+                     "validate_koh_tree"), "koh"),
     **dict.fromkeys(("Configuration", "GohTree", "count_goh_trees",
                      "enumerate_configurations", "enumerate_goh_trees",
                      "goh_leaves", "goh_rhs_closed", "goh_term",

@@ -18,14 +18,15 @@ _floor states the chain rule once, on cached column-sum vectors:
 enumeration keeps a level only at or above it in every column, and
 p_stat (so validation) reads P^i_j off it.  _ceiling is what the rule
 implies for the levels still to come, and prunes a level from above.
-_child_types states the child rule once; counting, enumeration,
-validation and parsing all read it.  The slot types do not depend on k,
+_child_types states the child rule once; counting, enumeration, the
+closed form, validation and parsing all read it.  The slot types do not depend on k,
 so each configuration keeps them once computed.  A configuration with
 its child types has the shape of a KOH production, so counting,
-building and the child check are the ones koh uses for its own trees
-(koh.count_trees, koh.build_trees, koh.check_children).  goh_rhs_closed
-spells the same sum out independently, as the reference the trees are
-checked against, from its own per-shape cache (_closed_form_terms).
+building, the closed form and the child check are the ones koh uses
+for its own trees (koh.count_trees, koh.build_trees, koh.closed_form,
+koh.check_children).  goh_rhs_closed reads the trees' own chain list,
+each slot's KOH trees summed as a q-binomial; hook content and the
+tableau oracle are the references independent of both.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ import operator
 from .errors import (BudgetExceededError, PreconditionViolationError,
                      StructureViolationError)
 from .koh import (DEFAULT_TREE_BUDGET, KohTree, build_trees, check_children,
-                  count_trees, leaf_term, leaves, payload_int)
+                  closed_form, count_trees, leaf_term_sum, leaves, payload_int)
 from .koh import tree_from_dict as koh_from_dict
 from .partitions import Partition, enumerate_partitions
-from .qpoly import QPoly, _Value, q_binomial, sum_of_products
+from .qpoly import QPoly, _Value
 
 
 @functools.cache
@@ -150,7 +151,8 @@ def _check_shape(lam: Partition) -> None:
 def validate_configuration(config: Configuration) -> None:
     """Check chain admissibility, raising StructureViolationError."""
     lam, nus = config.lam, config.nus
-    _check_shape(lam)
+    if not lam:
+        raise StructureViolationError("the shape partition must be nonempty")
     ell, n = len(lam), lam.size
     if len(nus) != ell + 1:
         raise StructureViolationError(
@@ -212,41 +214,6 @@ def _configurations(lam: Partition, m_max: int) -> tuple[Configuration, ...]:
                        if all(map(operator.ge, sums, floor))]
         todo.extend(chain + (nu,) for nu, _ in reversed(options))
     return tuple(found)
-
-
-@functools.cache
-def _closed_form_terms(lam: Partition
-                       ) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-    """(m_stat, tau_stat, the (P^i_j, m_j) of the occupied slots) for every
-    configuration of lam: the part of goh_rhs_closed's terms that does not
-    depend on k, once per shape."""
-    ell, n = len(lam), lam.size
-    terms = []
-    for config in enumerate_configurations(lam):
-        slots = []
-        for i in range(1, ell):
-            for j in range(1, n + 1):
-                mj = config.nus[i].mult(j)
-                if mj:
-                    slots.append((config.p_stat(i, j), mj))
-        terms.append((config.m_stat(), config.tau_stat(), tuple(slots)))
-    return tuple(terms)
-
-
-def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
-    """Configuration sum equal to s_lam(1, q, ..., q^k).
-
-    Each chain with m_stat <= k contributes q^tau times
-    q_binomial(|lam|, k - m) times the product of q_binomial(P^i_j, m_j)
-    over the occupied slots.
-    """
-    _check_shape(lam)
-    if k < 0:
-        raise PreconditionViolationError(f"k must be nonnegative, got {k}")
-    n = lam.size
-    return sum_of_products(
-        (tau, [q_binomial(n, k - m), *(q_binomial(p, mj) for p, mj in slots)])
-        for m, tau, slots in _closed_form_terms(lam) if m <= k)
 
 
 class GohTree(_Value):
@@ -312,12 +279,23 @@ def _child_types(config: Configuration, k: int
 def _typed_configurations(lam: Partition, k: int
                           ) -> list[tuple[Configuration, list]]:
     """Each configuration of lam with m_stat <= k, in canonical order,
-    with its child types: counting and building share one list."""
+    with its child types: counting, building and the closed form share
+    one list."""
     _check_shape(lam)
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
     return [(config, _child_types(config, k))
             for config in enumerate_configurations(lam, k)]
+
+
+def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
+    """Configuration sum equal to s_lam(1, q, ..., q^k).
+
+    Each chain with m_stat <= k contributes q^tau times the product of
+    q_binomial at its child types: (P^i_j, m_j) on each occupied slot,
+    and (|lam|, k - m) when m < k (at m = k that factor would be 1).
+    """
+    return closed_form(_typed_configurations(lam, k), Configuration.tau_stat)
 
 
 def count_goh_trees(lam: Partition, k: int) -> int:
@@ -345,7 +323,7 @@ def goh_leaves(tree: GohTree) -> tuple[int, ...]:
 
 def goh_term(tree: GohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over all leaves."""
-    return leaf_term(tree.degree, goh_leaves(tree))
+    return leaf_term_sum(tree.degree, (goh_leaves(tree),))
 
 
 def validate_goh_tree(tree: GohTree) -> None:

@@ -17,8 +17,8 @@ _child_types, the per-node rule (validation reads only that, since a
 payload's b is unbounded).  Counting, building and the closed form read
 it; counts and tree tuples are filled bottom up over the types below
 the one asked for (_fill), never by recursing down a chain of types.
-count_trees, build_trees and check_children serve both families: a
-GOH configuration with its child types is a production too.
+count_trees, build_trees, closed_form and check_children serve both
+families: a GOH configuration with its child types is a production too.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (BudgetExceededError, PreconditionViolationError,
                      StructureViolationError)
 from .partitions import Partition
 from .qpoly import (QPoly, _Value, pack_width, packed_q_int, q_binomial,
-                    q_int_product, sum_of_products, unpack)
+                    sum_of_products, unpack)
 
 _LEAF_MU = Partition((1,))
 
@@ -79,21 +79,6 @@ class KohTree(_Value):
 
     def root_fields(self) -> dict:
         return {"mu": list(self._mu.parts), "a": self._a, "b": self._b}
-
-
-def koh_child_type(mu: Partition, a: int, j: int) -> tuple[int, int]:
-    """Type (a', b') of the child along edge j of a node labeled (mu, a, b).
-
-    j must be a row length occurring in mu.  a' may come out negative;
-    callers treat that as a pruned branch.
-
-    >>> koh_child_type(Partition((4, 3, 1, 1)), 8, 1)
-    (2, 2)
-    """
-    for edge, ctype in _child_types(mu, a):
-        if edge == j:
-            return ctype
-    raise PreconditionViolationError(f"no row of length {j} in {mu!r}")
 
 
 def _check_type(n: int, k: int) -> None:
@@ -175,6 +160,16 @@ def build_trees(productions: Sequence[tuple[object, list]],
         out.extend(map(functools.partial(node, label, *fixed),
                        itertools.product(*slots)))
     return tuple(out)
+
+
+def closed_form(productions: Sequence[tuple[object, list]],
+                shift: Callable[[object], int]) -> QPoly:
+    """The sum over labels of q^shift(label) times the product of
+    q_binomial at each of the label's child types: the trees' term sum
+    with every KOH subtree slot summed in closed form."""
+    return sum_of_products(
+        (shift(label), [q_binomial(*ctype) for _, ctype in types])
+        for label, types in productions)
 
 
 def check_children(tree, types: list) -> None:
@@ -277,13 +272,10 @@ def leaf_sigma(degree: int, leaf_values: tuple[int, ...]) -> int:
     return s
 
 
-def leaf_term(degree: int, leaf_values: tuple[int, ...]) -> QPoly:
-    """q^(sigma/2) times the product of [leaf + 1]_q over the leaves."""
-    return q_int_product(leaf_values).shift(leaf_sigma(degree, leaf_values) // 2)
-
-
 def leaf_term_sum(degree: int, leaf_tuples: Sequence[tuple[int, ...]]) -> QPoly:
-    """The sum of leaf_term(degree, lv) over leaf_tuples, on packed ints.
+    """The sum over leaf_tuples of q^(sigma/2) times the product of
+    [a + 1]_q over the tuple's labels a, sigma being degree minus the
+    tuple's sum; the one kernel for products of q-integers, on packed ints.
 
     The width comes from the sum at q = 1, the sum over the tuples of
     the product of their a + 1, so the terms fit it whatever they sum to.
@@ -309,7 +301,7 @@ def sigma(tree) -> int:
 
 def koh_term(tree: KohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over the leaves."""
-    return leaf_term(tree.degree, leaves(tree))
+    return leaf_term_sum(tree.degree, (leaves(tree),))
 
 
 def koh_rhs_closed(n: int, k: int) -> QPoly:
@@ -322,9 +314,7 @@ def koh_rhs_closed(n: int, k: int) -> QPoly:
     if n < 0 or k < 0:
         raise PreconditionViolationError(
             f"closed form needs n >= 0 and k >= 0, got ({n}, {k})")
-    return sum_of_products(
-        (2 * lam.b_stat(), [q_binomial(*ctype) for _, ctype in types])
-        for lam, types in _productions(n, k))
+    return closed_form(_productions(n, k), lambda lam: 2 * lam.b_stat())
 
 
 def validate_koh_tree(tree: KohTree, expected_type: tuple[int, int] | None = None) -> None:

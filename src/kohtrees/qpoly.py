@@ -7,7 +7,6 @@ the only division on offer refuses to leave a remainder.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -212,28 +211,6 @@ def q_int(a: int) -> QPoly:
     """
     _check_q_int(a)
     return QPoly((1,) * (a + 1))
-
-
-def q_int_product(labels: Iterable[int]) -> QPoly:
-    """The product of the q-integers [a+1]_q over labels; ONE if empty.
-
-    Multiplying by [a+1]_q replaces each coefficient by the sum of a + 1
-    consecutive ones, so every factor costs one running sum over the
-    coefficients instead of a general product.
-
-    >>> q_int_product((1, 2)).coeffs
-    (1, 2, 2, 1)
-    """
-    coeffs = [1]
-    for a in labels:
-        _check_q_int(a)
-        # sums[i] = coeffs[0] + ... + coeffs[i-1], zeros padded past the
-        # end; new coefficient i is sums[i+1] - sums[i-a], or sums[i+1]
-        # while i < a
-        sums = list(itertools.accumulate(coeffs + [0] * a, initial=0))
-        coeffs = sums[1:a + 1] + list(map(operator.sub, sums[a + 1:],
-                                          sums[:len(coeffs)]))
-    return QPoly(coeffs)
 
 
 # --- packed polynomials ---

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 
@@ -17,9 +18,15 @@ from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
 from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
                              NonExactDivisionError, PreconditionViolationError)
 from kohtrees.partitions import Partition, enumerate_partitions
-from kohtrees.koh import DEFAULT_TREE_BUDGET, leaf_term, leaf_term_sum, leaves
-from kohtrees.qpoly import (ONE, ZERO, QPoly, pack_width, q_binomial,
-                            q_int_product, unpack)
+from kohtrees.koh import DEFAULT_TREE_BUDGET, leaf_term_sum, leaves
+from kohtrees.qpoly import (ONE, ZERO, QPoly, pack_width, q_binomial, q_int,
+                            unpack)
+
+
+def schoolbook_q_int_product(labels):
+    """The product of the q-integers [a+1]_q over labels, one general
+    QPoly product per factor."""
+    return functools.reduce(QPoly.__mul__, map(q_int, labels), ONE)
 
 
 def test_hook_content_base_cases():
@@ -403,7 +410,8 @@ def test_tree_sums_are_symmetric_and_unimodal(family):
     assert tree_sum.is_unimodal()
     schoolbook = ZERO
     for lv in leaf_tuples:
-        schoolbook = schoolbook + leaf_term(family.total, lv)
+        schoolbook = schoolbook + schoolbook_q_int_product(lv).shift(
+            (family.total - sum(lv)) // 2)
     assert tree_sum == schoolbook
 
 
@@ -414,8 +422,9 @@ def exact_div_hook_content(mu, k):
     conj = mu.conjugate().parts
     cells = [(i, j) for i, row_len in enumerate(mu.parts, start=1)
              for j in range(1, row_len + 1)]
-    num = q_int_product(k + j - i for i, j in cells)
-    den = q_int_product(mu.parts[i - 1] + conj[j - 1] - i - j for i, j in cells)
+    num = schoolbook_q_int_product(k + j - i for i, j in cells)
+    den = schoolbook_q_int_product(mu.parts[i - 1] + conj[j - 1] - i - j
+                                   for i, j in cells)
     return num.exact_div(den).shift(mu.b_stat())
 
 
@@ -433,6 +442,6 @@ def test_the_packed_ratio_refuses_what_is_not_a_nonnegative_polynomial():
         _q_int_ratio([1], [2])
     # [6]_q / ([2]_q [3]_q) = 1 - q + q^2 divides exactly as ints, but the
     # quotient's slots times the denominator carry: the q = 1 check fails
-    assert q_int_product([5]).exact_div(q_int_product([1, 2])) == QPoly([1, -1, 1])
+    assert q_int(5).exact_div(schoolbook_q_int_product([1, 2])) == QPoly([1, -1, 1])
     with pytest.raises(NonExactDivisionError):
         _q_int_ratio([5], [1, 2])

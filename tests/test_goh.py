@@ -4,6 +4,7 @@ import json
 import pytest
 
 from kohtrees import goh, koh
+from kohtrees.coefficients import hook_content
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import (Configuration, GohTree, count_goh_trees,
@@ -222,6 +223,8 @@ def test_json_round_trip():
 def test_from_dict_rejects_garbage():
     with pytest.raises(StructureViolationError):
         tree_from_dict({"lambda": [2, 1]})
+    with pytest.raises(StructureViolationError, match="shape partition must be nonempty"):
+        tree_from_dict({"lambda": [], "config": [[]], "k": 1, "children": []})
     good = tree_to_dict(enumerate_goh_trees(Partition((2, 1)), 2)[0])
     bad = dict(good, k=5)
     with pytest.raises(StructureViolationError):
@@ -364,10 +367,7 @@ def brute_slot_types(config):
 def test_slot_types_are_kept_once_per_shape_and_match_p_stat_and_mult():
     for size in range(1, 10):
         for lam in enumerate_partitions(size):
-            terms = goh._closed_form_terms(lam)
-            configs = enumerate_configurations(lam)
-            assert len(terms) == len(configs)
-            for config, (m, tau, slots) in zip(configs, terms):
+            for config in enumerate_configurations(lam):
                 slot_types = brute_slot_types(config)
                 types = goh._child_types(config, config.m_stat())
                 assert types == slot_types
@@ -376,8 +376,6 @@ def test_slot_types_are_kept_once_per_shape_and_match_p_stat_and_mult():
                 assert list(kept) == slot_types
                 goh._child_types(config, size + 1)
                 assert config.slot_types is kept
-                assert (m, tau) == (config.m_stat(), config.tau_stat())
-                assert list(slots) == [ctype for _, ctype in slot_types]
 
 
 def test_typed_configurations_and_closed_form_match_the_per_configuration_loop():
@@ -395,3 +393,18 @@ def test_typed_configurations_and_closed_form_match_the_per_configuration_loop()
                           + [q_binomial(*ctype) for _, ctype in brute_slot_types(c)])
                          for c in kept]
                 assert goh_rhs_closed(lam, k) == sum_of_products(terms)
+
+
+def test_closed_form_lists_only_the_chains_with_at_most_k_parts_at_level_1(
+        monkeypatch):
+    asked = []
+    configurations = goh._configurations.__wrapped__
+
+    def recorded(lam, m_max):
+        asked.append((lam.parts, m_max))
+        return configurations(lam, m_max)
+
+    monkeypatch.setattr(goh, "_configurations", recorded)
+    assert goh_rhs_closed(Partition((4, 3, 2, 1)), 2) == hook_content(
+        Partition((4, 3, 2, 1)), 2)
+    assert asked == [((4, 3, 2, 1), 2)]

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohtrees.errors import NonExactDivisionError
+from kohtrees.errors import NonExactDivisionError, StructureViolationError
+from kohtrees.koh import leaf_term_sum
 from kohtrees.qpoly import (ONE, ZERO, QPoly, pack, pack_width, packed_q_int,
-                            q_binomial, q_int, q_int_product, sum_of_products,
-                            unpack)
+                            q_binomial, q_int, sum_of_products, unpack)
 
 
 def test_trailing_zeros_trimmed():
@@ -95,21 +95,33 @@ def test_q_int_validates():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 12), max_size=8))
-def test_q_int_product_matches_repeated_multiplication(labels):
-    expected = ONE
-    for a in labels:
-        expected = expected * q_int(a)
-    assert q_int_product(labels) == expected
-    assert q_int_product(iter(labels)) == expected
+@given(st.lists(st.lists(st.integers(0, 12), max_size=8), max_size=4),
+       st.integers(0, 5))
+def test_leaf_term_sum_matches_repeated_multiplication(tuples, extra):
+    # one more label, 0 or 1, makes every sum even, so every defect below
+    # an even degree is even too
+    tuples = [(*labels, sum(labels) % 2) for labels in tuples]
+    degree = max(map(sum, tuples), default=0) + 2 * extra
+    expected = ZERO
+    for labels in tuples:
+        product = ONE
+        for a in labels:
+            product = product * q_int(a)
+        expected = expected + product.shift((degree - sum(labels)) // 2)
+    assert leaf_term_sum(degree, tuples) == expected
 
 
-def test_q_int_product_edge_cases():
-    assert q_int_product(()) == ONE
-    assert q_int_product((0, 0, 0)) == ONE
-    assert q_int_product((0, 3)) == q_int(3)
+def test_leaf_term_sum_edge_cases():
+    assert leaf_term_sum(0, ()) == ZERO
+    assert leaf_term_sum(0, ((),)) == ONE
+    assert leaf_term_sum(0, ((0, 0, 0),)) == ONE
+    assert leaf_term_sum(3, ((0, 3),)) == q_int(3)
     with pytest.raises(ValueError, match=r"q_int needs a >= 0, got -1"):
-        q_int_product((2, -1))
+        leaf_term_sum(1, ((2, -1),))
+    with pytest.raises(StructureViolationError, match="odd defect 1"):
+        leaf_term_sum(2, ((1,),))
+    with pytest.raises(StructureViolationError, match="exceeds the degree 1"):
+        leaf_term_sum(1, ((2,),))
 
 
 def test_q_binomial_small_values():
