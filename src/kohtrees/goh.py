@@ -129,18 +129,14 @@ class Configuration(_Value):
 
         Sum over 1 <= i < len(lam) and columns j up to |lam| of
         alpha^i_j (alpha^i_j - alpha^{i+1}_j), with alpha^i the
-        conjugate of nu^i padded with zeros.
+        conjugate of nu^i padded with zeros.  No level has a part above
+        |lam|, so the columns past |lam| are zero and the sum runs over
+        consecutive conjugates padded to a common length.
         """
-        n = self._lam.size
-        alphas = [nu.conjugate().parts for nu in self._nus]
-
-        def col(i: int, j: int) -> int:
-            row = alphas[i]
-            return row[j - 1] if j <= len(row) else 0
-
-        return sum(col(i, j) * (col(i, j) - col(i + 1, j))
-                   for i in range(1, len(self._lam))
-                   for j in range(1, n + 1))
+        alphas = [nu.conjugate().parts for nu in self._nus[1:]]
+        return sum(a * (a - b)
+                   for upper, lower in zip(alphas, alphas[1:])
+                   for a, b in itertools.zip_longest(upper, lower, fillvalue=0))
 
 
 def _check_shape(lam: Partition) -> None:

@@ -112,13 +112,21 @@ def count_in_rectangle(n: int, k: int, r: int) -> int:
     """Number of partitions of r with at most k parts, each at most n.
 
     Same recurrence that builds q_binomial, implemented independently on
-    scalar counts: split on whether the partition has k parts.
+    scalar counts: split on whether the partition has k parts.  Box
+    complement (the symmetry of Gaussian coefficients) first folds r past
+    the middle onto nk - r, so the recurrence runs only on the lower half
+    of each box: a call past the middle is one cache entry that goes
+    straight on to its mirror.  A k = 1 chain with 2r <= n never takes
+    the fold: the states it reaches are (n - i, 1, r - i), which keep
+    2r <= n, and (n - i, 0, r - i).
 
     >>> count_in_rectangle(2, 2, 2)
     2
     """
     if r < 0 or n < 0 or k < 0 or r > n * k:
         return 0
+    if 2 * r > n * k:
+        r = n * k - r
     if r == 0:
         return 1
     return count_in_rectangle(n, k - 1, r) + count_in_rectangle(n - 1, k, r - k)

@@ -15,6 +15,7 @@ from kohtrees import cli, koh
 from kohtrees.goh import tree_from_dict as goh_from_dict
 from kohtrees.koh import tree_from_dict as koh_from_dict
 from kohtrees.partitions import enumerate_partitions
+from kohtrees.qpoly import q_binomial
 
 
 def run_cli(capsys, *argv):
@@ -716,6 +717,18 @@ def test_the_process_entry_exits_1_over_budget_and_2_on_a_usage_error():
     proc = _process("kronecker", "--n", "3", "--k", "4", "--r", "99")
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == b"usage error: need 0 <= 2r <= nk, got r=99 with nk=12\n"
+
+
+@pytest.mark.parametrize("n,k,r", [(3000, 3, 400), (2000, 1, 300)])
+def test_a_thin_difference_query_inside_the_stack_answers(n, k, r):
+    # with n >= r the box's width binds no partition of r, so the count is
+    # the coefficient of the k-part Gaussian binomial q_binomial(r, k)
+    poly = q_binomial(r, k)
+    proc = _process("kronecker", "--n", str(n), "--k", str(k), "--r", str(r),
+                    "--method", "difference")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    expected = poly.coeff(r) - poly.coeff(r - 1)
+    assert f"coefficient: {expected}\n".encode() in proc.stdout
 
 
 def test_only_the_process_entry_turns_the_collector_off():

@@ -107,6 +107,26 @@ def test_specific_configuration_statistics():
     assert config.tau_stat() == 18
 
 
+def tau_by_cells(config):
+    """tau as the docstring states it, one (i, j) at a time."""
+    lam = config.lam
+    alphas = [nu.conjugate().parts for nu in config.nus]
+
+    def col(i, j):
+        return alphas[i][j - 1] if j <= len(alphas[i]) else 0
+
+    return sum(col(i, j) * (col(i, j) - col(i + 1, j))
+               for i in range(1, len(lam)) for j in range(1, lam.size + 1))
+
+
+def test_tau_stat_matches_the_per_cell_formula():
+    configs = [config for size in range(1, 11) for lam in enumerate_partitions(size)
+               for config in enumerate_configurations(lam)]
+    assert len(configs) == 395
+    for config in configs:
+        assert config.tau_stat() == tau_by_cells(config)
+
+
 def test_p_stat_index_bounds():
     config = enumerate_configurations(Partition((2, 1)))[0]
     with pytest.raises(IndexError):
