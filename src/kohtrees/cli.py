@@ -11,32 +11,39 @@ Subcommands
 
 Exit status: 0 on success, 1 on a verification, cross-check, or budget
 failure, 2 on a usage error.  Every command takes --max-trees (default
-koh.DEFAULT_TREE_BUDGET); only verify takes --workers, by default the
+errors.DEFAULT_TREE_BUDGET); only verify takes --workers, by default the
 CPUs this process may run on.  Both must be positive.  A sweep splits
 its shapes between this process and workers - 1 forked children and
 prints the same bytes whatever the split; --workers 1, or a platform
 without os.fork, checks every cell in this process.
 
 Each command imports only what it runs: json and the tree writers load
-inside the commands that print them, the worker split inside verify, and
-the GOH module through coefficients.goh_family, so a kronecker query
-compiles none of them.
+inside the commands that print them, the worker split inside verify,
+and the tree, marking, polynomial and GOH modules inside the
+coefficients routes that use them, so a kronecker query compiles no GOH
+code and a difference query no tree, marking or polynomial code.  A
+sweep loads the modules its cells run before it forks its workers.
 
 As a process entry (main() with no argv: `python -m kohtrees.cli` and
 the kohtrees script) a command runs with the cyclic garbage collector
-off, and once it has printed it freezes every object, so that the
-collection at interpreter exit skips them too.  Run as
-`python -m kohtrees.cli`, the module switches it off before its own
-imports, which would otherwise set off collections while they load;
-the kohtrees script imports the module first and switches it off in
-main().  The trees, leaf tuples and tables a command builds hold no
+off.  Run as `python -m kohtrees.cli`, the module switches it off before
+its own imports, which would otherwise set off collections while they
+load; the kohtrees script imports the module first and switches it off
+in main().  The trees, leaf tuples and tables a command builds hold no
 reference cycle (a test pins it for every library route), yet the
-collector would scan them over and over while they grow; reference
-counting frees them all the same, and only the argument parser's few
-hundred cyclic objects are left for the operating system to reclaim.
-Verify workers forked from such a process inherit the setting.
-main(argv), as tests and in-process callers use it, and every library
-call leave the collector as it is.
+collector would scan them over and over while they grow.  Verify
+workers forked from such a process inherit the setting.
+
+Once the command returns, the process entry flushes stdout and stderr
+and ends in os._exit with the command's status, so the interpreter
+does not free the tree tables and memo caches entry by entry on its way
+out; the operating system reclaims them whole.  A reader that closes
+the pipe early (`| head`) ends the process quietly with status 1.  An
+exception the command does not handle propagates as before, with its
+traceback and status 1.  main(argv), as tests and in-process callers
+use it, returns the status, leaves the collector as it is and raises
+what it does not handle, BrokenPipeError included; so does every
+library call.
 """
 
 from __future__ import annotations
@@ -55,9 +62,8 @@ from .coefficients import (METHOD_BOTH, METHOD_DIFFERENCE, METHOD_MARKED,
                            check_identities, goh_family, koh_family,
                            kronecker_two_row, marked_listing, plethysm_two_row,
                            plethysm_two_row_general)
-from .errors import (BudgetExceededError, CrossCheckFailedError,
-                     PreconditionViolationError)
-from .koh import DEFAULT_TREE_BUDGET
+from .errors import (DEFAULT_TREE_BUDGET, BudgetExceededError,
+                     CrossCheckFailedError, PreconditionViolationError)
 from .partitions import Partition, enumerate_partitions
 
 # trees printed with a failing verify cell; the cell may hold thousands
@@ -270,6 +276,11 @@ def _run_verify(args: argparse.Namespace) -> int:
                   for mu in enumerate_partitions(size)]
         worker = _verify_goh_cell
 
+    # every cell runs these: load them before the fork, so that the
+    # workers inherit them instead of each compiling its own copy
+    from . import koh, marking, qpoly
+    if args.family == "goh":
+        from . import goh
     from .workers import check_groups
     results = check_groups(worker, groups, args.workers)
     failures = [detail for _, ok, detail in results if ok is False]
@@ -288,10 +299,26 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the collector stays off in a process entry: see the module docstring
-    process = argv is None
-    if process:
-        gc.disable()
+    """Run the command in argv and return its exit status; with no argv,
+    run sys.argv[1:] as the process entry and end the process (see the
+    module docstring)."""
+    if argv is not None:
+        return _run_command(argv)
+    gc.disable()
+    try:
+        code = _run_command(None)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: drop what is still buffered for it
+        code = 1
+    try:
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
+def _run_command(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -326,9 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionViolationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if process:
-            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ for plethysm.  The coefficient indexed by r is the difference between
 the q^r and q^(r-1) coefficients, and it also counts marked expansion
 trees whose marking total works out to r.  Running both routes and
 comparing them catches implementation drift in either one.
+
+The difference route of the Kronecker family counts partitions in a box
+and needs nothing else, so the tree, marking and polynomial modules
+(koh, marking, qpoly) and the GOH module load inside the functions that
+use them: a query compiles only the routes it runs.
 """
 
 from __future__ import annotations
@@ -14,14 +19,10 @@ import functools
 import math
 from collections.abc import Callable
 
-from .errors import (CrossCheckFailedError, BudgetExceededError,
-                     NonExactDivisionError, PreconditionViolationError)
-from .koh import (DEFAULT_TREE_BUDGET, enumerate_koh_trees, koh_rhs_closed,
-                  leaf_term_sum, leaves)
-from .marking import enumerate_markings, marked_counts, marking_target
+from .errors import (DEFAULT_TREE_BUDGET, CrossCheckFailedError,
+                     BudgetExceededError, NonExactDivisionError,
+                     PreconditionViolationError, _Value)
 from .partitions import Partition, count_in_rectangle
-from .qpoly import (ONE, ZERO, QPoly, _Value, pack, pack_width, packed_q_int,
-                    q_binomial, unpack)
 
 METHOD_MARKED = "marked_trees"
 METHOD_DIFFERENCE = "difference_formula"
@@ -66,6 +67,7 @@ def _q_int_ratio(tops: list[int], bottoms: list[int]) -> QPoly:
     >>> _q_int_ratio([3], [1]).coeffs
     (1, 0, 1)
     """
+    from .qpoly import pack_width, packed_q_int, unpack
     num_at_1 = math.prod(a + 1 for a in tops)
     width = pack_width(num_at_1)
     quot, rem = divmod(math.prod(packed_q_int(a, width) for a in tops),
@@ -87,6 +89,7 @@ def hook_content(mu: Partition, k: int) -> QPoly:
     >>> hook_content(Partition((2, 1)), 2).coeffs
     (0, 1, 2, 2, 2, 1)
     """
+    from .qpoly import ONE, ZERO
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
     if not mu:
@@ -124,6 +127,7 @@ class _StripPass:
 
     def value(self, k: int) -> QPoly:
         """s_mu(1, q, ..., q^k), running the entries up to k not yet run."""
+        from .qpoly import pack, pack_width, unpack
         rows = self.rows
         width, shapes, values = self.state
         for i in range(len(values), k + 1):
@@ -179,6 +183,7 @@ def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
     if not mu:
+        from .qpoly import ONE
         return ONE
     return _strip_pass(mu.parts).value(k)
 
@@ -214,12 +219,22 @@ class TreeFamily(_Value):
 
 def koh_family(n: int, k: int) -> TreeFamily:
     """The KOH trees of type (n, k), summing to q_binomial(n, k)."""
+    # the trees and references import what they run: a difference query
+    # never compiles the tree or polynomial modules
+    def trees(budget: int) -> tuple:
+        from .koh import enumerate_koh_trees
+        return enumerate_koh_trees(n, k, max_trees=budget)
+
+    def references() -> tuple[tuple[str, QPoly], ...]:
+        from .koh import koh_rhs_closed
+        from .qpoly import q_binomial
+        return (("reference", q_binomial(n, k)),
+                ("closed form", koh_rhs_closed(n, k)))
+
     return TreeFamily(
-        f"n={n}, k={k}", "nk", n * k,
-        lambda budget: enumerate_koh_trees(n, k, max_trees=budget), "rectangle",
+        f"n={n}, k={k}", "nk", n * k, trees, "rectangle",
         lambda r: count_in_rectangle(n, k, r) - count_in_rectangle(n, k, r - 1),
-        lambda: (("reference", q_binomial(n, k)),
-                 ("closed form", koh_rhs_closed(n, k))))
+        references)
 
 
 def goh_family(mu: Partition, k: int) -> TreeFamily:
@@ -253,6 +268,8 @@ def _two_row(family: TreeFamily, rs: range, method: str,
                 f"need 0 <= 2r <= {name}, got r={r} with {name}={total}")
     if method == METHOD_DIFFERENCE:
         return tuple(CoefficientReport(family.difference(r), method) for r in rs)
+    from .koh import leaves
+    from .marking import marked_counts
     leaf_tuples = map(leaves, family.trees(max_trees))
     reports = []
     for r, witness in zip(rs, marked_counts(leaf_tuples, total, rs)):
@@ -275,6 +292,7 @@ def check_identities(family: TreeFamily, max_trees: int) -> None:
     degree.  The trees are read first, so the tree budget, the one budget
     of a cell, fails before any reference is computed.
     """
+    from .koh import leaf_term_sum, leaves
     total = family.total
     tree_sum = leaf_term_sum(total, [leaves(tree) for tree in family.trees(max_trees)])
     wrong = [f"the {ref} gives {p}"
@@ -297,6 +315,8 @@ def marked_listing(family: TreeFamily, r: int,
     if report.value > max_trees:
         raise BudgetExceededError(
             f"{report.value} marked trees exceed the budget {max_trees}")
+    from .koh import leaves
+    from .marking import enumerate_markings, marking_target
     pairs = []
     for tree, count in zip(family.trees(max_trees), report.witness_counts):
         if count:

@@ -35,13 +35,12 @@ import functools
 import itertools
 import operator
 
-from .errors import (BudgetExceededError, PreconditionViolationError,
-                     StructureViolationError)
-from .koh import (DEFAULT_TREE_BUDGET, KohTree, build_trees, check_children,
-                  closed_form, count_trees, leaf_term_sum, leaves, payload_int)
+from .errors import (DEFAULT_TREE_BUDGET, BudgetExceededError,
+                     PreconditionViolationError, StructureViolationError, _Value)
+from .koh import (KohTree, build_trees, check_children, closed_form, count_trees,
+                  leaf_term_sum, leaves, payload_int)
 from .koh import tree_from_dict as koh_from_dict
 from .partitions import Partition, enumerate_partitions
-from .qpoly import QPoly, _Value
 
 
 @functools.cache

@@ -28,16 +28,11 @@ import itertools
 import math
 from collections.abc import Callable, Sequence
 
-from .errors import (BudgetExceededError, PreconditionViolationError,
-                     StructureViolationError)
+from .errors import (DEFAULT_TREE_BUDGET, BudgetExceededError,
+                     PreconditionViolationError, StructureViolationError, _Value)
 from .partitions import Partition
-from .qpoly import (QPoly, _Value, pack_width, packed_q_int, q_binomial,
-                    sum_of_products, unpack)
 
 _LEAF_MU = Partition((1,))
-
-# the tree budget of both families' enumerators when a caller names none
-DEFAULT_TREE_BUDGET = 10 ** 7
 
 
 class KohTree(_Value):
@@ -167,6 +162,7 @@ def closed_form(productions: Sequence[tuple[object, list]],
     """The sum over labels of q^shift(label) times the product of
     q_binomial at each of the label's child types: the trees' term sum
     with every KOH subtree slot summed in closed form."""
+    from .qpoly import q_binomial, sum_of_products
     return sum_of_products(
         (shift(label), [q_binomial(*ctype) for _, ctype in types])
         for label, types in productions)
@@ -280,6 +276,7 @@ def leaf_term_sum(degree: int, leaf_tuples: Sequence[tuple[int, ...]]) -> QPoly:
     The width comes from the sum at q = 1, the sum over the tuples of
     the product of their a + 1, so the terms fit it whatever they sum to.
     """
+    from .qpoly import pack_width, packed_q_int, unpack
     width = pack_width(sum(math.prod(a + 1 for a in lv) for lv in leaf_tuples))
     q_ints: dict[int, int] = {}
     total = 0

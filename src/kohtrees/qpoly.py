@@ -8,50 +8,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import NonExactDivisionError
-
-
-class _Value:
-    """Base of the package's immutable value classes.
-
-    A subclass names its fields in _fields and keeps each field, and
-    anything else it stores, in a slot named after it with a leading
-    underscore, which its __init__ sets directly.  Every slot reads
-    through a read-only property of the plain name, so assigning or
-    deleting it raises AttributeError, and no instance has a __dict__.
-    Two values are equal when they have the same class and equal fields;
-    they hash as the tuple of their fields and repr as Class(field=...).
-    Equality and hashing read that tuple off the field slots with one
-    attrgetter per class (_key), not through the properties.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        for slot in cls.__slots__:
-            setattr(cls, slot[1:], property(operator.attrgetter(slot)))
-        if cls._fields:
-            get = operator.attrgetter(*(f"_{name}" for name in cls._fields))
-            # attrgetter gives one field bare and several as a tuple
-            cls._key = staticmethod(get if len(cls._fields) > 1
-                                    else lambda value: (get(value),))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key(self) == other._key(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+from .errors import NonExactDivisionError, _Value
 
 
 class QPoly(_Value):

@@ -648,7 +648,9 @@ def _run_quietly(argv):
 def test_fuzzed_argv_exits_0_1_or_2(argv):
     code = _run_quietly(argv)
     assert code in (0, 1, 2)
-    if argv[:2] == ["verify", "goh"] and "--max-fillings" in argv:
+    # --help prints and exits 0 before argparse reports an unknown option
+    if (argv[:2] == ["verify", "goh"] and "--max-fillings" in argv
+            and "--help" not in argv):
         assert code == 2
 
 
@@ -656,9 +658,11 @@ SRC = os.path.dirname(os.path.dirname(kohtrees.__file__))
 
 
 def _modules_after(*argv):
-    """The modules loaded once a fresh process has run the CLI on argv."""
-    probe = ("import sys; from kohtrees import cli; cli.main(sys.argv[1:]); "
-             "print(*sorted(sys.modules))")
+    """The modules loaded once a fresh process has run the CLI on argv;
+    with no argv, once it has imported the CLI."""
+    probe = ("import sys; from kohtrees import cli; "
+             + ("cli.main(sys.argv[1:]); " if argv else "")
+             + "print(*sorted(sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=SRC))
     return set(out.stdout.splitlines()[-1].split())
@@ -666,12 +670,18 @@ def _modules_after(*argv):
 
 def test_a_query_loads_only_the_modules_it_runs():
     kron = _modules_after("kronecker", "--n", "6", "--k", "6", "--r", "9")
-    assert "kohtrees.koh" in kron
-    assert not kron & {"dataclasses", "kohtrees.goh", "kohtrees.render",
-                       "kohtrees.workers"}
+    assert {"kohtrees.koh", "kohtrees.marking"} <= kron
+    assert not kron & {"dataclasses", "kohtrees.goh", "kohtrees.qpoly",
+                       "kohtrees.render", "kohtrees.workers"}
+    diff = _modules_after("kronecker", "--n", "6", "--k", "6", "--r", "9",
+                          "--method", "difference")
+    assert not diff & {"kohtrees.koh", "kohtrees.marking", "kohtrees.qpoly",
+                       "kohtrees.goh"}
     pleth = _modules_after("plethysm", "--mu", "2,1", "--k", "2", "--r", "1")
-    assert "kohtrees.goh" in pleth
+    assert {"kohtrees.goh", "kohtrees.qpoly"} <= pleth
     assert not pleth & {"kohtrees.render", "kohtrees.workers"}
+    assert not _modules_after() & {"kohtrees.koh", "kohtrees.marking",
+                                   "kohtrees.qpoly"}
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
@@ -689,10 +699,16 @@ def test_a_split_sweep_loads_no_process_pool():
     assert not modules & {"concurrent.futures", "multiprocessing", "pickle"}
 
 
+# a process entry's environment: stdout block-buffered, as it is on a pipe
+# unless the caller's environment says otherwise, so a missing flush shows
+_ENTRY_ENV = {**{name: value for name, value in os.environ.items()
+                 if name != "PYTHONUNBUFFERED"}, "PYTHONPATH": SRC}
+
+
 def _process(*argv):
     """`python -m kohtrees.cli argv` in a fresh process, the entry users run."""
     return subprocess.run([sys.executable, "-m", "kohtrees.cli", *argv],
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=SRC))
+                          capture_output=True, env=_ENTRY_ENV)
 
 
 @pytest.mark.parametrize("name,argv", [
@@ -731,29 +747,96 @@ def test_a_thin_difference_query_inside_the_stack_answers(n, k, r):
     assert f"coefficient: {expected}\n".encode() in proc.stdout
 
 
+# a probe's replacement for os._exit: it prints the status and the given
+# expressions' values, then ends the process as the real one would
+_EXIT_PROBE = ("exit = os._exit\n"
+               "os._exit = lambda code: (print(code, {}, flush=True), exit(code))\n")
+
+
 def test_only_the_process_entry_turns_the_collector_off():
-    probe = ("import gc, sys; from kohtrees import cli; "
-             "cli.main(['kronecker', '--n', '3', '--k', '4', '--r', '6']); "
-             "before = gc.isenabled(), gc.get_freeze_count(); cli.main(); "
-             "print(*before, gc.isenabled(), gc.get_freeze_count() > 0)")
+    # main(argv) returns with the collector as it was; main() runs with it
+    # off, freezes nothing and ends in os._exit with the command's status
+    probe = ("import gc, os; from kohtrees import cli\n"
+             "cli.main(['kronecker', '--n', '3', '--k', '4', '--r', '6'])\n"
+             "before = gc.isenabled()\n"
+             + _EXIT_PROBE.format("before, gc.isenabled(), gc.get_freeze_count()")
+             + "cli.main()\n"
+             "print('main() returned')")
     out = subprocess.run([sys.executable, "-c", probe, "kronecker", "--n", "3",
                           "--k", "4", "--r", "6"], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=SRC))
-    assert out.stdout.splitlines()[-1] == "True 0 False True"
+    assert out.stdout.splitlines()[-1] == "0 True False 0"
 
 
 def test_run_as_main_the_cli_imports_its_modules_without_collecting():
     # a collection on every allocation: any collection while a kohtrees
-    # module is loaded records the modules loaded so far
-    probe = ("import gc, runpy, sys; import kohtrees; seen = []; "
-             "gc.callbacks.append(lambda phase, info: phase == 'start' and "
+    # module is loaded records the modules loaded so far; the records are
+    # read when the process ends in os._exit
+    probe = ("import gc, os, runpy, sys; import kohtrees; seen = []\n"
+             + _EXIT_PROBE.format("gc.isenabled(), len(seen), "
+                                  "[s for s in seen if s]")
+             + "gc.callbacks.append(lambda phase, info: phase == 'start' and "
              "seen.append([m for m in sys.modules if m.startswith('kohtrees.')])); "
              "gc.set_threshold(1); sys.argv[0] = 'kohtrees.cli'\n"
-             "try: runpy.run_module('kohtrees.cli', run_name='__main__')\n"
-             "except SystemExit: pass\n"
-             "print(gc.isenabled(), len(seen), [s for s in seen if s])")
+             "runpy.run_module('kohtrees.cli', run_name='__main__')\n"
+             "print('main() returned')")
     out = subprocess.run([sys.executable, "-c", probe, "kronecker", "--n", "3",
                           "--k", "4", "--r", "6"], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=SRC))
-    enabled, collections, with_modules = out.stdout.splitlines()[-1].split(" ", 2)
-    assert enabled == "False" and int(collections) > 0 and with_modules == "[]"
+    code, enabled, collections, with_modules = out.stdout.splitlines()[-1].split(" ", 3)
+    assert (code, enabled, with_modules) == ("0", "False", "[]")
+    assert int(collections) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    "kronecker --n 3 --k 4 --r 6",
+    # 157 KB, more than a pipe holds: all of it must be flushed before the exit
+    "trees koh --n 10 --k 10 --format json",
+    "kronecker --n 8 --k 9 --r 10 --max-trees 10",
+    "kronecker --n 3 --k 4 --r 99",
+    "kronecker --n 3 --k 4",
+])
+def test_the_process_entry_prints_and_exits_as_main_argv_returns(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    proc = _process(*argv.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(),
+                                                           err.encode())
+
+
+def test_an_exception_main_does_not_handle_keeps_its_traceback():
+    probe = ("import sys; from kohtrees import cli\n"
+             "def fail(*args):\n"
+             "    raise LookupError('not handled')\n"
+             "cli.kronecker_two_row = fail\n"
+             "cli.main()")
+    proc = subprocess.run([sys.executable, "-c", probe, "kronecker", "--n", "3",
+                           "--k", "4", "--r", "6"], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"Traceback (most recent call last):\n")
+    assert proc.stderr.endswith(b"LookupError: not handled\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "trees koh --n 14 --k 14",  # 290 KB of lines
+    "trees koh --n 10 --k 10 --format json",  # 157 KB on one line
+])
+def test_a_reader_closing_the_pipe_ends_the_process_quietly(argv):
+    # either output is more than a pipe holds, so the process is still
+    # printing when the reader goes after its first line (at most 4 KB)
+    with subprocess.Popen([sys.executable, "-m", "kohtrees.cli", *argv.split()],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_ENTRY_ENV) as proc:
+        assert proc.stdout.readline(4096)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+def test_main_argv_raises_a_broken_pipe():
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with contextlib.redirect_stdout(ClosedPipe()), pytest.raises(BrokenPipeError):
+        cli.main(["kronecker", "--n", "3", "--k", "4", "--r", "6"])

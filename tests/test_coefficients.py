@@ -361,8 +361,9 @@ def test_check_identities_reads_the_trees_before_the_oracle(monkeypatch):
 
 
 def test_check_identities_rejects_a_wrong_tree_sum(monkeypatch):
-    import kohtrees.coefficients as coefficients
-    monkeypatch.setattr(coefficients, "koh_rhs_closed", lambda n, k: ONE)
+    # the family's references look the closed form up in koh when they run
+    from kohtrees import koh
+    monkeypatch.setattr(koh, "koh_rhs_closed", lambda n, k: ONE)
     with pytest.raises(CrossCheckFailedError,
                        match=r"^tree terms sum to .* but the closed form gives 1 "
                              r"for n=2, k=2$"):
