@@ -19,11 +19,12 @@ enumeration keeps a level only at or above it in every column, and
 p_stat (so validation) reads P^i_j off it.  _ceiling is what the rule
 implies for the levels still to come, and prunes a level from above.
 _child_types states the child rule once; counting, enumeration, the
-closed form, validation and parsing all read it.  The slot types do not depend on k,
-so each configuration keeps them once computed.  A configuration with
-its child types has the shape of a KOH production, so counting,
-building, the closed form and the child check are the ones koh uses
-for its own trees (koh.count_trees, koh.build_trees, koh.closed_form,
+closed form, validation and parsing all read it.  A configuration with
+its child types has the shape of a KOH production, and
+_typed_configurations caches the production list per (lam, k), as
+koh._productions does per type.  So counting, building, the closed form
+and the child check are the ones koh uses for its own trees
+(koh.count_trees, koh.build_trees, koh.closed_form,
 koh.check_children).  goh_rhs_closed reads the trees' own chain list,
 each slot's KOH trees summed as a q-binomial; hook content and the
 tableau oracle are the references independent of both.
@@ -37,9 +38,8 @@ import operator
 
 from .errors import (DEFAULT_TREE_BUDGET, BudgetExceededError,
                      PreconditionViolationError, StructureViolationError, _Value)
-from .koh import (KohTree, build_trees, check_children, closed_form, count_trees,
-                  leaf_term_sum, leaves, payload_int)
-from .koh import tree_from_dict as koh_from_dict
+from .koh import (KohTree, _tree_from_dict, build_trees, check_children, closed_form,
+                  count_trees, leaf_term_sum, leaves, payload_int)
 from .partitions import Partition, enumerate_partitions
 
 
@@ -91,21 +91,16 @@ def _level(size: int, n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
 class Configuration(_Value):
     """An admissible chain of partitions below a fixed shape.
 
-    slot_types, the labeled child types of a tree over the chain, does
-    not depend on k: it is None until _child_types first needs it, then
-    kept.  enumerate_configurations caches a shape's configurations, once
-    per level-1 bound, so a configuration's slot types are computed once
-    per list that holds it.  It takes no part in equality, hashing or
-    repr.
+    The production list of (lam, k), cached by _typed_configurations,
+    pairs each configuration with its child types.
     """
 
-    __slots__ = ("_lam", "_nus", "_slot_types")
+    __slots__ = ("_lam", "_nus")
     _fields = ("lam", "nus")
 
     def __init__(self, lam: Partition, nus: tuple[Partition, ...]) -> None:
         self._lam = lam
         self._nus = nus
-        self._slot_types = None
 
     def p_stat(self, i: int, j: int) -> int:
         """Mixed second difference at level i, column j.
@@ -257,30 +252,27 @@ def _child_types(config: Configuration, k: int
                  ) -> list[tuple[tuple[int, int] | None, tuple[int, int]]]:
     """(edge, KOH type) of every subtree of a tree for (config, k), in edge
     order: (P^i_j, mult_j(nu^i)) on each occupied slot (i, j), then
-    (|lam|, k - m) under edge None when m = m_stat < k.  Needs m <= k.
-    The slot types are kept on the configuration (slot_types)."""
-    types = config._slot_types
-    if types is None:
-        nus = config.nus
-        types = config._slot_types = tuple(
-            ((i, j), (config.p_stat(i, j), nus[i].mult(j)))
-            for i in range(1, len(config.lam)) for j in nus[i].distinct_parts())
+    (|lam|, k - m) under edge None when m = m_stat < k.  Needs m <= k."""
+    nus = config.nus
+    types = [((i, j), (config.p_stat(i, j), nus[i].mult(j)))
+             for i in range(1, len(config.lam)) for j in nus[i].distinct_parts()]
     m = config.m_stat()
     if m < k:
-        return [*types, (None, (config.lam.size, k - m))]
-    return list(types)
+        types.append((None, (config.lam.size, k - m)))
+    return types
 
 
+@functools.cache
 def _typed_configurations(lam: Partition, k: int
-                          ) -> list[tuple[Configuration, list]]:
+                          ) -> tuple[tuple[Configuration, list], ...]:
     """Each configuration of lam with m_stat <= k, in canonical order,
     with its child types: counting, building and the closed form share
-    one list."""
+    one list, computed once per (lam, k)."""
     _check_shape(lam)
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
-    return [(config, _child_types(config, k))
-            for config in enumerate_configurations(lam, k)]
+    return tuple((config, _child_types(config, k))
+                 for config in enumerate_configurations(lam, k))
 
 
 def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
@@ -336,14 +328,15 @@ def validate_goh_tree(tree: GohTree) -> None:
 # --- reading the dict form back ---
 
 def tree_from_dict(data: dict) -> GohTree:
-    """Parse the dict form back into a validated tree."""
+    """Parse the dict form back into a validated tree; validate_goh_tree
+    checks each KOH subtree once."""
     try:
         lam = Partition(data["lambda"])
         nus = tuple(Partition(p) for p in data["config"])
         k = payload_int(data["k"], "k")
         children = tuple((None if entry["edge"] is None
                           else tuple(payload_int(x, "edge") for x in entry["edge"]),
-                          koh_from_dict(entry["koh"]))
+                          _tree_from_dict(entry["koh"]))
                          for entry in data["children"])
     except StructureViolationError:
         raise

@@ -21,28 +21,29 @@ moves to every value of one interval, so a step (_step) adds its ways
 over those intervals through a difference array and one running sum.
 
 The DP rows live in a prefix table, keyed by the leaf prefix they
-count.  A row depends only on the leaves up to it, so a sequence starts
-from the row of its longest prefix in the table and steps only past it.
-Trees come in enumeration order, where later edges vary fastest, so
-most of a tree's rows are already there, and a prefix that comes back
-in a later tree, adjacent or not, is stepped once.  The table holds a
-bounded number of values: a row that does not fit drops the others.
-Cutting rows at a cap changes none of the values below it, so rows
-capped above a target serve it as long as the last step stops at the
-target; a target above the cap raises it and drops every row.
+count and cut at the one cap the table is made with.  A row depends
+only on the leaves up to it, so a sequence starts from the row of its
+longest prefix in the table and steps only past it.  Trees come in
+enumeration order, where later edges vary fastest, so most of a tree's
+rows are already there, and a prefix that comes back in a later tree,
+adjacent or not, is stepped once.  The table holds proper-prefix rows
+only, and a bounded number of values: a row that does not fit drops the
+others.  Cutting rows at a cap changes none of the values below it, so
+they serve every target up to the cap if the last step stops there.
 
 - count_markings(a, target) counts one final value from the row of all
   leaves but the last, summing the values the last step can leave at
   target.  A target past half the leaf sum counts 0 before any row is
   read.  Without a table it builds a fresh one capped at the target.
 - marked_counts owns one table for one call, capped at the call's
-  largest r, which no tree's target passes, and drops it on return, so
-  no DP state outlives a call or is shared between threads.  For a
-  single r (a coefficient query or a marked listing) it calls
-  count_markings once per tree with that table.  For a range of r it
-  reads each tree's full row from the table: a tree's target at r is r
-  minus its power shift, so the row, shifted by that power, lines up
-  with the range.
+  largest r, and drops it on return, so no DP state outlives a call or
+  is shared between threads.  A tree's target at r is r minus its power
+  shift, so none passes the cap; a leaf sum above the degree, which
+  would, raises PreconditionViolationError.  For a single r (a
+  coefficient query or a marked listing) it calls count_markings once
+  per tree with that table.  For a range of r it finishes each tree
+  from the same row with one last step, cut at the tree's top and not
+  stored: that row, shifted by the tree's power, lines up with the range.
 """
 
 from __future__ import annotations
@@ -88,9 +89,8 @@ class _PrefixTable:
     leaf needs no entry.  A row depends only on its prefix and the cap,
     so a sequence starts from the row of its longest stored prefix, and
     a prefix is stepped once however many sequences share it, adjacent
-    or not.  Values below a cap never depend on the values above it, so
-    a row capped at cap is exact at every top <= cap; a top above the
-    cap raises the cap and drops every row.  The rows hold at most
+    or not.  The cap is fixed: values below it never depend on the values
+    above it, so a row is exact up to it.  The rows hold at most
     _TABLE_CELLS values in all (or one longer row): a row that does not
     fit drops the others first.
     """
@@ -102,16 +102,12 @@ class _PrefixTable:
         self.rows: dict[tuple[int, ...], list[int]] = {}
         self.cells = 0
 
-    def row(self, a: Sequence[int], t: int, top: int) -> list[int]:
-        """Markings of a[:t] by final value, exact at 0..min(top, half its
-        leaf sum) and possibly longer; t >= 1, and the caller must not
-        change the list."""
+    def row(self, a: Sequence[int], t: int) -> list[int]:
+        """Markings of a[:t] by final value, exact at 0..min(cap, half its
+        leaf sum); t >= 1, and the caller must not change the list."""
         if t == 1:
             return [1]
         rows = self.rows
-        if top > self.cap:
-            self.cap, self.cells = top, 0
-            rows.clear()
         key = tuple(a[:t])
         dp = rows.get(key)
         if dp is not None:
@@ -134,21 +130,6 @@ class _PrefixTable:
         return dp
 
 
-def _value_counts(a: Sequence[int], top: int,
-                  table: _PrefixTable | None = None) -> list[int]:
-    """Number of markings of a ending at each value 0..min(top, sum(a) // 2),
-    or at 0 alone for a single leaf; values past the end count 0.  table,
-    when given, serves the row, as for count_markings.
-
-    >>> _value_counts((1, 1, 1, 1), 5)
-    [1, 3, 2]
-    """
-    _check_leaves(a)
-    if top < 0:
-        return []
-    return (table or _PrefixTable(top)).row(a, len(a), top)[:top + 1]
-
-
 def count_markings(a: Sequence[int], target: int,
                    table: _PrefixTable | None = None) -> int:
     """Number of markings of a with final value target.
@@ -156,7 +137,7 @@ def count_markings(a: Sequence[int], target: int,
     Infeasible targets (negative, past half the leaf sum, unreachable,
     or nonzero with a single leaf) simply count 0.  table, when given,
     serves the DP row of a's leaves but the last, from the rows it holds
-    of the longest prefix of a it has seen.
+    of the longest prefix of a it has seen; its cap must reach target.
 
     >>> count_markings((1, 1, 1, 1), 1)
     3
@@ -167,7 +148,7 @@ def count_markings(a: Sequence[int], target: int,
         return 0
     if len(a) == 1:
         return int(target == 0)
-    dp = (table or _PrefixTable(target)).row(a, len(a) - 1, target)
+    dp = (table or _PrefixTable(target)).row(a, len(a) - 1)
     # the last step must land on target: v >= target - a_last and
     # target - v <= prefix - 2v; the row may run past target
     return sum(dp[max(0, target - a[-1]):max(0, min(target, prefix - target) + 1)])
@@ -211,8 +192,12 @@ def marking_target(leaf_sum: int, total: int, r: int) -> int:
     """Final marking value that singles out coefficient r.
 
     total is the degree a*b of the tree type; the defect total - leaf_sum
-    must be even (it is twice the power shift of the tree's term).
+    must be even and nonnegative (it is twice the power shift of the
+    tree's term), so the target never passes r.
     """
+    if leaf_sum > total:
+        raise PreconditionViolationError(
+            f"leaf sum {leaf_sum} exceeds the degree {total}; no marking target exists")
     if (total - leaf_sum) % 2:
         raise PreconditionViolationError(
             f"defect {total} - {leaf_sum} is odd; no marking target exists")
@@ -225,11 +210,13 @@ def marked_counts(leaf_lists: Iterable[Sequence[int]], total: int,
     coefficient r, trees in order.
 
     rs is a range of consecutive r with 0 <= r <= total/2, which the
-    caller checks.  Each tree contributes the markings of its leaf
-    sequence at the tree's own target, r minus its power shift.  With
-    one r, count_markings counts that target alone; with more, one value
-    row per tree, padded by the shift, is read at every r.  Either way
-    one prefix table, capped at the last r, serves every tree of the call.
+    caller checks; a leaf sum above total raises
+    PreconditionViolationError.  Each tree contributes the markings of
+    its leaf sequence at the tree's own target, r minus its power shift.
+    With one r, count_markings counts that target alone; with more, the
+    row of all leaves but the last takes one last step, and that row,
+    padded by the shift, is read at every r.  Either way one prefix
+    table, capped at the last r, serves every tree of the call.
     """
     table = _PrefixTable(rs[-1])
     if len(rs) == 1:
@@ -239,10 +226,19 @@ def marked_counts(leaf_lists: Iterable[Sequence[int]], total: int,
     rows = []
     first = rs[0]
     for ls in leaf_lists:
-        shift = first - marking_target(sum(ls), total, first)
+        _check_leaves(ls)
+        leaf_sum = sum(ls)
+        shift = first - marking_target(leaf_sum, total, first)
+        top = rs[-1] - shift
+        if top < 0:
+            by_value = []
+        elif len(ls) == 1:
+            by_value = [1]
+        else:
+            by_value = _step(table.row(ls, len(ls) - 1)[:top + 1],
+                             leaf_sum - ls[-1], ls[-1], top)
         # coefficient r reads the tree's value r - shift, and the values
-        # off the row (below 0, or past a one-leaf row's 0) count 0
-        by_value = _value_counts(ls, rs[-1] - shift, table)
+        # off the row (below 0, or past its end) count 0
         if shift >= first:
             row = [0] * min(shift - first, len(rs)) + by_value
         else:

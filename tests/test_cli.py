@@ -492,24 +492,25 @@ def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
 
 def test_a_marking_dropped_by_the_value_table_fails_its_cell(capsys, monkeypatch):
     import kohtrees.marking as marking
-    real = marking._value_counts
+    real = marking._step
 
-    def drop_one(a, top, table=None):
-        # (36,) is the one-leaf tree of koh n=6 k=6 and of no other cell
-        # here; drop its marking with value 0
-        by_value = real(a, top, table)
-        if tuple(a) == (36,):
+    def drop_one(dp, prefix, nxt, cap):
+        # the all-r last step of the tree (0, 20), cut at its top value 10,
+        # is one of koh n=6 k=6 and matches no other step of this sweep;
+        # drop its marking with value 0, which counts at r = 8
+        by_value = real(dp, prefix, nxt, cap)
+        if (prefix, nxt, cap) == (0, 20, 10):
             by_value[0] -= 1
         return by_value
 
-    monkeypatch.setattr(marking, "_value_counts", drop_one)
+    monkeypatch.setattr(marking, "_step", drop_one)
     code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "6",
                            "--max-k", "6", "--workers", "1")
     assert code == 1
     assert "FAIL koh n=6 k=6\n" in out
     assert "checked 42 cells: 41 passed, 1 failed" in out
-    assert ("marked trees give 0 but the rectangle difference gives 1 "
-            "for n=6, k=6, r=0\n") in out
+    assert ("marked trees give 4 but the rectangle difference gives 5 "
+            "for n=6, k=6, r=8\n") in out
 
 
 def test_a_single_r_query_counts_the_markings_of_each_tree_once(capsys, monkeypatch):

@@ -379,6 +379,7 @@ def test_library_routes_leave_no_cyclic_garbage():
     koh._COUNTS.clear()
     koh._TREES.clear()
     goh._configurations.cache_clear()
+    goh._typed_configurations.cache_clear()
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()

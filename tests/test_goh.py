@@ -295,6 +295,34 @@ def test_from_dict_rejects_a_misplaced_unlabeled_subtree():
             tree_from_dict(dict(good, children=children))
 
 
+def koh_nodes(tree):
+    return 1 + sum(koh_nodes(child) for _, child in tree.children)
+
+
+def test_parsing_validates_each_koh_subtree_node_once(monkeypatch):
+    trees = enumerate_goh_trees(Partition((4, 3, 2)), 4)
+    payloads = [json.loads(json.dumps(tree_to_dict(t))) for t in trees]
+    nodes = sum(koh_nodes(child) for t in trees for _, child in t.children)
+    assert (len(trees), nodes) == (13, 78)
+    calls = []
+    real = koh.validate_koh_tree
+
+    def counted(tree, expected_type=None):
+        calls.append(tree)
+        return real(tree, expected_type)
+
+    monkeypatch.setattr(koh, "validate_koh_tree", counted)
+    assert tuple(map(tree_from_dict, payloads)) == trees
+    assert len(calls) == nodes
+    # the one check still reaches a bad node deep in a subtree
+    tree = next(t for t in trees if not t.children[0][1].is_leaf)
+    bad = tree_to_dict(tree)
+    inner = bad["children"][0]["koh"]
+    inner["children"][0]["tree"] = dict(inner["children"][0]["tree"], mu=[9])
+    with pytest.raises(StructureViolationError):
+        tree_from_dict(bad)
+
+
 def depth_first_leaves(tree):
     """Leaf labels read by walking the tree (a GOH root is never a leaf)."""
     if tree.is_leaf:
@@ -334,11 +362,14 @@ def test_child_types_run_once_per_configuration(monkeypatch):
         return original(config, k)
 
     monkeypatch.setattr(goh, "_child_types", counted)
+    goh._typed_configurations.cache_clear()
     total = count_goh_trees(lam, k)
-    calls.clear()
     assert len(enumerate_goh_trees(lam, k, max_trees=total)) == total
+    assert goh_rhs_closed(lam, k) == hook_content(lam, k)
+    # counting, building and the closed form read one list per (lam, k)
     assert len(calls) == len(set(calls)) == kept
     calls.clear()
+    goh._typed_configurations.cache_clear()
 
     def no_trees(*args, **kwargs):
         raise AssertionError("a tree was built over budget")
@@ -384,18 +415,15 @@ def brute_slot_types(config):
             for i in range(1, ell) for j in range(1, n + 1) if config.nus[i].mult(j)]
 
 
-def test_slot_types_are_kept_once_per_shape_and_match_p_stat_and_mult():
+def test_child_types_match_p_stat_and_mult_and_are_kept_per_shape_and_k():
     for size in range(1, 10):
         for lam in enumerate_partitions(size):
             for config in enumerate_configurations(lam):
-                slot_types = brute_slot_types(config)
-                types = goh._child_types(config, config.m_stat())
-                assert types == slot_types
-                # the kept tuple is the one read again, at every k
-                kept = config.slot_types
-                assert list(kept) == slot_types
-                goh._child_types(config, size + 1)
-                assert config.slot_types is kept
+                assert goh._child_types(config, config.m_stat()) == brute_slot_types(config)
+            # the production list is the one read again at the same (lam, k)
+            for k in (0, size + 1):
+                assert goh._typed_configurations(lam, k) is goh._typed_configurations(lam, k)
+    assert not hasattr(Configuration, "slot_types")
 
 
 def test_typed_configurations_and_closed_form_match_the_per_configuration_loop():
@@ -425,6 +453,7 @@ def test_closed_form_lists_only_the_chains_with_at_most_k_parts_at_level_1(
         return configurations(lam, m_max)
 
     monkeypatch.setattr(goh, "_configurations", recorded)
+    goh._typed_configurations.cache_clear()
     assert goh_rhs_closed(Partition((4, 3, 2, 1)), 2) == hook_content(
         Partition((4, 3, 2, 1)), 2)
     assert asked == [((4, 3, 2, 1), 2)]

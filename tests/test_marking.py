@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from kohtrees import marking
 from kohtrees.errors import PreconditionViolationError
 from kohtrees.goh import enumerate_goh_trees
 from kohtrees.koh import enumerate_koh_trees, leaves
-from kohtrees.marking import (_PrefixTable, _value_counts, count_markings,
-                              enumerate_markings, marked_counts, marking_target)
+from kohtrees.marking import (_PrefixTable, count_markings, enumerate_markings,
+                              marked_counts, marking_target)
 from kohtrees.partitions import enumerate_partitions
 from kohtrees.qpoly import ONE, q_int
 
@@ -86,15 +87,14 @@ def test_count_matches_the_dict_oracle_listing_and_coefficients(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 15), min_size=1, max_size=7).map(tuple))
-def test_value_counts_match_the_one_target_kernel_and_the_dict_oracle(a):
-    top = sum(a) // 2
-    by_value = _value_counts(a, top)
-    assert len(by_value) == (top + 1 if len(a) > 1 else 1)
-    for target in range(-2, top + 3):
-        # slots past either end of the table count 0
-        count = by_value[target] if 0 <= target < len(by_value) else 0
-        assert count == count_markings(a, target) == dict_dp_markings(a, target)
+@given(st.lists(st.integers(0, 15), min_size=1, max_size=7).map(tuple),
+       st.integers(0, 3))
+def test_all_r_counts_match_the_one_target_kernel_and_the_dict_oracle(a, shift):
+    # one tree whose power shift is shift: its target at r is r - shift
+    total = sum(a) + 2 * shift
+    rs = range(total // 2 + 1)
+    for r, (count,) in zip(rs, marked_counts([a], total, rs)):
+        assert count == count_markings(a, r - shift) == dict_dp_markings(a, r - shift)
 
 
 @st.composite
@@ -115,14 +115,14 @@ def trie_visits(draw):
 @settings(max_examples=200, deadline=None)
 @given(trie_visits(), st.integers(0, 12))
 def test_counts_through_one_shared_table_are_exact(visits, cap):
-    # a cap below some targets makes the table raise it and start over
+    # the cap is fixed, so every target asked of the table lies at or below it
     table = _PrefixTable(cap)
     for a, target in visits:
+        target = min(target, cap)
         shared = count_markings(a, target, table)
         assert shared == count_markings(a, target) == dict_dp_markings(a, target), (a, target)
-        # the all-r path reads whole rows from the same table
-        by_value = _value_counts(a, target, table)
-        assert by_value == _value_counts(a, target)
+        # the rows the table serves are the ones a fresh table steps
+        assert table.row(a, len(a)) == _PrefixTable(cap).row(a, len(a))
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,6 +136,35 @@ def test_all_r_counts_through_the_table_match_the_single_r_counts(visits):
         assert witness == marked_counts(leaf_lists, total, range(r, r + 1))[0]
         assert witness == tuple(dict_dp_markings(a, marking_target(sum(a), total, r))
                                 for a in leaf_lists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trie_visits(), st.data())
+def test_sub_ranges_match_the_per_r_route_while_rows_are_dropped(visits, data):
+    # degrees up to 12 past the largest leaf sum put some power shifts past
+    # the end of the range, and a table of a few cells drops its rows
+    # within a call on both routes
+    seqs = [a for a, _ in visits]
+    total = max(map(sum, seqs)) + data.draw(st.integers(0, 12))
+    leaf_lists = [a for a in seqs if (total - sum(a)) % 2 == 0]
+    first = data.draw(st.integers(0, total // 2))
+    rs = range(first, data.draw(st.integers(first, total // 2)) + 1)
+    with mock.patch.object(marking, "_TABLE_CELLS", data.draw(st.integers(1, 24))):
+        all_r = marked_counts(leaf_lists, total, rs)
+        assert len(all_r) == len(rs)
+        for r, witness in zip(rs, all_r):
+            assert witness == marked_counts(leaf_lists, total, range(r, r + 1))[0]
+            assert witness == tuple(dict_dp_markings(a, marking_target(sum(a), total, r))
+                                    for a in leaf_lists)
+
+
+@pytest.mark.parametrize("rs", [range(1, 2), range(0, 3)])
+def test_a_leaf_sum_above_the_degree_raises(rs):
+    # a target above the table's cap could only come from such a sequence
+    with pytest.raises(PreconditionViolationError, match="leaf sum 8 exceeds the degree 4"):
+        marked_counts(iter([(2, 2), (4, 4)]), 4, rs)
+    with pytest.raises(PreconditionViolationError, match="leaf sum 6 exceeds the degree 4"):
+        marked_counts([(6,)], 4, rs)
 
 
 # leaf sequences whose prefixes come back, one of them (3, 1, 4) in a
@@ -156,18 +185,15 @@ def counted_steps(monkeypatch):
 
 
 def test_the_table_steps_each_prefix_once(monkeypatch):
-    expected = {a: _value_counts(a, 9) for a in SHARING}
+    expected = {a: _PrefixTable(9).row(a, len(a)) for a in SHARING}
     steps = counted_steps(monkeypatch)
     table = _PrefixTable(9)
     for _ in range(2):
         for a in SHARING:
-            assert _value_counts(a, 9, table) == expected[a]
+            assert table.row(a, len(a)) == expected[a]
     prefixes = {a[:i] for a in SHARING for i in range(2, len(a) + 1)}
     assert set(table.rows) == prefixes and len(steps) == len(prefixes)
     assert table.cells == sum(map(len, table.rows.values()))
-    # a target above the cap raises it and drops every row
-    assert count_markings((2, 2, 20, 20), 20, table) == dict_dp_markings((2, 2, 20, 20), 20)
-    assert table.cap == 20 and set(table.rows) == {(2, 2), (2, 2, 20)}
 
 
 def test_the_table_holds_a_bounded_number_of_values():
@@ -183,40 +209,50 @@ def test_the_table_holds_a_bounded_number_of_values():
 @pytest.mark.parametrize("rs", [range(3, 4), range(0, 7)])
 def test_marked_counts_steps_each_prefix_once_and_keeps_no_rows(monkeypatch, rs):
     steps = counted_steps(monkeypatch)
-    tables = []
+    tables, asked = [], []
 
     class Recorded(_PrefixTable):
         def __init__(self, cap):
             super().__init__(cap)
             tables.append(weakref.ref(self))
 
+        def row(self, a, t):
+            asked.append(len(a) - t)
+            return super().row(a, t)
+
     monkeypatch.setattr(marking, "_PrefixTable", Recorded)
     counts = marked_counts(SHARING, 12, rs)
-    # one r marks each tree from the row of all its leaves but the last
-    # (every target here is feasible), a range of r from the row of all
-    cut = 1 if len(rs) == 1 else 0
-    assert len(steps) == len({a[:i] for a in SHARING for i in range(2, len(a) + 1 - cut)})
+    # both routes read each tree's row of all its leaves but the last (every
+    # target here is feasible); a range of r then steps each tree, all of
+    # them multi-leaf, past its last leaf once more, and stores none of it
+    last_steps = len(SHARING) if len(rs) > 1 else 0
+    assert asked == [1] * len(SHARING)
+    assert len(steps) == len({a[:i] for a in SHARING for i in range(2, len(a))}) + last_steps
     assert len(tables) == 1 and tables[0]() is None
     for r, witness in zip(rs, counts):
         assert witness == tuple(dict_dp_markings(a, marking_target(sum(a), 12, r))
                                 for a in SHARING)
 
 
-def test_value_counts_small_cases():
-    assert _value_counts((4,), 9) == [1]
-    assert _value_counts((4,), -1) == []
-    assert _value_counts((0, 0), 3) == [1]
-    assert _value_counts((2, 2), 9) == [1, 1, 1]
-    assert _value_counts((3, 1), 9) == [1, 1, 0]
-    # the table stops at top, whatever the leaf sum allows
-    assert _value_counts((1, 1, 1, 1), 1) == [1, 3]
+def test_all_r_counts_small_cases():
+    assert marked_counts([(4,)], 4, range(3)) == ((1,), (0,), (0,))
+    assert marked_counts([(0, 0)], 6, range(4)) == ((0,), (0,), (0,), (1,))
+    assert marked_counts([(2, 2)], 4, range(3)) == ((1,), (1,), (1,))
+    assert marked_counts([(3, 1)], 4, range(3)) == ((1,), (1,), (0,))
+    # the last step stops at the range's end, whatever the leaf sum allows
+    assert marked_counts([(1, 1, 1, 1)], 4, range(2)) == ((1,), (3,))
+    # a power shift past the range's end gives zeros, and one inside the
+    # range pads the row
+    assert marked_counts([(0, 0)], 8, range(2)) == ((0,), (0,))
+    assert marked_counts([(2, 2)], 8, range(1, 4)) == ((0,), (1,), (1,))
 
 
-def test_value_counts_validates_leaves():
-    with pytest.raises(PreconditionViolationError, match="nonempty leaf sequence"):
-        _value_counts((), 0)
-    with pytest.raises(PreconditionViolationError, match="must be nonnegative"):
-        _value_counts((1, -1), 0)
+def test_marked_counts_validates_leaves():
+    for rs in range(1, 2), range(0, 3):
+        with pytest.raises(PreconditionViolationError, match="nonempty leaf sequence"):
+            marked_counts([()], 4, rs)
+        with pytest.raises(PreconditionViolationError, match="must be nonnegative"):
+            marked_counts([(1, -1)], 4, rs)
 
 
 def test_a_target_past_half_the_leaf_sum_counts_zero_at_once():
