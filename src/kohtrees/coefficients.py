@@ -22,7 +22,7 @@ from collections.abc import Callable
 from .errors import (DEFAULT_TREE_BUDGET, CrossCheckFailedError,
                      BudgetExceededError, NonExactDivisionError,
                      PreconditionViolationError, _Value)
-from .partitions import Partition, count_in_rectangle
+from .partitions import Partition, rectangle_counts
 
 METHOD_MARKED = "marked_trees"
 METHOD_DIFFERENCE = "difference_formula"
@@ -192,11 +192,12 @@ class TreeFamily(_Value):
     """One tree family at fixed parameters, as both routes see it.
 
     trees(max_trees) enumerates the expansion trees, the same tuple on
-    every call, and total is their degree.  difference(r) is the q^r
-    minus q^(r-1) coefficient of the family's polynomial, computed
-    without trees by the route named in messages.  references() lists
-    named polynomials the tree terms must sum to, that polynomial first.
-    where and degree_name word the error messages.
+    every call, and total is their degree.  difference(rs) gives, for
+    each r of the nonempty ascending range rs, the q^r minus q^(r-1)
+    coefficient of the family's polynomial, computed without trees by
+    the route named in messages.  references() lists named polynomials
+    the tree terms must sum to, that polynomial first.  where and
+    degree_name word the error messages.
     """
 
     __slots__ = ("_where", "_degree_name", "_total", "_trees", "_route",
@@ -206,7 +207,7 @@ class TreeFamily(_Value):
 
     def __init__(self, where: str, degree_name: str, total: int,
                  trees: Callable[[int], tuple], route: str,
-                 difference: Callable[[int], int],
+                 difference: Callable[[range], tuple[int, ...]],
                  references: Callable[[], tuple[tuple[str, QPoly], ...]]) -> None:
         self._where = where
         self._degree_name = degree_name
@@ -231,10 +232,13 @@ def koh_family(n: int, k: int) -> TreeFamily:
         return (("reference", q_binomial(n, k)),
                 ("closed form", koh_rhs_closed(n, k)))
 
-    return TreeFamily(
-        f"n={n}, k={k}", "nk", n * k, trees, "rectangle",
-        lambda r: count_in_rectangle(n, k, r) - count_in_rectangle(n, k, r - 1),
-        references)
+    def difference(rs: range) -> tuple[int, ...]:
+        # one row of box counts serves both r and r - 1 of every r
+        row = rectangle_counts(n, k, rs[-1])
+        return tuple(row[r] - row[r - 1] if r else row[0] for r in rs)
+
+    return TreeFamily(f"n={n}, k={k}", "nk", n * k, trees, "rectangle",
+                      difference, references)
 
 
 def goh_family(mu: Partition, k: int) -> TreeFamily:
@@ -245,7 +249,8 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
     return TreeFamily(
         f"mu={mu!r}, k={k}", "|mu|k", mu.size * k,
         functools.cache(lambda budget: enumerate_goh_trees(mu, k, max_trees=budget)),
-        "specialization", lambda r: spec().coeff(r) - spec().coeff(r - 1),
+        "specialization",
+        lambda rs: tuple(spec().coeff(r) - spec().coeff(r - 1) for r in rs),
         lambda: (("hook content", spec()), ("closed form", goh_rhs_closed(mu, k)),
                  ("tableau oracle", schur_specialization_oracle(mu, k))))
 
@@ -257,8 +262,8 @@ def _two_row(family: TreeFamily, rs: range, method: str,
     The method and every r are checked before any tree is built.  The
     marked route builds the trees once, reads each leaf tuple once and
     marks it at every r.  With method both, the marked count must equal
-    the difference at every r; the first disagreement raises
-    CrossCheckFailedError.
+    the difference at every r, which one call gives for the whole range;
+    the first disagreement in r order raises CrossCheckFailedError.
     """
     _check_method(method)
     total, name = family.total, family.degree_name
@@ -267,21 +272,22 @@ def _two_row(family: TreeFamily, rs: range, method: str,
             raise PreconditionViolationError(
                 f"need 0 <= 2r <= {name}, got r={r} with {name}={total}")
     if method == METHOD_DIFFERENCE:
-        return tuple(CoefficientReport(family.difference(r), method) for r in rs)
+        return tuple(CoefficientReport(diff, method)
+                     for diff in family.difference(rs))
     from .koh import leaves
     from .marking import marked_counts
-    leaf_tuples = map(leaves, family.trees(max_trees))
-    reports = []
-    for r, witness in zip(rs, marked_counts(leaf_tuples, total, rs)):
-        marked = sum(witness)
-        if method == METHOD_BOTH:
-            diff = family.difference(r)
-            if marked != diff:
+    witnesses = marked_counts(map(leaves, family.trees(max_trees)), total, rs)
+    reports = tuple(CoefficientReport(sum(witness), method, witness)
+                    for witness in witnesses)
+    if method == METHOD_BOTH:
+        # one difference call for every r, after the trees, so that their
+        # budget fails first
+        for r, report, diff in zip(rs, reports, family.difference(rs)):
+            if report.value != diff:
                 raise CrossCheckFailedError(
-                    f"marked trees give {marked} but the {family.route} "
+                    f"marked trees give {report.value} but the {family.route} "
                     f"difference gives {diff} for {family.where}, r={r}")
-        reports.append(CoefficientReport(marked, method, witness))
-    return tuple(reports)
+    return reports
 
 
 def check_identities(family: TreeFamily, max_trees: int) -> None:

@@ -1,8 +1,10 @@
-"""Integer partitions and the statistics the tree expansions consume."""
+"""Integer partitions, the statistics the tree expansions consume, and the
+counts of partitions in a box that the rectangle difference reads."""
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterable, Iterator
 
 
@@ -86,14 +88,29 @@ class Partition:
 
 
 @functools.cache
-def _bounded(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
+def _partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    # each partition from the one before it: lower the last part above 1
+    # by one, then refill what it and the trailing 1s held with parts as
+    # large as the lowered one allows
     if n == 0:
         return ((),)
-    rows: list[tuple[int, ...]] = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _bounded(n - first, first):
-            rows.append((first,) + rest)
-    return tuple(rows)
+    rows = []
+    parts = [n]
+    while True:
+        rows.append(tuple(parts))
+        rest = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            rest += 1
+        if not parts:
+            return tuple(rows)
+        parts[-1] -= 1
+        top = parts[-1]
+        rest += 1
+        while rest > top:
+            parts.append(top)
+            rest -= top
+        parts.append(rest)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -104,29 +121,54 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative number: {n}")
-    return [Partition(t) for t in _bounded(n, n)]
+    return [Partition(t) for t in _partition_tuples(n)]
+
+
+def rectangle_counts(n: int, k: int, top: int) -> list[int]:
+    """Numbers of partitions of 0..top with at most k parts, each at most n.
+
+    Parts are added by size, bottom up, on one row of counts per number
+    of parts c: rows[c] holds the partitions with exactly c parts, packed
+    one slot per size 0..top into one int.  Part j joins a partition with
+    c - 1 parts as rows[c] += rows[c - 1] << j slots, cut at top; taking c
+    in ascending order lets part j repeat.  Every slot counts a subset of
+    the C(n + k, k) partitions in the box, so a slot as wide as that
+    number never carries into the next, and nothing is subtracted.  The
+    work is O(min(n, top) * k) shifts and adds, with no recursion.  This
+    is neither the q-Pascal recurrence of q_binomial nor a product
+    formula, so it checks both.
+
+    >>> rectangle_counts(2, 2, 4)
+    [1, 1, 2, 1, 1]
+    """
+    if top < 0:
+        return []
+    width = (math.comb(n + k, k).bit_length() + 7) // 8
+    step = 8 * width
+    mask = (1 << step * (top + 1)) - 1
+    rows = [1] + [0] * min(k, top)
+    for j in range(1, min(n, top) + 1):
+        shift = step * j
+        for c in range(1, min(k, top - j + 1) + 1):
+            rows[c] += (rows[c - 1] << shift) & mask
+    packed = sum(rows).to_bytes(width * (top + 1), "little")
+    return [int.from_bytes(packed[i:i + width], "little")
+            for i in range(0, len(packed), width)]
 
 
 @functools.cache
 def count_in_rectangle(n: int, k: int, r: int) -> int:
     """Number of partitions of r with at most k parts, each at most n.
 
-    Same recurrence that builds q_binomial, implemented independently on
-    scalar counts: split on whether the partition has k parts.  Box
-    complement (the symmetry of Gaussian coefficients) first folds r past
-    the middle onto nk - r, so the recurrence runs only on the lower half
-    of each box: a call past the middle is one cache entry that goes
-    straight on to its mirror.  A k = 1 chain with 2r <= n never takes
-    the fold: the states it reaches are (n - i, 1, r - i), which keep
-    2r <= n, and (n - i, 0, r - i).
+    Box complement (the symmetry of Gaussian coefficients) first folds r
+    past the middle onto nk - r, so the row that rectangle_counts builds
+    runs only to the lower half of the box.  A query that needs several
+    r of one box reads them from one rectangle_counts row instead.
 
     >>> count_in_rectangle(2, 2, 2)
     2
     """
     if r < 0 or n < 0 or k < 0 or r > n * k:
         return 0
-    if 2 * r > n * k:
-        r = n * k - r
-    if r == 0:
-        return 1
-    return count_in_rectangle(n, k - 1, r) + count_in_rectangle(n - 1, k, r - k)
+    r = min(r, n * k - r)
+    return rectangle_counts(n, k, r)[r]

@@ -460,6 +460,31 @@ def test_workers_default_to_the_usable_cpus():
     assert args.workers == usable
 
 
+@pytest.fixture
+def default_stack():
+    # the interpreter's default limit, whatever an earlier test left
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_a_thin_box_answers_at_the_default_recursion_limit(capsys, default_stack):
+    code, out, err = run_cli(capsys, "kronecker", "--n", "2000", "--k", "1",
+                             "--r", "1000", "--method", "difference")
+    assert (code, err) == (0, "")
+    assert "coefficient: 0\n" in out
+
+
+def test_a_long_thin_box_matches_a_direct_count(capsys, default_stack):
+    from box_oracles import three_part_count
+    code, out, err = run_cli(capsys, "kronecker", "--n", "3000", "--k", "3",
+                             "--r", "4500")
+    expected = three_part_count(3000, 4500) - three_part_count(3000, 4499)
+    assert (code, err) == (0, "")
+    assert f"coefficient: {expected}\nmethod: both\n" == out
+
+
 def test_runs_are_deterministic(capsys):
     first = run_cli(capsys, "trees", "goh", "--mu", "3,1", "--k", "3",
                     "--format", "json")
@@ -469,10 +494,18 @@ def test_runs_are_deterministic(capsys):
 
 
 def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
-    import kohtrees.coefficients as coefficients
-    real = coefficients.count_in_rectangle
-    monkeypatch.setattr(coefficients, "count_in_rectangle",
-                        lambda n, k, r: 0 if (n, k) == (6, 6) else real(n, k, r))
+    from kohtrees.coefficients import TreeFamily
+    real = cli.koh_family
+
+    def koh_family(n, k):
+        family = real(n, k)
+        if (n, k) != (6, 6):
+            return family
+        return TreeFamily(family.where, family.degree_name, family.total,
+                          family.trees, family.route,
+                          lambda rs: (0,) * len(rs), family.references)
+
+    monkeypatch.setattr(cli, "koh_family", koh_family)
     code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "6",
                            "--max-k", "6")
     assert code == 1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kohtrees import coefficients
 from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
                                    METHOD_MARKED, CoefficientReport,
-                                   _q_int_ratio,
+                                   TreeFamily, _q_int_ratio,
                                    check_identities, goh_family,
                                    hook_content, koh_family, kronecker_two_row,
                                    marked_listing, plethysm_two_row,
@@ -234,9 +234,17 @@ def test_kronecker_budget_propagates():
 
 
 def test_kronecker_cross_check_trips_on_disagreement(monkeypatch):
-    monkeypatch.setattr("kohtrees.coefficients.count_in_rectangle",
-                        lambda n, k, r: 0)
-    with pytest.raises(CrossCheckFailedError):
+    real = coefficients.koh_family
+
+    def koh_family(n, k):
+        family = real(n, k)
+        return TreeFamily(family.where, family.degree_name, family.total,
+                          family.trees, family.route,
+                          lambda rs: (0,) * len(rs), family.references)
+
+    monkeypatch.setattr(coefficients, "koh_family", koh_family)
+    with pytest.raises(CrossCheckFailedError, match="marked trees give 1 but the "
+                       "rectangle difference gives 0 for n=2, k=2, r=0$"):
         kronecker_two_row(2, 2, 0, method=METHOD_BOTH)
 
 

@@ -1,9 +1,11 @@
-import functools
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from box_oracles import plain_box_count, three_part_count
+from kohtrees import partitions
 from kohtrees.partitions import (Partition, count_in_rectangle,
-                                 enumerate_partitions)
+                                 enumerate_partitions, rectangle_counts)
 from kohtrees.qpoly import q_binomial
 
 
@@ -91,22 +93,45 @@ def test_count_in_rectangle_agrees_with_gaussian_coefficients():
                 assert count_in_rectangle(n, k, r) == count_in_rectangle(n, k, n * k - r)
 
 
-def test_count_in_rectangle_folds_r_past_the_middle_of_the_box():
-    @functools.cache
-    def plain(n, k, r):
-        if r < 0 or n < 0 or k < 0 or r > n * k:
-            return 0
-        if r == 0:
-            return 1
-        return plain(n, k - 1, r) + plain(n - 1, k, r - k)
+def test_count_in_rectangle_folds_r_past_the_middle_of_the_box(monkeypatch):
+    built = []
 
+    def spy(n, k, top):
+        row = rectangle_counts(n, k, top)
+        built.append(len(row))
+        return row
+
+    monkeypatch.setattr(partitions, "rectangle_counts", spy)
     count_in_rectangle.cache_clear()
-    assert count_in_rectangle(30, 31, 400) == plain(30, 31, 400)
-    # 29,886 states against the plain recurrence's 47,568
-    assert count_in_rectangle.cache_info().currsize <= 0.7 * plain.cache_info().currsize
+    for r in (400, 30 * 31 - 400, 465):
+        assert count_in_rectangle(30, 31, r) == plain_box_count(30, 31, r)
+        assert built[-1] == min(r, 30 * 31 - r) + 1
+    count_in_rectangle.cache_clear()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.data())
+def test_the_row_matches_the_plain_recurrence_and_the_gaussian(n, k, data):
+    top = data.draw(st.integers(0, n * k), label="top")
+    row, poly = rectangle_counts(n, k, top), q_binomial(n, k)
+    assert row == [plain_box_count(n, k, r) for r in range(top + 1)]
+    assert row == [poly.coeff(r) for r in range(top + 1)]
+    assert count_in_rectangle(n, k, top) == count_in_rectangle(n, k, n * k - top)
+
+
+def test_thin_boxes_need_no_deep_stack():
+    assert rectangle_counts(2000, 1, 1000) == [1] * 1001
+    assert rectangle_counts(1, 2000, 1000) == [1] * 1001
+    row = rectangle_counts(3000, 3, 4500)
+    assert row[4500] == three_part_count(3000, 4500)
+    assert row[4499] == three_part_count(3000, 4499)
+    assert count_in_rectangle(3000, 3, 9000 - 17) == three_part_count(3000, 17)
 
 
 def test_count_in_rectangle_edges():
+    assert rectangle_counts(3, 4, -1) == []
+    assert rectangle_counts(0, 5, 2) == [1, 0, 0]
+    assert rectangle_counts(3, 4, 14) == [1, 1, 2, 3, 4, 4, 5, 4, 4, 3, 2, 1, 1, 0, 0]
     assert count_in_rectangle(3, 4, 0) == 1
     assert count_in_rectangle(3, 4, -1) == 0
     assert count_in_rectangle(3, 4, 13) == 0
