@@ -9,41 +9,31 @@ Subcommands
     verify koh --max-n A --max-k B [--workers W]
     verify goh --max-size A --max-k B [--workers W]
 
-Exit status: 0 on success, 1 on a verification, cross-check, or budget
+Exit status: 0 on success, 1 on a verification, cross-check or budget
 failure, 2 on a usage error.  Every command takes --max-trees (default
-errors.DEFAULT_TREE_BUDGET); only verify takes --workers, by default the
-CPUs this process may run on.  Both must be positive.  A sweep splits
-its shapes between this process and workers - 1 forked children and
-prints the same bytes whatever the split; --workers 1, or a platform
-without os.fork, checks every cell in this process.
+errors.DEFAULT_TREE_BUDGET); verify also takes --workers, by default the
+CPUs this process may run on.  Both must be positive.  A sweep prints
+the same bytes whatever the split between workers (see workers); with
+--workers 1, or no os.fork, this process checks every cell.
 
-Each command imports only what it runs: json and the tree writers load
-inside the commands that print them, the worker split inside verify,
-and the tree, marking, polynomial and GOH modules inside the
-coefficients routes that use them, so a kronecker query compiles no GOH
-code and a difference query no tree, marking or polynomial code.  A
-sweep loads the modules its cells run before it forks its workers.
+Each command imports only what it runs: json and the tree writers where
+they print, the worker split in verify, and the tree, marking,
+polynomial and GOH modules in the coefficient routes that use them.  A
+text coefficient query builds no tree; a kronecker query compiles no GOH
+code and a difference query no tree, marking or polynomial code.
 
 As a process entry (main() with no argv: `python -m kohtrees.cli` and
 the kohtrees script) a command runs with the cyclic garbage collector
-off.  Run as `python -m kohtrees.cli`, the module switches it off before
-its own imports, which would otherwise set off collections while they
-load; the kohtrees script imports the module first and switches it off
-in main().  The trees, leaf tuples and tables a command builds hold no
-reference cycle (a test pins it for every library route), yet the
-collector would scan them over and over while they grow.  Verify
-workers forked from such a process inherit the setting.
-
-Once the command returns, the process entry flushes stdout and stderr
-and ends in os._exit with the command's status, so the interpreter
-does not free the tree tables and memo caches entry by entry on its way
-out; the operating system reclaims them whole.  A reader that closes
-the pipe early (`| head`) ends the process quietly with status 1.  An
-exception the command does not handle propagates as before, with its
-traceback and status 1.  main(argv), as tests and in-process callers
-use it, returns the status, leaves the collector as it is and raises
-what it does not handle, BrokenPipeError included; so does every
-library call.
+off, from before the imports below under `python -m`: the tables it
+builds hold no reference cycle (a test pins it) and would only be
+rescanned as they grow; forked verify workers inherit that.  The entry
+then flushes stdout and stderr and ends in os._exit with the command's
+status, so no table is freed entry by entry.  A reader that closes the
+pipe early (`| head`) ends it quietly with status 1; an unhandled
+exception keeps its traceback and status 1.  main(argv), as tests and
+in-process callers use it, returns the status, leaves the collector
+alone and raises what it does not handle, BrokenPipeError included; so
+does every library call.
 """
 
 from __future__ import annotations
@@ -163,8 +153,7 @@ def _print_report(report, fmt: str) -> None:
     if fmt == "json":
         import json
         payload = {"coefficient": report.value, "method": report.method,
-                   "witness_counts": list(report.witness_counts)
-                   if report.witness_counts is not None else None}
+                   "witness_counts": report.witness_counts}
         print(json.dumps(payload))
     else:
         print(f"coefficient: {report.value}")
@@ -254,11 +243,10 @@ def _run_verify(args: argparse.Namespace) -> int:
     """Check every cell and print one status line per cell, then a summary.
 
     A cell over a budget prints BUDGET and the sweep goes on; the summary
-    counts such cells only when there are any, and the first budget
-    message goes to stderr.  Exit status 1 when any cell failed or ran
-    over a budget.  The cells of one shape (n, or mu) form a group that
-    one worker checks (workers.check_groups); the output does not depend
-    on the number of workers.
+    counts such cells when there are any, and the first budget message
+    goes to stderr.  Exit status 1 when any cell failed or ran over a
+    budget.  One worker checks the cells of one shape (n, or mu), so the
+    output does not depend on the number of workers.
     """
     if args.family == "koh":
         if args.max_n < 0 or args.max_k < 1:

@@ -5,12 +5,14 @@ the Gaussian binomial for Kronecker, a principal Schur specialization
 for plethysm.  The coefficient indexed by r is the difference between
 the q^r and q^(r-1) coefficients, and it also counts marked expansion
 trees whose marking total works out to r.  Running both routes and
-comparing them catches implementation drift in either one.
+comparing them catches implementation drift in either one.  The marked
+route reads the family's leaf table, each distinct leaf tuple with its
+number of trees, and builds no tree; only a report's witness_counts,
+read on demand, does.
 
-The difference route of the Kronecker family counts partitions in a box
-and needs nothing else, so the tree, marking and polynomial modules
-(koh, marking, qpoly) and the GOH module load inside the functions that
-use them: a query compiles only the routes it runs.
+The Kronecker difference route counts partitions in a box and needs
+nothing else, so the koh, marking, qpoly and goh modules load inside the
+functions that use them: a query compiles only the routes it runs.
 """
 
 from __future__ import annotations
@@ -33,17 +35,27 @@ class CoefficientReport(_Value):
     """A computed coefficient plus how it was obtained.
 
     witness_counts lists the marked-tree count per expansion tree, in
-    enumeration order, when the marked route ran; otherwise None.
+    enumeration order, when the marked route ran, else None; given as a
+    function, it runs on first read (__getattr__ runs only while the
+    slot is unset).
     """
 
-    __slots__ = ("_value", "_method", "_witness_counts")
+    __slots__ = ("_value", "_method", "_witness_counts", "_witnesses")
     _fields = ("value", "method", "witness_counts")
 
-    def __init__(self, value: int, method: str,
-                 witness_counts: tuple[int, ...] | None = None) -> None:
+    def __init__(self, value: int, method: str, witness_counts=None) -> None:
         self._value = value
         self._method = method
-        self._witness_counts = witness_counts
+        if callable(witness_counts):
+            self._witnesses = witness_counts
+        else:
+            self._witness_counts = witness_counts
+
+    def __getattr__(self, name: str):
+        if name != "_witness_counts":
+            raise AttributeError(name)
+        self._witness_counts = counts = self._witnesses()
+        return counts
 
 
 def _check_method(method: str) -> None:
@@ -54,15 +66,13 @@ def _check_method(method: str) -> None:
 def _q_int_ratio(tops: list[int], bottoms: list[int]) -> QPoly:
     """The product of the q-integers [a + 1]_q over tops divided by the
     product over bottoms, which must be a polynomial with nonnegative
-    coefficients; otherwise NonExactDivisionError.
+    coefficients, else NonExactDivisionError.
 
-    One exact division of packed ints, at the width of the numerator's
-    value at q = 1, which no coefficient of the numerator, the
-    denominator or such a quotient exceeds.  A remainder raises, and so
-    does a quotient whose value at q = 1 times the denominator's is not
-    the numerator's: the quotient's slots times the denominator then
-    carry, as they do when the polynomial quotient has a negative
-    coefficient ([6]_q / ([2]_q [3]_q) = 1 - q + q^2).
+    One exact division of packed ints at the width of the numerator's
+    value at q = 1, which bounds every coefficient involved.  A remainder
+    raises, and so does a quotient whose value at q = 1 times the
+    denominator's is not the numerator's, as when the polynomial quotient
+    has a negative coefficient ([6]_q / ([2]_q [3]_q) = 1 - q + q^2).
 
     >>> _q_int_ratio([3], [1]).coeffs
     (1, 0, 1)
@@ -109,14 +119,13 @@ def hook_content(mu: Partition, k: int) -> QPoly:
 class _StripPass:
     """The horizontal-strip pass for one shape mu, extended on demand.
 
-    state is (width, shapes, values) after the entries run so far, 0..i:
-    shapes maps every shape inside mu that fillings with those entries
-    reach to the sum of q^|T| over the fillings, packed at width, and
-    values[i] is the one at mu: s_mu(1, q, ..., q^i).  A filling's
-    count bounds every coefficient, and there are at most (i+1)^|mu| of
-    them, so the width grows with i; the shapes are repacked when it
-    does.  An extension builds a new state and stores it in one step, so
-    a concurrent caller reads the old state or the new one, whole.
+    state is (width, shapes, values) after the entries 0..i run so far:
+    shapes maps each shape inside mu that fillings with those entries
+    reach to the sum of q^|T| over them, packed at width, and values[i]
+    is s_mu(1, q, ..., q^i).  At most (i+1)^|mu| fillings bound every
+    coefficient, so the width grows with i and the shapes are repacked.
+    An extension stores its new state in one step, so a concurrent
+    caller reads the old state or the new one, whole.
     """
 
     __slots__ = ("rows", "state")
@@ -167,15 +176,14 @@ def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:
     """s_mu(1, q, ..., q^k) as the sum of q^|T| over semistandard fillings.
 
     Fillings use entries 0..k, weakly increasing along rows and strictly
-    increasing down columns.  The cells holding entries up to i form a
-    shape lam^i, so a filling is a chain of shapes inside mu ending at
-    lam^k = mu, each step lam^i / lam^(i-1) a horizontal strip adding
-    i times its size to |T|.  One pass per entry carries every reachable
-    shape with its polynomial.  The shapes reached after entry i do not
-    depend on k, so one pass per shape, kept for the last few shapes
-    asked (_strip_pass), answers every k of it.  Its work grows with the
-    number of shapes inside mu, not of fillings, so it takes no budget.
-    Independent of the hook-content formula.
+    down columns.  The cells holding entries up to i form a shape lam^i:
+    a filling is a chain of shapes inside mu ending at lam^k = mu, each
+    step a horizontal strip adding i times its size to |T|.  One pass
+    per entry carries every reachable shape with its polynomial; the
+    shapes after entry i do not depend on k, so one pass per shape, kept
+    for the last few shapes (_strip_pass), answers every k.  Its work
+    grows with the shapes inside mu, not the fillings, so it takes no
+    budget.  Independent of hook content.
 
     >>> schur_specialization_oracle(Partition((2, 1)), 2).coeffs
     (0, 1, 2, 2, 2, 1)
@@ -191,28 +199,29 @@ def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:
 class TreeFamily(_Value):
     """One tree family at fixed parameters, as both routes see it.
 
-    trees(max_trees) enumerates the expansion trees, the same tuple on
-    every call, and total is their degree.  difference(rs) gives, for
-    each r of the nonempty ascending range rs, the q^r minus q^(r-1)
-    coefficient of the family's polynomial, computed without trees by
-    the route named in messages.  references() lists named polynomials
-    the tree terms must sum to, that polynomial first.  where and
-    degree_name word the error messages.
+    trees(max_trees) enumerates the expansion trees and leaf_table(
+    max_trees) maps their leaf tuples to tree counts, each the same on
+    every call; total is their degree.  difference(rs) gives, for each r
+    of the nonempty ascending range rs, the q^r minus q^(r-1) coefficient
+    of the family's polynomial, without trees, by the route named in
+    messages.  references() names the polynomials the tree terms must
+    sum to, that one first.  where and degree_name word the errors.
     """
 
-    __slots__ = ("_where", "_degree_name", "_total", "_trees", "_route",
-                 "_difference", "_references")
-    _fields = ("where", "degree_name", "total", "trees", "route", "difference",
-               "references")
+    __slots__ = ("_where", "_degree_name", "_total", "_trees", "_leaf_table",
+                 "_route", "_difference", "_references")
+    _fields = ("where", "degree_name", "total", "trees", "leaf_table", "route",
+               "difference", "references")
 
     def __init__(self, where: str, degree_name: str, total: int,
-                 trees: Callable[[int], tuple], route: str,
-                 difference: Callable[[range], tuple[int, ...]],
+                 trees: Callable[[int], tuple], leaf_table: Callable[[int], dict],
+                 route: str, difference: Callable[[range], tuple[int, ...]],
                  references: Callable[[], tuple[tuple[str, QPoly], ...]]) -> None:
         self._where = where
         self._degree_name = degree_name
         self._total = total
         self._trees = trees
+        self._leaf_table = leaf_table
         self._route = route
         self._difference = difference
         self._references = references
@@ -220,11 +229,14 @@ class TreeFamily(_Value):
 
 def koh_family(n: int, k: int) -> TreeFamily:
     """The KOH trees of type (n, k), summing to q_binomial(n, k)."""
-    # the trees and references import what they run: a difference query
-    # never compiles the tree or polynomial modules
+    # each part imports what it runs
     def trees(budget: int) -> tuple:
         from .koh import enumerate_koh_trees
         return enumerate_koh_trees(n, k, max_trees=budget)
+
+    def leaf_table(budget: int) -> dict:
+        from .koh import koh_leaf_table
+        return koh_leaf_table(n, k, max_trees=budget)
 
     def references() -> tuple[tuple[str, QPoly], ...]:
         from .koh import koh_rhs_closed
@@ -237,18 +249,18 @@ def koh_family(n: int, k: int) -> TreeFamily:
         row = rectangle_counts(n, k, rs[-1])
         return tuple(row[r] - row[r - 1] if r else row[0] for r in rs)
 
-    return TreeFamily(f"n={n}, k={k}", "nk", n * k, trees, "rectangle",
-                      difference, references)
+    return TreeFamily(f"n={n}, k={k}", "nk", n * k, trees, leaf_table,
+                      "rectangle", difference, references)
 
 
 def goh_family(mu: Partition, k: int) -> TreeFamily:
     """The GOH trees of (mu, k), summing to s_mu(1, q, ..., q^k)."""
-    # imported here: a kronecker query never compiles the GOH module
-    from .goh import enumerate_goh_trees, goh_rhs_closed
+    from .goh import enumerate_goh_trees, goh_leaf_table, goh_rhs_closed
     spec = functools.cache(lambda: hook_content(mu, k))
     return TreeFamily(
         f"mu={mu!r}, k={k}", "|mu|k", mu.size * k,
         functools.cache(lambda budget: enumerate_goh_trees(mu, k, max_trees=budget)),
+        functools.cache(lambda budget: goh_leaf_table(mu, k, max_trees=budget)),
         "specialization",
         lambda rs: tuple(spec().coeff(r) - spec().coeff(r - 1) for r in rs),
         lambda: (("hook content", spec()), ("closed form", goh_rhs_closed(mu, k)),
@@ -259,11 +271,12 @@ def _two_row(family: TreeFamily, rs: range, method: str,
              max_trees: int) -> tuple[CoefficientReport, ...]:
     """The coefficient at every r in rs: the one route for both families.
 
-    The method and every r are checked before any tree is built.  The
-    marked route builds the trees once, reads each leaf tuple once and
-    marks it at every r.  With method both, the marked count must equal
-    the difference at every r, which one call gives for the whole range;
-    the first disagreement in r order raises CrossCheckFailedError.
+    The method and every r are checked before the trees are counted.
+    The marked route marks each tuple of the family's leaf table at every
+    r, weighted by its trees; a report's witness_counts builds the trees
+    when read.  With method both, the marked count must equal the
+    difference at every r, which one call gives for the whole range; the
+    first disagreement in r order raises CrossCheckFailedError.
     """
     _check_method(method)
     total, name = family.total, family.degree_name
@@ -274,14 +287,19 @@ def _two_row(family: TreeFamily, rs: range, method: str,
     if method == METHOD_DIFFERENCE:
         return tuple(CoefficientReport(diff, method)
                      for diff in family.difference(rs))
-    from .koh import leaves
     from .marking import marked_counts
-    witnesses = marked_counts(map(leaves, family.trees(max_trees)), total, rs)
-    reports = tuple(CoefficientReport(sum(witness), method, witness)
-                    for witness in witnesses)
+
+    def witnesses(r: int) -> tuple[int, ...]:
+        from .koh import leaves
+        from .marking import witness_counts
+        return witness_counts(map(leaves, family.trees(max_trees)), total, r)
+
+    counts = marked_counts(family.leaf_table(max_trees).items(), total, rs)
+    reports = tuple(CoefficientReport(count, method, functools.partial(witnesses, r))
+                    for r, count in zip(rs, counts))
     if method == METHOD_BOTH:
-        # one difference call for every r, after the trees, so that their
-        # budget fails first
+        # one difference call for every r, after the tree count, so that
+        # the budget fails first
         for r, report, diff in zip(rs, reports, family.difference(rs)):
             if report.value != diff:
                 raise CrossCheckFailedError(
@@ -295,12 +313,12 @@ def check_identities(family: TreeFamily, max_trees: int) -> None:
 
     The tree terms must sum to every reference polynomial, then the
     marked count must equal the difference at every r from 0 to half the
-    degree.  The trees are read first, so the tree budget, the one budget
-    of a cell, fails before any reference is computed.
+    degree.  The leaf table is read first, so the tree budget, the one
+    budget of a cell, fails before any reference is computed.
     """
-    from .koh import leaf_term_sum, leaves
+    from .koh import leaf_term_sum
     total = family.total
-    tree_sum = leaf_term_sum(total, [leaves(tree) for tree in family.trees(max_trees)])
+    tree_sum = leaf_term_sum(total, family.leaf_table(max_trees).items())
     wrong = [f"the {ref} gives {p}"
              for ref, p in family.references() if p != tree_sum]
     if wrong:

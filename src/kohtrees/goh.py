@@ -22,12 +22,12 @@ _child_types states the child rule once; counting, enumeration, the
 closed form, validation and parsing all read it.  A configuration with
 its child types has the shape of a KOH production, and
 _typed_configurations caches the production list per (lam, k), as
-koh._productions does per type.  So counting, building, the closed form
-and the child check are the ones koh uses for its own trees
-(koh.count_trees, koh.build_trees, koh.closed_form,
-koh.check_children).  goh_rhs_closed reads the trees' own chain list,
-each slot's KOH trees summed as a q-binomial; hook content and the
-tableau oracle are the references independent of both.
+koh._productions does per type.  So counting, building, the leaf table,
+the closed form and the child check are the ones koh uses for its own
+trees (koh.count_trees, koh.build_trees, koh.leaf_table,
+koh.closed_form, koh.check_children).  goh_rhs_closed reads the trees'
+own chain list, each slot's KOH trees summed as a q-binomial; hook
+content and the tableau oracle are the references independent of both.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ import functools
 import itertools
 import operator
 
-from .errors import (DEFAULT_TREE_BUDGET, BudgetExceededError,
-                     PreconditionViolationError, StructureViolationError, _Value)
-from .koh import (KohTree, _tree_from_dict, build_trees, check_children, closed_form,
-                  count_trees, leaf_term_sum, leaves, payload_int)
+from .errors import (DEFAULT_TREE_BUDGET, PreconditionViolationError,
+                     StructureViolationError, _Value)
+from .koh import (KohTree, _check_budget, _tree_from_dict, build_trees, check_children,
+                  closed_form, count_trees, leaf_table, leaf_term_sum, leaves,
+                  payload_int)
 from .partitions import Partition, enumerate_partitions
 
 
@@ -290,17 +291,33 @@ def count_goh_trees(lam: Partition, k: int) -> int:
     return count_trees(_typed_configurations(lam, k))
 
 
+def _budgeted(lam: Partition, k: int, max_trees: int) -> tuple:
+    """The production list of (lam, k), once its trees are counted and
+    found within max_trees; more raise BudgetExceededError."""
+    typed = _typed_configurations(lam, k)
+    _check_budget(count_trees(typed), f"for ({lam!r}, {k})", max_trees)
+    return typed
+
+
 def enumerate_goh_trees(lam: Partition, k: int,
                         max_trees: int = DEFAULT_TREE_BUDGET) -> tuple[GohTree, ...]:
     """All trees for (lam, k): configurations in canonical order, then the
     product of subtree choices with later edges varying fastest, so the
     unlabeled subtree varies fastest of all.  The trees are counted first:
     more than max_trees raise BudgetExceededError before any is built."""
-    typed = _typed_configurations(lam, k)
-    if (total := count_trees(typed)) > max_trees:
-        raise BudgetExceededError(
-            f"{total} trees for ({lam!r}, {k}) exceed the budget {max_trees}")
-    return build_trees(typed, GohTree, k)
+    return build_trees(_budgeted(lam, k, max_trees), GohTree, k)
+
+
+def goh_leaf_table(lam: Partition, k: int, max_trees: int = DEFAULT_TREE_BUDGET
+                   ) -> dict[tuple[int, ...], int]:
+    """The leaf tuples of the trees for (lam, k), each once, with the
+    number of trees that have it, in the order enumerate_goh_trees first
+    gives them; the same budget check, and no tree built.
+
+    >>> goh_leaf_table(Partition((2, 2)), 3)
+    {(0, 8): 1, (0, 4): 2, (0, 0): 1}
+    """
+    return leaf_table(_budgeted(lam, k, max_trees))
 
 
 def goh_leaves(tree: GohTree) -> tuple[int, ...]:
@@ -310,7 +327,7 @@ def goh_leaves(tree: GohTree) -> tuple[int, ...]:
 
 def goh_term(tree: GohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over all leaves."""
-    return leaf_term_sum(tree.degree, (goh_leaves(tree),))
+    return leaf_term_sum(tree.degree, ((goh_leaves(tree), 1),))
 
 
 def validate_goh_tree(tree: GohTree) -> None:

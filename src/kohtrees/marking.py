@@ -10,9 +10,11 @@ c_r is the coefficient of q^r in the product of the [a_i + 1]_q, valid
 up to the symmetry center k <= (a_1 + ... + a_t) / 2.  Summed over the
 leaf sequences of an expansion tree family, with each tree's target
 shifted by its power of q, the counts give one coefficient difference
-of the family's polynomial.  marked_counts gives the terms of that sum,
-tree by tree, for every r of a range; the coefficients module checks
-the range and adds them up.
+of the family's polynomial.  A tree's count depends only on its leaf
+sequence, so marked_counts reads a leaf table, each distinct sequence
+with the number of trees that have it, and gives the weighted sum for
+every r of a range; the coefficients module checks the range.
+witness_counts gives the terms tree by tree, at one r.
 
 One DP counts markings.  It reads the leaves in order and keeps the
 number of markings ending at each value 0..cap, cut at half the prefix
@@ -26,24 +28,27 @@ only on the leaves up to it, so a sequence starts from the row of its
 longest prefix in the table and steps only past it.  Trees come in
 enumeration order, where later edges vary fastest, so most of a tree's
 rows are already there, and a prefix that comes back in a later tree,
-adjacent or not, is stepped once.  The table holds proper-prefix rows
-only, and a bounded number of values: a row that does not fit drops the
-others.  Cutting rows at a cap changes none of the values below it, so
-they serve every target up to the cap if the last step stops there.
+adjacent or not, is stepped once.  A leaf table keeps that order, the
+order in which the trees first give each sequence.  The table holds
+proper-prefix rows only, and a bounded number of values: a row that does
+not fit drops the others.  Cutting rows at a cap changes none of the
+values below it, so they serve every target up to the cap if the last
+step stops there.
 
 - count_markings(a, target) counts one final value from the row of all
   leaves but the last, summing the values the last step can leave at
   target.  A target past half the leaf sum counts 0 before any row is
   read.  Without a table it builds a fresh one capped at the target.
-- marked_counts owns one table for one call, capped at the call's
-  largest r, and drops it on return, so no DP state outlives a call or
-  is shared between threads.  A tree's target at r is r minus its power
-  shift, so none passes the cap; a leaf sum above the degree, which
-  would, raises PreconditionViolationError.  For a single r (a
-  coefficient query or a marked listing) it calls count_markings once
-  per tree with that table.  For a range of r it finishes each tree
-  from the same row with one last step, cut at the tree's top and not
-  stored: that row, shifted by the tree's power, lines up with the range.
+- marked_counts and witness_counts own one table for one call, capped
+  at the call's largest r, and drop it on return, so no DP state
+  outlives a call or is shared between threads.  A sequence's target at
+  r is r minus its power shift, so none passes the cap; a leaf sum above
+  the degree, which would, raises PreconditionViolationError.  For a
+  single r they call count_markings once per sequence with that table.
+  For a range of r marked_counts finishes each sequence from the same
+  row with one last step, cut at the sequence's top and not stored:
+  that row, shifted by the power and weighted by the multiplicity, adds
+  into the totals of the range.
 """
 
 from __future__ import annotations
@@ -68,15 +73,16 @@ _TABLE_CELLS = 4096
 def _step(dp: list[int], prefix: int, nxt: int, cap: int) -> list[int]:
     """The row of a prefix one leaf nxt longer, from the row dp of a prefix
     whose leaves sum to prefix: every state v moves to each value of
-    v..v + min(prefix - 2v, nxt), through a difference array and one
+    v..min(v + nxt, prefix - v), through a difference array and one
     running sum, cut at cap and at half the new leaf sum, which no
-    marking value passes."""
+    marking value passes.  dp is no longer than the new row, so the
+    difference array starts as dp itself, each state's ways already
+    added at v."""
     hi = min(cap, (prefix + nxt) // 2)
-    diff = [0] * (hi + 2)
+    diff = dp + [0] * (hi + 2 - len(dp))
     for v, ways in enumerate(dp):
         if ways:
-            diff[v] += ways
-            diff[min(v + min(prefix - 2 * v, nxt), hi) + 1] -= ways
+            diff[min(v + nxt, prefix - v, hi) + 1] -= ways
     diff.pop()
     return list(itertools.accumulate(diff))
 
@@ -204,45 +210,52 @@ def marking_target(leaf_sum: int, total: int, r: int) -> int:
     return r - (total - leaf_sum) // 2
 
 
-def marked_counts(leaf_lists: Iterable[Sequence[int]], total: int,
-                  rs: range) -> tuple[tuple[int, ...], ...]:
-    """For each r in rs, the number of markings of each tree that select
-    coefficient r, trees in order.
+def marked_counts(leaf_table: Iterable[tuple[Sequence[int], int]], total: int,
+                  rs: range) -> tuple[int, ...]:
+    """For each r in rs, the number of marked trees that select
+    coefficient r: over the (leaf sequence, multiplicity) pairs of
+    leaf_table, the markings of the sequence at its own target, r minus
+    its power shift, times its multiplicity.
 
     rs is a range of consecutive r with 0 <= r <= total/2, which the
     caller checks; a leaf sum above total raises
-    PreconditionViolationError.  Each tree contributes the markings of
-    its leaf sequence at the tree's own target, r minus its power shift.
-    With one r, count_markings counts that target alone; with more, the
-    row of all leaves but the last takes one last step, and that row,
-    padded by the shift, is read at every r.  Either way one prefix
-    table, capped at the last r, serves every tree of the call.
+    PreconditionViolationError.  With one r, count_markings counts that
+    target alone; with more, the row of all leaves but the last takes
+    one last step, and that row, offset by the shift, adds into every r.
+    Either way one prefix table, capped at the last r, serves the call.
     """
     table = _PrefixTable(rs[-1])
     if len(rs) == 1:
         (r,) = rs
-        return (tuple(count_markings(ls, marking_target(sum(ls), total, r), table)
-                      for ls in leaf_lists),)
-    rows = []
+        return (sum(ways * count_markings(ls, marking_target(sum(ls), total, r), table)
+                    for ls, ways in leaf_table),)
+    totals = [0] * len(rs)
     first = rs[0]
-    for ls in leaf_lists:
+    for ls, ways in leaf_table:
         _check_leaves(ls)
         leaf_sum = sum(ls)
         shift = first - marking_target(leaf_sum, total, first)
         top = rs[-1] - shift
         if top < 0:
-            by_value = []
-        elif len(ls) == 1:
-            by_value = [1]
-        else:
-            by_value = _step(table.row(ls, len(ls) - 1)[:top + 1],
-                             leaf_sum - ls[-1], ls[-1], top)
-        # coefficient r reads the tree's value r - shift, and the values
-        # off the row (below 0, or past its end) count 0
-        if shift >= first:
-            row = [0] * min(shift - first, len(rs)) + by_value
-        else:
-            row = by_value[first - shift:]
-        row += [0] * (len(rs) - len(row))
-        rows.append(row)
-    return tuple(zip(*rows)) if rows else tuple(() for _ in rs)
+            continue
+        by_value = [1] if len(ls) == 1 else _step(
+            table.row(ls, len(ls) - 1)[:top + 1], leaf_sum - ls[-1], ls[-1], top)
+        # coefficient r reads the value r - shift: values below first - shift
+        # fall before the range, and the row ends at the range's end
+        skip = max(0, first - shift)
+        values = by_value[skip:]
+        start = shift + skip - first
+        end = start + len(values)
+        totals[start:end] = [t + ways * v for t, v in zip(totals[start:end], values)]
+    return tuple(totals)
+
+
+def witness_counts(leaf_lists: Iterable[Sequence[int]], total: int,
+                   r: int) -> tuple[int, ...]:
+    """The number of markings of each leaf sequence that select
+    coefficient r, sequences in order: with the trees' sequences, the
+    marked-tree count of each tree.  One prefix table serves the call.
+    """
+    table = _PrefixTable(r)
+    return tuple(count_markings(ls, marking_target(sum(ls), total, r), table)
+                 for ls in leaf_lists)

@@ -142,11 +142,12 @@ def test_criterion_3_marked_koh_counts_match_rectangle_differences():
             if n * k > 36:
                 break
             rs = range(n * k // 2 + 1)
-            counts = marked_counts(map(leaves, enumerate_koh_trees(n, k)),
+            # every tree on its own, with multiplicity 1
+            counts = marked_counts(((leaves(t), 1) for t in enumerate_koh_trees(n, k)),
                                    n * k, rs)
-            for r, per_tree in zip(rs, counts):
-                assert sum(per_tree) == (count_in_rectangle(n, k, r)
-                                         - count_in_rectangle(n, k, r - 1))
+            for r, count in zip(rs, counts):
+                assert count == (count_in_rectangle(n, k, r)
+                                 - count_in_rectangle(n, k, r - 1))
 
 
 def test_criterion_4_marked_goh_counts_match_hook_content_differences():
@@ -155,10 +156,11 @@ def test_criterion_4_marked_goh_counts_match_hook_content_differences():
             for k in range(1, 5):
                 rs = range(size * k // 2 + 1)
                 counts = marked_counts(
-                    map(goh_leaves, enumerate_goh_trees(mu, k)), size * k, rs)
+                    ((goh_leaves(t), 1) for t in enumerate_goh_trees(mu, k)),
+                    size * k, rs)
                 poly = hook_content(mu, k)
-                for r, per_tree in zip(rs, counts):
-                    assert sum(per_tree) == poly.coeff(r) - poly.coeff(r - 1)
+                for r, count in zip(rs, counts):
+                    assert count == poly.coeff(r) - poly.coeff(r - 1)
 
 
 def fixture_tree_8_9():

@@ -502,7 +502,7 @@ def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
         if (n, k) != (6, 6):
             return family
         return TreeFamily(family.where, family.degree_name, family.total,
-                          family.trees, family.route,
+                          family.trees, family.leaf_table, family.route,
                           lambda rs: (0,) * len(rs), family.references)
 
     monkeypatch.setattr(cli, "koh_family", koh_family)
@@ -546,7 +546,8 @@ def test_a_marking_dropped_by_the_value_table_fails_its_cell(capsys, monkeypatch
             "for n=6, k=6, r=8\n") in out
 
 
-def test_a_single_r_query_counts_the_markings_of_each_tree_once(capsys, monkeypatch):
+def test_a_single_r_query_counts_the_markings_of_each_leaf_sequence_once(capsys,
+                                                                        monkeypatch):
     import kohtrees.marking as marking
     from kohtrees.goh import enumerate_goh_trees
     from kohtrees.koh import enumerate_koh_trees, leaves
@@ -560,13 +561,61 @@ def test_a_single_r_query_counts_the_markings_of_each_tree_once(capsys, monkeypa
     monkeypatch.setattr(marking, "count_markings", counted)
     for argv, trees in [
             (("kronecker", "--n", "6", "--k", "6", "--r", "9"), enumerate_koh_trees(6, 6)),
-            (("plethysm", "--mu", "3,2,1", "--k", "3", "--r", "4"),
-             enumerate_goh_trees(Partition((3, 2, 1)), 3))]:
+            (("plethysm", "--mu", "2,2", "--k", "3", "--r", "2"),
+             enumerate_goh_trees(Partition((2, 2)), 3))]:
         calls.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        # one call per tree, trees in order
-        assert calls == [leaves(tree) for tree in trees] and len(trees) > 1
+        # one call per distinct leaf sequence, in the order the trees
+        # first give them, and some sequence shared by two trees
+        distinct = list(dict.fromkeys(map(leaves, trees)))
+        assert calls == distinct and 1 < len(distinct) < len(trees)
+
+
+def test_coefficient_routes_build_no_trees(capsys, monkeypatch):
+    from kohtrees import goh
+    from kohtrees.coefficients import (check_identities, goh_family, koh_family,
+                                       kronecker_two_row)
+    from kohtrees.errors import DEFAULT_TREE_BUDGET
+    from kohtrees.partitions import Partition
+    built, real = [], goh.GohTree.__init__
+
+    def recorded(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(goh.GohTree, "__init__", recorded)
+    koh._TREES.clear()
+    report = kronecker_two_row(16, 16, 89)
+    assert run_cli(capsys, "kronecker", "--n", "16", "--k", "16", "--r", "128") == (
+        0, "coefficient: 6235\nmethod: both\n", "")
+    check_identities(koh_family(8, 8), DEFAULT_TREE_BUDGET)
+    check_identities(goh_family(Partition((4, 3, 2)), 4), DEFAULT_TREE_BUDGET)
+    assert not koh._TREES and not built
+    # the witnesses build the trees when read, and only then
+    assert len(report.witness_counts) == 12870 and koh._TREES
+    assert sum(report.witness_counts) == report.value
+
+
+def test_json_witness_counts_are_the_markings_of_each_tree(capsys):
+    from kohtrees.goh import enumerate_goh_trees
+    from kohtrees.koh import enumerate_koh_trees, leaves
+    from kohtrees.marking import count_markings, marking_target
+    from kohtrees.partitions import Partition
+    for argv, trees, total, rs in [
+            (("kronecker", "--n", "8", "--k", "8"), enumerate_koh_trees(8, 8), 64,
+             (0, 7, 19, 32)),
+            (("plethysm", "--mu", "4,3,2", "--k", "4"),
+             enumerate_goh_trees(Partition((4, 3, 2)), 4), 36, (7, 11, 18))]:
+        for r in rs:
+            code, out, _ = run_cli(capsys, *argv, "--r", str(r), "--format", "json")
+            assert code == 0
+            payload = json.loads(out)
+            # tree by tree, each with a fresh marking count
+            want = [count_markings(lv, marking_target(sum(lv), total, r))
+                    for lv in map(leaves, trees)]
+            assert payload["witness_counts"] == want
+            assert payload["coefficient"] == sum(want) > 0
 
 
 def test_failing_goh_cell_reports_the_tree_sum(capsys, monkeypatch):

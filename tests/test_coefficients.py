@@ -239,7 +239,7 @@ def test_kronecker_cross_check_trips_on_disagreement(monkeypatch):
     def koh_family(n, k):
         family = real(n, k)
         return TreeFamily(family.where, family.degree_name, family.total,
-                          family.trees, family.route,
+                          family.trees, family.leaf_table, family.route,
                           lambda rs: (0,) * len(rs), family.references)
 
     monkeypatch.setattr(coefficients, "koh_family", koh_family)
@@ -414,12 +414,12 @@ def test_report_is_frozen():
 @given(st.one_of(st.builds(koh_family, st.integers(0, 9), st.integers(1, 7)),
                  st.builds(goh_family, partitions_of_size(1, 6), st.integers(0, 4))))
 def test_tree_sums_are_symmetric_and_unimodal(family):
-    leaf_tuples = [leaves(tree) for tree in family.trees(DEFAULT_TREE_BUDGET)]
-    tree_sum = leaf_term_sum(family.total, leaf_tuples)
+    # the sum over the leaf table, against the trees' terms one by one
+    tree_sum = leaf_term_sum(family.total, family.leaf_table(DEFAULT_TREE_BUDGET).items())
     assert tree_sum.is_symmetric(family.total)
     assert tree_sum.is_unimodal()
     schoolbook = ZERO
-    for lv in leaf_tuples:
+    for lv in map(leaves, family.trees(DEFAULT_TREE_BUDGET)):
         schoolbook = schoolbook + schoolbook_q_int_product(lv).shift(
             (family.total - sum(lv)) // 2)
     assert tree_sum == schoolbook

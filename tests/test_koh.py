@@ -4,16 +4,16 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kohtrees import koh
+from kohtrees import goh, koh
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
-from kohtrees.goh import enumerate_goh_trees, goh_term
-from kohtrees.koh import (KohTree, count_koh_trees, enumerate_koh_trees,
-                          koh_rhs_closed, koh_term, leaf_term_sum, leaves,
-                          sigma, tree_from_dict, validate_koh_tree)
+from kohtrees.goh import enumerate_goh_trees, goh_leaf_table, goh_term
+from kohtrees.koh import (KohTree, count_koh_trees, count_trees, enumerate_koh_trees,
+                          koh_leaf_table, koh_rhs_closed, koh_term, leaf_term_sum,
+                          leaves, sigma, tree_from_dict, validate_koh_tree)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ONE, ZERO, q_binomial, q_int
 from kohtrees.render import tree_to_dict, tree_to_dot
@@ -107,7 +107,7 @@ def test_leaf_term_is_the_shifted_product_of_q_integers():
         for a in leaves(t):
             product = product * q_int(a)
         term = product.shift(sigma(t) // 2)
-        assert leaf_term_sum(t.degree, (leaves(t),)) == term
+        assert leaf_term_sum(t.degree, ((leaves(t), 1),)) == term
         assert (koh_term if t.family == "koh" else goh_term)(t) == term
 
 
@@ -425,3 +425,49 @@ def test_dot_marks_attach_circles():
     assert 'label="r = 1"' in dot
     assert "shape=circle" in dot
     assert "style=dashed" in dot
+
+
+def first_seen_counts(trees):
+    """Each leaf tuple of trees with the number of trees that have it, in
+    the order the trees first give them."""
+    table = {}
+    for t in trees:
+        table[leaves(t)] = table.get(leaves(t), 0) + 1
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("koh"), st.integers(0, 10), st.integers(1, 8)),
+    st.tuples(st.just("goh"),
+              st.integers(1, 6).flatmap(lambda size: st.sampled_from(
+                  enumerate_partitions(size))),
+              st.integers(1, 5))))
+@example(("koh", 6, 6))
+@example(("goh", Partition((2, 2)), 3))
+def test_the_leaf_table_counts_the_trees_of_each_leaf_tuple(cell):
+    family, shape, k = cell
+    if family == "koh":
+        table = koh_leaf_table(shape, k)
+        trees, count = enumerate_koh_trees(shape, k), count_koh_trees(shape, k)
+    else:
+        table = goh_leaf_table(shape, k)
+        trees = enumerate_goh_trees(shape, k)
+        count = count_trees(goh._typed_configurations(shape, k))
+    # the same tuples in the same order, each with its number of trees
+    assert list(table.items()) == list(first_seen_counts(trees).items())
+    assert sum(table.values()) == count == len(trees)
+
+
+def test_the_leaf_tables_repeat_tuples_and_keep_the_budget():
+    table = koh_leaf_table(16, 16)
+    assert (len(table), sum(table.values())) == (6358, 12870)
+    assert goh_leaf_table(Partition((2, 2)), 3) == {(0, 8): 1, (0, 4): 2, (0, 0): 1}
+    with pytest.raises(BudgetExceededError,
+                       match=r"^70 trees of type \(8, 9\) exceed the budget 69$"):
+        koh_leaf_table(8, 9, max_trees=69)
+    assert sum(koh_leaf_table(8, 9, max_trees=70).values()) == 70
+    with pytest.raises(BudgetExceededError,
+                       match=r"^4 trees for \(Partition\(\[2, 2\]\), 3\) exceed "
+                             r"the budget 3$"):
+        goh_leaf_table(Partition((2, 2)), 3, max_trees=3)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from kohtrees import marking
 from kohtrees.errors import PreconditionViolationError
-from kohtrees.goh import enumerate_goh_trees
-from kohtrees.koh import enumerate_koh_trees, leaves
+from kohtrees.goh import enumerate_goh_trees, goh_leaf_table
+from kohtrees.koh import enumerate_koh_trees, koh_leaf_table, leaves
 from kohtrees.marking import (_PrefixTable, count_markings, enumerate_markings,
-                              marked_counts, marking_target)
+                              marked_counts, marking_target, witness_counts)
 from kohtrees.partitions import enumerate_partitions
 from kohtrees.qpoly import ONE, q_int
 
@@ -93,7 +93,7 @@ def test_all_r_counts_match_the_one_target_kernel_and_the_dict_oracle(a, shift):
     # one tree whose power shift is shift: its target at r is r - shift
     total = sum(a) + 2 * shift
     rs = range(total // 2 + 1)
-    for r, (count,) in zip(rs, marked_counts([a], total, rs)):
+    for r, count in zip(rs, marked_counts([(a, 1)], total, rs)):
         assert count == count_markings(a, r - shift) == dict_dp_markings(a, r - shift)
 
 
@@ -125,17 +125,28 @@ def test_counts_through_one_shared_table_are_exact(visits, cap):
         assert table.row(a, len(a)) == _PrefixTable(cap).row(a, len(a))
 
 
+def first_seen_table(leaf_lists):
+    """Each distinct sequence with the number of times it comes, in the
+    order of its first coming: a leaf table."""
+    table = {}
+    for a in leaf_lists:
+        table[a] = table.get(a, 0) + 1
+    return table
+
+
 @settings(max_examples=100, deadline=None)
 @given(trie_visits())
 def test_all_r_counts_through_the_table_match_the_single_r_counts(visits):
     total = max(sum(a) for a, _ in visits)
     leaf_lists = [a for a, _ in visits if (total - sum(a)) % 2 == 0]
+    pairs = first_seen_table(leaf_lists).items()
     rs = range(total // 2 + 1)
-    all_r = marked_counts(leaf_lists, total, rs)
-    for r, witness in zip(rs, all_r):
-        assert witness == marked_counts(leaf_lists, total, range(r, r + 1))[0]
-        assert witness == tuple(dict_dp_markings(a, marking_target(sum(a), total, r))
-                                for a in leaf_lists)
+    all_r = marked_counts(pairs, total, rs)
+    for r, count in zip(rs, all_r):
+        each = witness_counts(leaf_lists, total, r)
+        assert each == tuple(dict_dp_markings(a, marking_target(sum(a), total, r))
+                             for a in leaf_lists)
+        assert count == marked_counts(pairs, total, range(r, r + 1))[0] == sum(each)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,24 +158,25 @@ def test_sub_ranges_match_the_per_r_route_while_rows_are_dropped(visits, data):
     seqs = [a for a, _ in visits]
     total = max(map(sum, seqs)) + data.draw(st.integers(0, 12))
     leaf_lists = [a for a in seqs if (total - sum(a)) % 2 == 0]
+    pairs = first_seen_table(leaf_lists).items()
     first = data.draw(st.integers(0, total // 2))
     rs = range(first, data.draw(st.integers(first, total // 2)) + 1)
     with mock.patch.object(marking, "_TABLE_CELLS", data.draw(st.integers(1, 24))):
-        all_r = marked_counts(leaf_lists, total, rs)
+        all_r = marked_counts(pairs, total, rs)
         assert len(all_r) == len(rs)
-        for r, witness in zip(rs, all_r):
-            assert witness == marked_counts(leaf_lists, total, range(r, r + 1))[0]
-            assert witness == tuple(dict_dp_markings(a, marking_target(sum(a), total, r))
-                                    for a in leaf_lists)
+        for r, count in zip(rs, all_r):
+            assert count == marked_counts(pairs, total, range(r, r + 1))[0]
+            assert count == sum(dict_dp_markings(a, marking_target(sum(a), total, r))
+                                for a in leaf_lists)
 
 
 @pytest.mark.parametrize("rs", [range(1, 2), range(0, 3)])
 def test_a_leaf_sum_above_the_degree_raises(rs):
     # a target above the table's cap could only come from such a sequence
     with pytest.raises(PreconditionViolationError, match="leaf sum 8 exceeds the degree 4"):
-        marked_counts(iter([(2, 2), (4, 4)]), 4, rs)
+        marked_counts(iter([((2, 2), 1), ((4, 4), 3)]), 4, rs)
     with pytest.raises(PreconditionViolationError, match="leaf sum 6 exceeds the degree 4"):
-        marked_counts([(6,)], 4, rs)
+        marked_counts([((6,), 1)], 4, rs)
 
 
 # leaf sequences whose prefixes come back, one of them (3, 1, 4) in a
@@ -221,38 +233,49 @@ def test_marked_counts_steps_each_prefix_once_and_keeps_no_rows(monkeypatch, rs)
             return super().row(a, t)
 
     monkeypatch.setattr(marking, "_PrefixTable", Recorded)
-    counts = marked_counts(SHARING, 12, rs)
-    # both routes read each tree's row of all its leaves but the last (every
-    # target here is feasible); a range of r then steps each tree, all of
-    # them multi-leaf, past its last leaf once more, and stores none of it
+    # each sequence stands for one to five trees
+    pairs = [(a, ways) for ways, a in enumerate(SHARING, start=1)]
+    counts = marked_counts(pairs, 12, rs)
+    # both routes read each sequence's row of all its leaves but the last
+    # (every target here is feasible); a range of r then steps each
+    # sequence, all of them multi-leaf, past its last leaf once more, and
+    # stores none of it
     last_steps = len(SHARING) if len(rs) > 1 else 0
     assert asked == [1] * len(SHARING)
     assert len(steps) == len({a[:i] for a in SHARING for i in range(2, len(a))}) + last_steps
     assert len(tables) == 1 and tables[0]() is None
-    for r, witness in zip(rs, counts):
-        assert witness == tuple(dict_dp_markings(a, marking_target(sum(a), 12, r))
-                                for a in SHARING)
+    for r, count in zip(rs, counts):
+        assert count == sum(ways * dict_dp_markings(a, marking_target(sum(a), 12, r))
+                            for a, ways in pairs)
 
 
 def test_all_r_counts_small_cases():
-    assert marked_counts([(4,)], 4, range(3)) == ((1,), (0,), (0,))
-    assert marked_counts([(0, 0)], 6, range(4)) == ((0,), (0,), (0,), (1,))
-    assert marked_counts([(2, 2)], 4, range(3)) == ((1,), (1,), (1,))
-    assert marked_counts([(3, 1)], 4, range(3)) == ((1,), (1,), (0,))
+    assert marked_counts([((4,), 1)], 4, range(3)) == (1, 0, 0)
+    assert marked_counts([((0, 0), 1)], 6, range(4)) == (0, 0, 0, 1)
+    assert marked_counts([((2, 2), 1)], 4, range(3)) == (1, 1, 1)
+    assert marked_counts([((3, 1), 1)], 4, range(3)) == (1, 1, 0)
     # the last step stops at the range's end, whatever the leaf sum allows
-    assert marked_counts([(1, 1, 1, 1)], 4, range(2)) == ((1,), (3,))
+    assert marked_counts([((1, 1, 1, 1), 1)], 4, range(2)) == (1, 3)
     # a power shift past the range's end gives zeros, and one inside the
-    # range pads the row
-    assert marked_counts([(0, 0)], 8, range(2)) == ((0,), (0,))
-    assert marked_counts([(2, 2)], 8, range(1, 4)) == ((0,), (1,), (1,))
+    # range offsets the row
+    assert marked_counts([((0, 0), 1)], 8, range(2)) == (0, 0)
+    assert marked_counts([((2, 2), 1)], 8, range(1, 4)) == (0, 1, 1)
+    # each sequence counts as many times as it has trees, on both routes
+    assert marked_counts([((2, 2), 3), ((4,), 2)], 4, range(3)) == (5, 3, 3)
+    assert marked_counts([((2, 2), 3), ((4,), 2)], 4, range(1, 2)) == (3,)
+    # no sequences at all count 0 at every r
+    assert marked_counts([], 4, range(3)) == (0, 0, 0)
+    assert marked_counts([], 4, range(1, 2)) == (0,)
 
 
 def test_marked_counts_validates_leaves():
     for rs in range(1, 2), range(0, 3):
         with pytest.raises(PreconditionViolationError, match="nonempty leaf sequence"):
-            marked_counts([()], 4, rs)
+            marked_counts([((), 1)], 4, rs)
         with pytest.raises(PreconditionViolationError, match="must be nonnegative"):
-            marked_counts([(1, -1)], 4, rs)
+            marked_counts([((1, -1), 1)], 4, rs)
+    with pytest.raises(PreconditionViolationError, match="nonempty leaf sequence"):
+        witness_counts([()], 4, 1)
 
 
 def test_a_target_past_half_the_leaf_sum_counts_zero_at_once():
@@ -322,13 +345,15 @@ def test_marking_target():
 
 
 def test_marked_counts_per_tree_at_each_r():
-    # the two leaf lists of the (2, 2) tree family, read from a generator
-    leaf_lists = (ls for ls in [(4,), (0,)])
-    assert marked_counts(leaf_lists, 4, range(3)) == ((1, 0), (0, 0), (0, 1))
-    assert marked_counts([(4,), (0,)], 4, range(2, 3)) == ((0, 1),)
+    # the two leaf lists of the (2, 2) tree family, each read from a generator
+    assert [witness_counts((ls for ls in [(4,), (0,)]), 4, r)
+            for r in range(3)] == [(1, 0), (0, 0), (0, 1)]
+    assert marked_counts(((ls, 1) for ls in [(4,), (0,)]), 4, range(3)) == (1, 0, 1)
+    assert marked_counts([((4,), 1), ((0,), 1)], 4, range(2, 3)) == (1,)
     # a power shift past the whole range: zeros at every r, and no more
-    assert marked_counts([(0,)], 6, range(2)) == ((0,), (0,))
-    assert marked_counts([(0,)], 6, range(1, 4)) == ((0,), (0,), (1,))
+    assert marked_counts([((0,), 1)], 6, range(2)) == (0, 0)
+    assert marked_counts([((0,), 1)], 6, range(1, 4)) == (0, 0, 1)
+    assert witness_counts([(0,), (0,)], 6, 1) == (0, 0)
 
 
 def small_families():
@@ -345,12 +370,36 @@ def small_families():
 
 def test_the_all_r_walk_matches_the_single_r_count_tree_by_tree():
     for leaf_lists, total in small_families():
+        pairs = first_seen_table(leaf_lists).items()
         top = total // 2
         # every r, then ranges that start above 0 or stop below total // 2
         ranges = [range(top + 1), range(1, top), range(top // 2, top + 1),
                   range(top // 2, top)]
         for rs in (rs for rs in ranges if len(rs) >= 2):
-            all_r = marked_counts(iter(leaf_lists), total, rs)
+            all_r = marked_counts(iter(pairs), total, rs)
             assert len(all_r) == len(rs)
-            for r, witness in zip(rs, all_r):
-                assert witness == marked_counts(leaf_lists, total, range(r, r + 1))[0]
+            for r, count in zip(rs, all_r):
+                assert count == marked_counts(pairs, total, range(r, r + 1))[0]
+                assert count == sum(witness_counts(leaf_lists, total, r))
+
+
+@st.composite
+def small_cells(draw):
+    """(leaf table, degree) of a KOH type with n <= 8 and k <= 7, or of a
+    GOH cell of size <= 6 with k <= 4."""
+    if draw(st.booleans()):
+        n, k = draw(st.integers(0, 8)), draw(st.integers(1, 7))
+        return koh_leaf_table(n, k), n * k
+    mu = draw(st.integers(1, 6).flatmap(
+        lambda size: st.sampled_from(enumerate_partitions(size))))
+    k = draw(st.integers(1, 4))
+    return goh_leaf_table(mu, k), mu.size * k
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_cells())
+def test_the_all_r_totals_of_a_cell_equal_its_single_r_totals(cell):
+    table, total = cell
+    rs = range(total // 2 + 1)
+    assert marked_counts(table.items(), total, rs) == tuple(
+        marked_counts(table.items(), total, range(r, r + 1))[0] for r in rs)

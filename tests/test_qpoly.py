@@ -95,33 +95,36 @@ def test_q_int_validates():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 12), max_size=8), max_size=4),
+@given(st.lists(st.tuples(st.lists(st.integers(0, 12), max_size=8),
+                          st.integers(1, 4)), max_size=4),
        st.integers(0, 5))
-def test_leaf_term_sum_matches_repeated_multiplication(tuples, extra):
+def test_leaf_term_sum_matches_repeated_multiplication(pairs, extra):
     # one more label, 0 or 1, makes every sum even, so every defect below
-    # an even degree is even too
-    tuples = [(*labels, sum(labels) % 2) for labels in tuples]
-    degree = max(map(sum, tuples), default=0) + 2 * extra
+    # an even degree is even too; each tuple stands for ways trees
+    pairs = [((*labels, sum(labels) % 2), ways) for labels, ways in pairs]
+    degree = max((sum(labels) for labels, _ in pairs), default=0) + 2 * extra
     expected = ZERO
-    for labels in tuples:
+    for labels, ways in pairs:
         product = ONE
         for a in labels:
             product = product * q_int(a)
-        expected = expected + product.shift((degree - sum(labels)) // 2)
-    assert leaf_term_sum(degree, tuples) == expected
+        for _ in range(ways):
+            expected = expected + product.shift((degree - sum(labels)) // 2)
+    assert leaf_term_sum(degree, pairs) == expected
 
 
 def test_leaf_term_sum_edge_cases():
     assert leaf_term_sum(0, ()) == ZERO
-    assert leaf_term_sum(0, ((),)) == ONE
-    assert leaf_term_sum(0, ((0, 0, 0),)) == ONE
-    assert leaf_term_sum(3, ((0, 3),)) == q_int(3)
+    assert leaf_term_sum(0, (((), 1),)) == ONE
+    assert leaf_term_sum(0, (((0, 0, 0), 1),)) == ONE
+    assert leaf_term_sum(3, (((0, 3), 1),)) == q_int(3)
+    assert leaf_term_sum(3, (((0, 3), 5),)) == QPoly([5, 5, 5, 5])
     with pytest.raises(ValueError, match=r"q_int needs a >= 0, got -1"):
-        leaf_term_sum(1, ((2, -1),))
+        leaf_term_sum(1, (((2, -1), 1),))
     with pytest.raises(StructureViolationError, match="odd defect 1"):
-        leaf_term_sum(2, ((1,),))
+        leaf_term_sum(2, (((1,), 1),))
     with pytest.raises(StructureViolationError, match="exceeds the degree 1"):
-        leaf_term_sum(1, ((2,),))
+        leaf_term_sum(1, (((2,), 1),))
 
 
 def test_q_binomial_small_values():
