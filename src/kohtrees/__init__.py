@@ -17,16 +17,16 @@ __version__ = "0.1.0"
 
 # the module that defines each exported name
 _HOMES = {
-    **dict.fromkeys(("ONE", "ZERO", "QPoly", "q_binomial", "q_int"), "qpoly"),
+    **dict.fromkeys(("ONE", "ZERO", "QPoly", "q_binomial"), "qpoly"),
     **dict.fromkeys(("Partition", "count_in_rectangle", "enumerate_partitions"),
                     "partitions"),
     **dict.fromkeys(("KohTree", "count_koh_trees", "enumerate_koh_trees",
-                     "koh_rhs_closed", "koh_term", "leaves", "sigma",
-                     "validate_koh_tree"), "koh"),
-    **dict.fromkeys(("Configuration", "GohTree", "count_goh_trees",
-                     "enumerate_configurations", "enumerate_goh_trees",
-                     "goh_leaves", "goh_rhs_closed", "goh_term",
-                     "validate_configuration", "validate_goh_tree"), "goh"),
+                     "koh_rhs_closed", "koh_term", "leaves", "validate_koh_tree"),
+                    "koh"),
+    **dict.fromkeys(("Configuration", "GohTree", "enumerate_configurations",
+                     "enumerate_goh_trees", "goh_leaves", "goh_rhs_closed",
+                     "goh_term", "validate_configuration", "validate_goh_tree"),
+                    "goh"),
     **dict.fromkeys(("count_markings", "enumerate_markings", "marking_target"),
                     "marking"),
     **dict.fromkeys(("CoefficientReport", "METHOD_BOTH", "METHOD_DIFFERENCE",

@@ -163,14 +163,8 @@ def _print_report(report, fmt: str) -> None:
 def _run_trees(args: argparse.Namespace) -> int:
     import json
     from .render import tree_to_dict, tree_to_dot, tree_to_text
-    if args.family == "koh":
-        family = koh_family(args.n, args.k)
-    elif args.k < 1:
-        # the one-node tree of k = 0 has no leaf to mark or write a term for
-        raise PreconditionViolationError(
-            f"the row length k must be positive, got {args.k}")
-    else:
-        family = goh_family(args.mu, args.k)
+    family = (koh_family(args.n, args.k) if args.family == "koh"
+              else goh_family(args.mu, args.k))
     r = args.r
     entries = ([(tree, None) for tree in family.trees(args.max_trees)] if r is None
                else marked_listing(family, r, args.max_trees))

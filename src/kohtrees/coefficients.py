@@ -255,6 +255,9 @@ def koh_family(n: int, k: int) -> TreeFamily:
 
 def goh_family(mu: Partition, k: int) -> TreeFamily:
     """The GOH trees of (mu, k), summing to s_mu(1, q, ..., q^k)."""
+    if k < 1:
+        # the one-node tree of k = 0 has no leaf to mark or write a term for
+        raise PreconditionViolationError(f"the row length k must be positive, got {k}")
     from .goh import enumerate_goh_trees, goh_leaf_table, goh_rhs_closed
     spec = functools.cache(lambda: hook_content(mu, k))
     return TreeFamily(
@@ -374,8 +377,6 @@ def plethysm_two_row(mu: Partition, k: int, r: int, method: str = METHOD_BOTH,
     """
     if not mu:
         raise PreconditionViolationError("the outer partition must be nonempty")
-    if k < 1:
-        raise PreconditionViolationError(f"the row length k must be positive, got {k}")
     return _two_row(goh_family(mu, k), range(r, r + 1), method, max_trees)[0]
 
 

@@ -171,17 +171,8 @@ def enumerate_configurations(lam: Partition, m_max: int | None = None
     partitions whose column sums lie on or above the floor its two lower
     levels set, and on or below the ceiling the level under it sets for
     the levels still to come.
-
-    Level 1 has |lam| - lam_1 cells, so no more parts: every m_max from
-    there on asks for all chains, and shares their cache entry.
     """
     _check_shape(lam)
-    cells = lam.size - lam.parts[0]
-    return _configurations(lam, cells if m_max is None else min(m_max, cells))
-
-
-@functools.cache
-def _configurations(lam: Partition, m_max: int) -> tuple[Configuration, ...]:
     ell, n = len(lam), lam.size
     levels = [_level(sum(lam.parts[i:]), n) for i in range(1, ell + 1)]
     found: list[Configuration] = []
@@ -198,7 +189,8 @@ def _configurations(lam: Partition, m_max: int) -> tuple[Configuration, ...]:
         options = [(nu, sums) for nu, sums in levels[depth - 1]
                    if all(map(operator.le, sums, ceiling))]
         if depth == 1:
-            options = [(nu, sums) for nu, sums in options if len(nu) <= m_max]
+            options = [(nu, sums) for nu, sums in options
+                       if m_max is None or len(nu) <= m_max]
         else:
             floor = _floor(chain[-2], chain[-1], n)
             options = [(nu, sums) for nu, sums in options
@@ -284,11 +276,6 @@ def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
     and (|lam|, k - m) when m < k (at m = k that factor would be 1).
     """
     return closed_form(_typed_configurations(lam, k), Configuration.tau_stat)
-
-
-def count_goh_trees(lam: Partition, k: int) -> int:
-    """Number of trees for (lam, k), without materializing them."""
-    return count_trees(_typed_configurations(lam, k))
 
 
 def _budgeted(lam: Partition, k: int, max_trees: int) -> tuple:

@@ -364,12 +364,6 @@ def leaf_term_sum(degree: int,
     return unpack(total, width)
 
 
-def sigma(tree) -> int:
-    """The tree's degree minus its leaf sum, for a tree of either family;
-    even and nonnegative on valid trees."""
-    return leaf_sigma(tree.degree, leaves(tree))
-
-
 def koh_term(tree: KohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over the leaves."""
     return leaf_term_sum(tree.degree, ((leaves(tree), 1),))

@@ -45,9 +45,9 @@ class QPoly(_Value):
     def coeff(self, r: int) -> int:
         """Coefficient of q^r, zero outside the stored range.
 
-        >>> q_int(2).coeff(2)
+        >>> QPoly([1, 1, 1]).coeff(2)
         1
-        >>> q_int(2).coeff(-1)
+        >>> QPoly([1, 1, 1]).coeff(-1)
         0
         """
         if 0 <= r < len(self.coeffs):
@@ -61,15 +61,6 @@ class QPoly(_Value):
         if self.is_zero or d == 0:
             return self
         return QPoly((0,) * d + self.coeffs)
-
-    def __add__(self, other: QPoly) -> QPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
 
     def __mul__(self, other: QPoly) -> QPoly:
         if self.is_zero or other.is_zero:
@@ -87,7 +78,7 @@ class QPoly(_Value):
         Raises NonExactDivisionError when a quotient coefficient would
         not be an integer or when a remainder is left over.
 
-        >>> (q_int(2) * q_int(3)).exact_div(q_int(2)).coeffs
+        >>> QPoly([1, 2, 3, 3, 2, 1]).exact_div(QPoly([1, 1, 1])).coeffs
         (1, 1, 1, 1)
         """
         if other.is_zero:
@@ -113,31 +104,6 @@ class QPoly(_Value):
                 f"nonzero remainder {QPoly(rem)!r} dividing by {other!r}")
         return QPoly(quot)
 
-    def is_symmetric(self, center_times_two: int) -> bool:
-        """True when coeff(r) == coeff(center_times_two - r) for all r.
-
-        The center is passed doubled so odd symmetry axes need no
-        fractions: a polynomial of degree d symmetric about d/2 passes
-        is_symmetric(d).
-        """
-        hi = max(self.degree, center_times_two)
-        return all(self.coeff(r) == self.coeff(center_times_two - r)
-                   for r in range(hi + 1))
-
-    def is_unimodal(self) -> bool:
-        """True when coefficients weakly rise and then weakly fall.
-
-        >>> QPoly([1, 0, 1]).is_unimodal()
-        False
-        """
-        falling = False
-        for prev, cur in zip(self.coeffs, self.coeffs[1:]):
-            if cur < prev:
-                falling = True
-            elif cur > prev and falling:
-                return False
-        return True
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -155,21 +121,6 @@ class QPoly(_Value):
 
 ZERO = QPoly()
 ONE = QPoly((1,))
-
-
-def _check_q_int(a: int) -> None:
-    if a < 0:
-        raise ValueError(f"q_int needs a >= 0, got {a}")
-
-
-def q_int(a: int) -> QPoly:
-    """The q-integer [a+1]_q = 1 + q + ... + q^a.
-
-    >>> q_int(2).coeffs
-    (1, 1, 1)
-    """
-    _check_q_int(a)
-    return QPoly((1,) * (a + 1))
 
 
 # --- packed polynomials ---
@@ -205,10 +156,11 @@ def pack(p: QPoly, width: int) -> int:
 def packed_q_int(a: int, width: int) -> int:
     """The q-integer [a+1]_q packed at the given width.
 
-    >>> packed_q_int(2, 1) == pack(q_int(2), 1)
+    >>> packed_q_int(2, 1) == pack(QPoly([1, 1, 1]), 1)
     True
     """
-    _check_q_int(a)
+    if a < 0:
+        raise ValueError(f"packed_q_int needs a >= 0, got {a}")
     base = 1 << (8 * width)
     return (base ** (a + 1) - 1) // (base - 1)
 
@@ -234,7 +186,7 @@ def sum_of_products(terms: Iterable[tuple[int, Sequence[QPoly]]]) -> QPoly:
     the width of the sum's value at q = 1: the sum over terms of the
     product of the factors' coefficient sums.
 
-    >>> sum_of_products([(0, [q_int(1), q_int(1)]), (3, [ONE])]).coeffs
+    >>> sum_of_products([(0, [QPoly([1, 1]), QPoly([1, 1])]), (3, [ONE])]).coeffs
     (1, 2, 1, 1)
     """
     # a term with a zero factor is zero, and its other factors need not fit

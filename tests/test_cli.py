@@ -621,10 +621,12 @@ def test_json_witness_counts_are_the_markings_of_each_tree(capsys):
 def test_failing_goh_cell_reports_the_tree_sum(capsys, monkeypatch):
     import kohtrees.coefficients as coefficients
     from kohtrees.qpoly import ONE, ZERO
+    from qpoly_oracles import poly_add
     real = coefficients.hook_content
     monkeypatch.setattr(
         coefficients, "hook_content",
-        lambda mu, k: real(mu, k) + (ONE if (mu.parts, k) == ((2, 2), 5) else ZERO))
+        lambda mu, k: poly_add(real(mu, k),
+                               ONE if (mu.parts, k) == ((2, 2), 5) else ZERO))
     code, out, _ = run_cli(capsys, "verify", "goh", "--max-size", "4",
                            "--max-k", "5")
     assert code == 1

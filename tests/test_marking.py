@@ -15,7 +15,8 @@ from kohtrees.koh import enumerate_koh_trees, koh_leaf_table, leaves
 from kohtrees.marking import (_PrefixTable, count_markings, enumerate_markings,
                               marked_counts, marking_target, witness_counts)
 from kohtrees.partitions import enumerate_partitions
-from kohtrees.qpoly import ONE, q_int
+from kohtrees.qpoly import ONE
+from qpoly_oracles import q_int
 
 
 def product_of_q_ints(a):

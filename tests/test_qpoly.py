@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from kohtrees.errors import NonExactDivisionError, StructureViolationError
 from kohtrees.koh import leaf_term_sum
 from kohtrees.qpoly import (ONE, ZERO, QPoly, pack, pack_width, packed_q_int,
-                            q_binomial, q_int, sum_of_products, unpack)
+                            q_binomial, sum_of_products, unpack)
+from qpoly_oracles import is_symmetric, is_unimodal, poly_add, q_int
 
 
 def test_trailing_zeros_trimmed():
@@ -34,8 +35,8 @@ def test_coeff_outside_range_is_zero():
 def test_addition():
     p = QPoly([1, 2, 3])
     r = QPoly([0, 1])
-    assert (p + r).coeffs == (1, 3, 3)
-    assert (r + p).coeffs == (1, 3, 3)
+    assert poly_add(p, r).coeffs == (1, 3, 3)
+    assert poly_add(r, p).coeffs == (1, 3, 3)
 
 
 def test_multiplication():
@@ -67,21 +68,6 @@ def test_exact_division_refuses_remainders():
         ONE.exact_div(ZERO)
 
 
-def test_symmetry_predicate():
-    assert q_int(4).is_symmetric(4)
-    assert not q_int(4).is_symmetric(6)
-    assert QPoly([1, 5, 1]).is_symmetric(2)
-    assert QPoly([0, 1, 1]).is_symmetric(3)
-    assert ZERO.is_symmetric(0)
-
-
-def test_unimodality_predicate():
-    assert QPoly([1, 2, 2, 1]).is_unimodal()
-    assert QPoly([1, 0, 1]).is_unimodal() is False
-    assert ZERO.is_unimodal()
-    assert q_int(3).is_unimodal()
-
-
 def test_str_rendering():
     assert str(QPoly([1, 1, 2])) == "1 + q + 2*q^2"
     assert str(ZERO) == "0"
@@ -109,7 +95,7 @@ def test_leaf_term_sum_matches_repeated_multiplication(pairs, extra):
         for a in labels:
             product = product * q_int(a)
         for _ in range(ways):
-            expected = expected + product.shift((degree - sum(labels)) // 2)
+            expected = poly_add(expected, product.shift((degree - sum(labels)) // 2))
     assert leaf_term_sum(degree, pairs) == expected
 
 
@@ -119,7 +105,7 @@ def test_leaf_term_sum_edge_cases():
     assert leaf_term_sum(0, (((0, 0, 0), 1),)) == ONE
     assert leaf_term_sum(3, (((0, 3), 1),)) == q_int(3)
     assert leaf_term_sum(3, (((0, 3), 5),)) == QPoly([5, 5, 5, 5])
-    with pytest.raises(ValueError, match=r"q_int needs a >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"packed_q_int needs a >= 0, got -1"):
         leaf_term_sum(1, (((2, -1), 1),))
     with pytest.raises(StructureViolationError, match="odd defect 1"):
         leaf_term_sum(2, (((1,), 1),))
@@ -148,8 +134,8 @@ def test_q_binomial_symmetric_and_unimodal():
         for k in range(7):
             p = q_binomial(n, k)
             assert p.degree == n * k
-            assert p.is_symmetric(n * k)
-            assert p.is_unimodal()
+            assert is_symmetric(p, n * k)
+            assert is_unimodal(p)
 
 
 def schoolbook_q_binomial(n, k):
@@ -158,7 +144,7 @@ def schoolbook_q_binomial(n, k):
     column = [ONE] * (n + 1)
     for j in range(1, k + 1):
         for i in range(1, n + 1):
-            column[i] = column[i] + column[i - 1].shift(j)
+            column[i] = poly_add(column[i], column[i - 1].shift(j))
     return column[n]
 
 
@@ -172,7 +158,7 @@ def test_q_binomial_pascal_recurrence():
     for n in range(1, 6):
         for k in range(1, 6):
             lhs = q_binomial(n, k)
-            rhs = q_binomial(n, k - 1) + q_binomial(n - 1, k).shift(k)
+            rhs = poly_add(q_binomial(n, k - 1), q_binomial(n - 1, k).shift(k))
             assert lhs == rhs
 
 
@@ -188,7 +174,7 @@ def test_pack_round_trips_and_packs_q_integers():
     for width in (1, 2, 5):
         for a in range(6):
             assert packed_q_int(a, width) == pack(q_int(a), width)
-    with pytest.raises(ValueError, match=r"q_int needs a >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"packed_q_int needs a >= 0, got -1"):
         packed_q_int(-1, 1)
 
 
@@ -205,7 +191,7 @@ def test_packed_sums_and_products_match_schoolbook(terms):
         product = ONE
         for f in factors:
             product = product * f
-        expected = expected + product.shift(shift)
+        expected = poly_add(expected, product.shift(shift))
         bound += math.prod(sum(f.coeffs) for f in factors)
     assert sum_of_products(terms) == expected
     # the same sum by hand from the four helpers

@@ -82,6 +82,31 @@ def test_every_exported_name_resolves():
     assert set(kohtrees.__all__) <= set(dir(kohtrees))
 
 
+def test_the_public_surface_is_what_a_route_runs():
+    assert set(kohtrees.__all__) == {
+        "ONE", "ZERO", "QPoly", "q_binomial",
+        "Partition", "count_in_rectangle", "enumerate_partitions",
+        "KohTree", "count_koh_trees", "enumerate_koh_trees", "koh_rhs_closed",
+        "koh_term", "leaves", "validate_koh_tree",
+        "Configuration", "GohTree", "enumerate_configurations",
+        "enumerate_goh_trees", "goh_leaves", "goh_rhs_closed", "goh_term",
+        "validate_configuration", "validate_goh_tree",
+        "count_markings", "enumerate_markings", "marking_target",
+        "CoefficientReport", "METHOD_BOTH", "METHOD_DIFFERENCE", "METHOD_MARKED",
+        "hook_content", "kronecker_two_row", "plethysm_two_row",
+        "plethysm_two_row_general", "schur_specialization_oracle",
+        "BudgetExceededError", "CrossCheckFailedError", "NonExactDivisionError",
+        "PreconditionViolationError", "StructureViolationError", "__version__"}
+    assert len(kohtrees.__all__) == 41
+    # what a production path reads, plus __mul__ and exact_div, which the
+    # benchmark's traced run patches
+    members = {name for name in vars(QPoly)
+               if not name.startswith("_") or name.endswith("__")}
+    assert members - {"__doc__", "__init__", "__module__", "__slots__"} == {
+        "coeffs", "coeff", "degree", "is_zero", "shift", "__str__",
+        "__mul__", "exact_div"}
+
+
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         kohtrees.no_such_name
