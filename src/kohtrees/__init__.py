@@ -21,12 +21,10 @@ _HOMES = {
     **dict.fromkeys(("Partition", "count_in_rectangle", "enumerate_partitions"),
                     "partitions"),
     **dict.fromkeys(("KohTree", "count_koh_trees", "enumerate_koh_trees",
-                     "koh_rhs_closed", "koh_term", "leaves", "validate_koh_tree"),
-                    "koh"),
+                     "koh_rhs_closed", "koh_term", "leaves"), "koh"),
     **dict.fromkeys(("Configuration", "GohTree", "enumerate_configurations",
                      "enumerate_goh_trees", "goh_leaves", "goh_rhs_closed",
-                     "goh_term", "validate_configuration", "validate_goh_tree"),
-                    "goh"),
+                     "goh_term"), "goh"),
     **dict.fromkeys(("count_markings", "enumerate_markings", "marking_target"),
                     "marking"),
     **dict.fromkeys(("CoefficientReport", "METHOD_BOTH", "METHOD_DIFFERENCE",

@@ -16,16 +16,15 @@ subtree of type (n, k - m).  Summing q^(sigma/2) times the product of
 
 _floor states the chain rule once, on cached column-sum vectors:
 enumeration keeps a level only at or above it in every column, and
-p_stat (so validation) reads P^i_j off it.  _ceiling is what the rule
-implies for the levels still to come, and prunes a level from above.
-_child_types states the child rule once; counting, enumeration, the
-closed form, validation and parsing all read it.  A configuration with
-its child types has the shape of a KOH production, and
-_typed_configurations caches the production list per (lam, k), as
-koh._productions does per type.  So counting, building, the leaf table,
-the closed form and the child check are the ones koh uses for its own
-trees (koh.count_trees, koh.build_trees, koh.leaf_table,
-koh.closed_form, koh.check_children).  goh_rhs_closed reads the trees'
+p_stat reads P^i_j off it.  _ceiling is what the rule implies for the
+levels still to come, and prunes a level from above.
+_child_types states the child rule once; counting, enumeration and the
+closed form read it.  A configuration with its child types has the
+shape of a KOH production, and _typed_configurations caches the
+production list per (lam, k), as koh._productions does per type.  So
+counting, building, the leaf table and the closed form are the ones koh
+uses for its own trees (koh.count_trees, koh.build_trees,
+koh.leaf_table, koh.closed_form).  goh_rhs_closed reads the trees'
 own chain list, each slot's KOH trees summed as a q-binomial; hook
 content and the tableau oracle are the references independent of both.
 """
@@ -36,11 +35,9 @@ import functools
 import itertools
 import operator
 
-from .errors import (DEFAULT_TREE_BUDGET, PreconditionViolationError,
-                     StructureViolationError, _Value)
-from .koh import (KohTree, _check_budget, _tree_from_dict, build_trees, check_children,
-                  closed_form, count_trees, leaf_table, leaf_term_sum, leaves,
-                  payload_int)
+from .errors import DEFAULT_TREE_BUDGET, PreconditionViolationError, _Value
+from .koh import (KohTree, _check_budget, build_trees, closed_form, count_trees,
+                  leaf_table, leaf_term_sum, leaves)
 from .partitions import Partition, enumerate_partitions
 
 
@@ -137,29 +134,6 @@ class Configuration(_Value):
 def _check_shape(lam: Partition) -> None:
     if not lam:
         raise PreconditionViolationError("the shape partition must be nonempty")
-
-
-def validate_configuration(config: Configuration) -> None:
-    """Check chain admissibility, raising StructureViolationError."""
-    lam, nus = config.lam, config.nus
-    if not lam:
-        raise StructureViolationError("the shape partition must be nonempty")
-    ell, n = len(lam), lam.size
-    if len(nus) != ell + 1:
-        raise StructureViolationError(
-            f"expected {ell + 1} chain levels, got {len(nus)}")
-    if nus[0] != Partition((1,) * n):
-        raise StructureViolationError(f"level 0 must be (1^{n}), got {nus[0]!r}")
-    for i in range(ell + 1):
-        want = sum(lam.parts[i:])
-        if nus[i].size != want:
-            raise StructureViolationError(
-                f"level {i} must have size {want}, got {nus[i]!r}")
-    for i in range(1, ell):
-        for j in range(1, n + 1):
-            if config.p_stat(i, j) < 0:
-                raise StructureViolationError(
-                    f"negative second difference at (i={i}, j={j})")
 
 
 def enumerate_configurations(lam: Partition, m_max: int | None = None
@@ -315,37 +289,3 @@ def goh_leaves(tree: GohTree) -> tuple[int, ...]:
 def goh_term(tree: GohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over all leaves."""
     return leaf_term_sum(tree.degree, ((goh_leaves(tree), 1),))
-
-
-def validate_goh_tree(tree: GohTree) -> None:
-    """Check the root and every subtree, raising StructureViolationError."""
-    validate_configuration(tree.config)
-    if tree.k < 0:
-        raise StructureViolationError(f"k must be nonnegative, got {tree.k}")
-    m = tree.config.m_stat()
-    if m > tree.k:
-        raise StructureViolationError(
-            f"m_stat {m} exceeds k = {tree.k}; no such tree exists")
-    check_children(tree, _child_types(tree.config, tree.k))
-
-
-# --- reading the dict form back ---
-
-def tree_from_dict(data: dict) -> GohTree:
-    """Parse the dict form back into a validated tree; validate_goh_tree
-    checks each KOH subtree once."""
-    try:
-        lam = Partition(data["lambda"])
-        nus = tuple(Partition(p) for p in data["config"])
-        k = payload_int(data["k"], "k")
-        children = tuple((None if entry["edge"] is None
-                          else tuple(payload_int(x, "edge") for x in entry["edge"]),
-                          _tree_from_dict(entry["koh"]))
-                         for entry in data["children"])
-    except StructureViolationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureViolationError(f"malformed tree payload: {exc}") from exc
-    tree = GohTree(Configuration(lam, nus), k, children)
-    validate_goh_tree(tree)
-    return tree

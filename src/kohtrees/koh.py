@@ -13,13 +13,12 @@ q^(sigma/2) times the product of [leaf + 1]_q over all trees of type
 
 _productions(n, k) states this rule once for a type: the partitions of
 k whose child widths are all nonnegative, each with its child types from
-_child_types, the per-node rule (validation reads only that, since a
-payload's b is unbounded).  Counting, building and the closed form read
-it; counts, tree tuples and leaf tables are filled bottom up over the
-types below the one asked for (_fill), never by recursing down a chain
-of types.  count_trees, build_trees, leaf_table, closed_form and
-check_children serve both families: a GOH configuration with its child
-types is a production too.
+_child_types, the per-node rule.  Counting, building and the closed
+form read it; counts, tree tuples and leaf tables are filled bottom up
+over the types below the one asked for (_fill), never by recursing down
+a chain of types.  count_trees, build_trees, leaf_table and closed_form
+serve both families: a GOH configuration with its child types is a
+production too.
 
 A tree's term, and its markings, depend only on its leaf tuple, and
 trees repeat leaf tuples a lot: type (24, 24) has 2,704,156 trees but
@@ -208,19 +207,6 @@ def closed_form(productions: Sequence[tuple[object, list]],
         for label, types in productions)
 
 
-def check_children(tree, types: list) -> None:
-    """Check that tree's edges are the edges of its child types, in order,
-    and that each subtree is a valid KOH tree of its type, raising
-    StructureViolationError."""
-    edges = [edge for edge, _ in tree.children]
-    if edges != [edge for edge, _ in types]:
-        raise StructureViolationError(
-            f"edges {edges} do not match the child slots "
-            f"{[edge for edge, _ in types]}")
-    for (_, child), (_, ctype) in zip(tree.children, types):
-        validate_koh_tree(child, expected_type=ctype)
-
-
 def _fill(table: dict, n: int, k: int, value: Callable[[int, int], object]):
     """table[n, k], first setting table[t] = value(*t) for every type t
     reachable from (n, k) that the table lacks, children before parents.
@@ -380,56 +366,3 @@ def koh_rhs_closed(n: int, k: int) -> QPoly:
         raise PreconditionViolationError(
             f"closed form needs n >= 0 and k >= 0, got ({n}, {k})")
     return closed_form(_productions(n, k), lambda lam: 2 * lam.b_stat())
-
-
-def validate_koh_tree(tree: KohTree, expected_type: tuple[int, int] | None = None) -> None:
-    """Check every structural constraint, raising StructureViolationError.
-
-    Passing expected_type additionally pins down (tree.a, tree.b).
-    """
-    if expected_type is not None and (tree.a, tree.b) != expected_type:
-        raise StructureViolationError(
-            f"root type ({tree.a}, {tree.b}) != expected {expected_type}")
-    if tree.a < 0 or tree.b < 1:
-        raise StructureViolationError(
-            f"node type ({tree.a}, {tree.b}) out of range")
-    if tree.mu.size != tree.b:
-        raise StructureViolationError(
-            f"label partition {tree.mu!r} does not sum to b = {tree.b}")
-    if tree.is_leaf:
-        if tree.mu != _LEAF_MU or tree.children:
-            raise StructureViolationError(f"malformed leaf {tree!r}")
-        return
-    check_children(tree, _child_types(tree.mu, tree.a))
-
-
-# --- reading the dict form back ---
-
-def payload_int(value, field: str) -> int:
-    """A number field of a tree payload, which must be an int and not a
-    bool; anything else raises StructureViolationError."""
-    if type(value) is not int:
-        raise StructureViolationError(
-            f"malformed tree payload: {field} must be an integer, got {value!r}")
-    return value
-
-
-def _tree_from_dict(data: dict) -> KohTree:
-    try:
-        mu = Partition(data["mu"])
-        a, b = payload_int(data["a"], "a"), payload_int(data["b"], "b")
-        children = tuple((payload_int(entry["edge"], "edge"),
-                          _tree_from_dict(entry["tree"]))
-                         for entry in data["children"])
-    except StructureViolationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureViolationError(f"malformed tree payload: {exc}") from exc
-    return KohTree(mu, a, b, children)
-
-
-def tree_from_dict(data: dict) -> KohTree:
-    """Parse the dict form back into a validated tree."""
-    tree = _tree_from_dict(data)
-    validate_koh_tree(tree)
-    return tree

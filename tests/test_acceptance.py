@@ -15,15 +15,16 @@ from kohtrees.coefficients import (hook_content, kronecker_two_row,
                                    schur_specialization_oracle)
 from kohtrees.goh import (enumerate_configurations, enumerate_goh_trees,
                           goh_leaves, goh_rhs_closed, goh_term,
-                          validate_goh_tree, Configuration, GohTree)
+                          Configuration, GohTree)
 from kohtrees.koh import (KohTree, enumerate_koh_trees, koh_rhs_closed,
-                          koh_term, leaf_sigma, leaves, validate_koh_tree)
+                          koh_term, leaf_sigma, leaves)
 from kohtrees.marking import (count_markings, enumerate_markings,
                               marked_counts, marking_target)
 from kohtrees.partitions import (Partition, count_in_rectangle,
                                  enumerate_partitions)
 from kohtrees.qpoly import ONE, QPoly, ZERO, q_binomial
 from qpoly_oracles import is_symmetric, is_unimodal, poly_add, q_int
+from tree_oracles import validate_goh_tree, validate_koh_tree
 
 
 def poly_sum(terms):

@@ -1,6 +1,5 @@
 import functools
 import inspect
-import json
 
 import pytest
 
@@ -10,13 +9,13 @@ from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import (Configuration, GohTree, enumerate_configurations,
                           enumerate_goh_trees, goh_leaf_table, goh_leaves,
-                          goh_rhs_closed, goh_term, tree_from_dict,
-                          validate_configuration, validate_goh_tree)
-from kohtrees.koh import leaf_sigma, leaves
+                          goh_rhs_closed, goh_term)
+from kohtrees.koh import KohTree, leaf_sigma, leaves
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ZERO, q_binomial, sum_of_products
-from kohtrees.render import tree_to_dict, tree_to_dot
+from kohtrees.render import tree_to_dot
 from qpoly_oracles import poly_add
+from tree_oracles import validate_configuration, validate_goh_tree
 
 
 def tree_sum(mu, k):
@@ -211,9 +210,9 @@ def test_sigma_even_and_nonnegative():
 
 
 def test_validate_accepts_all_enumerated_trees():
-    for size in range(1, 6):
+    for size in range(1, 7):
         for mu in enumerate_partitions(size):
-            for k in range(0, 4):
+            for k in range(0, 5):
                 for t in enumerate_goh_trees(mu, k):
                     validate_goh_tree(t)
 
@@ -233,95 +232,45 @@ def test_validate_rejects_missing_extra():
         validate_goh_tree(GohTree(t.config, t.k, t.children[:-1]))
 
 
-def test_json_round_trip():
-    for mu in (Partition((2, 1)), Partition((3, 2, 1)), Partition((2, 2))):
-        for k in range(1, 4):
-            for t in enumerate_goh_trees(mu, k):
-                back = tree_from_dict(json.loads(json.dumps(tree_to_dict(t))))
-                assert back == t
-
-
-def test_from_dict_rejects_garbage():
-    with pytest.raises(StructureViolationError):
-        tree_from_dict({"lambda": [2, 1]})
-    with pytest.raises(StructureViolationError, match="shape partition must be nonempty"):
-        tree_from_dict({"lambda": [], "config": [[]], "k": 1, "children": []})
-    good = tree_to_dict(enumerate_goh_trees(Partition((2, 1)), 2)[0])
-    bad = dict(good, k=5)
-    with pytest.raises(StructureViolationError):
-        tree_from_dict(bad)
-
-
-@pytest.mark.parametrize("value", ["2", 2.0, True])
-def test_from_dict_rejects_a_number_field_that_is_not_an_int(value):
-    with pytest.raises(StructureViolationError, match="k must be an integer"):
-        tree_from_dict({"lambda": [1], "config": [[1], []], "k": value,
-                        "children": []})
-    good = tree_to_dict(enumerate_goh_trees(Partition((2, 1)), 2)[0])
-    entry = good["children"][0]
-    assert entry["edge"] == [1, 1]
-    for edge in ([1, value], [value, 1]):
-        children = [dict(entry, edge=edge)] + good["children"][1:]
-        with pytest.raises(StructureViolationError, match="edge must be an integer"):
-            tree_from_dict(dict(good, children=children))
-    with pytest.raises(StructureViolationError, match="parts must be positive integers"):
-        tree_from_dict(dict(good, config=[[1, 1, 1], [value], []]))
-
-
-def test_from_dict_rejects_missing_and_extra_edges_and_wrong_child_types():
-    tree = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
+def test_validate_rejects_missing_and_extra_edges_and_wrong_child_types():
+    good = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
                 if len(t.children) >= 2 and t.children[0][1].is_leaf)
-    good = tree_to_dict(tree)
-    tree_from_dict(good)
-    kids = good["children"]
+    validate_goh_tree(good)
+    kids = good.children
     for children in (kids[1:], kids[:-1], kids + kids[-1:],
-                     kids + [dict(kids[0], edge=[1, 2])]):
+                     kids + (((1, 2), kids[0][1]),)):
         with pytest.raises(StructureViolationError, match="do not match"):
-            tree_from_dict(dict(good, children=children))
-    first = kids[0]
-    leaf = dict(first["koh"], a=first["koh"]["a"] + 1)
+            validate_goh_tree(GohTree(good.config, good.k, children))
+    edge, leaf = kids[0]
+    wrong = KohTree(leaf.mu, leaf.a + 1, leaf.b)
     with pytest.raises(StructureViolationError, match="!= expected"):
-        tree_from_dict(dict(good, children=[dict(first, koh=leaf)] + kids[1:]))
+        validate_goh_tree(GohTree(good.config, good.k, ((edge, wrong),) + kids[1:]))
+    # a larger k asks for a larger unlabeled subtree
+    with pytest.raises(StructureViolationError, match="!= expected"):
+        validate_goh_tree(GohTree(good.config, 5, kids))
 
 
-def test_from_dict_rejects_a_misplaced_unlabeled_subtree():
-    tree = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
+def test_validate_rejects_a_misplaced_unlabeled_subtree():
+    good = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
                 if len(t.children) >= 2 and t.children[-1][0] is None)
-    good = tree_to_dict(tree)
-    unlabeled = good["children"][-1]
-    assert unlabeled["edge"] is None
-    for children in (good["children"] + [unlabeled],
-                     [unlabeled] + good["children"][:-1]):
+    unlabeled = good.children[-1]
+    for children in (good.children + (unlabeled,),
+                     (unlabeled,) + good.children[:-1]):
         with pytest.raises(StructureViolationError):
-            tree_from_dict(dict(good, children=children))
+            validate_goh_tree(GohTree(good.config, good.k, children))
 
 
-def koh_nodes(tree):
-    return 1 + sum(koh_nodes(child) for _, child in tree.children)
-
-
-def test_parsing_validates_each_koh_subtree_node_once(monkeypatch):
-    trees = enumerate_goh_trees(Partition((4, 3, 2)), 4)
-    payloads = [json.loads(json.dumps(tree_to_dict(t))) for t in trees]
-    nodes = sum(koh_nodes(child) for t in trees for _, child in t.children)
-    assert (len(trees), nodes) == (13, 78)
-    calls = []
-    real = koh.validate_koh_tree
-
-    def counted(tree, expected_type=None):
-        calls.append(tree)
-        return real(tree, expected_type)
-
-    monkeypatch.setattr(koh, "validate_koh_tree", counted)
-    assert tuple(map(tree_from_dict, payloads)) == trees
-    assert len(calls) == nodes
-    # the one check still reaches a bad node deep in a subtree
-    tree = next(t for t in trees if not t.children[0][1].is_leaf)
-    bad = tree_to_dict(tree)
-    inner = bad["children"][0]["koh"]
-    inner["children"][0]["tree"] = dict(inner["children"][0]["tree"], mu=[9])
+def test_validate_reaches_a_bad_node_deep_in_a_subtree():
+    tree = next(t for t in enumerate_goh_trees(Partition((4, 3, 2)), 4)
+                if not t.children[0][1].is_leaf)
+    validate_goh_tree(tree)
+    (edge, inner), *rest = tree.children
+    (inner_edge, deep), *inner_rest = inner.children
+    bad = KohTree(inner.mu, inner.a, inner.b,
+                  ((inner_edge, KohTree(Partition((9,)), deep.a, deep.b, deep.children)),
+                   *inner_rest))
     with pytest.raises(StructureViolationError):
-        tree_from_dict(bad)
+        validate_goh_tree(GohTree(tree.config, tree.k, ((edge, bad), *rest)))
 
 
 def depth_first_leaves(tree):
@@ -338,7 +287,6 @@ def test_stored_leaf_tuples_match_a_depth_first_reading():
                 for t in enumerate_goh_trees(mu, k):
                     walked = depth_first_leaves(t)
                     assert leaves(t) == walked
-                    assert leaves(tree_from_dict(tree_to_dict(t))) == walked
 
 
 def test_stored_leaf_tuple_is_not_part_of_the_value():

@@ -1,23 +1,23 @@
 import functools
 import inspect
 import itertools
-import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kohtrees import goh, koh
+from kohtrees import goh, koh, partitions
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import enumerate_goh_trees, goh_leaf_table, goh_term
 from kohtrees.koh import (KohTree, count_koh_trees, count_trees, enumerate_koh_trees,
                           koh_leaf_table, koh_rhs_closed, koh_term, leaf_sigma,
-                          leaf_term_sum, leaves, tree_from_dict, validate_koh_tree)
+                          leaf_term_sum, leaves)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ONE, ZERO, q_binomial
 from kohtrees.render import tree_to_dict, tree_to_dot
 from qpoly_oracles import poly_add, q_int
+from tree_oracles import validate_koh_tree
 
 
 def rule_child_type(mu, a, j):
@@ -94,8 +94,6 @@ def test_stored_leaf_tuples_match_a_depth_first_reading():
         for k in range(1, 7):
             for t in enumerate_koh_trees(n, k):
                 assert leaves(t) == depth_first_leaves(t)
-                back = tree_from_dict(tree_to_dict(t))
-                assert leaves(back) == depth_first_leaves(t)
 
 
 def test_leaf_term_is_the_shifted_product_of_q_integers():
@@ -307,8 +305,8 @@ def test_sigma_rejects_malformed_trees():
 
 
 def test_validate_accepts_all_enumerated_trees():
-    for n in range(0, 6):
-        for k in range(1, 6):
+    for n in range(0, 10):
+        for k in range(1, 8):
             for t in enumerate_koh_trees(n, k):
                 validate_koh_tree(t, expected_type=(n, k))
 
@@ -341,75 +339,35 @@ def test_validate_rejects_missing_edge():
         validate_koh_tree(KohTree(Partition((2,)), 1, 2, ()))
 
 
-def tree_with_a_leaf_child():
-    """A tree of type (3, 2) whose first child is a leaf, as a payload."""
-    (tree,) = [t for t in enumerate_koh_trees(3, 2) if t.children[0][1].is_leaf]
-    return tree_to_dict(tree)
-
-
-def test_from_dict_rejects_missing_and_extra_edges():
-    good = tree_with_a_leaf_child()
-    tree_from_dict(good)
-    extra = {"edge": 1, "tree": {"mu": [1], "a": 0, "b": 1, "children": []}}
-    for children in ([], good["children"] + good["children"],
-                     good["children"] + [extra]):
+def test_validate_rejects_missing_and_extra_edges():
+    (good,) = [t for t in enumerate_koh_trees(3, 2) if t.children[0][1].is_leaf]
+    validate_koh_tree(good)
+    extra = (1, KohTree(Partition((1,)), 0, 1))
+    kids = good.children
+    for children in ((), kids + kids, kids + (extra,)):
         with pytest.raises(StructureViolationError, match="do not match"):
-            tree_from_dict(dict(good, children=children))
-
-
-def test_from_dict_rejects_a_wrong_child_type():
-    good = tree_with_a_leaf_child()
-    first = good["children"][0]
-    leaf = dict(first["tree"], a=first["tree"]["a"] + 1)
-    children = [dict(first, tree=leaf)] + good["children"][1:]
-    with pytest.raises(StructureViolationError, match="!= expected"):
-        tree_from_dict(dict(good, children=children))
+            validate_koh_tree(KohTree(good.mu, good.a, good.b, children))
+    # a node whose partition of 5 has rows 3 and 2 needs two edges
+    with pytest.raises(StructureViolationError, match="do not match"):
+        validate_koh_tree(KohTree(Partition((3, 2)), 1, 5))
 
 
 def test_validation_lists_no_partitions_of_the_payload_size(monkeypatch):
-    def unbounded(n, k):
-        raise AssertionError(f"listed the partitions of {k}")
+    def unbounded(*args):
+        raise AssertionError(f"listed partitions: {args}")
 
-    # the one place koh lists partitions
+    # the places the package lists partitions
     monkeypatch.setattr(koh, "_productions", unbounded)
-    leaf = {"mu": [1], "a": 0, "b": 1, "children": []}
-    tree = tree_from_dict({"mu": [60], "a": 0, "b": 60,
-                           "children": [{"edge": 60, "tree": leaf}]})
+    monkeypatch.setattr(partitions, "enumerate_partitions", unbounded)
+    tree = KohTree(Partition((60,)), 0, 60, ((60, KohTree(Partition((1,)), 0, 1)),))
+    validate_koh_tree(tree)
     assert leaves(tree) == (0,)
-
-
-def test_json_round_trip():
-    for n, k in ((4, 3), (5, 4), (2, 5)):
-        for t in enumerate_koh_trees(n, k):
-            assert tree_from_dict(json.loads(json.dumps(tree_to_dict(t)))) == t
 
 
 def test_dict_includes_marks_when_given():
     t = enumerate_koh_trees(3, 1)[0]
     d = tree_to_dict(t, marks=(0,), r=0)
     assert d["marks"] == [0] and d["r"] == 0
-
-
-def test_from_dict_rejects_garbage():
-    with pytest.raises(StructureViolationError):
-        tree_from_dict({"mu": [1]})
-    with pytest.raises(StructureViolationError):
-        tree_from_dict({"mu": [2, 3], "a": 1, "b": 5, "children": []})
-
-
-@pytest.mark.parametrize("value", ["3", 3.5, 3.0, True])
-def test_from_dict_rejects_a_number_field_that_is_not_an_int(value):
-    for field in ("a", "b"):
-        leaf = dict({"mu": [1], "a": 3, "b": 1, "children": []}, **{field: value})
-        with pytest.raises(StructureViolationError,
-                           match=f"{field} must be an integer"):
-            tree_from_dict(leaf)
-    good = tree_to_dict(enumerate_koh_trees(3, 2)[0])
-    children = [dict(good["children"][0], edge=value)] + good["children"][1:]
-    with pytest.raises(StructureViolationError, match="edge must be an integer"):
-        tree_from_dict(dict(good, children=children))
-    with pytest.raises(StructureViolationError, match="parts must be positive integers"):
-        tree_from_dict(dict(good, mu=[value, 1]))
 
 
 def test_dot_output_shape():
