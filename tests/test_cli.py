@@ -14,8 +14,10 @@ import kohtrees
 from kohtrees import cli, koh
 from kohtrees.goh import enumerate_goh_trees
 from kohtrees.koh import enumerate_koh_trees, leaves
-from kohtrees.partitions import enumerate_partitions
+from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import q_binomial
+from tree_oracles import goh_tree_from_dict as goh_from_dict
+from tree_oracles import koh_tree_from_dict as koh_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +121,23 @@ def test_trees_marked_listing(capsys):
     assert code == 0
     assert "marks=(0,)" in out or "marks=(0)" in out
     assert out.strip().splitlines()[-1] == "total marked trees: 1"
+
+
+def test_trees_json_round_trips(capsys):
+    code, out, _ = run_cli(capsys, "trees", "koh", "--n", "4", "--k", "3",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload) == len(set(json.dumps(d) for d in payload))
+    assert tuple(map(koh_from_dict, payload)) == enumerate_koh_trees(4, 3)
+
+
+def test_trees_goh_json_round_trips(capsys):
+    code, out, _ = run_cli(capsys, "trees", "goh", "--mu", "2,2", "--k", "3",
+                           "--format", "json")
+    assert code == 0
+    assert (tuple(map(goh_from_dict, json.loads(out)))
+            == enumerate_goh_trees(Partition((2, 2)), 3))
 
 
 def written_leaves(entry):

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import json
 
 import pytest
 
@@ -13,9 +14,10 @@ from kohtrees.goh import (Configuration, GohTree, enumerate_configurations,
 from kohtrees.koh import KohTree, leaf_sigma, leaves
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ZERO, q_binomial, sum_of_products
-from kohtrees.render import tree_to_dot
+from kohtrees.render import tree_to_dict, tree_to_dot
 from qpoly_oracles import poly_add
-from tree_oracles import validate_configuration, validate_goh_tree
+from tree_oracles import (goh_tree_from_dict as tree_from_dict, validate_configuration,
+                          validate_goh_tree)
 
 
 def tree_sum(mu, k):
@@ -232,22 +234,55 @@ def test_validate_rejects_missing_extra():
         validate_goh_tree(GohTree(t.config, t.k, t.children[:-1]))
 
 
-def test_validate_rejects_missing_and_extra_edges_and_wrong_child_types():
-    good = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
-                if len(t.children) >= 2 and t.children[0][1].is_leaf)
-    validate_goh_tree(good)
-    kids = good.children
-    for children in (kids[1:], kids[:-1], kids + kids[-1:],
-                     kids + (((1, 2), kids[0][1]),)):
-        with pytest.raises(StructureViolationError, match="do not match"):
-            validate_goh_tree(GohTree(good.config, good.k, children))
-    edge, leaf = kids[0]
-    wrong = KohTree(leaf.mu, leaf.a + 1, leaf.b)
-    with pytest.raises(StructureViolationError, match="!= expected"):
-        validate_goh_tree(GohTree(good.config, good.k, ((edge, wrong),) + kids[1:]))
+def test_json_round_trip():
+    for mu in (Partition((2, 1)), Partition((3, 2, 1)), Partition((2, 2))):
+        for k in range(1, 4):
+            for t in enumerate_goh_trees(mu, k):
+                back = tree_from_dict(json.loads(json.dumps(tree_to_dict(t))))
+                assert back == t
+
+
+def test_from_dict_rejects_garbage():
+    with pytest.raises(StructureViolationError):
+        tree_from_dict({"lambda": [2, 1]})
+    with pytest.raises(StructureViolationError, match="shape partition must be nonempty"):
+        tree_from_dict({"lambda": [], "config": [[]], "k": 1, "children": []})
     # a larger k asks for a larger unlabeled subtree
+    good = tree_to_dict(enumerate_goh_trees(Partition((2, 1)), 2)[0])
     with pytest.raises(StructureViolationError, match="!= expected"):
-        validate_goh_tree(GohTree(good.config, 5, kids))
+        tree_from_dict(dict(good, k=5))
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True])
+def test_from_dict_rejects_a_number_field_that_is_not_an_int(value):
+    with pytest.raises(StructureViolationError, match="k must be an integer"):
+        tree_from_dict({"lambda": [1], "config": [[1], []], "k": value,
+                        "children": []})
+    good = tree_to_dict(enumerate_goh_trees(Partition((2, 1)), 2)[0])
+    entry = good["children"][0]
+    assert entry["edge"] == [1, 1]
+    for edge in ([1, value], [value, 1]):
+        children = [dict(entry, edge=edge)] + good["children"][1:]
+        with pytest.raises(StructureViolationError, match="edge must be an integer"):
+            tree_from_dict(dict(good, children=children))
+    with pytest.raises(StructureViolationError, match="parts must be positive integers"):
+        tree_from_dict(dict(good, config=[[1, 1, 1], [value], []]))
+
+
+def test_from_dict_rejects_missing_and_extra_edges_and_wrong_child_types():
+    tree = next(t for t in enumerate_goh_trees(Partition((2, 1)), 2)
+                if len(t.children) >= 2 and t.children[0][1].is_leaf)
+    good = tree_to_dict(tree)
+    tree_from_dict(good)
+    kids = good["children"]
+    for children in (kids[1:], kids[:-1], kids + kids[-1:],
+                     kids + [dict(kids[0], edge=[1, 2])]):
+        with pytest.raises(StructureViolationError, match="do not match"):
+            tree_from_dict(dict(good, children=children))
+    first = kids[0]
+    leaf = dict(first["koh"], a=first["koh"]["a"] + 1)
+    with pytest.raises(StructureViolationError, match="!= expected"):
+        tree_from_dict(dict(good, children=[dict(first, koh=leaf)] + kids[1:]))
 
 
 def test_validate_rejects_a_misplaced_unlabeled_subtree():

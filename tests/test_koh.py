@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ONE, ZERO, q_binomial
 from kohtrees.render import tree_to_dict, tree_to_dot
 from qpoly_oracles import poly_add, q_int
-from tree_oracles import validate_koh_tree
+from tree_oracles import koh_tree_from_dict as tree_from_dict, validate_koh_tree
 
 
 def rule_child_type(mu, a, j):
@@ -339,17 +340,29 @@ def test_validate_rejects_missing_edge():
         validate_koh_tree(KohTree(Partition((2,)), 1, 2, ()))
 
 
-def test_validate_rejects_missing_and_extra_edges():
-    (good,) = [t for t in enumerate_koh_trees(3, 2) if t.children[0][1].is_leaf]
-    validate_koh_tree(good)
-    extra = (1, KohTree(Partition((1,)), 0, 1))
-    kids = good.children
-    for children in ((), kids + kids, kids + (extra,)):
+def tree_with_a_leaf_child():
+    """A tree of type (3, 2) whose first child is a leaf, as a payload."""
+    (tree,) = [t for t in enumerate_koh_trees(3, 2) if t.children[0][1].is_leaf]
+    return tree_to_dict(tree)
+
+
+def test_from_dict_rejects_missing_and_extra_edges():
+    good = tree_with_a_leaf_child()
+    tree_from_dict(good)
+    extra = {"edge": 1, "tree": {"mu": [1], "a": 0, "b": 1, "children": []}}
+    for children in ([], good["children"] + good["children"],
+                     good["children"] + [extra]):
         with pytest.raises(StructureViolationError, match="do not match"):
-            validate_koh_tree(KohTree(good.mu, good.a, good.b, children))
-    # a node whose partition of 5 has rows 3 and 2 needs two edges
-    with pytest.raises(StructureViolationError, match="do not match"):
-        validate_koh_tree(KohTree(Partition((3, 2)), 1, 5))
+            tree_from_dict(dict(good, children=children))
+
+
+def test_from_dict_rejects_a_wrong_child_type():
+    good = tree_with_a_leaf_child()
+    first = good["children"][0]
+    leaf = dict(first["tree"], a=first["tree"]["a"] + 1)
+    children = [dict(first, tree=leaf)] + good["children"][1:]
+    with pytest.raises(StructureViolationError, match="!= expected"):
+        tree_from_dict(dict(good, children=children))
 
 
 def test_validation_lists_no_partitions_of_the_payload_size(monkeypatch):
@@ -364,10 +377,39 @@ def test_validation_lists_no_partitions_of_the_payload_size(monkeypatch):
     assert leaves(tree) == (0,)
 
 
+def test_json_round_trip():
+    for n, k in ((4, 3), (5, 4), (2, 5)):
+        for t in enumerate_koh_trees(n, k):
+            assert tree_from_dict(json.loads(json.dumps(tree_to_dict(t)))) == t
+
+
 def test_dict_includes_marks_when_given():
     t = enumerate_koh_trees(3, 1)[0]
     d = tree_to_dict(t, marks=(0,), r=0)
     assert d["marks"] == [0] and d["r"] == 0
+
+
+def test_from_dict_rejects_garbage():
+    with pytest.raises(StructureViolationError):
+        tree_from_dict({"mu": [1]})
+    # a node whose partition of 5 has rows 3 and 2 needs two edges
+    with pytest.raises(StructureViolationError, match="do not match"):
+        tree_from_dict({"mu": [3, 2], "a": 1, "b": 5, "children": []})
+
+
+@pytest.mark.parametrize("value", ["3", 3.5, 3.0, True])
+def test_from_dict_rejects_a_number_field_that_is_not_an_int(value):
+    for field in ("a", "b"):
+        leaf = dict({"mu": [1], "a": 3, "b": 1, "children": []}, **{field: value})
+        with pytest.raises(StructureViolationError,
+                           match=f"{field} must be an integer"):
+            tree_from_dict(leaf)
+    good = tree_to_dict(enumerate_koh_trees(3, 2)[0])
+    children = [dict(good["children"][0], edge=value)] + good["children"][1:]
+    with pytest.raises(StructureViolationError, match="edge must be an integer"):
+        tree_from_dict(dict(good, children=children))
+    with pytest.raises(StructureViolationError, match="parts must be positive integers"):
+        tree_from_dict(dict(good, mu=[value, 1]))
 
 
 def test_dot_output_shape():

@@ -1,20 +1,26 @@
-"""The immutable value classes, the package's lazy names, and the public
-surface: the names it exports and the ones a command runs."""
+"""The immutable value classes, the package's lazy names, JSON round
+trips of random valid trees, and the public surface: the names it
+exports and the ones a command runs."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kohtrees
 from kohtrees import goh, koh
 from kohtrees.coefficients import CoefficientReport
 from kohtrees.goh import Configuration, GohTree, enumerate_goh_trees
 from kohtrees.koh import KohTree, enumerate_koh_trees
-from kohtrees.partitions import Partition
+from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import QPoly
+from kohtrees.render import tree_to_dict
+from tree_oracles import goh_tree_from_dict, koh_tree_from_dict
 
 
 def _values():
@@ -118,6 +124,46 @@ def test_star_import_binds_every_name():
     exec("from kohtrees import *", namespace)
     assert set(kohtrees.__all__) <= set(namespace)
     assert namespace["KohTree"] is KohTree
+
+
+@st.composite
+def koh_trees(draw):
+    n = draw(st.integers(0, 9))
+    k = draw(st.integers(1, 7))
+    return draw(st.sampled_from(enumerate_koh_trees(n, k)))
+
+
+@functools.cache
+def _goh_cells():
+    """The cells (mu, k) with |mu| <= 6 and k <= 4 that have trees."""
+    return [(mu, k) for size in range(1, 7) for mu in enumerate_partitions(size)
+            for k in range(5) if enumerate_goh_trees(mu, k)]
+
+
+@st.composite
+def goh_trees(draw):
+    mu, k = draw(st.sampled_from(_goh_cells()))
+    return draw(st.sampled_from(enumerate_goh_trees(mu, k)))
+
+
+def _round_trip(tree, parse):
+    return parse(json.loads(json.dumps(tree_to_dict(tree))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(koh_trees())
+def test_random_koh_trees_survive_a_json_round_trip(tree):
+    back = _round_trip(tree, koh_tree_from_dict)
+    assert back == tree and hash(back) == hash(tree)
+    assert back.leaf_values == tree.leaf_values
+
+
+@settings(max_examples=150, deadline=None)
+@given(goh_trees())
+def test_random_goh_trees_survive_a_json_round_trip(tree):
+    back = _round_trip(tree, goh_tree_from_dict)
+    assert back == tree and hash(back) == hash(tree)
+    assert back.leaf_values == tree.leaf_values
 
 
 # one run of every subcommand, method, output format and --r form, plus

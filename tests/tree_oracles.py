@@ -1,9 +1,15 @@
 """Structural checks of expansion trees of both families, each child rule
 restated from its definition, so they judge the enumerators rather than
 repeat them.  Each check raises StructureViolationError on the first
-broken node; a tree of any depth is walked with an explicit stack."""
+broken node; a tree of any depth is walked with an explicit stack.
+
+A reader of the written JSON form sits at the end: it rebuilds the tree
+a payload describes and checks it, so the tests can ask that what the
+package writes determines the tree it wrote."""
 
 from kohtrees.errors import StructureViolationError
+from kohtrees.goh import Configuration, GohTree
+from kohtrees.koh import KohTree
 from kohtrees.partitions import Partition
 
 
@@ -109,3 +115,51 @@ def validate_goh_tree(tree):
             f"nu^1 has {m} parts, more than k = {tree.k}; no such tree exists")
     for child, ctype in check_children(tree, goh_child_types(tree.config, tree.k)):
         validate_koh_tree(child, expected_type=ctype)
+
+
+def payload_int(value, field):
+    """A number field of a payload: an int and not a bool."""
+    if type(value) is not int:
+        raise StructureViolationError(
+            f"malformed tree payload: {field} must be an integer, got {value!r}")
+    return value
+
+
+def _read(build):
+    """Run build, reporting a missing key or a bad value as a malformed
+    payload."""
+    try:
+        return build()
+    except StructureViolationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructureViolationError(f"malformed tree payload: {exc}") from exc
+
+
+def _koh_from_dict(data):
+    # payloads are only as deep as json.loads can nest, so recursion is fine
+    return _read(lambda: KohTree(
+        Partition(data["mu"]), payload_int(data["a"], "a"), payload_int(data["b"], "b"),
+        tuple((payload_int(entry["edge"], "edge"), _koh_from_dict(entry["tree"]))
+              for entry in data["children"])))
+
+
+def koh_tree_from_dict(data):
+    """The KOH tree a written payload describes, checked."""
+    tree = _koh_from_dict(data)
+    validate_koh_tree(tree)
+    return tree
+
+
+def goh_tree_from_dict(data):
+    """The GOH tree a written payload describes, checked."""
+    tree = _read(lambda: GohTree(
+        Configuration(Partition(data["lambda"]),
+                      tuple(Partition(p) for p in data["config"])),
+        payload_int(data["k"], "k"),
+        tuple((None if entry["edge"] is None
+               else tuple(payload_int(x, "edge") for x in entry["edge"]),
+               _koh_from_dict(entry["koh"]))
+              for entry in data["children"])))
+    validate_goh_tree(tree)
+    return tree
