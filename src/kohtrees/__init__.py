@@ -24,13 +24,13 @@ _HOMES = {
                      "koh_rhs_closed", "koh_term", "leaves"), "koh"),
     **dict.fromkeys(("Configuration", "GohTree", "enumerate_configurations",
                      "enumerate_goh_trees", "goh_leaves", "goh_rhs_closed",
-                     "goh_term"), "goh"),
+                     "goh_term", "plethysm_two_row_general"), "goh"),
     **dict.fromkeys(("count_markings", "enumerate_markings", "marking_target"),
                     "marking"),
     **dict.fromkeys(("CoefficientReport", "METHOD_BOTH", "METHOD_DIFFERENCE",
                      "METHOD_MARKED", "hook_content", "kronecker_two_row",
-                     "plethysm_two_row", "plethysm_two_row_general",
-                     "schur_specialization_oracle"), "coefficients"),
+                     "plethysm_two_row", "schur_specialization_oracle"),
+                    "coefficients"),
     **dict.fromkeys(("BudgetExceededError", "CrossCheckFailedError",
                      "NonExactDivisionError", "PreconditionViolationError",
                      "StructureViolationError"), "errors"),

@@ -16,11 +16,14 @@ CPUs this process may run on.  Both must be positive.  A sweep prints
 the same bytes whatever the split between workers (see workers); with
 --workers 1, or no os.fork, this process checks every cell.
 
-Each command imports only what it runs: json and the tree writers where
-they print, the worker split in verify, and the tree, marking,
-polynomial and GOH modules in the coefficient routes that use them.  A
-text coefficient query builds no tree; a kronecker query compiles no GOH
-code and a difference query no tree, marking or polynomial code.
+This module parses and prints; each command's body lives with what it
+runs.  The parser is built for the subcommand the first argument names
+alone, and in full only for -h, a missing command or an unknown one.
+The tree listing is render's, the sweep and its cell check are
+workers', and the GOH family and the general plethysm reduction are
+goh's, each imported where its command runs: a kronecker query compiles
+no GOH, listing or sweep code, and a difference query no tree, marking
+or polynomial code either.
 
 As a process entry (main() with no argv: `python -m kohtrees.cli` and
 the kohtrees script) a command runs with the cyclic garbage collector
@@ -49,15 +52,10 @@ import os
 import sys
 
 from .coefficients import (METHOD_BOTH, METHOD_DIFFERENCE, METHOD_MARKED,
-                           check_identities, goh_family, koh_family,
-                           kronecker_two_row, marked_listing, plethysm_two_row,
-                           plethysm_two_row_general)
+                           koh_family, kronecker_two_row, plethysm_two_row)
 from .errors import (DEFAULT_TREE_BUDGET, BudgetExceededError,
                      CrossCheckFailedError, PreconditionViolationError)
-from .partitions import Partition, enumerate_partitions
-
-# trees printed with a failing verify cell; the cell may hold thousands
-WITNESS_TREES = 5
+from .partitions import Partition
 
 _METHODS = {
     "marked_trees": METHOD_MARKED,
@@ -85,6 +83,14 @@ def _parse_method(text: str) -> str:
             f"unknown method {text!r}; choose marked-trees, difference or both")
 
 
+def _add_command(sub, name: str, **kwargs) -> argparse.ArgumentParser:
+    """The parser of one (sub)command, with --max-trees as its first option."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.add_argument("--max-trees", type=int, default=DEFAULT_TREE_BUDGET,
+                        help="enumeration budget")
+    return parser
+
+
 def _add_method_and_format(parser: argparse.ArgumentParser,
                            method_default: str) -> None:
     parser.add_argument("--method", type=_parse_method, default=method_default,
@@ -93,59 +99,96 @@ def _add_method_and_format(parser: argparse.ArgumentParser,
                         choices=("text", "json"))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kohtrees",
-        description="Two-row Kronecker and plethysm coefficients via "
-                    "marked expansion trees.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--max-trees", type=int, default=DEFAULT_TREE_BUDGET,
-                        help="enumeration budget")
-
-    kron = sub.add_parser("kronecker", parents=[limits],
-                          help="two-row rectangular Kronecker coefficient")
+def _add_kronecker(sub) -> None:
+    kron = _add_command(sub, "kronecker",
+                        help="two-row rectangular Kronecker coefficient")
     kron.add_argument("--n", type=int, required=True, help="rectangle width")
     kron.add_argument("--k", type=int, required=True, help="rectangle height")
     kron.add_argument("--r", type=int, required=True, help="second-row length")
     _add_method_and_format(kron, METHOD_BOTH)
 
-    plet = sub.add_parser("plethysm", parents=[limits],
-                          help="two-row coefficient of s_mu plethysm a row")
+
+def _add_plethysm(sub) -> None:
+    plet = _add_command(sub, "plethysm",
+                        help="two-row coefficient of s_mu plethysm a row")
     plet.add_argument("--mu", type=_parse_partition, required=True,
                       help="outer partition, e.g. 3,3,2,1")
     plet.add_argument("--k", type=int, required=True, help="inner row length")
     plet.add_argument("--r", type=int, required=True, help="second-row length")
     _add_method_and_format(plet, METHOD_BOTH)
 
-    gen = sub.add_parser("plethysm-general", parents=[limits],
-                         help="coefficient of s_lambda in s_mu plethysm s_nu")
+
+def _add_plethysm_general(sub) -> None:
+    gen = _add_command(sub, "plethysm-general",
+                       help="coefficient of s_lambda in s_mu plethysm s_nu")
     gen.add_argument("--lambda", dest="lam", type=_parse_partition,
                      required=True, help="target partition, at most two rows")
     gen.add_argument("--mu", type=_parse_partition, required=True)
     gen.add_argument("--nu", type=_parse_partition, required=True)
     _add_method_and_format(gen, METHOD_DIFFERENCE)
 
-    trees = sub.add_parser("trees", help="list expansion trees")
-    tsub = trees.add_subparsers(dest="family", required=True)
-    verify = sub.add_parser("verify", help="run an identity sweep")
-    vsub = verify.add_subparsers(dest="family", required=True)
-    for family, shape, shape_type, size in (
-            ("koh", "--n", int, "--max-n"),
-            ("goh", "--mu", _parse_partition, "--max-size")):
-        listing = tsub.add_parser(family, parents=[limits])
+
+# per family: its shape option and type in trees, its size option in verify
+_FAMILIES = (("koh", "--n", int, "--max-n"),
+             ("goh", "--mu", _parse_partition, "--max-size"))
+
+
+def _add_trees(sub) -> None:
+    families = sub.add_parser("trees", help="list expansion trees").add_subparsers(
+        dest="family", required=True)
+    for family, shape, shape_type, _ in _FAMILIES:
+        listing = _add_command(families, family)
         listing.add_argument(shape, type=shape_type, required=True)
         listing.add_argument("--k", type=int, required=True)
         listing.add_argument("--r", type=int, default=None,
                              help="list marked trees for this coefficient")
         listing.add_argument("--format", dest="output_format", default="text",
                              choices=("text", "json", "dot"))
-        sweep = vsub.add_parser(family, parents=[limits])
+
+
+def _add_verify(sub) -> None:
+    from .workers import usable_cpus
+    families = sub.add_parser("verify", help="run an identity sweep").add_subparsers(
+        dest="family", required=True)
+    for family, _, _, size in _FAMILIES:
+        sweep = _add_command(families, family)
         sweep.add_argument(size, type=int, required=True)
         sweep.add_argument("--max-k", type=int, required=True)
-        sweep.add_argument("--workers", type=int, default=_usable_cpus(),
+        sweep.add_argument("--workers", type=int, default=usable_cpus(),
                            help="worker processes (default: the usable CPUs)")
+
+
+# each subcommand's parser builder, in the order the full help lists them
+_COMMANDS = {
+    "kronecker": _add_kronecker,
+    "plethysm": _add_plethysm,
+    "plethysm-general": _add_plethysm_general,
+    "trees": _add_trees,
+    "verify": _add_verify,
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subcommand named command alone, or with every
+    subcommand when command names none.
+
+    Built alone, a subcommand's choices are spelled out as the metavar,
+    so the top-level usage that an unrecognized argument prints is the
+    full parser's.  The errors that list the choices or name the missing
+    command come only from the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="kohtrees",
+        description="Two-row Kronecker and plethysm coefficients via "
+                    "marked expansion trees.")
+    if command in _COMMANDS:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        _COMMANDS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _COMMANDS.values():
+            add(sub)
     return parser
 
 
@@ -160,124 +203,16 @@ def _print_report(report, fmt: str) -> None:
         print(f"method: {report.method}")
 
 
-def _run_trees(args: argparse.Namespace) -> int:
-    import json
-    from .render import tree_to_dict, tree_to_dot, tree_to_text
-    family = (koh_family(args.n, args.k) if args.family == "koh"
-              else goh_family(args.mu, args.k))
-    r = args.r
-    entries = ([(tree, None) for tree in family.trees(args.max_trees)] if r is None
-               else marked_listing(family, r, args.max_trees))
-
-    if args.output_format == "json":
-        try:
-            text = json.dumps([tree_to_dict(tree, marks, r) for tree, marks in entries])
-        except RecursionError:
-            raise BudgetExceededError(
-                "a tree is too deep to write as JSON; "
-                "--format text or dot prints it") from None
-        print(text)
-    elif args.output_format == "dot":
-        sys.stdout.write("".join(tree_to_dot(tree, marks, r, graph_name=f"tree_{i}")
-                                 for i, (tree, marks) in enumerate(entries)))
-    else:
-        for i, (tree, marks) in enumerate(entries):
-            print(f"tree {i}: {tree_to_text(tree, marks)}")
-        label = "marked trees" if r is not None else "trees"
-        print(f"total {label}: {len(entries)}")
-    return 0
-
-
-def _verify_cell(family_name: str, cell: tuple) -> tuple[str, bool | None, str]:
-    """Check one cell of either family: (label, ok, detail).  ok is None
-    when the cell ran over a budget, its detail the budget message; a
-    failing cell's detail is the cross-check message and the first
-    WITNESS_TREES trees as JSON."""
-    params, k, max_trees = cell
-    if family_name == "koh":
-        label, family = f"koh n={params} k={k}", koh_family(params, k)
-    else:
-        label = f"goh mu=[{','.join(map(str, params))}] k={k}"
-        family = goh_family(Partition(params), k)
-    try:
-        check_identities(family, max_trees)
-    except BudgetExceededError as exc:
-        return label, None, str(exc)
-    except CrossCheckFailedError as exc:
-        import json
-        from .render import tree_to_dict
-        trees = family.trees(max_trees)
-        shown = [tree_to_dict(tree) for tree in trees[:WITNESS_TREES]]
-        return label, False, (f"{label}\n  {exc}\n  witness trees ({len(shown)} "
-                              f"of {len(trees)}): {json.dumps(shown)}")
-    return label, True, ""
-
-
 # the per-family cell checks: module attributes, looked up when a sweep
 # starts, so a test can replace them
 def _verify_koh_cell(cell: tuple) -> tuple[str, bool | None, str]:
-    return _verify_cell("koh", cell)
+    from .workers import verify_cell
+    return verify_cell("koh", cell)
 
 
 def _verify_goh_cell(cell: tuple) -> tuple[str, bool | None, str]:
-    return _verify_cell("goh", cell)
-
-
-_CELL_STATUS = {True: "PASS", False: "FAIL", None: "BUDGET"}
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: the default --workers."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_verify(args: argparse.Namespace) -> int:
-    """Check every cell and print one status line per cell, then a summary.
-
-    A cell over a budget prints BUDGET and the sweep goes on; the summary
-    counts such cells when there are any, and the first budget message
-    goes to stderr.  Exit status 1 when any cell failed or ran over a
-    budget.  One worker checks the cells of one shape (n, or mu), so the
-    output does not depend on the number of workers.
-    """
-    if args.family == "koh":
-        if args.max_n < 0 or args.max_k < 1:
-            raise PreconditionViolationError(
-                f"need max-n >= 0 and max-k >= 1, got {args.max_n}, {args.max_k}")
-        groups = [[(n, k, args.max_trees) for k in range(1, args.max_k + 1)]
-                  for n in range(args.max_n + 1)]
-        worker = _verify_koh_cell
-    else:
-        if args.max_size < 1 or args.max_k < 1:
-            raise PreconditionViolationError(
-                f"need max-size >= 1 and max-k >= 1, got {args.max_size}, {args.max_k}")
-        groups = [[(mu.parts, k, args.max_trees) for k in range(1, args.max_k + 1)]
-                  for size in range(1, args.max_size + 1)
-                  for mu in enumerate_partitions(size)]
-        worker = _verify_goh_cell
-
-    # every cell runs these: load them before the fork, so that the
-    # workers inherit them instead of each compiling its own copy
-    from . import koh, marking, qpoly
-    if args.family == "goh":
-        from . import goh
-    from .workers import check_groups
-    results = check_groups(worker, groups, args.workers)
-    failures = [detail for _, ok, detail in results if ok is False]
-    over = [detail for _, ok, detail in results if ok is None]
-    for label, ok, _ in results:
-        print(f"{_CELL_STATUS[ok]} {label}")
-    passed = len(results) - len(failures) - len(over)
-    print(f"checked {len(results)} cells: {passed} passed, {len(failures)} failed"
-          + (f", {len(over)} over budget" if over else ""))
-    if failures:
-        print("first counterexample:")
-        print(failures[0])
-    if over:
-        print(f"BUDGET_EXCEEDED: {over[0]}", file=sys.stderr)
-    return 1 if failures or over else 0
+    from .workers import verify_cell
+    return verify_cell("goh", cell)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -288,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run_command(argv)
     gc.disable()
     try:
-        code = _run_command(None)
+        code = _run_command(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: drop what is still buffered for it
@@ -300,9 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     os._exit(code)
 
 
-def _run_command(argv: list[str] | None) -> int:
+def _run_command(argv: list[str]) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
@@ -312,9 +247,21 @@ def _run_command(argv: list[str] | None) -> int:
                 raise PreconditionViolationError(
                     f"{name} must be positive, got {getattr(args, name)}")
         if args.command == "trees":
-            return _run_trees(args)
+            from .render import print_listing
+            if args.family == "koh":
+                family = koh_family(args.n, args.k)
+            else:
+                from .goh import goh_family
+                family = goh_family(args.mu, args.k)
+            print_listing(family, args.r, args.max_trees, args.output_format)
+            return 0
         if args.command == "verify":
-            return _run_verify(args)
+            from .workers import sweep
+            if args.family == "koh":
+                return sweep("koh", args.max_n, args.max_k, args.max_trees,
+                             args.workers, _verify_koh_cell)
+            return sweep("goh", args.max_size, args.max_k, args.max_trees,
+                         args.workers, _verify_goh_cell)
         if args.command == "kronecker":
             report = kronecker_two_row(args.n, args.k, args.r, args.method,
                                        args.max_trees)
@@ -322,6 +269,7 @@ def _run_command(argv: list[str] | None) -> int:
             report = plethysm_two_row(args.mu, args.k, args.r, args.method,
                                       args.max_trees)
         else:
+            from .goh import plethysm_two_row_general
             report = plethysm_two_row_general(args.lam, args.mu, args.nu,
                                               args.method, args.max_trees)
         _print_report(report, args.output_format)

@@ -51,10 +51,12 @@ class KohTree(_Value):
     the dict form; root_fields() gives the root label in that form.
     leaf_values, the leaf labels in depth-first order, is computed once
     when the node is built, from its children's stored tuples; it takes
-    no part in equality, hashing or repr.
+    no part in equality, hashing or repr.  The hash of the fields is
+    stored the same way, from the children's stored hashes, so hashing a
+    tree takes one step whatever its depth.
     """
 
-    __slots__ = ("_mu", "_a", "_b", "_children", "_leaf_values")
+    __slots__ = ("_mu", "_a", "_b", "_children", "_leaf_values", "_hash")
     _fields = ("mu", "a", "b", "children")
     family = "koh"
     child_key = "tree"
@@ -72,6 +74,10 @@ class KohTree(_Value):
             for _, child in children:
                 values += child._leaf_values
             self._leaf_values = values
+        self._hash = hash((mu, a, b, children))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_leaf(self) -> bool:

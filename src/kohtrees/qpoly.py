@@ -178,6 +178,31 @@ def unpack(value: int, width: int) -> QPoly:
                  for i in range(0, len(data), width))
 
 
+def q_int_ratio(tops: list[int], bottoms: list[int]) -> QPoly:
+    """The product of the q-integers [a + 1]_q over tops divided by the
+    product over bottoms, which must be a polynomial with nonnegative
+    coefficients, else NonExactDivisionError.
+
+    One exact division of packed ints at the width of the numerator's
+    value at q = 1, which bounds every coefficient involved.  A remainder
+    raises, and so does a quotient whose value at q = 1 times the
+    denominator's is not the numerator's, as when the polynomial quotient
+    has a negative coefficient ([6]_q / ([2]_q [3]_q) = 1 - q + q^2).
+
+    >>> q_int_ratio([3], [1]).coeffs
+    (1, 0, 1)
+    """
+    num_at_1 = math.prod(a + 1 for a in tops)
+    width = pack_width(num_at_1)
+    quot, rem = divmod(math.prod(packed_q_int(a, width) for a in tops),
+                       math.prod(packed_q_int(a, width) for a in bottoms))
+    ratio = unpack(quot, width)
+    if rem or sum(ratio.coeffs) * math.prod(a + 1 for a in bottoms) != num_at_1:
+        raise NonExactDivisionError(
+            f"the q-integers {tops} are not a multiple of the q-integers {bottoms}")
+    return ratio
+
+
 def sum_of_products(terms: Iterable[tuple[int, Sequence[QPoly]]]) -> QPoly:
     """The sum over terms (shift, factors) of q^shift times the product of
     the factors, whose coefficients must be nonnegative.

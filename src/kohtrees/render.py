@@ -1,16 +1,22 @@
-"""Text, dict (JSON) and DOT forms of expansion trees of either family.
+"""Text, dict (JSON) and DOT forms of expansion trees of either family,
+and the trees command that prints them.
 
 A tree is rendered through the node view both KohTree and GohTree give:
 root_fields() for the root label, children as (edge, subtree) pairs,
 is_leaf, degree, and the class names family and child_key.  An edge is
 a row length, an (i, j) slot, or None for the unlabeled GOH subtree.
+print_listing prints a family's trees, or its marked trees at one r
+(marked_listing), in any of the three forms.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import sys
 
+from .coefficients import METHOD_MARKED, two_row
+from .errors import BudgetExceededError
 from .koh import leaf_sigma, leaves
 
 
@@ -89,3 +95,49 @@ def tree_to_dot(tree, marks: tuple[int, ...] | None = None,
             stack.extend((child, nid, e) for e, child in reversed(node.children))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def marked_listing(family: TreeFamily, r: int,
+                   max_trees: int) -> list[tuple[object, tuple[int, ...]]]:
+    """Every (tree, marking) pair selecting coefficient r, in tree order.
+
+    The pairs are counted before any marking is listed; more than
+    max_trees of them raise BudgetExceededError.
+    """
+    (report,) = two_row(family, range(r, r + 1), METHOD_MARKED, max_trees)
+    if report.value > max_trees:
+        raise BudgetExceededError(
+            f"{report.value} marked trees exceed the budget {max_trees}")
+    from .marking import enumerate_markings, marking_target
+    pairs = []
+    for tree, count in zip(family.trees(max_trees), report.witness_counts):
+        if count:
+            lv = leaves(tree)
+            pairs.extend((tree, marks) for marks in enumerate_markings(
+                lv, marking_target(sum(lv), family.total, r)))
+    return pairs
+
+
+def print_listing(family: TreeFamily, r: int | None, max_trees: int,
+                  output_format: str) -> None:
+    """Print the trees of family, or with r its marked trees, as text,
+    json or dot.  A tree too deep to write as JSON raises
+    BudgetExceededError."""
+    entries = ([(tree, None) for tree in family.trees(max_trees)] if r is None
+               else marked_listing(family, r, max_trees))
+    if output_format == "json":
+        try:
+            text = json.dumps([tree_to_dict(tree, marks, r) for tree, marks in entries])
+        except RecursionError:
+            raise BudgetExceededError(
+                "a tree is too deep to write as JSON; "
+                "--format text or dot prints it") from None
+        print(text)
+    elif output_format == "dot":
+        sys.stdout.write("".join(tree_to_dot(tree, marks, r, graph_name=f"tree_{i}")
+                                 for i, (tree, marks) in enumerate(entries)))
+    else:
+        for i, (tree, marks) in enumerate(entries):
+            print(f"tree {i}: {tree_to_text(tree, marks)}")
+        label = "marked trees" if r is not None else "trees"
+        print(f"total {label}: {len(entries)}")

@@ -1,10 +1,13 @@
-"""Verify sweeps split between forked worker processes.
+"""The verify command: one cell's identity check, and the sweep over
+cells, split between forked worker processes.
 
-check_groups runs a cell check over groups of cells, each group in one
-process: the calling process checks the first share of the groups and a
-forked child each other share, and the results come back in cell order
-whatever the split.  A child inherits the caller's modules, caches and
-settings, such as a test's replacement cell check or the collector
+verify_cell checks one cell of either family through check_identities,
+and sweep runs a cell check over every cell of a sweep and prints the
+report.  check_groups runs a cell check over groups of cells, each group
+in one process: the calling process checks the first share of the groups
+and a forked child each other share, and the results come back in cell
+order whatever the split.  A child inherits the caller's modules, caches
+and settings, such as a test's replacement cell check or the collector
 switched off, and sends back only the marshalled results.  Only the
 verify command loads this module.
 """
@@ -14,6 +17,117 @@ from __future__ import annotations
 import marshal
 import os
 import sys
+
+from .coefficients import METHOD_BOTH, koh_family, two_row
+from .errors import (BudgetExceededError, CrossCheckFailedError,
+                     PreconditionViolationError)
+from .partitions import Partition, enumerate_partitions
+
+# trees printed with a failing verify cell; the cell may hold thousands
+WITNESS_TREES = 5
+
+_CELL_STATUS = {True: "PASS", False: "FAIL", None: "BUDGET"}
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the default --workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def check_identities(family: TreeFamily, max_trees: int) -> None:
+    """Check one cell of a family both ways, raising CrossCheckFailedError.
+
+    The tree terms must sum to every reference polynomial, then the
+    marked count must equal the difference at every r from 0 to half the
+    degree.  The leaf table is read first, so the tree budget, the one
+    budget of a cell, fails before any reference is computed.
+    """
+    from .koh import leaf_term_sum
+    total = family.total
+    tree_sum = leaf_term_sum(total, family.leaf_table(max_trees).items())
+    wrong = [f"the {ref} gives {p}"
+             for ref, p in family.references() if p != tree_sum]
+    if wrong:
+        raise CrossCheckFailedError(
+            f"tree terms sum to {tree_sum} but {' and '.join(wrong)} "
+            f"for {family.where}")
+    two_row(family, range(total // 2 + 1), METHOD_BOTH, max_trees)
+
+
+def verify_cell(family_name: str, cell: tuple) -> tuple[str, bool | None, str]:
+    """Check one cell of either family: (label, ok, detail).  ok is None
+    when the cell ran over a budget, its detail the budget message; a
+    failing cell's detail is the cross-check message and the first
+    WITNESS_TREES trees as JSON."""
+    params, k, max_trees = cell
+    if family_name == "koh":
+        label, family = f"koh n={params} k={k}", koh_family(params, k)
+    else:
+        from .goh import goh_family
+        label = f"goh mu=[{','.join(map(str, params))}] k={k}"
+        family = goh_family(Partition(params), k)
+    try:
+        check_identities(family, max_trees)
+    except BudgetExceededError as exc:
+        return label, None, str(exc)
+    except CrossCheckFailedError as exc:
+        import json
+        from .render import tree_to_dict
+        trees = family.trees(max_trees)
+        shown = [tree_to_dict(tree) for tree in trees[:WITNESS_TREES]]
+        return label, False, (f"{label}\n  {exc}\n  witness trees ({len(shown)} "
+                              f"of {len(trees)}): {json.dumps(shown)}")
+    return label, True, ""
+
+
+def sweep(family_name: str, size: int, max_k: int, max_trees: int, workers: int,
+          check) -> int:
+    """Check every cell of a family's sweep with check(cell) and print one
+    status line per cell, then a summary; the exit status.
+
+    The cells are the (n, k) with n up to size for koh, the (mu, k) with
+    |mu| from 1 to size for goh, k from 1 to max_k.  A cell over a budget
+    prints BUDGET and the sweep goes on; the summary counts such cells
+    when there are any, and the first budget message goes to stderr.
+    Exit status 1 when any cell failed or ran over a budget.  One worker
+    checks the cells of one shape (n, or mu), so the output does not
+    depend on the number of workers.
+    """
+    if family_name == "koh":
+        if size < 0 or max_k < 1:
+            raise PreconditionViolationError(
+                f"need max-n >= 0 and max-k >= 1, got {size}, {max_k}")
+        shapes = range(size + 1)
+    else:
+        if size < 1 or max_k < 1:
+            raise PreconditionViolationError(
+                f"need max-size >= 1 and max-k >= 1, got {size}, {max_k}")
+        shapes = [mu.parts for n in range(1, size + 1)
+                  for mu in enumerate_partitions(n)]
+    groups = [[(shape, k, max_trees) for k in range(1, max_k + 1)]
+              for shape in shapes]
+
+    # every cell runs these: load them before the fork, so that the
+    # workers inherit them instead of each compiling its own copy
+    from . import koh, marking, qpoly
+    if family_name == "goh":
+        from . import goh
+    results = check_groups(check, groups, workers)
+    failures = [detail for _, ok, detail in results if ok is False]
+    over = [detail for _, ok, detail in results if ok is None]
+    for label, ok, _ in results:
+        print(f"{_CELL_STATUS[ok]} {label}")
+    passed = len(results) - len(failures) - len(over)
+    print(f"checked {len(results)} cells: {passed} passed, {len(failures)} failed"
+          + (f", {len(over)} over budget" if over else ""))
+    if failures:
+        print("first counterexample:")
+        print(failures[0])
+    if over:
+        print(f"BUDGET_EXCEEDED: {over[0]}", file=sys.stderr)
+    return 1 if failures or over else 0
 
 
 def _can_fork() -> bool:

@@ -11,11 +11,10 @@ import random
 
 from kohtrees.coefficients import (hook_content, kronecker_two_row,
                                    plethysm_two_row,
-                                   plethysm_two_row_general,
                                    schur_specialization_oracle)
 from kohtrees.goh import (enumerate_configurations, enumerate_goh_trees,
                           goh_leaves, goh_rhs_closed, goh_term,
-                          Configuration, GohTree)
+                          plethysm_two_row_general, Configuration, GohTree)
 from kohtrees.koh import (KohTree, enumerate_koh_trees, koh_rhs_closed,
                           koh_term, leaf_sigma, leaves)
 from kohtrees.marking import (count_markings, enumerate_markings,

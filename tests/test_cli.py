@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kohtrees
-from kohtrees import cli, koh
+from kohtrees import cli, koh, workers
 from kohtrees.goh import enumerate_goh_trees
 from kohtrees.koh import enumerate_koh_trees, leaves
 from kohtrees.partitions import Partition, enumerate_partitions
@@ -297,7 +297,7 @@ def test_verify_output_stable_across_workers(capsys):
 
 def test_verify_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "_verify_cell",
+        workers, "verify_cell",
         lambda family, cell: (f"{family} n={cell[0]} k={cell[1]}", False,
                               "forced failure"))
     code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "0",
@@ -338,7 +338,7 @@ def test_a_sweep_with_failed_and_over_budget_cells_reports_both(capsys, monkeypa
         n = cell[0]
         return (f"{family} n={n} k={cell[1]}", {0: True, 1: False, 2: None}[n],
                 f"detail {n}")
-    monkeypatch.setattr(cli, "_verify_cell", cell)
+    monkeypatch.setattr(workers, "verify_cell", cell)
     code, out, err = run_cli(capsys, "verify", "koh", "--max-n", "2",
                              "--max-k", "1")
     assert code == 1
@@ -370,12 +370,12 @@ def _run_captured(argv):
 
 @settings(max_examples=40, deadline=None)
 @given(_SWEEPS, st.integers(2, 4), st.integers(1, 40), st.data())
-def test_a_forked_sweep_prints_what_one_worker_prints(sweep, workers, max_trees,
+def test_a_forked_sweep_prints_what_one_worker_prints(sweep, width, max_trees,
                                                       data):
     family, size_flag, size, max_k = sweep
     cells = _sweep_cells(family, size, max_k)
     failing = data.draw(st.none() | st.sampled_from(cells))
-    original = cli._verify_cell
+    original = workers.verify_cell
 
     def one_fails(family_name, cell):
         label, ok, detail = original(family_name, cell)
@@ -386,9 +386,9 @@ def test_a_forked_sweep_prints_what_one_worker_prints(sweep, workers, max_trees,
     argv = ["verify", family, size_flag, str(size), "--max-k", str(max_k),
             "--max-trees", str(max_trees)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_verify_cell", one_fails)
+        patch.setattr(workers, "verify_cell", one_fails)
         alone = _run_captured([*argv, "--workers", "1"])
-        split = _run_captured([*argv, "--workers", str(workers)])
+        split = _run_captured([*argv, "--workers", str(width)])
     assert split == alone
     assert alone[1].startswith(("PASS", "FAIL", "BUDGET"))
 
@@ -399,7 +399,7 @@ def test_a_child_that_raises_makes_the_sweep_raise_its_traceback(monkeypatch):
             raise ValueError("boom in n=1")
         return f"{family} n={cell[0]} k={cell[1]}", True, ""
 
-    monkeypatch.setattr(cli, "_verify_cell", cell)
+    monkeypatch.setattr(workers, "verify_cell", cell)
     with pytest.raises(RuntimeError) as info:
         _run_captured(["verify", "koh", "--max-n", "1", "--max-k", "2",
                        "--workers", "2"])
@@ -416,7 +416,7 @@ def test_a_child_that_dies_without_results_makes_the_sweep_raise(monkeypatch):
             os._exit(3)
         return f"{family} n={cell[0]} k={cell[1]}", True, ""
 
-    monkeypatch.setattr(cli, "_verify_cell", cell)
+    monkeypatch.setattr(workers, "verify_cell", cell)
     with pytest.raises(RuntimeError, match=r"sent no results \(exit status 3\)"):
         _run_captured(["verify", "koh", "--max-n", "1", "--max-k", "1",
                        "--workers", "2"])
@@ -434,7 +434,7 @@ def test_a_parent_that_raises_stops_and_reaps_its_children(monkeypatch):
             raise ValueError("boom in the parent")
         time.sleep(60)  # the child's share: long enough to need stopping
 
-    monkeypatch.setattr(cli, "_verify_cell", cell)
+    monkeypatch.setattr(workers, "verify_cell", cell)
     start = time.monotonic()
     with pytest.raises(ValueError, match="boom in the parent"):
         _run_captured(["verify", "koh", "--max-n", "2", "--max-k", "1",
@@ -534,7 +534,7 @@ def test_runs_are_deterministic(capsys):
 
 def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
     from kohtrees.coefficients import TreeFamily
-    real = cli.koh_family
+    real = workers.koh_family
 
     def koh_family(n, k):
         family = real(n, k)
@@ -544,7 +544,7 @@ def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
                           family.trees, family.leaf_table, family.route,
                           lambda rs: (0,) * len(rs), family.references)
 
-    monkeypatch.setattr(cli, "koh_family", koh_family)
+    monkeypatch.setattr(workers, "koh_family", koh_family)
     code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "6",
                            "--max-k", "6")
     assert code == 1
@@ -555,9 +555,9 @@ def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
         "koh n=6 k=6\n  marked trees give 1 but the rectangle difference "
         "gives 0 for n=6, k=6, r=0\n")
     witness = detail.splitlines()[2]
-    prefix = f"  witness trees ({cli.WITNESS_TREES} of 20): "
+    prefix = f"  witness trees ({workers.WITNESS_TREES} of 20): "
     assert witness.startswith(prefix)
-    assert len(json.loads(witness[len(prefix):])) == cli.WITNESS_TREES
+    assert len(json.loads(witness[len(prefix):])) == workers.WITNESS_TREES
     assert len(detail) < 4000
     assert len(out) < 5000
 
@@ -613,8 +613,9 @@ def test_a_single_r_query_counts_the_markings_of_each_leaf_sequence_once(capsys,
 
 def test_coefficient_routes_build_no_trees(capsys, monkeypatch):
     from kohtrees import goh
-    from kohtrees.coefficients import (check_identities, goh_family, koh_family,
-                                       kronecker_two_row)
+    from kohtrees.coefficients import koh_family, kronecker_two_row
+    from kohtrees.goh import goh_family
+    from kohtrees.workers import check_identities
     from kohtrees.errors import DEFAULT_TREE_BUDGET
     from kohtrees.partitions import Partition
     built, real = [], goh.GohTree.__init__
@@ -676,7 +677,7 @@ def test_failing_goh_cell_reports_the_tree_sum(capsys, monkeypatch):
     assert "but the hook content gives " in detail.splitlines()[1]
     assert "the closed form" not in detail
     assert detail.splitlines()[2].startswith(
-        f"  witness trees ({cli.WITNESS_TREES} of 9): ")
+        f"  witness trees ({workers.WITNESS_TREES} of 9): ")
     assert len(out) < 5000
 
 
@@ -800,12 +801,47 @@ def test_a_query_loads_only_the_modules_it_runs():
     diff = _modules_after("kronecker", "--n", "6", "--k", "6", "--r", "9",
                           "--method", "difference")
     assert not diff & {"kohtrees.koh", "kohtrees.marking", "kohtrees.qpoly",
-                       "kohtrees.goh"}
+                       "kohtrees.goh", "kohtrees.render", "kohtrees.workers"}
     pleth = _modules_after("plethysm", "--mu", "2,1", "--k", "2", "--r", "1")
     assert {"kohtrees.goh", "kohtrees.qpoly"} <= pleth
     assert not pleth & {"kohtrees.render", "kohtrees.workers"}
+    verify_koh = _modules_after("verify", "koh", "--max-n", "3", "--max-k", "3",
+                                "--workers", "1")
+    assert {"kohtrees.koh", "kohtrees.marking", "kohtrees.workers"} <= verify_koh
+    assert not verify_koh & {"kohtrees.goh", "kohtrees.render"}
+    verify_goh = _modules_after("verify", "goh", "--max-size", "3", "--max-k", "2",
+                                "--workers", "1")
+    assert {"kohtrees.goh", "kohtrees.workers"} <= verify_goh
+    assert "kohtrees.render" not in verify_goh
+    trees = _modules_after("trees", "koh", "--n", "4", "--k", "3")
+    assert "kohtrees.render" in trees
+    assert not trees & {"kohtrees.goh", "kohtrees.workers"}
     assert not _modules_after() & {"kohtrees.koh", "kohtrees.marking",
                                    "kohtrees.qpoly"}
+
+
+def test_a_query_builds_the_parser_of_its_command_alone(capsys, monkeypatch):
+    import argparse
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recorded(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
+    assert run_cli(capsys, "kronecker", "--n", "6", "--k", "6", "--r", "9",
+                   "--method", "difference") == (
+        0, "coefficient: 4\nmethod: difference_formula\n", "")
+    assert built == ["kronecker"]
+    built.clear()
+    assert run_cli(capsys, "trees", "koh", "--n", "2", "--k", "2")[0] == 0
+    assert built == ["trees", "koh", "goh"]
+    built.clear()
+    # an unknown command: the full parser, to list the choices
+    assert run_cli(capsys, "kron")[0] == 2
+    assert built == ["kronecker", "plethysm", "plethysm-general", "trees", "koh",
+                     "goh", "verify", "koh", "goh"]
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

@@ -6,20 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohtrees import coefficients
+from kohtrees import coefficients, goh
 from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
                                    METHOD_MARKED, CoefficientReport,
-                                   TreeFamily, _q_int_ratio,
-                                   check_identities, goh_family,
-                                   hook_content, koh_family, kronecker_two_row,
-                                   marked_listing, plethysm_two_row,
-                                   plethysm_two_row_general,
+                                   TreeFamily, hook_content, koh_family,
+                                   kronecker_two_row, plethysm_two_row,
                                    schur_specialization_oracle)
+from kohtrees.goh import goh_family, plethysm_two_row_general
+from kohtrees.render import marked_listing
+from kohtrees.workers import check_identities
 from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
                              NonExactDivisionError, PreconditionViolationError)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.koh import DEFAULT_TREE_BUDGET, leaf_term_sum, leaves
-from kohtrees.qpoly import ONE, ZERO, QPoly, pack_width, q_binomial, unpack
+from kohtrees.qpoly import (ONE, ZERO, QPoly, pack_width, q_binomial, q_int_ratio,
+                            unpack)
 from qpoly_oracles import is_symmetric, is_unimodal, poly_add, q_int
 
 
@@ -95,10 +96,10 @@ def test_one_strip_pass_per_shape_matches_the_per_cell_pass():
             # extended one entry at a time, or run to the largest k at once
             # and the smaller k read back
             for ks in (range(8), (7, *range(7))):
-                coefficients._strip_pass.cache_clear()
+                goh.strip_pass.cache_clear()
                 for k in ks:
                     assert schur_specialization_oracle(mu, k) == per_cell_strip_count(mu, k)
-    assert coefficients._strip_pass.cache_info().currsize <= 8
+    assert goh.strip_pass.cache_info().currsize <= 8
 
 
 def test_threads_sharing_a_strip_pass_read_whole_states():
@@ -106,7 +107,7 @@ def test_threads_sharing_a_strip_pass_read_whole_states():
     import threading
     mu = Partition((4, 3, 2, 1))
     want = [per_cell_strip_count(mu, k) for k in range(9)]
-    coefficients._strip_pass.cache_clear()
+    goh.strip_pass.cache_clear()
     got, errors = [], []
 
     def ask(ks):
@@ -445,12 +446,12 @@ def test_packed_hook_content_matches_the_polynomial_division():
 
 
 def test_the_packed_ratio_refuses_what_is_not_a_nonnegative_polynomial():
-    assert _q_int_ratio([5], [2]) == QPoly([1, 0, 0, 1])
+    assert q_int_ratio([5], [2]) == QPoly([1, 0, 0, 1])
     # [2]_q / [3]_q leaves a remainder
     with pytest.raises(NonExactDivisionError):
-        _q_int_ratio([1], [2])
+        q_int_ratio([1], [2])
     # [6]_q / ([2]_q [3]_q) = 1 - q + q^2 divides exactly as ints, but the
     # quotient's slots times the denominator carry: the q = 1 check fails
     assert q_int(5).exact_div(schoolbook_q_int_product([1, 2])) == QPoly([1, -1, 1])
     with pytest.raises(NonExactDivisionError):
-        _q_int_ratio([5], [1, 2])
+        q_int_ratio([5], [1, 2])

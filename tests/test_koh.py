@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -120,6 +121,21 @@ def test_stored_leaf_tuple_is_not_part_of_the_value():
     assert twin == t and hash(twin) == hash(t)
     assert not hasattr(t, "__dict__")
 
+
+def test_a_tree_past_the_recursion_limit_hashes():
+    # the last tree of type (2100, 2) is a chain of 1,051 inner nodes, and
+    # the last GOH tree of ((2100,), 2) hangs it under its unlabeled edge:
+    # deeper than the default recursion limit allows a walk to go, so each
+    # node's hash is the one stored when it was built
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for deep in (enumerate_koh_trees(2100, 2)[-1],
+                     enumerate_goh_trees(Partition((2100,)), 2)[-1]):
+            assert hash(deep) == hash(deep._key(deep))
+            assert deep in {deep}
+    finally:
+        sys.setrecursionlimit(limit)
 
 def test_child_type_formula():
     assert koh._child_types(Partition((4, 3, 1, 1)), 8) == [
