@@ -8,7 +8,9 @@ trees whose marking total works out to r.  Running both routes and
 comparing them catches implementation drift in either one.  The marked
 route reads the family's leaf table, each distinct leaf tuple with its
 number of trees, and builds no tree; only a report's witness_counts,
-read on demand, does.
+read on demand, does.  A tree whose power shift passes r has no marking
+at r, so a single r joins only the tuples whose shift is at most r; the
+tree budget still counts every tree of the family.
 
 The Kronecker difference route counts partitions in a box and needs
 nothing else, so the koh, marking, qpoly and goh modules load inside the
@@ -122,12 +124,14 @@ class TreeFamily(_Value):
     """One tree family at fixed parameters, as both routes see it.
 
     trees(max_trees) enumerates the expansion trees and leaf_table(
-    max_trees) maps their leaf tuples to tree counts, each the same on
-    every call; total is their degree.  difference(rs) gives, for each r
-    of the nonempty ascending range rs, the q^r minus q^(r-1) coefficient
-    of the family's polynomial, without trees, by the route named in
-    messages.  references() names the polynomials the tree terms must
-    sum to, that one first.  where and degree_name word the errors.
+    max_trees, bound=None) maps their leaf tuples to tree counts, with a
+    bound only those of the trees whose power shift is at most bound,
+    each the same on every call; total is their degree.  difference(rs)
+    gives, for each r of the nonempty ascending range rs, the q^r minus
+    q^(r-1) coefficient of the family's polynomial, without trees, by
+    the route named in messages.  references() names the polynomials the
+    tree terms must sum to, that one first.  where and degree_name word
+    the errors.
     """
 
     __slots__ = ("_where", "_degree_name", "_total", "_trees", "_leaf_table",
@@ -136,7 +140,7 @@ class TreeFamily(_Value):
                "difference", "references")
 
     def __init__(self, where: str, degree_name: str, total: int,
-                 trees: Callable[[int], tuple], leaf_table: Callable[[int], dict],
+                 trees: Callable[[int], tuple], leaf_table: Callable[..., dict],
                  route: str, difference: Callable[[range], tuple[int, ...]],
                  references: Callable[[], tuple[tuple[str, QPoly], ...]]) -> None:
         self._where = where
@@ -156,9 +160,9 @@ def koh_family(n: int, k: int) -> TreeFamily:
         from .koh import enumerate_koh_trees
         return enumerate_koh_trees(n, k, max_trees=budget)
 
-    def leaf_table(budget: int) -> dict:
+    def leaf_table(budget: int, bound: int | None = None) -> dict:
         from .koh import koh_leaf_table
-        return koh_leaf_table(n, k, max_trees=budget)
+        return koh_leaf_table(n, k, max_trees=budget, bound=bound)
 
     def references() -> tuple[tuple[str, QPoly], ...]:
         from .koh import koh_rhs_closed
@@ -181,10 +185,15 @@ def two_row(family: TreeFamily, rs: range, method: str,
 
     The method and every r are checked before the trees are counted.
     The marked route marks each tuple of the family's leaf table at every
-    r, weighted by its trees; a report's witness_counts builds the trees
-    when read.  With method both, the marked count must equal the
-    difference at every r, which one call gives for the whole range; the
-    first disagreement in r order raises CrossCheckFailedError.
+    r, weighted by its trees, reading only the tuples whose power shift
+    is at most the last r: a tree with a larger shift has no marking at
+    any r of rs.  A range up to total // 2 (a verify sweep) drops no
+    tree, so it reads the table of every tree, which the family may have
+    cached.  The budget still counts every tree of the family.  A
+    report's witness_counts builds the trees when read.  With method
+    both, the marked count must equal the difference at every r, which
+    one call gives for the whole range; the first disagreement in r
+    order raises CrossCheckFailedError.
     """
     _check_method(method)
     total, name = family.total, family.degree_name
@@ -202,7 +211,8 @@ def two_row(family: TreeFamily, rs: range, method: str,
         from .marking import witness_counts
         return witness_counts(map(leaves, family.trees(max_trees)), total, r)
 
-    counts = marked_counts(family.leaf_table(max_trees).items(), total, rs)
+    bound = rs[-1] if rs[-1] < total // 2 else None
+    counts = marked_counts(family.leaf_table(max_trees, bound).items(), total, rs)
     reports = tuple(CoefficientReport(count, method, functools.partial(witnesses, r))
                     for r, count in zip(rs, counts))
     if method == METHOD_BOTH:

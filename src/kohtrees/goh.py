@@ -282,16 +282,20 @@ def enumerate_goh_trees(lam: Partition, k: int,
     return build_trees(_budgeted(lam, k, max_trees), GohTree, k)
 
 
-def goh_leaf_table(lam: Partition, k: int, max_trees: int = DEFAULT_TREE_BUDGET
-                   ) -> dict[tuple[int, ...], int]:
+def goh_leaf_table(lam: Partition, k: int, max_trees: int = DEFAULT_TREE_BUDGET,
+                   bound: int | None = None) -> dict[tuple[int, ...], int]:
     """The leaf tuples of the trees for (lam, k), each once, with the
     number of trees that have it, in the order enumerate_goh_trees first
-    gives them; the same budget check, and no tree built.
+    gives them; the same budget check, on every tree of the cell, and no
+    tree built.  With a bound, the tuples of the trees whose power shift
+    is at most bound only.
 
     >>> goh_leaf_table(Partition((2, 2)), 3)
     {(0, 8): 1, (0, 4): 2, (0, 0): 1}
+    >>> goh_leaf_table(Partition((2, 2)), 3, bound=4)
+    {(0, 8): 1, (0, 4): 2}
     """
-    return leaf_table(_budgeted(lam, k, max_trees))
+    return leaf_table(_budgeted(lam, k, max_trees), lam.size * k, bound)
 
 
 def goh_leaves(tree: GohTree) -> tuple[int, ...]:
@@ -312,10 +316,12 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
     # the references, read from coefficients on each call
     from .coefficients import hook_content, schur_specialization_oracle
     spec = functools.cache(lambda: hook_content(mu, k))
+    tables = functools.cache(lambda budget, bound: goh_leaf_table(
+        mu, k, max_trees=budget, bound=bound))
     return TreeFamily(
         f"mu={mu!r}, k={k}", "|mu|k", mu.size * k,
         functools.cache(lambda budget: enumerate_goh_trees(mu, k, max_trees=budget)),
-        functools.cache(lambda budget: goh_leaf_table(mu, k, max_trees=budget)),
+        lambda budget, bound=None: tables(budget, bound),
         "specialization",
         lambda rs: tuple(spec().coeff(r) - spec().coeff(r - 1) for r in rs),
         lambda: (("hook content", spec()), ("closed form", goh_rhs_closed(mu, k)),

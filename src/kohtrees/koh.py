@@ -24,10 +24,13 @@ A tree's term, and its markings, depend only on its leaf tuple, and
 trees repeat leaf tuples a lot: type (24, 24) has 2,704,156 trees but
 867,557 distinct leaf tuples.  So the coefficient routes read a leaf
 table, each distinct tuple with the number of trees that have it, which
-leaf_table fills from the children's tables through the same product
-walk (_walk) that build_trees takes over subtrees, with no tree built.
-Trees are built only where a caller reads them: listings, JSON
-witnesses, a failing verify cell.
+leaf_table fills from the children's tables, walking the productions as
+build_trees does, with no tree built.  A tree whose power shift passes
+r has no marking at r, so for a single r leaf_table joins at the root
+only the tuples whose shift is at most r, in a table built for the call;
+the child tables and the budget still cover every tree.  Trees are built
+only where a caller reads them: listings, JSON witnesses, a failing
+verify cell.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Sequence
 
 from .errors import (DEFAULT_TREE_BUDGET, BudgetExceededError,
                      PreconditionViolationError, StructureViolationError, _Value)
@@ -78,6 +81,45 @@ class KohTree(_Value):
 
     def __hash__(self) -> int:
         return self._hash
+
+    # equality and repr walk the nodes with an explicit stack, so that a
+    # chain deeper than the recursion limit, such as the last tree of
+    # type (2100, 2), compares and prints; the stored hashes tell most
+    # unequal nodes apart at once
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            if (x._hash != y._hash or x.__class__ is not y.__class__
+                    or (x._mu, x._a, x._b) != (y._mu, y._a, y._b)
+                    or len(x._children) != len(y._children)):
+                return False
+            for (edge, child), (other_edge, other_child) in zip(x._children, y._children):
+                if edge != other_edge:
+                    return False
+                todo.append((child, other_child))
+        return True
+
+    def __repr__(self) -> str:
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            kids = item._children
+            pieces = [f"{type(item).__qualname__}(mu={item._mu!r}, a={item._a!r}, "
+                      f"b={item._b!r}, children=("]
+            for i, (edge, child) in enumerate(kids):
+                pieces += [f"{', ' if i else ''}({edge!r}, ", child, ")"]
+            # a tuple of one pair prints with a trailing comma
+            pieces.append(",))" if len(kids) == 1 else "))")
+            todo.extend(reversed(pieces))
+        return "".join(out)
 
     @property
     def is_leaf(self) -> bool:
@@ -158,47 +200,75 @@ def count_trees(productions: Sequence[tuple[object, list]]) -> int:
                for _, types in productions)
 
 
-def _walk(productions: Sequence[tuple[object, list]],
-          slot: Callable[[object, tuple[int, int]], Iterable]) -> Iterator:
-    """(label, choices) for every label in order, choices running over
-    every choice of one entry of slot(edge, ctype) per child type, later
-    edges varying fastest: the one product walk over a production list."""
-    for label, types in productions:
-        yield label, itertools.product(*[slot(edge, ctype) for edge, ctype in types])
-
-
 def build_trees(productions: Sequence[tuple[object, list]],
                 node: Callable[..., object], *fixed: object) -> tuple:
     """node(label, *fixed, children) for every label and every choice of
     one KOH subtree per child type, labels in order and later edges
     varying fastest."""
     out = []
-    for label, choices in _walk(productions, lambda edge, ctype: (
-            (edge, t) for t in _tree_table(*ctype))):
+    for label, types in productions:
+        choices = itertools.product(*[[(edge, t) for t in _tree_table(*ctype)]
+                                      for edge, ctype in types])
         out.extend(map(functools.partial(node, label, *fixed), choices))
     return tuple(out)
 
 
-def leaf_table(productions: Sequence[tuple[object, list]]) -> dict[tuple[int, ...], int]:
-    """The leaf tuples of the trees build_trees gives, each once, with the
-    number of trees that have it, in the order the trees first give them.
+def leaf_table(productions: Sequence[tuple[object, list]], total: int,
+               bound: int | None = None) -> dict[tuple[int, ...], int]:
+    """The leaf tuples of the trees build_trees gives whose power shift is
+    at most bound, each once, with the number of trees that have it, in
+    the order the trees first give them; total is the trees' degree, and
+    no bound keeps every tree.
 
-    The walk is build_trees' with each subtree slot replaced by the leaf
-    table of its type: a choice of one distinct tuple per slot joins them
-    in edge order, and the product of their counts is its number of
-    trees.  The first tree with a given tuple takes, in every slot, the
-    first subtree with that slot's part, so choices in table order give
-    the tuples in tree order.
+    A tree's power shift, (total - its leaf sum) / 2, is its label's own
+    shift, (total - the sum of the child degrees) / 2, plus the shift of
+    each subtree, read the same way off the subtree's leaf tuple.  The
+    walk is build_trees' with each subtree slot replaced by the leaf
+    table of its type, each entry with its shift: a choice of one entry
+    per slot joins them in edge order, and the product of their counts
+    is its number of trees.  The first tree with a given tuple takes, in
+    every slot, the first subtree with that slot's part, so choices in
+    table order give the tuples in tree order.  A label whose own shift
+    passes bound is skipped before its child tables are filled, and a
+    slot entry is dropped before it is joined when it takes the shifts
+    chosen so far past bound.  So a bound gives the full table's entries
+    with shift at most bound, in the same order.
     """
+    if bound is None:
+        bound = total // 2
     table: dict[tuple[int, ...], int] = {}
     get = table.get
-    for _, choices in _walk(productions, lambda edge, ctype: _leaf_table(*ctype).items()):
-        for choice in choices:
-            lv, ways = (), 1
-            for part, count in choice:
-                lv += part
-                ways *= count
-            table[lv] = get(lv, 0) + ways
+    # each child type's table entries with their shifts, for this call
+    slots: dict[tuple[int, int], list[tuple[tuple[int, ...], int, int]]] = {}
+    for _, types in productions:
+        own = total
+        for _, (a, b) in types:
+            own -= a * b
+        own //= 2
+        if own > bound:
+            continue
+        per_slot = []
+        for _, ctype in types:
+            entries = slots.get(ctype)
+            if entries is None:
+                degree = ctype[0] * ctype[1]
+                entries = slots[ctype] = [(part, count, (degree - sum(part)) // 2)
+                                          for part, count in _leaf_table(*ctype).items()]
+            per_slot.append(entries)
+        # a label with no child slot (a GOH cell with k = 0) has one tree,
+        # with no leaves
+        *first, last = per_slot or [[((), 1, 0)]]
+        chosen = [((), 1, own)]
+        for entries in first:
+            chosen = [(lv + part, ways * count, shift + more)
+                      for lv, ways, shift in chosen
+                      for part, count, more in entries if shift + more <= bound]
+        for lv, ways, shift in chosen:
+            room = bound - shift
+            for part, count, more in last:
+                if more <= room:
+                    key = lv + part
+                    table[key] = get(key, 0) + ways * count
     return table
 
 
@@ -253,7 +323,7 @@ def _build_type(n: int, k: int) -> tuple[KohTree, ...]:
 
 
 def _leaf_type(n: int, k: int) -> dict[tuple[int, ...], int]:
-    return {(n,): 1} if k == 1 else leaf_table(_productions(n, k))
+    return {(n,): 1} if k == 1 else leaf_table(_productions(n, k), n * k)
 
 
 def count_koh_trees(n: int, k: int) -> int:
@@ -293,19 +363,26 @@ def enumerate_koh_trees(n: int, k: int,
     return _tree_table(n, k)
 
 
-def koh_leaf_table(n: int, k: int, max_trees: int = DEFAULT_TREE_BUDGET
-                   ) -> dict[tuple[int, ...], int]:
+def koh_leaf_table(n: int, k: int, max_trees: int = DEFAULT_TREE_BUDGET,
+                   bound: int | None = None) -> dict[tuple[int, ...], int]:
     """The leaf tuples of the trees of type (n, k), each once, with the
     number of trees that have it, in the order enumerate_koh_trees first
-    gives them; the same budget check, and no tree built.  The table is
-    cached: the caller must not change it.
+    gives them; the same budget check, on every tree of the type, and no
+    tree built.  The table is cached: the caller must not change it.
+    With a bound, the tuples of the trees whose power shift is at most
+    bound only, in a table built for the call and not cached; the child
+    tables it joins are filled and cached in full.
 
     >>> koh_leaf_table(2, 2)
     {(4,): 1, (0,): 1}
+    >>> koh_leaf_table(2, 2, bound=0)
+    {(4,): 1}
     """
     _check_type(n, k)
     _check_budget(count_koh_trees(n, k), f"of type ({n}, {k})", max_trees)
-    return _leaf_table(n, k)
+    if bound is None:
+        return _leaf_table(n, k)
+    return leaf_table(_productions(n, k), n * k, bound)
 
 
 def leaves(tree) -> tuple[int, ...]:

@@ -44,11 +44,15 @@ step stops there.
   outlives a call or is shared between threads.  A sequence's target at
   r is r minus its power shift, so none passes the cap; a leaf sum above
   the degree, which would, raises PreconditionViolationError.  For a
-  single r they call count_markings once per sequence with that table.
-  For a range of r marked_counts finishes each sequence from the same
-  row with one last step, cut at the sequence's top and not stored:
-  that row, shifted by the power and weighted by the multiplicity, adds
-  into the totals of the range.
+  single r, witness_counts calls count_markings once per sequence with
+  that table, and marked_counts counts in its own loop, with no call per
+  sequence: a sequence whose target is negative, its shift past r,
+  counts 0, and any other sums the window of its row that the last step
+  can leave at the target (_last_step, as count_markings does).  For a
+  range of r marked_counts finishes each sequence from the same row with
+  one last step, cut at the sequence's top and not stored: that row,
+  shifted by the power and weighted by the multiplicity, adds into the
+  totals of the range.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def _check_leaves(a: Sequence[int]) -> None:
 
 
 # the most row values a prefix table holds; a row past it starts it over
-_TABLE_CELLS = 4096
+_TABLE_CELLS = 16384
 
 
 def _step(dp: list[int], prefix: int, nxt: int, cap: int) -> list[int]:
@@ -136,6 +140,16 @@ class _PrefixTable:
         return dp
 
 
+def _last_step(dp: list[int], prefix: int, last: int, target: int) -> int:
+    """The markings that end at target one leaf last past a prefix whose
+    leaves sum to prefix, from the prefix's row dp: the last step lands
+    on target from each v with v >= target - last and target - v <=
+    prefix - 2v.  The row holds every value up to target that a marking
+    of the prefix can take, and may run past the window or stop before
+    its end."""
+    return sum(dp[max(0, target - last):max(0, min(target, prefix - target) + 1)])
+
+
 def count_markings(a: Sequence[int], target: int,
                    table: _PrefixTable | None = None) -> int:
     """Number of markings of a with final value target.
@@ -155,9 +169,7 @@ def count_markings(a: Sequence[int], target: int,
     if len(a) == 1:
         return int(target == 0)
     dp = (table or _PrefixTable(target)).row(a, len(a) - 1)
-    # the last step must land on target: v >= target - a_last and
-    # target - v <= prefix - 2v; the row may run past target
-    return sum(dp[max(0, target - a[-1]):max(0, min(target, prefix - target) + 1)])
+    return _last_step(dp, prefix, a[-1], target)
 
 
 def enumerate_markings(a: Sequence[int], target: int) -> tuple[tuple[int, ...], ...]:
@@ -219,16 +231,29 @@ def marked_counts(leaf_table: Iterable[tuple[Sequence[int], int]], total: int,
 
     rs is a range of consecutive r with 0 <= r <= total/2, which the
     caller checks; a leaf sum above total raises
-    PreconditionViolationError.  With one r, count_markings counts that
-    target alone; with more, the row of all leaves but the last takes
-    one last step, and that row, offset by the shift, adds into every r.
-    Either way one prefix table, capped at the last r, serves the call.
+    PreconditionViolationError.  One prefix table, capped at the last r,
+    serves the call, and each sequence reads the row of all its leaves
+    but the last from it.  With one r, the sequence's count is a window
+    of that row, summed in this loop with no call per sequence to
+    count_markings; a sequence whose shift passes r counts 0 before any
+    row is read.  With more, that row takes one last step, and the new
+    row, offset by the shift, adds into every r.
     """
     table = _PrefixTable(rs[-1])
     if len(rs) == 1:
         (r,) = rs
-        return (sum(ways * count_markings(ls, marking_target(sum(ls), total, r), table)
-                    for ls, ways in leaf_table),)
+        rows, count = table.rows, 0
+        for ls, ways in leaf_table:
+            _check_leaves(ls)
+            leaf_sum = sum(ls)
+            target = marking_target(leaf_sum, total, r)
+            if target < 0 or len(ls) == 1:
+                count += ways * (target == 0)
+                continue
+            head = tuple(ls[:-1])
+            dp = rows.get(head) or table.row(head, len(head))
+            count += ways * _last_step(dp, leaf_sum - ls[-1], ls[-1], target)
+        return (count,)
     totals = [0] * len(rs)
     first = rs[0]
     for ls, ways in leaf_table:

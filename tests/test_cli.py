@@ -585,30 +585,46 @@ def test_a_marking_dropped_by_the_value_table_fails_its_cell(capsys, monkeypatch
             "for n=6, k=6, r=8\n") in out
 
 
-def test_a_single_r_query_counts_the_markings_of_each_leaf_sequence_once(capsys,
-                                                                        monkeypatch):
+def test_a_single_r_query_marks_each_leaf_sequence_with_shift_at_most_r_once(
+        capsys, monkeypatch):
     import kohtrees.marking as marking
     from kohtrees.goh import enumerate_goh_trees
     from kohtrees.koh import enumerate_koh_trees, leaves
     from kohtrees.partitions import Partition
-    real, calls = marking.count_markings, []
+    real_counts, real_last = marking.marked_counts, marking._last_step
+    given, windows = [], []
 
-    def counted(*args):
-        calls.append(args[0])
-        return real(*args)
+    def recorded(pairs, total, rs):
+        pairs = list(pairs)
+        given.append((pairs, total, rs))
+        return real_counts(pairs, total, rs)
 
-    monkeypatch.setattr(marking, "count_markings", counted)
-    for argv, trees in [
-            (("kronecker", "--n", "6", "--k", "6", "--r", "9"), enumerate_koh_trees(6, 6)),
+    def counted(dp, prefix, last, target):
+        windows.append((prefix, last, target))
+        return real_last(dp, prefix, last, target)
+
+    monkeypatch.setattr(marking, "marked_counts", recorded)
+    monkeypatch.setattr(marking, "_last_step", counted)
+    for argv, trees, total, r in [
+            (("kronecker", "--n", "6", "--k", "6", "--r", "9"),
+             enumerate_koh_trees(6, 6), 36, 9),
             (("plethysm", "--mu", "2,2", "--k", "3", "--r", "2"),
-             enumerate_goh_trees(Partition((2, 2)), 3))]:
-        calls.clear()
+             enumerate_goh_trees(Partition((2, 2)), 3), 12, 2)]:
+        given.clear()
+        windows.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        # one call per distinct leaf sequence, in the order the trees
-        # first give them, and some sequence shared by two trees
-        distinct = list(dict.fromkeys(map(leaves, trees)))
-        assert calls == distinct and 1 < len(distinct) < len(trees)
+        # one marking pass, handed each distinct leaf sequence whose power
+        # shift is at most r once, with its number of trees, in the order
+        # the trees first give them, and no sequence with a larger shift
+        distinct = {}
+        for t in trees:
+            distinct[leaves(t)] = distinct.get(leaves(t), 0) + 1
+        kept = [(lv, ways) for lv, ways in distinct.items() if total - sum(lv) <= 2 * r]
+        assert given == [(kept, total, range(r, r + 1))]
+        assert 0 < len(kept) < len(distinct) < len(trees)
+        # and each sequence of two or more leaves takes one last step there
+        assert len(windows) == sum(len(lv) > 1 for lv, _ in kept)
 
 
 def test_coefficient_routes_build_no_trees(capsys, monkeypatch):

@@ -358,6 +358,35 @@ def test_check_identities_defaults_the_filling_budget():
     check_identities(goh_family(Partition((5, 2, 1)), 11), 210)
 
 
+def test_a_verify_cell_joins_one_leaf_table_of_every_tree(monkeypatch):
+    from kohtrees import koh
+    tables = []
+    for module, name in (koh, "koh_leaf_table"), (goh, "goh_leaf_table"):
+        real = getattr(module, name)
+
+        def recorded(*args, real=real, **kwargs):
+            table = real(*args, **kwargs)
+            tables.append((kwargs.get("bound"), table))
+            return table
+
+        monkeypatch.setattr(module, name, recorded)
+    # odd and even degrees: every r up to total // 2 covers every power
+    # shift, so the sweep's range reads the table its tree sum read, from
+    # the koh cache or from the GOH family
+    for family, calls in [(koh_family(3, 3), 2), (koh_family(4, 3), 2),
+                          (goh_family(Partition((3, 2)), 3), 1),
+                          (goh_family(Partition((3, 1)), 3), 1)]:
+        tables.clear()
+        check_identities(family, DEFAULT_TREE_BUDGET)
+        assert len(tables) == calls
+        assert all(bound is None and table is tables[0][1] for bound, table in tables)
+    # a range that stops below total // 2 joins a root table of its own,
+    # which the koh cache does not keep
+    koh._LEAVES.clear()
+    coefficients.two_row(koh_family(4, 3), range(5), METHOD_MARKED, DEFAULT_TREE_BUDGET)
+    assert [bound for bound, _ in tables[-1:]] == [4] and (4, 3) not in koh._LEAVES
+
+
 def test_check_identities_reads_the_trees_before_the_oracle(monkeypatch):
     import kohtrees.coefficients as coefficients
 

@@ -137,6 +137,35 @@ def test_a_tree_past_the_recursion_limit_hashes():
     finally:
         sys.setrecursionlimit(limit)
 
+
+def test_a_tree_past_the_recursion_limit_prints_and_compares():
+    from kohtrees.errors import _Value
+    # repr and == give what the field-by-field walk of _Value gives on
+    # trees shallow enough for it
+    small = enumerate_koh_trees(5, 4)
+    for t in small + enumerate_koh_trees(4, 1) + enumerate_goh_trees(Partition((3, 1)), 3):
+        assert repr(t) == _Value.__repr__(t)
+    assert [[t == u for u in small] for t in small] == [
+        [i == j for j in range(len(small))] for i in range(len(small))]
+    deep = enumerate_koh_trees(2100, 2)[-1]
+    deep_goh = enumerate_goh_trees(Partition((2100,)), 2)[-1]
+    koh._TREES.clear()
+    again = enumerate_koh_trees(2100, 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = repr(deep)
+        assert again[-1] is not deep and again[-1] == deep and not again[-1] != deep
+        assert again[-2] != deep and repr(again[-1]) == text
+        # one KohTree per node: a chain of 1,051 inner nodes, then a leaf
+        assert text.count("KohTree(") == 1052
+        assert text.startswith("KohTree(mu=Partition([1, 1]), a=2100, b=2, children=((1, ")
+        assert repr(deep_goh).endswith(f"(None, {text}),))")
+        assert deep_goh == enumerate_goh_trees(Partition((2100,)), 2)[-1]
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_child_type_formula():
     assert koh._child_types(Partition((4, 3, 1, 1)), 8) == [
         (1, (2, 2)), (3, (14, 1)), (4, (22, 1))]
@@ -474,6 +503,53 @@ def test_the_leaf_table_counts_the_trees_of_each_leaf_tuple(cell):
     # the same tuples in the same order, each with its number of trees
     assert list(table.items()) == list(first_seen_counts(trees).items())
     assert sum(table.values()) == count == len(trees)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("koh"), st.integers(0, 10), st.integers(1, 8)),
+    st.tuples(st.just("goh"),
+              st.integers(1, 6).flatmap(lambda size: st.sampled_from(
+                  enumerate_partitions(size))),
+              st.integers(1, 5))),
+    st.data())
+@example(("koh", 6, 6), None)
+@example(("goh", Partition((2, 2)), 3), None)
+def test_a_bounded_leaf_table_keeps_the_trees_whose_shift_is_at_most_r(cell, data):
+    from kohtrees.coefficients import koh_family
+    from kohtrees.goh import goh_family
+    from kohtrees.marking import marked_counts
+    family, shape, k = cell
+    if family == "koh":
+        full, total = koh_leaf_table(shape, k), shape * k
+        bounded = functools.partial(koh_leaf_table, shape, k)
+        difference = koh_family(shape, k).difference
+    else:
+        full, total = goh_leaf_table(shape, k), shape.size * k
+        bounded = functools.partial(goh_leaf_table, shape, k)
+        difference = goh_family(shape, k).difference
+    rs = range(total // 2 + 1) if data is None else [data.draw(st.integers(0, total // 2))]
+    for r in rs:
+        table = bounded(bound=r)
+        # the full table's tuples whose power shift is at most r, with the
+        # same multiplicities, in the same order
+        assert list(table.items()) == [(lv, ways) for lv, ways in full.items()
+                                       if total - sum(lv) <= 2 * r]
+        assert marked_counts(table.items(), total, range(r, r + 1)) == difference(
+            range(r, r + 1))
+
+
+def test_a_bounded_table_fills_no_child_table_for_a_label_past_the_bound():
+    koh._LEAVES.clear()
+    koh_leaf_table(12, 12, bound=3)
+    filled = set(koh._LEAVES)
+    koh_leaf_table(12, 12)
+    # the root table is the call's own, and the child tables of the labels
+    # whose own shift passes 3 are left for a later call to fill
+    assert (12, 12) not in filled and filled < set(koh._LEAVES) - {(12, 12)}
+    for _, types in koh._productions(12, 12):
+        if 144 - sum(a * b for _, (a, b) in types) <= 2 * 3:
+            assert {ctype for _, ctype in types} <= filled
 
 
 def test_the_leaf_tables_repeat_tuples_and_keep_the_budget():

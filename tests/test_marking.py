@@ -238,11 +238,16 @@ def test_marked_counts_steps_each_prefix_once_and_keeps_no_rows(monkeypatch, rs)
     pairs = [(a, ways) for ways, a in enumerate(SHARING, start=1)]
     counts = marked_counts(pairs, 12, rs)
     # both routes read each sequence's row of all its leaves but the last
-    # (every target here is feasible); a range of r then steps each
-    # sequence, all of them multi-leaf, past its last leaf once more, and
-    # stores none of it
+    # (every target here is feasible): a range of r asks the table for it
+    # once per sequence, and a single r once per distinct such prefix,
+    # reading a stored row straight from the table; a range of r then
+    # steps each sequence, all of them multi-leaf, past its last leaf once
+    # more, and stores none of it
     last_steps = len(SHARING) if len(rs) > 1 else 0
-    assert asked == [1] * len(SHARING)
+    if len(rs) > 1:
+        assert asked == [1] * len(SHARING)
+    else:
+        assert asked == [0] * len({a[:-1] for a in SHARING})
     assert len(steps) == len({a[:i] for a in SHARING for i in range(2, len(a))}) + last_steps
     assert len(tables) == 1 and tables[0]() is None
     for r, count in zip(rs, counts):
