@@ -1,5 +1,6 @@
 """Integer partitions, the statistics the tree expansions consume, and the
-counts of partitions in a box that the rectangle difference reads."""
+counts of partitions in a box that the rectangle difference reads, from
+the product formula of the Gaussian binomial."""
 
 from __future__ import annotations
 
@@ -127,16 +128,23 @@ def enumerate_partitions(n: int) -> list[Partition]:
 def rectangle_counts(n: int, k: int, top: int) -> list[int]:
     """Numbers of partitions of 0..top with at most k parts, each at most n.
 
-    Parts are added by size, bottom up, on one row of counts per number
-    of parts c: rows[c] holds the partitions with exactly c parts, packed
-    one slot per size 0..top into one int.  Part j joins a partition with
-    c - 1 parts as rows[c] += rows[c - 1] << j slots, cut at top; taking c
-    in ascending order lets part j repeat.  Every slot counts a subset of
-    the C(n + k, k) partitions in the box, so a slot as wide as that
-    number never carries into the next, and nothing is subtracted.  The
-    work is O(min(n, top) * k) shifts and adds, with no recursion.  This
-    is neither the q-Pascal recurrence of q_binomial nor a product
-    formula, so it checks both.
+    These are the coefficients of q^0..q^top in the Gaussian binomial
+    [n + k choose k]_q, read from its product formula: with m = min(n, k)
+    and N = max(n, k), the product over i = 1..m of
+    (1 - q^(N + i)) / (1 - q^i), on one row of counts packed one slot per
+    size 0..top into one int.  A factor with i > top is 1 up to q^top.
+    For each i the row is first divided by 1 - q^i, that is multiplied
+    by (1 + q^i)(1 + q^(2i))(1 + q^(4i))... while the exponent is at most
+    top, and then multiplied by 1 - q^(N + i) when N + i <= top.  Each
+    factor is one shift, cut at top, and one add or subtract:
+    sum over i <= min(m, top) of floor(log2(top / i)) + 2 operations, with
+    no recursion.  Dividing first keeps every slot nonnegative: before
+    the subtraction a slot holds a sum of distinct coefficients of
+    [N + i - 1 choose i - 1]_q, at most C(N + i - 1, i - 1), and after it
+    a coefficient of [N + i choose i]_q.  So a slot as wide as
+    C(n + k, k) never carries into the next one or borrows from it.
+    This shares nothing with the q-Pascal recurrence of q_binomial, so
+    each checks the other.
 
     >>> rectangle_counts(2, 2, 4)
     [1, 1, 2, 1, 1]
@@ -146,12 +154,16 @@ def rectangle_counts(n: int, k: int, top: int) -> list[int]:
     width = (math.comb(n + k, k).bit_length() + 7) // 8
     step = 8 * width
     mask = (1 << step * (top + 1)) - 1
-    rows = [1] + [0] * min(k, top)
-    for j in range(1, min(n, top) + 1):
-        shift = step * j
-        for c in range(1, min(k, top - j + 1) + 1):
-            rows[c] += (rows[c - 1] << shift) & mask
-    packed = sum(rows).to_bytes(width * (top + 1), "little")
+    big = max(n, k)
+    row = 1
+    for i in range(1, min(n, k, top) + 1):
+        power = i
+        while power <= top:
+            row += (row << step * power) & mask
+            power *= 2
+        if big + i <= top:
+            row -= (row << step * (big + i)) & mask
+    packed = row.to_bytes(width * (top + 1), "little")
     return [int.from_bytes(packed[i:i + width], "little")
             for i in range(0, len(packed), width)]
 

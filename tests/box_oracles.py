@@ -1,6 +1,7 @@
 """Reference counts of partitions in a box, independent of the library's."""
 
 import functools
+import math
 
 
 @functools.cache
@@ -21,3 +22,28 @@ def three_part_count(n, r):
     max(c, r - c - n) to (r - c) / 2."""
     return sum(max(0, (r - c) // 2 - max(c, r - c - n) + 1)
                for c in range(r // 3 + 1))
+
+
+def parts_by_size_row(n, k, top):
+    """Partitions of 0..top with at most k parts, each at most n, with
+    parts added by size, bottom up, on one row of counts per number of
+    parts c: rows[c] holds the partitions with exactly c parts, packed
+    one slot per size into one int.  Part j joins a partition with c - 1
+    parts as rows[c] += rows[c - 1] << j slots, cut at top; taking c in
+    ascending order lets part j repeat.  Every slot counts a subset of
+    the C(n + k, k) partitions in the box, so a slot that wide never
+    carries.  No product formula and no recursion, so it checks the
+    library's row on boxes of any shape."""
+    if top < 0:
+        return []
+    width = (math.comb(n + k, k).bit_length() + 7) // 8
+    step = 8 * width
+    mask = (1 << step * (top + 1)) - 1
+    rows = [1] + [0] * min(k, top)
+    for j in range(1, min(n, top) + 1):
+        shift = step * j
+        for c in range(1, min(k, top - j + 1) + 1):
+            rows[c] += (rows[c - 1] << shift) & mask
+    packed = sum(rows).to_bytes(width * (top + 1), "little")
+    return [int.from_bytes(packed[i:i + width], "little")
+            for i in range(0, len(packed), width)]

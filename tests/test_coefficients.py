@@ -358,6 +358,19 @@ def test_check_identities_defaults_the_filling_budget():
     check_identities(goh_family(Partition((5, 2, 1)), 11), 210)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(0, 9), st.integers(1, 9)).map(lambda c: koh_family(*c)),
+    st.tuples(st.integers(1, 6).flatmap(
+                  lambda size: st.sampled_from(enumerate_partitions(size))),
+              st.integers(1, 4)).map(lambda c: goh_family(*c))))
+def test_check_identities_holds_on_random_small_cells(family):
+    # beyond the fixed sweeps: the tree terms against every reference, then
+    # the marked count against the difference at every r up to half the
+    # degree, for KOH the first differences of rectangle_counts' row
+    check_identities(family, DEFAULT_TREE_BUDGET)
+
+
 def test_a_verify_cell_joins_one_leaf_table_of_every_tree(monkeypatch):
     from kohtrees import koh
     tables = []

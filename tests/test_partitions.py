@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from box_oracles import plain_box_count, three_part_count
+from box_oracles import parts_by_size_row, plain_box_count, three_part_count
 from kohtrees import partitions
 from kohtrees.partitions import (Partition, count_in_rectangle,
                                  enumerate_partitions, rectangle_counts)
@@ -112,11 +112,44 @@ def test_count_in_rectangle_folds_r_past_the_middle_of_the_box(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 12), st.integers(0, 12), st.data())
 def test_the_row_matches_the_plain_recurrence_and_the_gaussian(n, k, data):
-    top = data.draw(st.integers(0, n * k), label="top")
+    # tops past nk and boxes with a zero side included
+    top = data.draw(st.integers(-1, n * k + 3), label="top")
     row, poly = rectangle_counts(n, k, top), q_binomial(n, k)
+    assert row == parts_by_size_row(n, k, top)
     assert row == [plain_box_count(n, k, r) for r in range(top + 1)]
     assert row == [poly.coeff(r) for r in range(top + 1)]
     assert count_in_rectangle(n, k, top) == count_in_rectangle(n, k, n * k - top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 3), st.booleans(), st.data())
+def test_the_row_matches_the_parts_by_size_row_on_thin_boxes(n, k, flip, data):
+    if flip:
+        n, k = k, n
+    top = data.draw(st.integers(-1, n * k + 2), label="top")
+    assert rectangle_counts(n, k, top) == parts_by_size_row(n, k, top)
+
+
+def test_the_row_matches_the_parts_by_size_row_on_fixed_boxes():
+    for n, k, top in [(57, 60, 859), (100, 100, 5000), (3000, 3, 9001),
+                      (3, 3000, 4500), (2999, 2, 6000), (1, 3000, 3001),
+                      (0, 0, 3), (0, 7, 5), (7, 0, 5)]:
+        assert rectangle_counts(n, k, top) == parts_by_size_row(n, k, top)
+
+
+def test_first_differences_are_positive_past_one_from_side_eight():
+    # Pak-Panova (2013): the q-binomial is strictly unimodal once both
+    # sides are at least 8, so p_r - p_{r-1} > 0 for 2 <= r <= nk/2,
+    # while r = 1 is always a zero
+    for n in range(8, 41):
+        for k in range(8, 41):
+            row = rectangle_counts(n, k, n * k // 2)
+            assert row[1] == row[0] == 1, (n, k)
+            assert all(row[r] > row[r - 1] for r in range(2, len(row))), (n, k)
+    # below side 8 other zeros occur
+    for n, k, r in (6, 6, 17), (5, 6, 15):
+        row = rectangle_counts(n, k, r)
+        assert row[r] == row[r - 1], (n, k, r)
 
 
 def test_thin_boxes_need_no_deep_stack():
