@@ -10,11 +10,12 @@ Subcommands
     verify goh --max-size A --max-k B [--workers W]
 
 Exit status: 0 on success, 1 on a verification, cross-check or budget
-failure, 2 on a usage error.  Every command takes --max-trees (default
-errors.DEFAULT_TREE_BUDGET); verify also takes --workers, by default the
-CPUs this process may run on.  Both must be positive.  A sweep prints
-the same bytes whatever the split between workers (see workers); with
---workers 1, or no os.fork, this process checks every cell.
+failure or when memory runs out, 2 on a usage error.  Every command
+takes --max-trees (default errors.DEFAULT_TREE_BUDGET); verify also
+takes --workers, by default the CPUs this process may run on.  Both
+must be positive.  A sweep prints the same bytes whatever the split
+between workers (see workers); with --workers 1, or no os.fork, this
+process checks every cell.
 
 This module parses and prints; each command's body lives with what it
 runs.  The parser is built for the subcommand the first argument names
@@ -283,6 +284,11 @@ def _run_command(argv: list[str]) -> int:
     except PreconditionViolationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the difference route has no budget: a huge box can run out
+        print("OUT_OF_MEMORY: the command needs more memory than the process "
+              "may use", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,12 +4,12 @@ cells, split between forked worker processes.
 verify_cell checks one cell of either family through check_identities,
 and sweep runs a cell check over every cell of a sweep and prints the
 report.  check_groups runs a cell check over groups of cells, each group
-in one process: the calling process checks the first share of the groups
-and a forked child each other share, and the results come back in cell
-order whatever the split.  A child inherits the caller's modules, caches
-and settings, such as a test's replacement cell check or the collector
-switched off, and sends back only the marshalled results.  Only the
-verify command loads this module.
+in one process: the calling process and forked children pull the groups,
+heaviest first, from a claim channel of at most 4 KiB until it is empty,
+and the results come back in cell order whatever the split.  A child
+inherits the caller's modules, caches and settings, such as a test's
+replacement cell check or the collector switched off, and sends back only
+the marshalled results.  Only the verify command loads this module.
 """
 
 from __future__ import annotations
@@ -92,8 +92,9 @@ def sweep(family_name: str, size: int, max_k: int, max_trees: int, workers: int,
     prints BUDGET and the sweep goes on; the summary counts such cells
     when there are any, and the first budget message goes to stderr.
     Exit status 1 when any cell failed or ran over a budget.  One worker
-    checks the cells of one shape (n, or mu), so the output does not
-    depend on the number of workers.
+    checks the cells of one shape (n, or mu); the workers pull the shapes
+    largest first from a claim channel of at most 4 KiB, and the output
+    does not depend on the number of workers.
     """
     if family_name == "koh":
         if size < 0 or max_k < 1:
@@ -138,15 +139,33 @@ def _can_fork() -> bool:
                                     or threading.active_count() == 1)
 
 
+# the claim channel is a pipe filled before the fork, so a write past its
+# buffer would block for good: the groups go out in at most this many
+# contiguous runs, one 2-byte record each, 4 KiB, within the smallest pipe
+# buffer of Linux and macOS
+MAX_CLAIMS = 2048
+
+
 def _run_share(worker, share: list[list[tuple]]) -> list:
     return [worker(cell) for group in share for cell in group]
 
 
-def _fork_share(worker, share: list[list[tuple]], inherited: list[int]
-                ) -> tuple[int, int]:
-    """Fork a child that runs worker over share and writes its results to
-    a pipe, marshalled: the list of results, or the traceback text of an
-    exception.  Returns (pid, read end).  The child closes the read ends
+def _pull(worker, runs: list[list[list[tuple]]], channel: int) -> dict[int, list]:
+    """Claim runs from the channel until it is empty and check each one:
+    {run index: its results}.  Every record was written before any reader
+    started, so each 2-byte read takes one whole record."""
+    done = {}
+    while claim := os.read(channel, 2):
+        run = int.from_bytes(claim, "little")
+        done[run] = _run_share(worker, runs[run])
+    return done
+
+
+def _fork_puller(worker, runs: list[list[list[tuple]]], channel: int,
+                 inherited: list[int]) -> tuple[int, int]:
+    """Fork a child that pulls runs from the channel and writes its results
+    to a pipe, marshalled: {run index: results}, or the traceback text of
+    an exception.  Returns (pid, read end).  The child closes the read ends
     in inherited, which belong to its siblings, and ends in os._exit on
     every path: it never returns into the caller's frames, and never
     flushes the buffers or runs the exit handlers it inherited."""
@@ -165,7 +184,7 @@ def _fork_share(worker, share: list[list[tuple]], inherited: list[int]
         for fd in (read_end, *inherited):
             os.close(fd)
         try:
-            payload = _run_share(worker, share)
+            payload = _pull(worker, runs, channel)
         except BaseException:
             import traceback
             payload = traceback.format_exc()
@@ -179,24 +198,33 @@ def _fork_share(worker, share: list[list[tuple]], inherited: list[int]
 def check_groups(worker, groups: list[list[tuple]], workers: int) -> list:
     """worker(cell) for every cell of groups, in cell order.
 
-    The groups are dealt in turn to min(workers, len(groups)) workers:
-    this process runs the first share and a forked child each other one,
-    sending its results back through a pipe.  Every child is reaped
-    before this returns or raises; a child that raised makes this raise
-    RuntimeError with the child's traceback.  One worker, or no safe
-    fork, runs every cell here.
+    min(workers, len(groups)) workers, this process and forked children,
+    pull the groups from one claim channel, heaviest first: in reverse
+    order, since a sweep's groups grow along it.  A claim is one group,
+    or past MAX_CLAIMS groups a contiguous run of them, so the channel
+    never holds more than 4 KiB and each group is checked in one process.
+    A child sends its results back through a pipe, tagged with the runs
+    they belong to.  Every child is reaped before this returns or raises;
+    a child that raised makes this raise RuntimeError with the child's
+    traceback.  One worker, or no safe fork, runs every cell here.
     """
     width = min(workers, len(groups))
     if width < 2 or not _can_fork():
         return _run_share(worker, groups)
-    shares = [groups[w::width] for w in range(width)]
+    size = -(-len(groups) // MAX_CLAIMS)
+    runs = [groups[start:start + size] for start in range(0, len(groups), size)]
+    channel, write_end = os.pipe()
     # pid -> read end of every child not yet reaped; None once read
     children: dict[int, int | None] = {}
     try:
-        for share in shares[1:]:
-            pid, read_end = _fork_share(worker, share, list(children.values()))
+        with open(write_end, "wb") as claims:
+            claims.write(b"".join(run.to_bytes(2, "little")
+                                  for run in reversed(range(len(runs)))))
+        for _ in range(width - 1):
+            pid, read_end = _fork_puller(worker, runs, channel,
+                                         list(children.values()))
             children[pid] = read_end
-        outputs = [_run_share(worker, shares[0])]
+        done = _pull(worker, runs, channel)
         for pid in list(children):
             with open(children[pid], "rb") as pipe:
                 children[pid] = None
@@ -210,8 +238,9 @@ def check_groups(worker, groups: list[list[tuple]], workers: int) -> list:
             payload = marshal.loads(data)
             if isinstance(payload, str):
                 raise RuntimeError(f"verify worker {pid} raised:\n{payload}")
-            outputs.append(payload)
+            done.update(payload)
     finally:
+        os.close(channel)
         if children:
             # this process or a child raised: stop the children still running
             import signal
@@ -220,6 +249,4 @@ def check_groups(worker, groups: list[list[tuple]], workers: int) -> list:
                     os.close(read_end)
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    # group g went to worker g mod width, whose results come in share order
-    results = [iter(output) for output in outputs]
-    return [next(results[g % width]) for g, group in enumerate(groups) for _ in group]
+    return [result for run in range(len(runs)) for result in done[run]]

@@ -219,6 +219,20 @@ def test_budget_exit(capsys):
     assert err.startswith("BUDGET_EXCEEDED:")
 
 
+def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    from kohtrees import coefficients
+
+    def out_of_memory(n, k, top):
+        raise MemoryError
+
+    monkeypatch.setattr(coefficients, "rectangle_counts", out_of_memory)
+    code, out, err = run_cli(capsys, "kronecker", "--n", "3000", "--k", "3000",
+                             "--r", "40000", "--method", "difference")
+    assert (code, out) == (1, "")
+    assert err.startswith("OUT_OF_MEMORY: ")
+    assert err.count("\n") == 1
+
+
 def test_marked_listing_budget_counts_markings(capsys):
     argv = ("trees", "koh", "--n", "12", "--k", "12", "--r", "40")
     code, out, err = run_cli(capsys, *argv, "--max-trees", "1000")
@@ -393,54 +407,128 @@ def test_a_forked_sweep_prints_what_one_worker_prints(sweep, width, max_trees,
     assert alone[1].startswith(("PASS", "FAIL", "BUDGET"))
 
 
-def test_a_child_that_raises_makes_the_sweep_raise_its_traceback(monkeypatch):
-    def cell(family, cell):
-        if cell[0] == 1:  # the second group: the child's share
-            raise ValueError("boom in n=1")
-        return f"{family} n={cell[0]} k={cell[1]}", True, ""
+def _after_a_child_cell(started, child_cell):
+    """A cell check that runs child_cell in a child after signalling on
+    started, and holds this process's first cell until some child has
+    checked one: each worker claims one group at a time, so a child
+    takes one whatever the order of the claims."""
+    import select
+    parent = os.getpid()
+    read_end, write_end = started
 
-    monkeypatch.setattr(workers, "verify_cell", cell)
-    with pytest.raises(RuntimeError) as info:
-        _run_captured(["verify", "koh", "--max-n", "1", "--max-k", "2",
-                       "--workers", "2"])
+    def cell(family, cell):
+        if os.getpid() != parent:
+            os.write(write_end, b"x")
+            return child_cell(cell)
+        select.select([read_end], [], [], 30)
+        return f"{family} n={cell[0]} k={cell[1]}", True, ""
+    return cell
+
+
+def test_a_child_that_raises_makes_the_sweep_raise_its_traceback(monkeypatch):
+    def child_cell(cell):
+        raise ValueError("boom in a child")
+
+    started = os.pipe()
+    monkeypatch.setattr(workers, "verify_cell",
+                        _after_a_child_cell(started, child_cell))
+    try:
+        with pytest.raises(RuntimeError) as info:
+            _run_captured(["verify", "koh", "--max-n", "1", "--max-k", "2",
+                           "--workers", "2"])
+    finally:
+        for fd in started:
+            os.close(fd)
     message = str(info.value)
     assert "raised:\nTraceback (most recent call last)" in message
-    assert "ValueError: boom in n=1" in message
+    assert "ValueError: boom in a child" in message
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_child_that_dies_without_results_makes_the_sweep_raise(monkeypatch):
-    def cell(family, cell):
-        if cell[0] == 1:
-            os._exit(3)
-        return f"{family} n={cell[0]} k={cell[1]}", True, ""
+    def child_cell(cell):
+        os._exit(3)
 
-    monkeypatch.setattr(workers, "verify_cell", cell)
-    with pytest.raises(RuntimeError, match=r"sent no results \(exit status 3\)"):
-        _run_captured(["verify", "koh", "--max-n", "1", "--max-k", "1",
-                       "--workers", "2"])
+    started = os.pipe()
+    monkeypatch.setattr(workers, "verify_cell",
+                        _after_a_child_cell(started, child_cell))
+    try:
+        with pytest.raises(RuntimeError, match=r"sent no results \(exit status 3\)"):
+            _run_captured(["verify", "koh", "--max-n", "1", "--max-k", "1",
+                           "--workers", "2"])
+    finally:
+        for fd in started:
+            os.close(fd)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_parent_that_raises_stops_and_reaps_its_children(monkeypatch):
     import time
+    parent = os.getpid()
     calls = []
 
     def cell(family, cell):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child's group: long enough to need stopping
         calls.append(cell)
-        if cell[0] == 0:
-            raise ValueError("boom in the parent")
-        time.sleep(60)  # the child's share: long enough to need stopping
+        raise ValueError("boom in the parent")
 
+    # three groups, three workers: a child claims one group and sleeps, so
+    # this process claims at least one before the children could finish
     monkeypatch.setattr(workers, "verify_cell", cell)
     start = time.monotonic()
     with pytest.raises(ValueError, match="boom in the parent"):
         _run_captured(["verify", "koh", "--max-n", "2", "--max-k", "1",
                        "--workers", "3"])
     assert time.monotonic() - start < 30
-    assert calls == [(0, 1, koh.DEFAULT_TREE_BUDGET)]
+    assert len(calls) == 1
+    assert calls[0] in [(n, 1, koh.DEFAULT_TREE_BUDGET) for n in range(3)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_split_over_more_groups_than_a_pipe_holds_answers_in_cell_order():
+    # 60,000 groups: 120 KB as one 2-byte claim each, past a 64 KiB pipe
+    import signal
+
+    def expire(signum, frame):
+        raise TimeoutError("the split blocked")
+
+    groups = [[(g,)] for g in range(60_000)]
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        results = workers.check_groups(lambda cell: cell[0] * 2, groups, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert results == [2 * g for g in range(60_000)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_workers_pull_uneven_groups_heaviest_first(width):
+    import time
+    parent = os.getpid()
+    claimed = []
+
+    def check(cell):
+        g, j = cell
+        if os.getpid() == parent and j == 0:
+            claimed.append(g)
+        time.sleep(g * 0.004)  # later groups cost more, as in a sweep
+        return g, j, g * j + 1
+
+    groups = [[(g, j) for j in range(3)] for g in range(12)]
+    alone = workers.check_groups(check, groups, 1)
+    assert claimed == list(range(12))
+    claimed.clear()
+    assert workers.check_groups(check, groups, width) == alone
+    # this process claims groups in falling order
+    assert claimed == sorted(claimed, reverse=True)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
