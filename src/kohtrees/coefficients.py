@@ -179,9 +179,10 @@ def koh_family(n: int, k: int) -> TreeFamily:
                       "rectangle", difference, references)
 
 
-def two_row(family: TreeFamily, rs: range, method: str,
-            max_trees: int) -> tuple[CoefficientReport, ...]:
-    """The coefficient at every r in rs: the one route for both families.
+def two_row_counts(family: TreeFamily, rs: range, method: str,
+                   max_trees: int) -> tuple[int, ...]:
+    """The coefficient at every r in rs, as integers: the one route for
+    both families.
 
     The method and every r are checked before the trees are counted.
     The marked route marks each tuple of the family's leaf table at every
@@ -189,11 +190,10 @@ def two_row(family: TreeFamily, rs: range, method: str,
     is at most the last r: a tree with a larger shift has no marking at
     any r of rs.  A range up to total // 2 (a verify sweep) drops no
     tree, so it reads the table of every tree, which the family may have
-    cached.  The budget still counts every tree of the family.  A
-    report's witness_counts builds the trees when read.  With method
-    both, the marked count must equal the difference at every r, which
-    one call gives for the whole range; the first disagreement in r
-    order raises CrossCheckFailedError.
+    cached.  The budget still counts every tree of the family.  With
+    method both, the marked count must equal the difference at every r,
+    which one call gives for the whole range; the first disagreement in
+    r order raises CrossCheckFailedError.
     """
     _check_method(method)
     total, name = family.total, family.degree_name
@@ -202,28 +202,38 @@ def two_row(family: TreeFamily, rs: range, method: str,
             raise PreconditionViolationError(
                 f"need 0 <= 2r <= {name}, got r={r} with {name}={total}")
     if method == METHOD_DIFFERENCE:
-        return tuple(CoefficientReport(diff, method)
-                     for diff in family.difference(rs))
+        return family.difference(rs)
     from .marking import marked_counts
+    bound = rs[-1] if rs[-1] < total // 2 else None
+    counts = marked_counts(family.leaf_table(max_trees, bound).items(), total, rs)
+    if method == METHOD_BOTH:
+        # one difference call for every r, after the tree count, so that
+        # the budget fails first
+        for r, count, diff in zip(rs, counts, family.difference(rs)):
+            if count != diff:
+                raise CrossCheckFailedError(
+                    f"marked trees give {count} but the {family.route} "
+                    f"difference gives {diff} for {family.where}, r={r}")
+    return counts
+
+
+def two_row(family: TreeFamily, rs: range, method: str,
+            max_trees: int) -> tuple[CoefficientReport, ...]:
+    """A report of the coefficient at every r in rs, from two_row_counts.
+
+    A marked report's witness_counts builds the trees when read.
+    """
+    counts = two_row_counts(family, rs, method, max_trees)
+    if method == METHOD_DIFFERENCE:
+        return tuple(CoefficientReport(count, method) for count in counts)
 
     def witnesses(r: int) -> tuple[int, ...]:
         from .koh import leaves
         from .marking import witness_counts
-        return witness_counts(map(leaves, family.trees(max_trees)), total, r)
+        return witness_counts(map(leaves, family.trees(max_trees)), family.total, r)
 
-    bound = rs[-1] if rs[-1] < total // 2 else None
-    counts = marked_counts(family.leaf_table(max_trees, bound).items(), total, rs)
-    reports = tuple(CoefficientReport(count, method, functools.partial(witnesses, r))
-                    for r, count in zip(rs, counts))
-    if method == METHOD_BOTH:
-        # one difference call for every r, after the tree count, so that
-        # the budget fails first
-        for r, report, diff in zip(rs, reports, family.difference(rs)):
-            if report.value != diff:
-                raise CrossCheckFailedError(
-                    f"marked trees give {report.value} but the {family.route} "
-                    f"difference gives {diff} for {family.where}, r={r}")
-    return reports
+    return tuple(CoefficientReport(count, method, functools.partial(witnesses, r))
+                 for r, count in zip(rs, counts))
 
 
 def kronecker_two_row(n: int, k: int, r: int, method: str = METHOD_BOTH,

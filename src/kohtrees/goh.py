@@ -16,17 +16,24 @@ subtree of type (n, k - m).  Summing q^(sigma/2) times the product of
 
 _floor states the chain rule once, on cached column-sum vectors:
 enumeration keeps a level only at or above it in every column, and
-p_stat reads P^i_j off it.  _ceiling is what the rule implies for the
-levels still to come, and prunes a level from above.
-_child_types states the child rule once; counting, enumeration and the
-closed form read it.  A configuration with its child types has the
-shape of a KOH production, and _typed_configurations caches the
-production list per (lam, k), as koh._productions does per type.  So
-counting, building, the leaf table and the closed form are the ones koh
-uses for its own trees (koh.count_trees, koh.build_trees,
-koh.leaf_table, koh.closed_form).  goh_rhs_closed reads the trees'
-own chain list, each slot's KOH trees summed as a q-binomial; hook
-content and the tableau oracle are the references independent of both.
+p_stat and slot_types read P^i_j off it.  _under_ceiling keeps what
+the rule implies for the levels still to come: a ceiling that prunes a
+level from above.
+
+A chain depends only on lam; k keeps the chains whose level 1 has at
+most k parts and adds the unlabeled slot.  So the chains are walked
+once per (lam, level-1 partition) and kept in blocks, which
+enumerate_configurations joins for the level-1 partitions a call asks
+for, and each configuration computes its labeled slots (P^i_j,
+mult_j(nu^i)) once, on first read (slot_types).  A configuration with
+its child types has the shape of a KOH production, and
+_typed_configurations caches the production list per (lam, k), as
+koh._productions does per type.  So counting, building, the leaf table
+and the closed form are the ones koh uses for its own trees
+(koh.count_trees, koh.build_trees, koh.leaf_table, koh.closed_form).
+goh_rhs_closed reads the trees' own chain list, each slot's KOH trees
+summed as a q-binomial; hook content and the tableau oracle are the
+references independent of both.
 
 goh_family is the plethysm family that both coefficient routes read,
 with those three references, and plethysm_two_row_general reduces a
@@ -76,37 +83,59 @@ def _floor(lower: Partition, mid: Partition, n: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _ceiling(mid: Partition, left: int, n: int) -> tuple[int, ...]:
-    """left Q(mid) // (left + 1), column by column.
-
-    The differences Q(nu^i) - Q(nu^{i-1}) only grow with i, since the
-    chain rule makes their steps nonnegative, and Q(nu^l) = 0.  So a
-    level above mid with left levels still to come satisfies
-    (left + 1) Q(nu) <= left Q(mid) in every column: its column sums
-    are at most this ceiling.
-    """
-    return tuple(left * s // (left + 1) for s in _column_sums(mid, n))
-
-
-@functools.cache
 def _level(size: int, n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
     """The partitions of size in canonical order, each with its column sums."""
     return tuple((nu, _column_sums(nu, n)) for nu in enumerate_partitions(size))
 
 
+@functools.cache
+def _under_ceiling(mid: Partition, left: int, size: int, n: int
+                   ) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """The entries of _level(size, n) whose column sums are at most
+    left Q(mid) // (left + 1) in every column.
+
+    The differences Q(nu^i) - Q(nu^{i-1}) only grow with i, since the
+    chain rule makes their steps nonnegative, and Q(nu^l) = 0.  So a
+    level above mid with left levels still to come satisfies
+    (left + 1) Q(nu) <= left Q(mid) in every column.  The ceiling rules
+    out most of a level, and many chains share their top level, so the
+    survivors are kept per (mid, left, size).
+    """
+    ceiling = [left * s // (left + 1) for s in _column_sums(mid, n)]
+    return tuple((nu, sums) for nu, sums in _level(size, n)
+                 if all(map(operator.le, sums, ceiling)))
+
+
 class Configuration(_Value):
     """An admissible chain of partitions below a fixed shape.
 
-    The production list of (lam, k), cached by _typed_configurations,
-    pairs each configuration with its child types.
+    slot_types holds (slot (i, j), (P^i_j, mult_j(nu^i))) for every
+    occupied slot, i ascending and then j: the labeled child types of
+    every tree over the chain, whatever k is.  It is computed on first
+    read (__getattr__ runs only while the slot is unset), so a chain
+    too short for p_stat still builds, and it takes no part in equality,
+    hashing or repr.  _typed_configurations reads it for every k.
     """
 
-    __slots__ = ("_lam", "_nus")
+    __slots__ = ("_lam", "_nus", "_slot_types")
     _fields = ("lam", "nus")
 
     def __init__(self, lam: Partition, nus: tuple[Partition, ...]) -> None:
         self._lam = lam
         self._nus = nus
+
+    def __getattr__(self, name: str):
+        if name != "_slot_types":
+            raise AttributeError(name)
+        nus, n = self._nus, self._lam.size
+        types = []
+        for i in range(1, len(self._lam)):
+            # P^i_j as p_stat reads it, the two vectors fetched once per level
+            upper, floor = _column_sums(nus[i + 1], n), _floor(nus[i - 1], nus[i], n)
+            types += [((i, j), (upper[j] - floor[j], nus[i].mult(j)))
+                      for j in nus[i].distinct_parts()]
+        self._slot_types = types = tuple(types)
+        return types
 
     def p_stat(self, i: int, j: int) -> int:
         """Mixed second difference at level i, column j.
@@ -144,48 +173,75 @@ def _check_shape(lam: Partition) -> None:
         raise PreconditionViolationError("the shape partition must be nonempty")
 
 
-def enumerate_configurations(lam: Partition, m_max: int | None = None
-                             ) -> tuple[Configuration, ...]:
-    """All admissible chains for lam whose level 1 has at most m_max
-    parts (all of them when m_max is None), levels filled in canonical
-    partition order: the chains, and their order, that filtering all of
-    them on m_stat() <= m_max gives.  Each level keeps only the
+@functools.cache
+def _level_one(lam: Partition) -> tuple[Partition, tuple[Partition, ...]]:
+    """nu^0 = (1^n) of lam, and the level-1 candidates under its ceiling
+    in canonical order."""
+    n = lam.size
+    root = Partition((1,) * n)
+    return root, tuple(nu for nu, _ in _under_ceiling(root, len(lam) - 1,
+                                                       n - lam[0], n))
+
+
+# (lam, level-1 partition) -> the chains below that level 1, in canonical
+# order; enumerate_configurations walks each block on its first use
+_BLOCKS: dict[tuple[Partition, Partition], tuple[Configuration, ...]] = {}
+
+
+def _walk(lam: Partition, nu1: Partition) -> tuple[Configuration, ...]:
+    """The admissible chains of lam whose level 1 is nu1, depth first,
+    levels filled in canonical order.  Each level keeps only the
     partitions whose column sums lie on or above the floor its two lower
     levels set, and on or below the ceiling the level under it sets for
-    the levels still to come.
-    """
-    _check_shape(lam)
+    the levels still to come."""
     ell, n = len(lam), lam.size
-    levels = [_level(sum(lam.parts[i:]), n) for i in range(1, ell + 1)]
+    sizes = [sum(lam.parts[i:]) for i in range(ell + 1)]
     found: list[Configuration] = []
     # chains still to extend, the next one on top: a depth-first walk
     # with no self-referencing closure
-    todo: list[tuple[Partition, ...]] = [(Partition((1,) * n),)]
+    todo: list[tuple[Partition, ...]] = [(_level_one(lam)[0], nu1)]
     while todo:
         chain = todo.pop()
         depth = len(chain)
         if depth == ell + 1:
             found.append(Configuration(lam, chain))
             continue
-        ceiling = _ceiling(chain[-1], ell - depth, n)
-        options = [(nu, sums) for nu, sums in levels[depth - 1]
-                   if all(map(operator.le, sums, ceiling))]
-        if depth == 1:
-            options = [(nu, sums) for nu, sums in options
-                       if m_max is None or len(nu) <= m_max]
-        else:
-            floor = _floor(chain[-2], chain[-1], n)
-            options = [(nu, sums) for nu, sums in options
-                       if all(map(operator.ge, sums, floor))]
-        todo.extend(chain + (nu,) for nu, _ in reversed(options))
+        floor = _floor(chain[-2], chain[-1], n)
+        todo.extend(chain + (nu,) for nu, sums in reversed(
+                        _under_ceiling(chain[-1], ell - depth, sizes[depth], n))
+                    if all(map(operator.ge, sums, floor)))
+    return tuple(found)
+
+
+def enumerate_configurations(lam: Partition, m_max: int | None = None
+                             ) -> tuple[Configuration, ...]:
+    """All admissible chains for lam whose level 1 has at most m_max
+    parts (all of them when m_max is None), levels filled in canonical
+    partition order: the chains, and their order, that filtering all of
+    them on m_stat() <= m_max gives.
+
+    The walk below each level-1 partition is one block, walked once per
+    shape and kept (_BLOCKS); a call joins the blocks of the level-1
+    candidates with at most m_max parts, in canonical order.  So a sweep
+    over k walks each chain once, and a single query only its own.
+    """
+    _check_shape(lam)
+    found: list[Configuration] = []
+    for nu1 in _level_one(lam)[1]:
+        if m_max is None or len(nu1) <= m_max:
+            block = _BLOCKS.get((lam, nu1))
+            if block is None:
+                block = _BLOCKS[lam, nu1] = _walk(lam, nu1)
+            found.extend(block)
     return tuple(found)
 
 
 class GohTree(_Value):
     """Root configuration with one expansion subtree per child type.
 
-    children holds (edge, subtree) pairs in the order _child_types gives:
-    the occupied (i, j) slots lexicographically, then the unlabeled
+    children holds (edge, subtree) pairs in the order of the child types
+    _typed_configurations gives: the configuration's slot_types, the
+    occupied (i, j) slots lexicographically, then the unlabeled
     subtree under edge None when m_stat < k.  The class attributes, the
     properties and leaf_values (the subtrees' stored leaf tuples joined
     in edge order, set at construction and left out of equality, hashing
@@ -228,31 +284,26 @@ class GohTree(_Value):
                 "k": self.k}
 
 
-def _child_types(config: Configuration, k: int
-                 ) -> list[tuple[tuple[int, int] | None, tuple[int, int]]]:
-    """(edge, KOH type) of every subtree of a tree for (config, k), in edge
-    order: (P^i_j, mult_j(nu^i)) on each occupied slot (i, j), then
-    (|lam|, k - m) under edge None when m = m_stat < k.  Needs m <= k."""
-    nus = config.nus
-    types = [((i, j), (config.p_stat(i, j), nus[i].mult(j)))
-             for i in range(1, len(config.lam)) for j in nus[i].distinct_parts()]
-    m = config.m_stat()
-    if m < k:
-        types.append((None, (config.lam.size, k - m)))
-    return types
-
-
 @functools.cache
 def _typed_configurations(lam: Partition, k: int
                           ) -> tuple[tuple[Configuration, list], ...]:
     """Each configuration of lam with m_stat <= k, in canonical order,
-    with its child types: counting, building and the closed form share
-    one list, computed once per (lam, k)."""
+    with its child types: its slot_types, then (|lam|, k - m) under edge
+    None when m = m_stat < k.  Counting, building and the closed form
+    share one list, computed once per (lam, k) from the shape's chains,
+    which are walked once whatever k asks for them."""
     _check_shape(lam)
     if k < 0:
         raise PreconditionViolationError(f"k must be nonnegative, got {k}")
-    return tuple((config, _child_types(config, k))
-                 for config in enumerate_configurations(lam, k))
+    n = lam.size
+    typed = []
+    for config in enumerate_configurations(lam, k):
+        m = config.m_stat()
+        types = list(config.slot_types)
+        if m < k:
+            types.append((None, (n, k - m)))
+        typed.append((config, types))
+    return tuple(typed)
 
 
 def goh_rhs_closed(lam: Partition, k: int) -> QPoly:
@@ -315,17 +366,39 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
         raise PreconditionViolationError(f"the row length k must be positive, got {k}")
     # the references, read from coefficients on each call
     from .coefficients import hook_content, schur_specialization_oracle
-    spec = functools.cache(lambda: hook_content(mu, k))
-    tables = functools.cache(lambda budget, bound: goh_leaf_table(
-        mu, k, max_trees=budget, bound=bound))
-    return TreeFamily(
-        f"mu={mu!r}, k={k}", "|mu|k", mu.size * k,
-        functools.cache(lambda budget: enumerate_goh_trees(mu, k, max_trees=budget)),
-        lambda budget, bound=None: tables(budget, bound),
-        "specialization",
-        lambda rs: tuple(spec().coeff(r) - spec().coeff(r - 1) for r in rs),
-        lambda: (("hook content", spec()), ("closed form", goh_rhs_closed(mu, k)),
-                 ("tableau oracle", schur_specialization_oracle(mu, k))))
+    # what the family computes once: hook content under None, the trees
+    # under their budget, a leaf table under (budget, bound)
+    memo: dict = {}
+
+    def spec() -> QPoly:
+        poly = memo.get(None)
+        if poly is None:
+            poly = memo[None] = hook_content(mu, k)
+        return poly
+
+    def trees(budget: int) -> tuple:
+        found = memo.get(budget)
+        if found is None:
+            found = memo[budget] = enumerate_goh_trees(mu, k, max_trees=budget)
+        return found
+
+    def leaf_table(budget: int, bound: int | None = None) -> dict:
+        table = memo.get((budget, bound))
+        if table is None:
+            table = memo[budget, bound] = goh_leaf_table(
+                mu, k, max_trees=budget, bound=bound)
+        return table
+
+    def difference(rs: range) -> tuple[int, ...]:
+        poly = spec()
+        return tuple(poly.coeff(r) - poly.coeff(r - 1) for r in rs)
+
+    def references() -> tuple[tuple[str, QPoly], ...]:
+        return (("hook content", spec()), ("closed form", goh_rhs_closed(mu, k)),
+                ("tableau oracle", schur_specialization_oracle(mu, k)))
+
+    return TreeFamily(f"mu={mu!r}, k={k}", "|mu|k", mu.size * k, trees,
+                      leaf_table, "specialization", difference, references)
 
 
 def plethysm_two_row_general(lam: Partition, mu: Partition, nu: Partition,

@@ -18,7 +18,7 @@ import marshal
 import os
 import sys
 
-from .coefficients import METHOD_BOTH, koh_family, two_row
+from .coefficients import METHOD_BOTH, koh_family, two_row_counts
 from .errors import (BudgetExceededError, CrossCheckFailedError,
                      PreconditionViolationError)
 from .partitions import Partition, enumerate_partitions
@@ -41,8 +41,9 @@ def check_identities(family: TreeFamily, max_trees: int) -> None:
 
     The tree terms must sum to every reference polynomial, then the
     marked count must equal the difference at every r from 0 to half the
-    degree.  The leaf table is read first, so the tree budget, the one
-    budget of a cell, fails before any reference is computed.
+    degree, compared as integers (two_row_counts) with no report built.
+    The leaf table is read first, so the tree budget, the one budget of a
+    cell, fails before any reference is computed.
     """
     from .koh import leaf_term_sum
     total = family.total
@@ -53,7 +54,7 @@ def check_identities(family: TreeFamily, max_trees: int) -> None:
         raise CrossCheckFailedError(
             f"tree terms sum to {tree_sum} but {' and '.join(wrong)} "
             f"for {family.where}")
-    two_row(family, range(total // 2 + 1), METHOD_BOTH, max_trees)
+    two_row_counts(family, range(total // 2 + 1), METHOD_BOTH, max_trees)
 
 
 def verify_cell(family_name: str, cell: tuple) -> tuple[str, bool | None, str]:

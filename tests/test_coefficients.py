@@ -421,6 +421,58 @@ def test_check_identities_rejects_a_wrong_tree_sum(monkeypatch):
         check_identities(koh_family(2, 2), 100)
 
 
+def test_check_identities_builds_no_report_and_fails_as_two_row_does(monkeypatch):
+    from kohtrees import marking
+    built = []
+    init = CoefficientReport.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoefficientReport, "__init__", counted)
+    families = [koh_family(5, 4), goh_family(Partition((3, 2)), 3)]
+    for family in families:
+        check_identities(family, DEFAULT_TREE_BUDGET)
+    assert not built
+    # two_row still reports every r, each report's witnesses read on demand
+    for family in families:
+        rs = range(family.total // 2 + 1)
+        reports = coefficients.two_row(family, rs, METHOD_BOTH, DEFAULT_TREE_BUDGET)
+        assert [report.value for report in reports] == list(family.difference(rs))
+        assert {report.method for report in reports} == {METHOD_BOTH}
+        trees = family.trees(DEFAULT_TREE_BUDGET)
+        for r, report in zip(rs, reports):
+            assert report.witness_counts == marking.witness_counts(
+                map(leaves, trees), family.total, r)
+            assert sum(report.witness_counts) == report.value
+    assert len(built) == sum(family.total // 2 + 1 for family in families)
+
+    # one marked count off at the last r: the cell check raises what
+    # two_row raises, and only once the tree budget has passed
+    real = marking.marked_counts
+
+    def planted(table, total, rs):
+        counts = list(real(table, total, rs))
+        counts[-1] += 1
+        return tuple(counts)
+
+    monkeypatch.setattr(marking, "marked_counts", planted)
+    for family in families:
+        rs = range(family.total // 2 + 1)
+        with pytest.raises(CrossCheckFailedError) as checked:
+            check_identities(family, DEFAULT_TREE_BUDGET)
+        with pytest.raises(CrossCheckFailedError) as reported:
+            coefficients.two_row(family, rs, METHOD_BOTH, DEFAULT_TREE_BUDGET)
+        assert str(checked.value) == str(reported.value)
+        assert str(checked.value) == (
+            f"marked trees give {family.difference(rs)[-1] + 1} but the "
+            f"{family.route} difference gives {family.difference(rs)[-1]} "
+            f"for {family.where}, r={rs[-1]}")
+        with pytest.raises(BudgetExceededError):
+            check_identities(family, 1)
+
+
 def test_library_routes_leave_no_cyclic_garbage():
     # the CLI runs with the cyclic collector off, which is sound only while
     # reference counting frees everything a route builds; caches cleared,
@@ -430,6 +482,7 @@ def test_library_routes_leave_no_cyclic_garbage():
     koh._COUNTS.clear()
     koh._TREES.clear()
     goh._typed_configurations.cache_clear()
+    goh._BLOCKS.clear()
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()

@@ -3,6 +3,8 @@ import inspect
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohtrees import goh, koh
 from kohtrees.coefficients import hook_content
@@ -334,26 +336,58 @@ def test_stored_leaf_tuple_is_not_part_of_the_value():
     assert not hasattr(t, "__dict__")
 
 
+def forget_shape(lam):
+    """Drop the chains kept for lam and every production list, so that the
+    next read walks lam's blocks again."""
+    for key in [key for key in goh._BLOCKS if key[0] == lam]:
+        del goh._BLOCKS[key]
+    goh._typed_configurations.cache_clear()
+
+
+def record_walks_and_slots(monkeypatch):
+    """Record the (lam, level-1 partition) of every block walked and the
+    configuration of every slot_types computed."""
+    walks, slots = [], []
+    walk, compute = goh._walk, Configuration.__getattr__
+
+    def walked(lam, nu1):
+        walks.append((lam, nu1))
+        return walk(lam, nu1)
+
+    def computed(config, name):
+        if name == "_slot_types":
+            slots.append(config)
+        return compute(config, name)
+
+    monkeypatch.setattr(goh, "_walk", walked)
+    monkeypatch.setattr(Configuration, "__getattr__", computed)
+    return walks, slots
+
+
 def test_child_types_run_once_per_configuration(monkeypatch):
-    lam, k = Partition((4, 3, 2)), 3
-    kept = sum(c.m_stat() <= k for c in enumerate_configurations(lam))
-    assert 0 < kept < len(enumerate_configurations(lam))
-    calls = []
-    original = goh._child_types
-
-    def counted(config, k):
-        calls.append(config)
-        return original(config, k)
-
-    monkeypatch.setattr(goh, "_child_types", counted)
+    # the child types of every k come from chains walked once per block
+    # and slots computed once per configuration
+    lam = Partition((4, 3, 2))
+    every = enumerate_configurations(lam)
+    assert max(c.m_stat() for c in every) < 6
+    forget_shape(lam)
+    walks, slots = record_walks_and_slots(monkeypatch)
+    for k in range(1, 7):
+        total = sum(goh_leaf_table(lam, k).values())
+        assert len(enumerate_goh_trees(lam, k, max_trees=total)) == total
+        assert goh_rhs_closed(lam, k) == hook_content(lam, k)
+        # the blocks walked so far are those of the level-1 partitions
+        # with at most k parts
+        assert set(walks) == {
+            (lam, nu1) for nu1 in goh._level_one(lam)[1] if len(nu1) <= k}
+    assert len(walks) == len(set(walks)) == len(goh._level_one(lam)[1])
+    assert len(slots) == len(set(slots)) == len(every)
+    walks.clear()
+    slots.clear()
     goh._typed_configurations.cache_clear()
+    k = 3
     total = sum(goh_leaf_table(lam, k).values())
-    assert len(enumerate_goh_trees(lam, k, max_trees=total)) == total
-    assert goh_rhs_closed(lam, k) == hook_content(lam, k)
-    # the leaf table, building and the closed form read one list per (lam, k)
-    assert len(calls) == len(set(calls)) == kept
-    calls.clear()
-    goh._typed_configurations.cache_clear()
+    assert not walks and not slots
 
     def no_trees(*args, **kwargs):
         raise AssertionError("a tree was built over budget")
@@ -363,7 +397,7 @@ def test_child_types_run_once_per_configuration(monkeypatch):
     monkeypatch.setattr(koh, "_tree_table", no_trees)
     with pytest.raises(BudgetExceededError):
         enumerate_goh_trees(lam, k, max_trees=total - 1)
-    assert len(calls) == kept
+    assert not walks and not slots
     # the patched table is the live subtree source: within budget it is read
     monkeypatch.setattr(goh, "GohTree", GohTree)
     with pytest.raises(AssertionError, match="over budget"):
@@ -402,12 +436,59 @@ def brute_slot_types(config):
 def test_child_types_match_p_stat_and_mult_and_are_kept_per_shape_and_k():
     for size in range(1, 10):
         for lam in enumerate_partitions(size):
-            for config in enumerate_configurations(lam):
-                assert goh._child_types(config, config.m_stat()) == brute_slot_types(config)
-            # the production list is the one read again at the same (lam, k)
+            every = enumerate_configurations(lam)
+            for config in every:
+                assert config.slot_types == tuple(brute_slot_types(config))
+                assert config.slot_types is config.slot_types
+                # the stored slots are no part of the value
+                twin = Configuration(lam, config.nus)
+                assert twin == config and hash(twin) == hash(config)
+                assert repr(twin) == repr(config)
+            # the production list is the one read again at the same (lam, k),
+            # over the configurations every k shares
             for k in (0, size + 1):
-                assert goh._typed_configurations(lam, k) is goh._typed_configurations(lam, k)
-    assert not hasattr(Configuration, "slot_types")
+                typed = goh._typed_configurations(lam, k)
+                assert typed is goh._typed_configurations(lam, k)
+                assert all(c is d for (c, _), d in zip(
+                    typed, (c for c in every if c.m_stat() <= k)))
+    assert "slot_types" not in repr(enumerate_configurations(Partition((2, 1)))[0])
+
+
+def test_a_single_query_walks_only_the_blocks_of_its_k(monkeypatch):
+    lam = Partition((8, 7, 6, 5, 4))
+    forget_shape(lam)
+    walks, slots = record_walks_and_slots(monkeypatch)
+    typed = goh._typed_configurations(lam, 6)
+    assert len(typed) == 275
+    assert walks == [(lam, nu1) for nu1 in goh._level_one(lam)[1] if len(nu1) <= 6]
+    assert len(walks) < len(goh._level_one(lam)[1])
+    assert sum(len(goh._BLOCKS[key]) for key in walks) == 275
+    assert len(slots) == 275
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9).flatmap(
+           lambda size: st.tuples(st.sampled_from(enumerate_partitions(size)),
+                                  st.integers(0, size + 1),
+                                  st.permutations(range(size + 2)))))
+def test_typed_configurations_match_the_brute_force_oracle(case):
+    lam, k, order = case
+    size = lam.size
+    forget_shape(lam)
+    every = brute_force_configurations(lam)
+    # cold: the typed list walks only the blocks its k needs
+    typed = goh._typed_configurations(lam, k)
+    kept = [c for c in every if c.m_stat() <= k]
+    assert [c for c, _ in typed] == kept
+    for config, types in typed:
+        m = config.m_stat()
+        tail = [(None, (size, k - m))] if m < k else []
+        assert types == brute_slot_types(config) + tail
+    # then every m in any order, each the in-order filter of the full walk
+    for m in order:
+        assert enumerate_configurations(lam, m) == tuple(
+            c for c in every if c.m_stat() <= m), (lam, m)
+    assert enumerate_configurations(lam) == every
 
 
 def test_typed_configurations_and_closed_form_match_the_per_configuration_loop():

@@ -32,6 +32,8 @@ CASES = [
     ("trees_goh_21_2_r1.dot", "trees goh --mu 2,1 --k 2 --r 1 --format dot"),
     ("verify_koh_4_4.txt", "verify koh --max-n 4 --max-k 4"),
     ("verify_goh_4_3.txt", "verify goh --max-size 4 --max-k 3"),
+    # 174 cells, k below and past |mu| - mu_1
+    ("verify_goh_6_6.txt", "verify goh --max-size 6 --max-k 6"),
 ]
 
 
