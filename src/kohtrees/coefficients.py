@@ -24,7 +24,6 @@ qpoly, the marked tree listing in render and the verify cell check
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 
 from .errors import (DEFAULT_TREE_BUDGET, CrossCheckFailedError,
@@ -217,23 +216,22 @@ def two_row_counts(family: TreeFamily, rs: range, method: str,
     return counts
 
 
-def two_row(family: TreeFamily, rs: range, method: str,
-            max_trees: int) -> tuple[CoefficientReport, ...]:
-    """A report of the coefficient at every r in rs, from two_row_counts.
+def two_row(family: TreeFamily, r: int, method: str,
+            max_trees: int) -> CoefficientReport:
+    """A report of the coefficient at r, from two_row_counts.
 
     A marked report's witness_counts builds the trees when read.
     """
-    counts = two_row_counts(family, rs, method, max_trees)
+    (count,) = two_row_counts(family, range(r, r + 1), method, max_trees)
     if method == METHOD_DIFFERENCE:
-        return tuple(CoefficientReport(count, method) for count in counts)
+        return CoefficientReport(count, method)
 
-    def witnesses(r: int) -> tuple[int, ...]:
+    def witnesses() -> tuple[int, ...]:
         from .koh import leaves
         from .marking import witness_counts
         return witness_counts(map(leaves, family.trees(max_trees)), family.total, r)
 
-    return tuple(CoefficientReport(count, method, functools.partial(witnesses, r))
-                 for r, count in zip(rs, counts))
+    return CoefficientReport(count, method, witnesses)
 
 
 def kronecker_two_row(n: int, k: int, r: int, method: str = METHOD_BOTH,
@@ -247,7 +245,7 @@ def kronecker_two_row(n: int, k: int, r: int, method: str = METHOD_BOTH,
     if n < 1 or k < 1:
         raise PreconditionViolationError(
             f"rectangle sides must be positive, got n={n}, k={k}")
-    return two_row(koh_family(n, k), range(r, r + 1), method, max_trees)[0]
+    return two_row(koh_family(n, k), r, method, max_trees)
 
 
 def plethysm_two_row(mu: Partition, k: int, r: int, method: str = METHOD_BOTH,
@@ -261,4 +259,4 @@ def plethysm_two_row(mu: Partition, k: int, r: int, method: str = METHOD_BOTH,
     if not mu:
         raise PreconditionViolationError("the outer partition must be nonempty")
     from .goh import goh_family
-    return two_row(goh_family(mu, k), range(r, r + 1), method, max_trees)[0]
+    return two_row(goh_family(mu, k), r, method, max_trees)

@@ -16,7 +16,7 @@ subtree of type (n, k - m).  Summing q^(sigma/2) times the product of
 
 _floor states the chain rule once, on cached column-sum vectors:
 enumeration keeps a level only at or above it in every column, and
-p_stat and slot_types read P^i_j off it.  _under_ceiling keeps what
+slot_types reads P^i_j off it.  _under_ceiling keeps what
 the rule implies for the levels still to come: a ceiling that prunes a
 level from above.
 
@@ -113,8 +113,8 @@ class Configuration(_Value):
     occupied slot, i ascending and then j: the labeled child types of
     every tree over the chain, whatever k is.  It is computed on first
     read (__getattr__ runs only while the slot is unset), so a chain
-    too short for p_stat still builds, and it takes no part in equality,
-    hashing or repr.  _typed_configurations reads it for every k.
+    with too few levels for P^i_j still builds, and it takes no part in
+    equality, hashing or repr.  _typed_configurations reads it for every k.
     """
 
     __slots__ = ("_lam", "_nus", "_slot_types")
@@ -130,24 +130,13 @@ class Configuration(_Value):
         nus, n = self._nus, self._lam.size
         types = []
         for i in range(1, len(self._lam)):
-            # P^i_j as p_stat reads it, the two vectors fetched once per level
+            # P^i_j is Q_j(nu^(i+1)) minus the floor, both vectors fetched once
+            # per level
             upper, floor = _column_sums(nus[i + 1], n), _floor(nus[i - 1], nus[i], n)
             types += [((i, j), (upper[j] - floor[j], nus[i].mult(j)))
                       for j in nus[i].distinct_parts()]
         self._slot_types = types = tuple(types)
         return types
-
-    def p_stat(self, i: int, j: int) -> int:
-        """Mixed second difference at level i, column j.
-
-        Defined for 1 <= i < len(lam) and 1 <= j <= |lam|.
-        """
-        ell, n = len(self._lam), self._lam.size
-        if not (1 <= i < ell) or not (1 <= j <= n):
-            raise IndexError(
-                f"p_stat index (i={i}, j={j}) outside 1..{ell - 1} x 1..{n}")
-        nus = self._nus
-        return _column_sums(nus[i + 1], n)[j] - _floor(nus[i - 1], nus[i], n)[j]
 
     def m_stat(self) -> int:
         """Number of parts of nu^1 (first entry of its conjugate)."""

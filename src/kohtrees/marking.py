@@ -35,21 +35,22 @@ not fit drops the others.  Cutting rows at a cap changes none of the
 values below it, so they serve every target up to the cap if the last
 step stops there.
 
-- count_markings(a, target) counts one final value from the row of all
-  leaves but the last, summing the values the last step can leave at
-  target.  A target past half the leaf sum counts 0 before any row is
-  read.  Without a table it builds a fresh one capped at the target.
-- marked_counts and witness_counts own one table for one call, capped
-  at the call's largest r, and drop it on return, so no DP state
-  outlives a call or is shared between threads.  A sequence's target at
-  r is r minus its power shift, so none passes the cap; a leaf sum above
-  the degree, which would, raises PreconditionViolationError.  For a
-  single r, witness_counts calls count_markings once per sequence with
-  that table, and marked_counts counts in its own loop, with no call per
-  sequence: a sequence whose target is negative, its shift past r,
-  counts 0, and any other sums the window of its row that the last step
-  can leave at the target (_last_step, as count_markings does).  For a
-  range of r marked_counts finishes each sequence from the same row with
+Every count owns one table for one call, capped at the call's largest
+r, and drops it on return, so no DP state outlives a call or is shared
+between threads.  A sequence's target at r is r minus its power shift,
+so none passes the cap; a leaf sum above the degree, which would,
+raises PreconditionViolationError.  There are two routes:
+
+- At one r (_counts_at) each (sequence, multiplicity) entry counts
+  apart: a negative target, its shift past r, counts 0 before any row
+  is read, a single leaf counts target == 0, and any other sums the
+  window of its head row, all leaves but the last, that the last step
+  can leave at the target (_last_step).  marked_counts at one r sums
+  these counts, witness_counts lists them with multiplicity 1, and
+  count_markings(a, target) is the one entry (a, 1) with no shift, its
+  degree a's leaf sum and r the target, after a target past half the
+  leaf sum counts 0 at once.
+- For a range of r marked_counts finishes each sequence's head row with
   one last step, cut at the sequence's top and not stored: that row,
   shifted by the power and weighted by the multiplicity, adds into the
   totals of the range.
@@ -112,30 +113,30 @@ class _PrefixTable:
         self.rows: dict[tuple[int, ...], list[int]] = {}
         self.cells = 0
 
-    def row(self, a: Sequence[int], t: int) -> list[int]:
-        """Markings of a[:t] by final value, exact at 0..min(cap, half its
-        leaf sum); t >= 1, and the caller must not change the list."""
-        if t == 1:
+    def row(self, prefix: tuple[int, ...]) -> list[int]:
+        """Markings of the leaves prefix by final value, exact at
+        0..min(cap, half their sum); prefix is a nonempty tuple, and the
+        caller must not change the list."""
+        if len(prefix) == 1:
             return [1]
         rows = self.rows
-        key = tuple(a[:t])
-        dp = rows.get(key)
+        dp = rows.get(prefix)
         if dp is not None:
             return dp
-        n = t - 1
-        while n > 1 and (dp := rows.get(key[:n])) is None:
+        n = len(prefix) - 1
+        while n > 1 and (dp := rows.get(prefix[:n])) is None:
             n -= 1
         if n == 1:
             dp = [1]
-        cap, prefix = self.cap, sum(key[:n])
-        for i in range(n, t):
-            nxt = key[i]
-            dp = _step(dp, prefix, nxt, cap)
-            prefix += nxt
+        cap, leaf_sum = self.cap, sum(prefix[:n])
+        for i in range(n, len(prefix)):
+            nxt = prefix[i]
+            dp = _step(dp, leaf_sum, nxt, cap)
+            leaf_sum += nxt
             if self.cells + len(dp) > _TABLE_CELLS:
                 self.cells = 0
                 rows.clear()
-            rows[key[:i + 1]] = dp
+            rows[prefix[:i + 1]] = dp
             self.cells += len(dp)
         return dp
 
@@ -150,26 +151,20 @@ def _last_step(dp: list[int], prefix: int, last: int, target: int) -> int:
     return sum(dp[max(0, target - last):max(0, min(target, prefix - target) + 1)])
 
 
-def count_markings(a: Sequence[int], target: int,
-                   table: _PrefixTable | None = None) -> int:
+def count_markings(a: Sequence[int], target: int) -> int:
     """Number of markings of a with final value target.
 
     Infeasible targets (negative, past half the leaf sum, unreachable,
-    or nonzero with a single leaf) simply count 0.  table, when given,
-    serves the DP row of a's leaves but the last, from the rows it holds
-    of the longest prefix of a it has seen; its cap must reach target.
+    or nonzero with a single leaf) simply count 0.
 
     >>> count_markings((1, 1, 1, 1), 1)
     3
     """
     _check_leaves(a)
-    prefix = sum(a) - a[-1]
-    if target < 0 or 2 * target > prefix + a[-1]:
+    leaf_sum = sum(a)
+    if 2 * target > leaf_sum:
         return 0
-    if len(a) == 1:
-        return int(target == 0)
-    dp = (table or _PrefixTable(target)).row(a, len(a) - 1)
-    return _last_step(dp, prefix, a[-1], target)
+    return next(_counts_at([(a, 1)], leaf_sum, target))
 
 
 def enumerate_markings(a: Sequence[int], target: int) -> tuple[tuple[int, ...], ...]:
@@ -222,6 +217,24 @@ def marking_target(leaf_sum: int, total: int, r: int) -> int:
     return r - (total - leaf_sum) // 2
 
 
+def _counts_at(leaf_table: Iterable[tuple[Sequence[int], int]], total: int,
+               r: int) -> Iterator[int]:
+    """For each (leaf sequence, multiplicity) entry of leaf_table in turn,
+    the markings of the sequence at its target at r, times its
+    multiplicity, through one prefix table capped at r."""
+    table = _PrefixTable(r)
+    for ls, ways in leaf_table:
+        _check_leaves(ls)
+        leaf_sum = sum(ls)
+        target = marking_target(leaf_sum, total, r)
+        if target < 0 or len(ls) == 1:
+            yield ways * (target == 0)
+        else:
+            last = ls[-1]
+            yield ways * _last_step(table.row(tuple(ls[:-1])), leaf_sum - last,
+                                    last, target)
+
+
 def marked_counts(leaf_table: Iterable[tuple[Sequence[int], int]], total: int,
                   rs: range) -> tuple[int, ...]:
     """For each r in rs, the number of marked trees that select
@@ -231,29 +244,14 @@ def marked_counts(leaf_table: Iterable[tuple[Sequence[int], int]], total: int,
 
     rs is a range of consecutive r with 0 <= r <= total/2, which the
     caller checks; a leaf sum above total raises
-    PreconditionViolationError.  One prefix table, capped at the last r,
-    serves the call, and each sequence reads the row of all its leaves
-    but the last from it.  With one r, the sequence's count is a window
-    of that row, summed in this loop with no call per sequence to
-    count_markings; a sequence whose shift passes r counts 0 before any
-    row is read.  With more, that row takes one last step, and the new
-    row, offset by the shift, adds into every r.
+    PreconditionViolationError.  One r sums the entries' counts at it.
+    A range takes each sequence's row of all its leaves but the last,
+    from one prefix table capped at the last r, one last step, and adds
+    the new row, offset by the shift, into every r.
     """
-    table = _PrefixTable(rs[-1])
     if len(rs) == 1:
-        (r,) = rs
-        rows, count = table.rows, 0
-        for ls, ways in leaf_table:
-            _check_leaves(ls)
-            leaf_sum = sum(ls)
-            target = marking_target(leaf_sum, total, r)
-            if target < 0 or len(ls) == 1:
-                count += ways * (target == 0)
-                continue
-            head = tuple(ls[:-1])
-            dp = rows.get(head) or table.row(head, len(head))
-            count += ways * _last_step(dp, leaf_sum - ls[-1], ls[-1], target)
-        return (count,)
+        return (sum(_counts_at(leaf_table, total, rs[0])),)
+    table = _PrefixTable(rs[-1])
     totals = [0] * len(rs)
     first = rs[0]
     for ls, ways in leaf_table:
@@ -264,7 +262,7 @@ def marked_counts(leaf_table: Iterable[tuple[Sequence[int], int]], total: int,
         if top < 0:
             continue
         by_value = [1] if len(ls) == 1 else _step(
-            table.row(ls, len(ls) - 1)[:top + 1], leaf_sum - ls[-1], ls[-1], top)
+            table.row(tuple(ls[:-1]))[:top + 1], leaf_sum - ls[-1], ls[-1], top)
         # coefficient r reads the value r - shift: values below first - shift
         # fall before the range, and the row ends at the range's end
         skip = max(0, first - shift)
@@ -279,8 +277,5 @@ def witness_counts(leaf_lists: Iterable[Sequence[int]], total: int,
                    r: int) -> tuple[int, ...]:
     """The number of markings of each leaf sequence that select
     coefficient r, sequences in order: with the trees' sequences, the
-    marked-tree count of each tree.  One prefix table serves the call.
-    """
-    table = _PrefixTable(r)
-    return tuple(count_markings(ls, marking_target(sum(ls), total, r), table)
-                 for ls in leaf_lists)
+    marked-tree count of each tree."""
+    return tuple(_counts_at(((ls, 1) for ls in leaf_lists), total, r))

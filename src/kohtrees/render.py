@@ -104,7 +104,7 @@ def marked_listing(family: TreeFamily, r: int,
     The pairs are counted before any marking is listed; more than
     max_trees of them raise BudgetExceededError.
     """
-    (report,) = two_row(family, range(r, r + 1), METHOD_MARKED, max_trees)
+    report = two_row(family, r, METHOD_MARKED, max_trees)
     if report.value > max_trees:
         raise BudgetExceededError(
             f"{report.value} marked trees exceed the budget {max_trees}")

@@ -744,7 +744,7 @@ def test_coefficient_routes_build_no_trees(capsys, monkeypatch):
 def test_json_witness_counts_are_the_markings_of_each_tree(capsys):
     from kohtrees.goh import enumerate_goh_trees
     from kohtrees.koh import enumerate_koh_trees, leaves
-    from kohtrees.marking import count_markings, marking_target
+    from kohtrees.marking import enumerate_markings, marking_target
     from kohtrees.partitions import Partition
     for argv, trees, total, rs in [
             (("kronecker", "--n", "8", "--k", "8"), enumerate_koh_trees(8, 8), 64,
@@ -755,8 +755,9 @@ def test_json_witness_counts_are_the_markings_of_each_tree(capsys):
             code, out, _ = run_cli(capsys, *argv, "--r", str(r), "--format", "json")
             assert code == 0
             payload = json.loads(out)
-            # tree by tree, each with a fresh marking count
-            want = [count_markings(lv, marking_target(sum(lv), total, r))
+            # tree by tree, each the number of its markings the lister
+            # gives, independent of the counting loop
+            want = [len(enumerate_markings(lv, marking_target(sum(lv), total, r)))
                     for lv in map(leaves, trees)]
             assert payload["witness_counts"] == want
             assert payload["coefficient"] == sum(want) > 0

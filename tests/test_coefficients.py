@@ -393,11 +393,6 @@ def test_a_verify_cell_joins_one_leaf_table_of_every_tree(monkeypatch):
         check_identities(family, DEFAULT_TREE_BUDGET)
         assert len(tables) == calls
         assert all(bound is None and table is tables[0][1] for bound, table in tables)
-    # a range that stops below total // 2 joins a root table of its own,
-    # which the koh cache does not keep
-    koh._LEAVES.clear()
-    coefficients.two_row(koh_family(4, 3), range(5), METHOD_MARKED, DEFAULT_TREE_BUDGET)
-    assert [bound for bound, _ in tables[-1:]] == [4] and (4, 3) not in koh._LEAVES
 
 
 def test_check_identities_reads_the_trees_before_the_oracle(monkeypatch):
@@ -435,21 +430,20 @@ def test_check_identities_builds_no_report_and_fails_as_two_row_does(monkeypatch
     for family in families:
         check_identities(family, DEFAULT_TREE_BUDGET)
     assert not built
-    # two_row still reports every r, each report's witnesses read on demand
+    # two_row reports one r, its witnesses read on demand
     for family in families:
         rs = range(family.total // 2 + 1)
-        reports = coefficients.two_row(family, rs, METHOD_BOTH, DEFAULT_TREE_BUDGET)
-        assert [report.value for report in reports] == list(family.difference(rs))
-        assert {report.method for report in reports} == {METHOD_BOTH}
         trees = family.trees(DEFAULT_TREE_BUDGET)
-        for r, report in zip(rs, reports):
+        for r, diff in zip(rs, family.difference(rs)):
+            report = coefficients.two_row(family, r, METHOD_BOTH, DEFAULT_TREE_BUDGET)
+            assert (report.value, report.method) == (diff, METHOD_BOTH)
             assert report.witness_counts == marking.witness_counts(
                 map(leaves, trees), family.total, r)
             assert sum(report.witness_counts) == report.value
     assert len(built) == sum(family.total // 2 + 1 for family in families)
 
     # one marked count off at the last r: the cell check raises what
-    # two_row raises, and only once the tree budget has passed
+    # two_row raises at that r, and only once the tree budget has passed
     real = marking.marked_counts
 
     def planted(table, total, rs):
@@ -463,7 +457,7 @@ def test_check_identities_builds_no_report_and_fails_as_two_row_does(monkeypatch
         with pytest.raises(CrossCheckFailedError) as checked:
             check_identities(family, DEFAULT_TREE_BUDGET)
         with pytest.raises(CrossCheckFailedError) as reported:
-            coefficients.two_row(family, rs, METHOD_BOTH, DEFAULT_TREE_BUDGET)
+            coefficients.two_row(family, rs[-1], METHOD_BOTH, DEFAULT_TREE_BUDGET)
         assert str(checked.value) == str(reported.value)
         assert str(checked.value) == (
             f"marked trees give {family.difference(rs)[-1] + 1} but the "
@@ -471,6 +465,100 @@ def test_check_identities_builds_no_report_and_fails_as_two_row_does(monkeypatch
             f"for {family.where}, r={rs[-1]}")
         with pytest.raises(BudgetExceededError):
             check_identities(family, 1)
+
+
+def range_cases():
+    """(family, range) pairs: every r of a cell, and ranges that start
+    above 0 or stop below total // 2, for KOH cells of odd and even degree
+    and GOH cells."""
+    for family in (koh_family(4, 3), koh_family(3, 3), koh_family(6, 5),
+                   goh_family(Partition((3, 2)), 3), goh_family(Partition((2, 1, 1)), 4)):
+        top = family.total // 2
+        for rs in range(top + 1), range(1, top), range(top // 2, top + 1), range(2, 3):
+            yield family, rs
+
+
+def test_two_row_counts_gives_every_r_of_a_range_by_each_method():
+    for family, rs in range_cases():
+        diff = family.difference(rs)
+        assert len(diff) == len(rs)
+        for method in METHOD_MARKED, METHOD_DIFFERENCE, METHOD_BOTH:
+            counts = coefficients.two_row_counts(family, rs, method, DEFAULT_TREE_BUDGET)
+            assert counts == diff, (family.where, rs, method)
+        # the marked count at each r is what a report at that r gives
+        assert diff == tuple(
+            coefficients.two_row(family, r, METHOD_MARKED, DEFAULT_TREE_BUDGET).value
+            for r in rs)
+
+
+def test_two_row_counts_names_the_first_r_that_disagrees(monkeypatch):
+    from kohtrees import marking
+    real = marking.marked_counts
+
+    def planted(table, total, rs):
+        # off by one at the third and the fifth r of the range
+        return tuple(count + (i in (2, 4)) for i, count in enumerate(real(table, total, rs)))
+
+    monkeypatch.setattr(marking, "marked_counts", planted)
+    for family in koh_family(5, 4), goh_family(Partition((3, 2)), 3):
+        rs = range(1, family.total // 2 + 1)
+        diff = family.difference(rs)
+        marked = coefficients.two_row_counts(family, rs, METHOD_MARKED, DEFAULT_TREE_BUDGET)
+        assert marked == tuple(value + (i in (2, 4)) for i, value in enumerate(diff))
+        assert coefficients.two_row_counts(
+            family, rs, METHOD_DIFFERENCE, DEFAULT_TREE_BUDGET) == diff
+        with pytest.raises(CrossCheckFailedError) as failed:
+            coefficients.two_row_counts(family, rs, METHOD_BOTH, DEFAULT_TREE_BUDGET)
+        assert str(failed.value) == (
+            f"marked trees give {diff[2] + 1} but the {family.route} difference "
+            f"gives {diff[2]} for {family.where}, r={rs[2]}")
+        # the budget fails before the cross-check, every r before the budget
+        with pytest.raises(BudgetExceededError):
+            coefficients.two_row_counts(family, rs, METHOD_BOTH, 1)
+        with pytest.raises(PreconditionViolationError, match="need 0 <= 2r"):
+            coefficients.two_row_counts(family, range(family.total // 2 + 2), METHOD_BOTH, 1)
+        with pytest.raises(PreconditionViolationError, match="unknown method"):
+            coefficients.two_row_counts(family, rs, "fastest", 1)
+
+
+def test_a_range_below_half_the_degree_joins_a_root_table_the_cache_does_not_keep(
+        monkeypatch):
+    from kohtrees import koh
+    bounds = []
+    real = koh.koh_leaf_table
+
+    def recorded(*args, **kwargs):
+        bounds.append(kwargs.get("bound"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(koh, "koh_leaf_table", recorded)
+    koh._LEAVES.clear()
+    family = koh_family(4, 3)
+    counts = coefficients.two_row_counts(family, range(5), METHOD_MARKED,
+                                         DEFAULT_TREE_BUDGET)
+    assert counts == family.difference(range(5))
+    assert bounds == [4] and (4, 3) not in koh._LEAVES
+    # a range up to total // 2 reads the table of every tree, which the
+    # cache keeps
+    coefficients.two_row_counts(family, range(3, 7), METHOD_MARKED, DEFAULT_TREE_BUDGET)
+    assert bounds == [4, None] and (4, 3) in koh._LEAVES
+
+
+def test_the_marked_route_shows_the_pak_panova_bound():
+    # Pak-Panova (2013): for n, k >= 8 the Kronecker coefficient is 1 at
+    # r = 0, 0 at r = 1 and positive at every 2 <= r <= nk/2, so the marked
+    # trees must show it
+    for n in range(8, 14):
+        for k in range(8, 14):
+            rs = range(n * k // 2 + 1)
+            counts = coefficients.two_row_counts(koh_family(n, k), rs, METHOD_MARKED,
+                                                 DEFAULT_TREE_BUDGET)
+            assert counts[:2] == (1, 0), (n, k)
+            assert min(counts[2:]) >= 1, (n, k)
+    # below side 8 other zeros occur
+    for n, k, r in (6, 6, 17), (5, 6, 15):
+        assert coefficients.two_row_counts(koh_family(n, k), range(r, r + 1),
+                                           METHOD_MARKED, DEFAULT_TREE_BUDGET) == (0,)
 
 
 def test_library_routes_leave_no_cyclic_garbage():

@@ -18,8 +18,8 @@ from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ZERO, q_binomial, sum_of_products
 from kohtrees.render import tree_to_dict, tree_to_dot
 from qpoly_oracles import poly_add
-from tree_oracles import (goh_tree_from_dict as tree_from_dict, validate_configuration,
-                          validate_goh_tree)
+from tree_oracles import (goh_tree_from_dict as tree_from_dict, second_difference,
+                          validate_configuration, validate_goh_tree)
 
 
 def tree_sum(mu, k):
@@ -102,10 +102,11 @@ def test_specific_configuration_statistics():
            Partition((1, 1, 1)), Partition((1,)), Partition())
     config = Configuration(lam, nus)
     validate_configuration(config)
-    assert config.p_stat(1, 1) == 2
-    assert config.p_stat(1, 2) == 0
-    assert config.p_stat(2, 1) == 0
-    assert config.p_stat(3, 1) == 1
+    slots = ((1, 1), (1, 2), (2, 1), (3, 1))
+    assert [second_difference(nus, i, j) for i, j in slots] == [2, 0, 0, 1]
+    # the occupied slots are those four, each P^i_j with its multiplicity
+    assert config.slot_types == (((1, 1), (2, 4)), ((1, 2), (0, 1)), ((2, 1), (0, 3)),
+                                 ((3, 1), (1, 1)))
     assert config.m_stat() == 5
     assert config.tau_stat() == 18
 
@@ -128,18 +129,6 @@ def test_tau_stat_matches_the_per_cell_formula():
     assert len(configs) == 395
     for config in configs:
         assert config.tau_stat() == tau_by_cells(config)
-
-
-def test_p_stat_index_bounds():
-    config = enumerate_configurations(Partition((2, 1)))[0]
-    with pytest.raises(IndexError):
-        config.p_stat(0, 1)
-    with pytest.raises(IndexError):
-        config.p_stat(2, 1)
-    with pytest.raises(IndexError):
-        config.p_stat(1, 0)
-    with pytest.raises(IndexError):
-        config.p_stat(1, 4)
 
 
 def test_validate_configuration_rejects_broken_chains():
@@ -429,7 +418,7 @@ def brute_slot_types(config):
     """The occupied slots ((i, j), (P^i_j, mult_j(nu^i))) by a scan over every
     column j of every level, as the per-configuration loop read them."""
     ell, n = len(config.lam), config.lam.size
-    return [((i, j), (config.p_stat(i, j), config.nus[i].mult(j)))
+    return [((i, j), (second_difference(config.nus, i, j), config.nus[i].mult(j)))
             for i in range(1, ell) for j in range(1, n + 1) if config.nus[i].mult(j)]
 
 

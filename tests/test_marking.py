@@ -12,8 +12,9 @@ from kohtrees import marking
 from kohtrees.errors import PreconditionViolationError
 from kohtrees.goh import enumerate_goh_trees, goh_leaf_table
 from kohtrees.koh import enumerate_koh_trees, koh_leaf_table, leaves
-from kohtrees.marking import (_PrefixTable, count_markings, enumerate_markings,
-                              marked_counts, marking_target, witness_counts)
+from kohtrees.marking import (_last_step, _PrefixTable, count_markings,
+                              enumerate_markings, marked_counts, marking_target,
+                              witness_counts)
 from kohtrees.partitions import enumerate_partitions
 from kohtrees.qpoly import ONE
 from qpoly_oracles import q_int
@@ -116,14 +117,18 @@ def trie_visits(draw):
 @settings(max_examples=200, deadline=None)
 @given(trie_visits(), st.integers(0, 12))
 def test_counts_through_one_shared_table_are_exact(visits, cap):
-    # the cap is fixed, so every target asked of the table lies at or below it
+    # the cap is fixed, so every target asked of the table lies at or below
+    # it; a sequence of two or more leaves counts the window of its head
+    # row, as the single-r loop reads it
     table = _PrefixTable(cap)
     for a, target in visits:
         target = min(target, cap)
-        shared = count_markings(a, target, table)
-        assert shared == count_markings(a, target) == dict_dp_markings(a, target), (a, target)
+        if len(a) > 1 and target >= 0:
+            shared = _last_step(table.row(a[:-1]), sum(a[:-1]), a[-1], target)
+            assert shared == count_markings(a, target) == dict_dp_markings(a, target), (
+                a, target)
         # the rows the table serves are the ones a fresh table steps
-        assert table.row(a, len(a)) == _PrefixTable(cap).row(a, len(a))
+        assert table.row(a) == _PrefixTable(cap).row(a)
 
 
 def first_seen_table(leaf_lists):
@@ -198,12 +203,12 @@ def counted_steps(monkeypatch):
 
 
 def test_the_table_steps_each_prefix_once(monkeypatch):
-    expected = {a: _PrefixTable(9).row(a, len(a)) for a in SHARING}
+    expected = {a: _PrefixTable(9).row(a) for a in SHARING}
     steps = counted_steps(monkeypatch)
     table = _PrefixTable(9)
     for _ in range(2):
         for a in SHARING:
-            assert table.row(a, len(a)) == expected[a]
+            assert table.row(a) == expected[a]
     prefixes = {a[:i] for a in SHARING for i in range(2, len(a) + 1)}
     assert set(table.rows) == prefixes and len(steps) == len(prefixes)
     assert table.cells == sum(map(len, table.rows.values()))
@@ -214,8 +219,12 @@ def test_the_table_holds_a_bounded_number_of_values():
     rng = random.Random(3)
     for _ in range(400):
         a = tuple(rng.randint(0, 20) for _ in range(rng.randint(1, 8)))
-        for target in (0, 7, 40):
-            assert count_markings(a, target, table) == dict_dp_markings(a, target)
+        # each row holds every value up to the cap or half its leaf sum
+        row = table.row(a)
+        assert row == _PrefixTable(40).row(a)
+        assert len(row) == (min(40, sum(a) // 2) + 1 if len(a) > 1 else 1)
+        assert [row[v] for v in (0, 7, 40) if v < len(row)] == [
+            dict_dp_markings(a, v) for v in (0, 7, 40) if v < len(row)]
         assert table.cells == sum(map(len, table.rows.values())) <= marking._TABLE_CELLS
 
 
@@ -229,25 +238,20 @@ def test_marked_counts_steps_each_prefix_once_and_keeps_no_rows(monkeypatch, rs)
             super().__init__(cap)
             tables.append(weakref.ref(self))
 
-        def row(self, a, t):
-            asked.append(len(a) - t)
-            return super().row(a, t)
+        def row(self, prefix):
+            asked.append(prefix)
+            return super().row(prefix)
 
     monkeypatch.setattr(marking, "_PrefixTable", Recorded)
     # each sequence stands for one to five trees
     pairs = [(a, ways) for ways, a in enumerate(SHARING, start=1)]
     counts = marked_counts(pairs, 12, rs)
-    # both routes read each sequence's row of all its leaves but the last
-    # (every target here is feasible): a range of r asks the table for it
-    # once per sequence, and a single r once per distinct such prefix,
-    # reading a stored row straight from the table; a range of r then
-    # steps each sequence, all of them multi-leaf, past its last leaf once
-    # more, and stores none of it
+    # both routes ask the table once per sequence for its row of all its
+    # leaves but the last (every target here is feasible); a range of r
+    # then steps each sequence, all of them multi-leaf, past its last leaf
+    # once more, and stores none of it
     last_steps = len(SHARING) if len(rs) > 1 else 0
-    if len(rs) > 1:
-        assert asked == [1] * len(SHARING)
-    else:
-        assert asked == [0] * len({a[:-1] for a in SHARING})
+    assert asked == [a[:-1] for a in SHARING]
     assert len(steps) == len({a[:i] for a in SHARING for i in range(2, len(a))}) + last_steps
     assert len(tables) == 1 and tables[0]() is None
     for r, count in zip(rs, counts):

@@ -218,6 +218,8 @@ def test_every_exported_function_runs_on_a_command_route():
         env=dict(os.environ, PYTHONPATH=src))
     codes, never = json.loads(out.stdout)
     assert codes == [code for _, code in _ROUTES]
-    # the benchmark's traced run patches these four, so they stay until
-    # the benchmark drops them
-    assert never == ["count_in_rectangle", "goh_leaves", "goh_term", "koh_term"]
+    # the benchmark's traced run patches these five, so they stay until
+    # the benchmark drops them; count_markings is one entry of the single-r
+    # marking loop, which every command route runs directly
+    assert never == ["count_in_rectangle", "count_markings", "goh_leaves", "goh_term",
+                     "koh_term"]
