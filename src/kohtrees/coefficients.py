@@ -6,11 +6,10 @@ for plethysm.  The coefficient indexed by r is the difference between
 the q^r and q^(r-1) coefficients, and it also counts marked expansion
 trees whose marking total works out to r.  Running both routes and
 comparing them catches implementation drift in either one.  The marked
-route reads the family's leaf table, each distinct leaf tuple with its
-number of trees, and builds no tree; only a report's witness_counts,
-read on demand, does.  A tree whose power shift passes r has no marking
-at r, so a single r joins only the tuples whose shift is at most r; the
-tree budget still counts every tree of the family.
+route reads the family's marked vector, the number of (tree, marking)
+pairs at every r up to a cap, and builds no tree; only a report's
+witness_counts, read on demand, does.  The tree budget still counts
+every tree of the family.
 
 The Kronecker difference route counts partitions in a box and needs
 nothing else, so the koh, marking, qpoly and goh modules load inside the
@@ -122,31 +121,31 @@ def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:
 class TreeFamily(_Value):
     """One tree family at fixed parameters, as both routes see it.
 
-    trees(max_trees) enumerates the expansion trees and leaf_table(
-    max_trees, bound=None) maps their leaf tuples to tree counts, with a
-    bound only those of the trees whose power shift is at most bound,
-    each the same on every call; total is their degree.  difference(rs)
-    gives, for each r of the nonempty ascending range rs, the q^r minus
-    q^(r-1) coefficient of the family's polynomial, without trees, by
-    the route named in messages.  references() names the polynomials the
-    tree terms must sum to, that one first.  where and degree_name word
-    the errors.
+    trees(max_trees) enumerates the expansion trees and marked(max_trees,
+    cap) gives their marked vector, the number of (tree, marking) pairs
+    that select each r, at least up to min(cap, total // 2), after the
+    same budget check; each is the same on every call, and total is the
+    trees' degree.  difference(rs) gives, for each r of the nonempty
+    ascending range rs, the q^r minus q^(r-1) coefficient of the family's
+    polynomial, without trees, by the route named in messages.
+    references() names the polynomials the tree terms must sum to, that
+    one first.  where and degree_name word the errors.
     """
 
-    __slots__ = ("_where", "_degree_name", "_total", "_trees", "_leaf_table",
+    __slots__ = ("_where", "_degree_name", "_total", "_trees", "_marked",
                  "_route", "_difference", "_references")
-    _fields = ("where", "degree_name", "total", "trees", "leaf_table", "route",
+    _fields = ("where", "degree_name", "total", "trees", "marked", "route",
                "difference", "references")
 
     def __init__(self, where: str, degree_name: str, total: int,
-                 trees: Callable[[int], tuple], leaf_table: Callable[..., dict],
+                 trees: Callable[[int], tuple], marked: Callable[[int, int], list],
                  route: str, difference: Callable[[range], tuple[int, ...]],
                  references: Callable[[], tuple[tuple[str, QPoly], ...]]) -> None:
         self._where = where
         self._degree_name = degree_name
         self._total = total
         self._trees = trees
-        self._leaf_table = leaf_table
+        self._marked = marked
         self._route = route
         self._difference = difference
         self._references = references
@@ -159,9 +158,9 @@ def koh_family(n: int, k: int) -> TreeFamily:
         from .koh import enumerate_koh_trees
         return enumerate_koh_trees(n, k, max_trees=budget)
 
-    def leaf_table(budget: int, bound: int | None = None) -> dict:
-        from .koh import koh_leaf_table
-        return koh_leaf_table(n, k, max_trees=budget, bound=bound)
+    def marked(budget: int, cap: int) -> list[int]:
+        from .koh import koh_marked_vector
+        return koh_marked_vector(n, k, cap, max_trees=budget)
 
     def references() -> tuple[tuple[str, QPoly], ...]:
         from .koh import koh_rhs_closed
@@ -174,7 +173,7 @@ def koh_family(n: int, k: int) -> TreeFamily:
         row = rectangle_counts(n, k, rs[-1])
         return tuple(row[r] - row[r - 1] if r else row[0] for r in rs)
 
-    return TreeFamily(f"n={n}, k={k}", "nk", n * k, trees, leaf_table,
+    return TreeFamily(f"n={n}, k={k}", "nk", n * k, trees, marked,
                       "rectangle", difference, references)
 
 
@@ -184,15 +183,11 @@ def two_row_counts(family: TreeFamily, rs: range, method: str,
     both families.
 
     The method and every r are checked before the trees are counted.
-    The marked route marks each tuple of the family's leaf table at every
-    r, weighted by its trees, reading only the tuples whose power shift
-    is at most the last r: a tree with a larger shift has no marking at
-    any r of rs.  A range up to total // 2 (a verify sweep) drops no
-    tree, so it reads the table of every tree, which the family may have
-    cached.  The budget still counts every tree of the family.  With
-    method both, the marked count must equal the difference at every r,
-    which one call gives for the whole range; the first disagreement in
-    r order raises CrossCheckFailedError.
+    The marked route reads the entries rs of the family's marked vector,
+    cut at the last r; the budget counts every tree of the family first.
+    With method both, the marked count must equal the difference at
+    every r, which one call gives for the whole range; the first
+    disagreement in r order raises CrossCheckFailedError.
     """
     _check_method(method)
     total, name = family.total, family.degree_name
@@ -202,9 +197,8 @@ def two_row_counts(family: TreeFamily, rs: range, method: str,
                 f"need 0 <= 2r <= {name}, got r={r} with {name}={total}")
     if method == METHOD_DIFFERENCE:
         return family.difference(rs)
-    from .marking import marked_counts
-    bound = rs[-1] if rs[-1] < total // 2 else None
-    counts = marked_counts(family.leaf_table(max_trees, bound).items(), total, rs)
+    vector = family.marked(max_trees, rs[-1])
+    counts = tuple(vector[r] for r in rs)
     if method == METHOD_BOTH:
         # one difference call for every r, after the tree count, so that
         # the budget fails first

@@ -28,9 +28,9 @@ for, and each configuration computes its labeled slots (P^i_j,
 mult_j(nu^i)) once, on first read (slot_types).  A configuration with
 its child types has the shape of a KOH production, and
 _typed_configurations caches the production list per (lam, k), as
-koh._productions does per type.  So counting, building, the leaf table
-and the closed form are the ones koh uses for its own trees
-(koh.count_trees, koh.build_trees, koh.leaf_table, koh.closed_form).
+koh._productions does per type.  So counting, building, the marked
+vector and the closed form are the ones koh uses for its own trees
+(koh.count_trees, koh.build_trees, koh.marked_vector, koh.closed_form).
 goh_rhs_closed reads the trees' own chain list, each slot's KOH trees
 summed as a q-binomial; hook content and the tableau oracle are the
 references independent of both.
@@ -52,7 +52,7 @@ from .coefficients import (METHOD_DIFFERENCE, CoefficientReport, TreeFamily,
                            _check_method, plethysm_two_row)
 from .errors import DEFAULT_TREE_BUDGET, PreconditionViolationError, _Value
 from .koh import (KohTree, _check_budget, build_trees, closed_form, count_trees,
-                  leaf_table, leaf_term_sum, leaves)
+                  leaf_term_sum, leaves, marked_vector)
 from .partitions import Partition, enumerate_partitions
 
 
@@ -322,22 +322,6 @@ def enumerate_goh_trees(lam: Partition, k: int,
     return build_trees(_budgeted(lam, k, max_trees), GohTree, k)
 
 
-def goh_leaf_table(lam: Partition, k: int, max_trees: int = DEFAULT_TREE_BUDGET,
-                   bound: int | None = None) -> dict[tuple[int, ...], int]:
-    """The leaf tuples of the trees for (lam, k), each once, with the
-    number of trees that have it, in the order enumerate_goh_trees first
-    gives them; the same budget check, on every tree of the cell, and no
-    tree built.  With a bound, the tuples of the trees whose power shift
-    is at most bound only.
-
-    >>> goh_leaf_table(Partition((2, 2)), 3)
-    {(0, 8): 1, (0, 4): 2, (0, 0): 1}
-    >>> goh_leaf_table(Partition((2, 2)), 3, bound=4)
-    {(0, 8): 1, (0, 4): 2}
-    """
-    return leaf_table(_budgeted(lam, k, max_trees), lam.size * k, bound)
-
-
 def goh_leaves(tree: GohTree) -> tuple[int, ...]:
     """Leaf labels: labeled subtrees in edge order, then the unlabeled one."""
     return leaves(tree)
@@ -356,7 +340,7 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
     # the references, read from coefficients on each call
     from .coefficients import hook_content, schur_specialization_oracle
     # what the family computes once: hook content under None, the trees
-    # under their budget, a leaf table under (budget, bound)
+    # under their budget, a marked vector under (budget, cap)
     memo: dict = {}
 
     def spec() -> QPoly:
@@ -371,12 +355,12 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
             found = memo[budget] = enumerate_goh_trees(mu, k, max_trees=budget)
         return found
 
-    def leaf_table(budget: int, bound: int | None = None) -> dict:
-        table = memo.get((budget, bound))
-        if table is None:
-            table = memo[budget, bound] = goh_leaf_table(
-                mu, k, max_trees=budget, bound=bound)
-        return table
+    def marked(budget: int, cap: int) -> list[int]:
+        vector = memo.get((budget, cap))
+        if vector is None:
+            vector = memo[budget, cap] = marked_vector(
+                _budgeted(mu, k, budget), mu.size * k, cap)
+        return vector
 
     def difference(rs: range) -> tuple[int, ...]:
         poly = spec()
@@ -387,7 +371,7 @@ def goh_family(mu: Partition, k: int) -> TreeFamily:
                 ("tableau oracle", schur_specialization_oracle(mu, k)))
 
     return TreeFamily(f"mu={mu!r}, k={k}", "|mu|k", mu.size * k, trees,
-                      leaf_table, "specialization", difference, references)
+                      marked, "specialization", difference, references)
 
 
 def plethysm_two_row_general(lam: Partition, mu: Partition, nu: Partition,

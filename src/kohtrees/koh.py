@@ -13,24 +13,22 @@ q^(sigma/2) times the product of [leaf + 1]_q over all trees of type
 
 _productions(n, k) states this rule once for a type: the partitions of
 k whose child widths are all nonnegative, each with its child types from
-_child_types, the per-node rule.  Counting, building and the closed
-form read it; counts, tree tuples and leaf tables are filled bottom up
-over the types below the one asked for (_fill), never by recursing down
-a chain of types.  count_trees, build_trees, leaf_table and closed_form
-serve both families: a GOH configuration with its child types is a
-production too.
+_child_types, the per-node rule.  Counting, building, the marked vector
+and the closed form read it; counts, tree tuples and marked vectors are
+filled bottom up over the types below the one asked for (_fill), never
+by recursing down a chain of types.  count_trees, build_trees,
+marked_vector and closed_form serve both families: a GOH configuration
+with its child types is a production too.
 
-A tree's term, and its markings, depend only on its leaf tuple, and
-trees repeat leaf tuples a lot: type (24, 24) has 2,704,156 trees but
-867,557 distinct leaf tuples.  So the coefficient routes read a leaf
-table, each distinct tuple with the number of trees that have it, which
-leaf_table fills from the children's tables, walking the productions as
-build_trees does, with no tree built.  A tree whose power shift passes
-r has no marking at r, so for a single r leaf_table joins at the root
-only the tuples whose shift is at most r, in a table built for the call;
-the child tables and the budget still cover every tree.  Trees are built
-only where a caller reads them: listings, JSON witnesses, a failing
-verify cell.
+The coefficient routes count (tree, marking) pairs without building a
+tree.  A type's marked vector holds at entry r the number of pairs that
+select coefficient r; a label's pairs are the Clebsch-Gordan tensor of
+its child types' vectors (marking.tensor), moved along by the label's
+own power shift, so marked_vector sums those over the labels.  Vectors
+are cut at a cap, exact below it, and a label whose shift passes the cap
+is skipped.  The budget still counts every tree of the type.  Trees are
+built only where a caller reads them: listings, JSON witnesses, a
+failing verify cell.
 """
 
 from __future__ import annotations
@@ -213,63 +211,35 @@ def build_trees(productions: Sequence[tuple[object, list]],
     return tuple(out)
 
 
-def leaf_table(productions: Sequence[tuple[object, list]], total: int,
-               bound: int | None = None) -> dict[tuple[int, ...], int]:
-    """The leaf tuples of the trees build_trees gives whose power shift is
-    at most bound, each once, with the number of trees that have it, in
-    the order the trees first give them; total is the trees' degree, and
-    no bound keeps every tree.
+def marked_vector(productions: Sequence[tuple[object, list]], total: int,
+                  cap: int) -> list[int]:
+    """For each r up to min(cap, total // 2), the number of (tree, marking)
+    pairs over a production list that select coefficient r; total is the
+    trees' degree.  Entry j reads only child entries up to j, so cutting
+    the vectors at the cap changes no entry below it.
 
-    A tree's power shift, (total - its leaf sum) / 2, is its label's own
-    shift, (total - the sum of the child degrees) / 2, plus the shift of
-    each subtree, read the same way off the subtree's leaf tuple.  The
-    walk is build_trees' with each subtree slot replaced by the leaf
-    table of its type, each entry with its shift: a choice of one entry
-    per slot joins them in edge order, and the product of their counts
-    is its number of trees.  The first tree with a given tuple takes, in
-    every slot, the first subtree with that slot's part, so choices in
-    table order give the tuples in tree order.  A label whose own shift
-    passes bound is skipped before its child tables are filled, and a
-    slot entry is dropped before it is joined when it takes the shifts
-    chosen so far past bound.  So a bound gives the full table's entries
-    with shift at most bound, in the same order.
+    A label's own power shift is (total - the sum of its child degrees)
+    / 2: its pairs are the tensor of its child types' vectors (cached
+    in _MARKED), moved along by that shift.  A label whose shift passes
+    the cap is skipped before its child vectors are read.
+
+    >>> marked_vector(_productions(2, 2), 4, 2)
+    [1, 0, 1]
     """
-    if bound is None:
-        bound = total // 2
-    table: dict[tuple[int, ...], int] = {}
-    get = table.get
-    # each child type's table entries with their shifts, for this call
-    slots: dict[tuple[int, int], list[tuple[tuple[int, ...], int, int]]] = {}
+    from .marking import tensor
+    top = min(cap, total // 2)
+    out = [0] * (top + 1)
     for _, types in productions:
-        own = total
-        for _, (a, b) in types:
-            own -= a * b
-        own //= 2
-        if own > bound:
+        own = (total - sum(a * b for _, (a, b) in types)) // 2
+        if own > top:
             continue
-        per_slot = []
-        for _, ctype in types:
-            entries = slots.get(ctype)
-            if entries is None:
-                degree = ctype[0] * ctype[1]
-                entries = slots[ctype] = [(part, count, (degree - sum(part)) // 2)
-                                          for part, count in _leaf_table(*ctype).items()]
-            per_slot.append(entries)
-        # a label with no child slot (a GOH cell with k = 0) has one tree,
-        # with no leaves
-        *first, last = per_slot or [[((), 1, 0)]]
-        chosen = [((), 1, own)]
-        for entries in first:
-            chosen = [(lv + part, ways * count, shift + more)
-                      for lv, ways, shift in chosen
-                      for part, count, more in entries if shift + more <= bound]
-        for lv, ways, shift in chosen:
-            room = bound - shift
-            for part, count, more in last:
-                if more <= room:
-                    key = lv + part
-                    table[key] = get(key, 0) + ways * count
-    return table
+        vector, degree = [1], 0
+        for _, (a, b) in types:
+            vector = tensor(vector, degree, _marked(a, b, cap), a * b, top - own)
+            degree += a * b
+        for r, count in enumerate(vector, own):
+            out[r] += count
+    return out
 
 
 def closed_form(productions: Sequence[tuple[object, list]],
@@ -283,22 +253,24 @@ def closed_form(productions: Sequence[tuple[object, list]],
         for label, types in productions)
 
 
-def _fill(table: dict, n: int, k: int, value: Callable[[int, int], object]):
+def _fill(table: dict, n: int, k: int, value: Callable[[int, int], object],
+          fits: Callable[[tuple[int, int]], bool] = lambda t: True):
     """table[n, k], first setting table[t] = value(*t) for every type t
-    reachable from (n, k) that the table lacks, children before parents.
+    reachable from (n, k) that the table lacks or holds a value that
+    fits(t) rejects, children before parents.
 
     A child type has a smaller b, or the same b and a smaller a (only
     mu = (1^b) keeps b, with a' = a + 2 - 2b), so ascending (b, a) puts
     children first.  Filling in that order instead of recursing keeps
     the stack flat on thin types: (a, 2) has a chain of about a/2 levels.
     """
-    if (n, k) not in table:
+    if (n, k) not in table or not fits((n, k)):
         todo, seen = [(n, k)], {(n, k)}
         for a, b in todo:
             if b > 1:
                 for _, types in _productions(a, b):
                     for _, ctype in types:
-                        if ctype not in seen and ctype not in table:
+                        if ctype not in seen and (ctype not in table or not fits(ctype)):
                             seen.add(ctype)
                             todo.append(ctype)
         for a, b in sorted(todo, key=lambda t: (t[1], t[0])):
@@ -306,10 +278,12 @@ def _fill(table: dict, n: int, k: int, value: Callable[[int, int], object]):
     return table[n, k]
 
 
-# tree counts, tree tuples and leaf tables by type, each type filled once
+# tree counts and tree tuples by type, each type filled once, and marked
+# vectors by type, each exact up to its last entry and filled again when
+# a larger cap asks for more
 _COUNTS: dict[tuple[int, int], int] = {}
 _TREES: dict[tuple[int, int], tuple[KohTree, ...]] = {}
-_LEAVES: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+_MARKED: dict[tuple[int, int], list[int]] = {}
 
 
 def _count_type(n: int, k: int) -> int:
@@ -322,10 +296,6 @@ def _build_type(n: int, k: int) -> tuple[KohTree, ...]:
     return build_trees(_productions(n, k), KohTree, n, k)
 
 
-def _leaf_type(n: int, k: int) -> dict[tuple[int, ...], int]:
-    return {(n,): 1} if k == 1 else leaf_table(_productions(n, k), n * k)
-
-
 def count_koh_trees(n: int, k: int) -> int:
     """Number of trees of type (n, k), computed without materializing them."""
     _check_type(n, k)
@@ -336,8 +306,18 @@ def _tree_table(n: int, k: int) -> tuple[KohTree, ...]:
     return _fill(_TREES, n, k, _build_type)
 
 
-def _leaf_table(n: int, k: int) -> dict[tuple[int, ...], int]:
-    return _fill(_LEAVES, n, k, _leaf_type)
+def _marked(n: int, k: int, cap: int) -> list[int]:
+    """The marked vector of the type (n, k) from _MARKED, at least up to
+    min(cap, nk // 2), first filling at cap each type it needs whose
+    vector is missing or stops short of that; the caller must not change
+    it."""
+    def value(a: int, b: int) -> list[int]:
+        if b == 1:
+            return [1] + [0] * min(cap, a // 2)
+        return marked_vector(_productions(a, b), a * b, cap)
+
+    return _fill(_MARKED, n, k, value,
+                 lambda t: len(_MARKED[t]) > min(cap, t[0] * t[1] // 2))
 
 
 def _check_budget(total: int, what: str, max_trees: int) -> None:
@@ -363,26 +343,17 @@ def enumerate_koh_trees(n: int, k: int,
     return _tree_table(n, k)
 
 
-def koh_leaf_table(n: int, k: int, max_trees: int = DEFAULT_TREE_BUDGET,
-                   bound: int | None = None) -> dict[tuple[int, ...], int]:
-    """The leaf tuples of the trees of type (n, k), each once, with the
-    number of trees that have it, in the order enumerate_koh_trees first
-    gives them; the same budget check, on every tree of the type, and no
-    tree built.  The table is cached: the caller must not change it.
-    With a bound, the tuples of the trees whose power shift is at most
-    bound only, in a table built for the call and not cached; the child
-    tables it joins are filled and cached in full.
+def koh_marked_vector(n: int, k: int, cap: int,
+                      max_trees: int = DEFAULT_TREE_BUDGET) -> list[int]:
+    """The marked vector of the type (n, k), at least up to min(cap, nk //
+    2), after the budget check enumerate_koh_trees makes, with no tree
+    built.  The vector is cached: the caller must not change it.
 
-    >>> koh_leaf_table(2, 2)
-    {(4,): 1, (0,): 1}
-    >>> koh_leaf_table(2, 2, bound=0)
-    {(4,): 1}
+    >>> koh_marked_vector(2, 2, 2)
+    [1, 0, 1]
     """
-    _check_type(n, k)
     _check_budget(count_koh_trees(n, k), f"of type ({n}, {k})", max_trees)
-    if bound is None:
-        return _leaf_table(n, k)
-    return leaf_table(_productions(n, k), n * k, bound)
+    return _marked(n, k, cap)
 
 
 def leaves(tree) -> tuple[int, ...]:
@@ -408,8 +379,8 @@ def leaf_sigma(degree: int, leaf_values: tuple[int, ...]) -> int:
 
 
 def leaf_term_sum(degree: int,
-                  leaf_table: Collection[tuple[tuple[int, ...], int]]) -> QPoly:
-    """The sum over the (leaf tuple, multiplicity) pairs of leaf_table of
+                  pairs: Collection[tuple[tuple[int, ...], int]]) -> QPoly:
+    """The sum over the (leaf tuple, multiplicity) pairs of
     the multiplicity times q^(sigma/2) times the product of [a + 1]_q
     over the tuple's labels a, sigma being degree minus the tuple's sum;
     the one kernel for products of q-integers, on packed ints.
@@ -420,10 +391,10 @@ def leaf_term_sum(degree: int,
     """
     from .qpoly import pack_width, packed_q_int, unpack
     width = pack_width(sum(ways * math.prod(a + 1 for a in lv)
-                           for lv, ways in leaf_table))
+                           for lv, ways in pairs))
     q_ints: dict[int, int] = {}
     total = 0
-    for lv, ways in leaf_table:
+    for lv, ways in pairs:
         term = ways
         for a in lv:
             if a not in q_ints:

@@ -39,15 +39,22 @@ def usable_cpus() -> int:
 def check_identities(family: TreeFamily, max_trees: int) -> None:
     """Check one cell of a family both ways, raising CrossCheckFailedError.
 
-    The tree terms must sum to every reference polynomial, then the
-    marked count must equal the difference at every r from 0 to half the
+    The tree terms sum to the polynomial whose coefficient at r <= total
+    / 2 is the sum of the family's marked vector up to r, mirrored about
+    the middle of the degree: each (tree, marking) pair at r stands for a
+    copy of V_(total-2r), which adds 1 at every degree from r to total -
+    r.  That sum must equal every reference polynomial, then the marked
+    count must equal the difference at every r from 0 to half the
     degree, compared as integers (two_row_counts) with no report built.
-    The leaf table is read first, so the tree budget, the one budget of a
-    cell, fails before any reference is computed.
+    The marked vector is read first, so the tree budget, the one budget
+    of a cell, fails before any reference is computed.
     """
-    from .koh import leaf_term_sum
+    from itertools import accumulate
+
+    from .qpoly import QPoly
     total = family.total
-    tree_sum = leaf_term_sum(total, family.leaf_table(max_trees).items())
+    sums = list(accumulate(family.marked(max_trees, total // 2)))
+    tree_sum = QPoly(sums + sums[:total - total // 2][::-1])
     wrong = [f"the {ref} gives {p}"
              for ref, p in family.references() if p != tree_sum]
     if wrong:

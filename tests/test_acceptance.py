@@ -18,7 +18,7 @@ from kohtrees.goh import (enumerate_configurations, enumerate_goh_trees,
 from kohtrees.koh import (KohTree, enumerate_koh_trees, koh_rhs_closed,
                           koh_term, leaf_sigma, leaves)
 from kohtrees.marking import (count_markings, enumerate_markings,
-                              marked_counts, marking_target)
+                              marking_target, witness_counts)
 from kohtrees.partitions import (Partition, count_in_rectangle,
                                  enumerate_partitions)
 from kohtrees.qpoly import ONE, QPoly, ZERO, q_binomial
@@ -142,26 +142,22 @@ def test_criterion_3_marked_koh_counts_match_rectangle_differences():
         for k in range(1, 37):
             if n * k > 36:
                 break
-            rs = range(n * k // 2 + 1)
-            # every tree on its own, with multiplicity 1
-            counts = marked_counts(((leaves(t), 1) for t in enumerate_koh_trees(n, k)),
-                                   n * k, rs)
-            for r, count in zip(rs, counts):
-                assert count == (count_in_rectangle(n, k, r)
-                                 - count_in_rectangle(n, k, r - 1))
+            # every tree marked on its own
+            leaf_lists = [leaves(t) for t in enumerate_koh_trees(n, k)]
+            for r in range(n * k // 2 + 1):
+                assert sum(witness_counts(leaf_lists, n * k, r)) == (
+                    count_in_rectangle(n, k, r) - count_in_rectangle(n, k, r - 1))
 
 
 def test_criterion_4_marked_goh_counts_match_hook_content_differences():
     for size in range(1, 6):
         for mu in enumerate_partitions(size):
             for k in range(1, 5):
-                rs = range(size * k // 2 + 1)
-                counts = marked_counts(
-                    ((goh_leaves(t), 1) for t in enumerate_goh_trees(mu, k)),
-                    size * k, rs)
+                leaf_lists = [goh_leaves(t) for t in enumerate_goh_trees(mu, k)]
                 poly = hook_content(mu, k)
-                for r, count in zip(rs, counts):
-                    assert count == poly.coeff(r) - poly.coeff(r - 1)
+                for r in range(size * k // 2 + 1):
+                    assert sum(witness_counts(leaf_lists, size * k, r)) == (
+                        poly.coeff(r) - poly.coeff(r - 1))
 
 
 def fixture_tree_8_9():

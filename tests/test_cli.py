@@ -629,7 +629,7 @@ def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
         if (n, k) != (6, 6):
             return family
         return TreeFamily(family.where, family.degree_name, family.total,
-                          family.trees, family.leaf_table, family.route,
+                          family.trees, family.marked, family.route,
                           lambda rs: (0,) * len(rs), family.references)
 
     monkeypatch.setattr(workers, "koh_family", koh_family)
@@ -652,67 +652,60 @@ def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
 
 def test_a_marking_dropped_by_the_value_table_fails_its_cell(capsys, monkeypatch):
     import kohtrees.marking as marking
-    real = marking._step
+    from kohtrees import koh
+    real = marking.tensor
 
-    def drop_one(dp, prefix, nxt, cap):
-        # the all-r last step of the tree (0, 20), cut at its top value 10,
-        # is one of koh n=6 k=6 and matches no other step of this sweep;
-        # drop its marking with value 0, which counts at r = 8
-        by_value = real(dp, prefix, nxt, cap)
-        if (prefix, nxt, cap) == (0, 20, 10):
+    def drop_one(x, dx, y, dy, cap):
+        # the step that puts the tree with the one leaf 36 under the root of
+        # koh n=6 k=6 matches no other step of this sweep; drop its marking
+        # with value 0, which counts at r = 0
+        by_value = real(x, dx, y, dy, cap)
+        if (dx, dy, cap) == (0, 36, 18):
             by_value[0] -= 1
         return by_value
 
-    monkeypatch.setattr(marking, "_step", drop_one)
+    monkeypatch.setattr(marking, "tensor", drop_one)
+    # an empty cache of marked vectors, so that the sweep fills every type
+    monkeypatch.setattr(koh, "_MARKED", {})
     code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "6",
                            "--max-k", "6", "--workers", "1")
     assert code == 1
     assert "FAIL koh n=6 k=6\n" in out
     assert "checked 42 cells: 41 passed, 1 failed" in out
-    assert ("marked trees give 4 but the rectangle difference gives 5 "
-            "for n=6, k=6, r=8\n") in out
+    # every coefficient of the tree sum is one short
+    from kohtrees.qpoly import QPoly, q_binomial
+    ref = q_binomial(6, 6)
+    short = QPoly([c - 1 for c in ref.coeffs])
+    assert out.split("first counterexample:\n", 1)[1].splitlines()[1] == (
+        f"  tree terms sum to {short} but the reference gives {ref} and the "
+        f"closed form gives {ref} for n=6, k=6")
 
 
-def test_a_single_r_query_marks_each_leaf_sequence_with_shift_at_most_r_once(
-        capsys, monkeypatch):
-    import kohtrees.marking as marking
-    from kohtrees.goh import enumerate_goh_trees
-    from kohtrees.koh import enumerate_koh_trees, leaves
-    from kohtrees.partitions import Partition
-    real_counts, real_last = marking.marked_counts, marking._last_step
-    given, windows = [], []
+def test_a_single_r_query_reads_one_vector_cut_at_r(capsys, monkeypatch):
+    from kohtrees import goh, koh
+    read = []
+    for module, name in (koh, "koh_marked_vector"), (goh, "marked_vector"):
+        real = getattr(module, name)
 
-    def recorded(pairs, total, rs):
-        pairs = list(pairs)
-        given.append((pairs, total, rs))
-        return real_counts(pairs, total, rs)
+        def recorded(*args, real=real, **kwargs):
+            vector = real(*args, **kwargs)
+            read.append((args[-1], list(vector)))
+            return vector
 
-    def counted(dp, prefix, last, target):
-        windows.append((prefix, last, target))
-        return real_last(dp, prefix, last, target)
-
-    monkeypatch.setattr(marking, "marked_counts", recorded)
-    monkeypatch.setattr(marking, "_last_step", counted)
-    for argv, trees, total, r in [
-            (("kronecker", "--n", "6", "--k", "6", "--r", "9"),
-             enumerate_koh_trees(6, 6), 36, 9),
-            (("plethysm", "--mu", "2,2", "--k", "3", "--r", "2"),
-             enumerate_goh_trees(Partition((2, 2)), 3), 12, 2)]:
-        given.clear()
-        windows.clear()
-        code, _, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(module, name, recorded)
+    # no cached vector, and no tree table to build trees in
+    monkeypatch.setattr(koh, "_MARKED", {})
+    monkeypatch.setattr(koh, "_TREES", None)
+    for argv, r, coefficient in [
+            (("kronecker", "--n", "6", "--k", "6", "--r", "9"), 9, 4),
+            (("plethysm", "--mu", "2,2", "--k", "3", "--r", "2"), 2, 1)]:
+        read.clear()
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        # one marking pass, handed each distinct leaf sequence whose power
-        # shift is at most r once, with its number of trees, in the order
-        # the trees first give them, and no sequence with a larger shift
-        distinct = {}
-        for t in trees:
-            distinct[leaves(t)] = distinct.get(leaves(t), 0) + 1
-        kept = [(lv, ways) for lv, ways in distinct.items() if total - sum(lv) <= 2 * r]
-        assert given == [(kept, total, range(r, r + 1))]
-        assert 0 < len(kept) < len(distinct) < len(trees)
-        # and each sequence of two or more leaves takes one last step there
-        assert len(windows) == sum(len(lv) > 1 for lv, _ in kept)
+        assert f"coefficient: {coefficient}\n" in out
+        # one vector, cut at r, whose last entry is the coefficient
+        assert [(cap, len(vector), vector[-1]) for cap, vector in read] == [
+            (r, r + 1, coefficient)]
 
 
 def test_coefficient_routes_build_no_trees(capsys, monkeypatch):

@@ -18,7 +18,7 @@ from kohtrees.workers import check_identities
 from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
                              NonExactDivisionError, PreconditionViolationError)
 from kohtrees.partitions import Partition, enumerate_partitions
-from kohtrees.koh import DEFAULT_TREE_BUDGET, leaf_term_sum, leaves
+from kohtrees.koh import DEFAULT_TREE_BUDGET, leaves
 from kohtrees.qpoly import (ONE, ZERO, QPoly, pack_width, q_binomial, q_int_ratio,
                             unpack)
 from qpoly_oracles import is_symmetric, is_unimodal, poly_add, q_int
@@ -240,7 +240,7 @@ def test_kronecker_cross_check_trips_on_disagreement(monkeypatch):
     def koh_family(n, k):
         family = real(n, k)
         return TreeFamily(family.where, family.degree_name, family.total,
-                          family.trees, family.leaf_table, family.route,
+                          family.trees, family.marked, family.route,
                           lambda rs: (0,) * len(rs), family.references)
 
     monkeypatch.setattr(coefficients, "koh_family", koh_family)
@@ -371,28 +371,31 @@ def test_check_identities_holds_on_random_small_cells(family):
     check_identities(family, DEFAULT_TREE_BUDGET)
 
 
-def test_a_verify_cell_joins_one_leaf_table_of_every_tree(monkeypatch):
+def test_a_verify_cell_reads_one_full_marked_vector(monkeypatch):
     from kohtrees import koh
-    tables = []
-    for module, name in (koh, "koh_leaf_table"), (goh, "goh_leaf_table"):
+    vectors = []
+    for module, name in (koh, "koh_marked_vector"), (goh, "marked_vector"):
         real = getattr(module, name)
 
-        def recorded(*args, real=real, **kwargs):
-            table = real(*args, **kwargs)
-            tables.append((kwargs.get("bound"), table))
-            return table
+        def recorded(*args, real=real, name=name, **kwargs):
+            # the cap is the last argument of either
+            vector = real(*args, **kwargs)
+            vectors.append((name, args[-1], vector))
+            return vector
 
         monkeypatch.setattr(module, name, recorded)
-    # odd and even degrees: every r up to total // 2 covers every power
-    # shift, so the sweep's range reads the table its tree sum read, from
-    # the koh cache or from the GOH family
-    for family, calls in [(koh_family(3, 3), 2), (koh_family(4, 3), 2),
-                          (goh_family(Partition((3, 2)), 3), 1),
-                          (goh_family(Partition((3, 1)), 3), 1)]:
-        tables.clear()
+    # odd and even degrees: the tree sum and the sweep's range both read the
+    # vector cut at total // 2, from the koh cache or from the GOH family
+    for family, name, calls in [(koh_family(3, 3), "koh_marked_vector", 2),
+                                (koh_family(4, 3), "koh_marked_vector", 2),
+                                (goh_family(Partition((3, 2)), 3), "marked_vector", 1),
+                                (goh_family(Partition((3, 1)), 3), "marked_vector", 1)]:
+        vectors.clear()
         check_identities(family, DEFAULT_TREE_BUDGET)
-        assert len(tables) == calls
-        assert all(bound is None and table is tables[0][1] for bound, table in tables)
+        assert len(vectors) == calls
+        assert all((called, cap) == (name, family.total // 2) and vector is vectors[0][2]
+                   for called, cap, vector in vectors)
+        assert len(vectors[0][2]) == family.total // 2 + 1
 
 
 def test_check_identities_reads_the_trees_before_the_oracle(monkeypatch):
@@ -442,27 +445,25 @@ def test_check_identities_builds_no_report_and_fails_as_two_row_does(monkeypatch
             assert sum(report.witness_counts) == report.value
     assert len(built) == sum(family.total // 2 + 1 for family in families)
 
-    # one marked count off at the last r: the cell check raises what
-    # two_row raises at that r, and only once the tree budget has passed
-    real = marking.marked_counts
-
-    def planted(table, total, rs):
-        counts = list(real(table, total, rs))
-        counts[-1] += 1
-        return tuple(counts)
-
-    monkeypatch.setattr(marking, "marked_counts", planted)
+    # one difference off at the last r: the cell check raises what two_row
+    # raises at that r, and only once the tree budget has passed
     for family in families:
         rs = range(family.total // 2 + 1)
+        right = family.difference(rs)
+        family = TreeFamily(
+            family.where, family.degree_name, family.total, family.trees,
+            family.marked, family.route,
+            lambda rs, real=family.difference, top=rs[-1]: tuple(
+                d - (r == top) for r, d in zip(rs, real(rs))),
+            family.references)
         with pytest.raises(CrossCheckFailedError) as checked:
             check_identities(family, DEFAULT_TREE_BUDGET)
         with pytest.raises(CrossCheckFailedError) as reported:
             coefficients.two_row(family, rs[-1], METHOD_BOTH, DEFAULT_TREE_BUDGET)
         assert str(checked.value) == str(reported.value)
         assert str(checked.value) == (
-            f"marked trees give {family.difference(rs)[-1] + 1} but the "
-            f"{family.route} difference gives {family.difference(rs)[-1]} "
-            f"for {family.where}, r={rs[-1]}")
+            f"marked trees give {right[-1]} but the {family.route} difference "
+            f"gives {right[-1] - 1} for {family.where}, r={rs[-1]}")
         with pytest.raises(BudgetExceededError):
             check_identities(family, 1)
 
@@ -491,17 +492,15 @@ def test_two_row_counts_gives_every_r_of_a_range_by_each_method():
             for r in rs)
 
 
-def test_two_row_counts_names_the_first_r_that_disagrees(monkeypatch):
-    from kohtrees import marking
-    real = marking.marked_counts
-
-    def planted(table, total, rs):
-        # off by one at the third and the fifth r of the range
-        return tuple(count + (i in (2, 4)) for i, count in enumerate(real(table, total, rs)))
-
-    monkeypatch.setattr(marking, "marked_counts", planted)
+def test_two_row_counts_names_the_first_r_that_disagrees():
     for family in koh_family(5, 4), goh_family(Partition((3, 2)), 3):
         rs = range(1, family.total // 2 + 1)
+        # a marked vector off by one at the third and the fifth r of the range
+        family = TreeFamily(
+            family.where, family.degree_name, family.total, family.trees,
+            lambda budget, cap, real=family.marked, off=(rs[2], rs[4]): [
+                count + (r in off) for r, count in enumerate(real(budget, cap))],
+            family.route, family.difference, family.references)
         diff = family.difference(rs)
         marked = coefficients.two_row_counts(family, rs, METHOD_MARKED, DEFAULT_TREE_BUDGET)
         assert marked == tuple(value + (i in (2, 4)) for i, value in enumerate(diff))
@@ -521,35 +520,44 @@ def test_two_row_counts_names_the_first_r_that_disagrees(monkeypatch):
             coefficients.two_row_counts(family, rs, "fastest", 1)
 
 
-def test_a_range_below_half_the_degree_joins_a_root_table_the_cache_does_not_keep(
-        monkeypatch):
+def test_a_range_below_half_the_degree_caches_a_root_vector_cut_at_its_last_r():
     from kohtrees import koh
-    bounds = []
-    real = koh.koh_leaf_table
-
-    def recorded(*args, **kwargs):
-        bounds.append(kwargs.get("bound"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(koh, "koh_leaf_table", recorded)
-    koh._LEAVES.clear()
+    koh._MARKED.clear()
     family = koh_family(4, 3)
     counts = coefficients.two_row_counts(family, range(5), METHOD_MARKED,
                                          DEFAULT_TREE_BUDGET)
     assert counts == family.difference(range(5))
-    assert bounds == [4] and (4, 3) not in koh._LEAVES
-    # a range up to total // 2 reads the table of every tree, which the
-    # cache keeps
+    short = koh._MARKED[4, 3]
+    assert len(short) == 5
+    # a later r past the cut fills the vector again, up to total // 2
     coefficients.two_row_counts(family, range(3, 7), METHOD_MARKED, DEFAULT_TREE_BUDGET)
-    assert bounds == [4, None] and (4, 3) in koh._LEAVES
+    full = koh._MARKED[4, 3]
+    assert len(full) == 7 and full[:5] == short
+    # and a shorter range reads that one
+    assert coefficients.two_row_counts(family, range(2), METHOD_MARKED,
+                                       DEFAULT_TREE_BUDGET) == tuple(full[:2])
+    assert koh._MARKED[4, 3] is full
+
+
+def test_one_row_plethysm_is_the_kronecker_slice_of_the_same_sides():
+    # GOH at mu = (n) is one KOH tree of type (n, k) under a root, and
+    # s_(n)(1, q, ..., q^k) is the Gaussian binomial [n+k choose k]_q: the
+    # hook-content and the rectangle routes meet on one cell
+    for n in range(1, 13):
+        for k in range(1, 13):
+            rs = range(n * k // 2 + 1)
+            assert coefficients.two_row_counts(
+                goh_family(Partition((n,)), k), rs, METHOD_BOTH, DEFAULT_TREE_BUDGET
+            ) == coefficients.two_row_counts(
+                koh_family(n, k), rs, METHOD_BOTH, DEFAULT_TREE_BUDGET), (n, k)
 
 
 def test_the_marked_route_shows_the_pak_panova_bound():
     # Pak-Panova (2013): for n, k >= 8 the Kronecker coefficient is 1 at
     # r = 0, 0 at r = 1 and positive at every 2 <= r <= nk/2, so the marked
     # trees must show it
-    for n in range(8, 14):
-        for k in range(8, 14):
+    for n in range(8, 17):
+        for k in range(8, 17):
             rs = range(n * k // 2 + 1)
             counts = coefficients.two_row_counts(koh_family(n, k), rs, METHOD_MARKED,
                                                  DEFAULT_TREE_BUDGET)
@@ -597,8 +605,11 @@ def test_report_is_frozen():
 @given(st.one_of(st.builds(koh_family, st.integers(0, 9), st.integers(1, 7)),
                  st.builds(goh_family, partitions_of_size(1, 6), st.integers(1, 4))))
 def test_tree_sums_are_symmetric_and_unimodal(family):
-    # the sum over the leaf table, against the trees' terms one by one
-    tree_sum = leaf_term_sum(family.total, family.leaf_table(DEFAULT_TREE_BUDGET).items())
+    # the running sums of the marked vector, mirrored about the middle of
+    # the degree as check_identities reads them, against the trees' terms
+    # one by one
+    sums = list(itertools.accumulate(family.marked(DEFAULT_TREE_BUDGET, family.total)))
+    tree_sum = QPoly(sums + sums[:family.total + 1 - len(sums)][::-1])
     assert is_symmetric(tree_sum, family.total)
     assert is_unimodal(tree_sum)
     schoolbook = ZERO

@@ -11,9 +11,8 @@ from kohtrees.coefficients import hook_content
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import (Configuration, GohTree, enumerate_configurations,
-                          enumerate_goh_trees, goh_leaf_table, goh_leaves,
-                          goh_rhs_closed, goh_term)
-from kohtrees.koh import KohTree, leaf_sigma, leaves
+                          enumerate_goh_trees, goh_leaves, goh_rhs_closed, goh_term)
+from kohtrees.koh import KohTree, count_trees, leaf_sigma, leaves
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ZERO, q_binomial, sum_of_products
 from kohtrees.render import tree_to_dict, tree_to_dot
@@ -167,12 +166,12 @@ def test_count_matches_enumeration():
         for mu in enumerate_partitions(size):
             for k in range(0, 4):
                 assert (len(enumerate_goh_trees(mu, k))
-                        == sum(goh_leaf_table(mu, k).values()))
+                        == count_trees(goh._typed_configurations(mu, k)))
 
 
 def test_budget_enforced():
     mu = Partition((3, 3, 2, 1))
-    total = sum(goh_leaf_table(mu, 6).values())
+    total = count_trees(goh._typed_configurations(mu, 6))
     with pytest.raises(BudgetExceededError):
         enumerate_goh_trees(mu, 6, max_trees=total - 1)
     assert len(enumerate_goh_trees(mu, 6, max_trees=total)) == total
@@ -362,7 +361,7 @@ def test_child_types_run_once_per_configuration(monkeypatch):
     forget_shape(lam)
     walks, slots = record_walks_and_slots(monkeypatch)
     for k in range(1, 7):
-        total = sum(goh_leaf_table(lam, k).values())
+        total = count_trees(goh._typed_configurations(lam, k))
         assert len(enumerate_goh_trees(lam, k, max_trees=total)) == total
         assert goh_rhs_closed(lam, k) == hook_content(lam, k)
         # the blocks walked so far are those of the level-1 partitions
@@ -375,7 +374,7 @@ def test_child_types_run_once_per_configuration(monkeypatch):
     slots.clear()
     goh._typed_configurations.cache_clear()
     k = 3
-    total = sum(goh_leaf_table(lam, k).values())
+    total = count_trees(goh._typed_configurations(lam, k))
     assert not walks and not slots
 
     def no_trees(*args, **kwargs):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from kohtrees import goh, koh, partitions
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
-from kohtrees.goh import enumerate_goh_trees, goh_leaf_table, goh_term
-from kohtrees.koh import (KohTree, count_koh_trees, count_trees, enumerate_koh_trees,
-                          koh_leaf_table, koh_rhs_closed, koh_term, leaf_sigma,
-                          leaf_term_sum, leaves)
+from kohtrees.goh import enumerate_goh_trees, goh_family, goh_term
+from kohtrees.koh import (KohTree, count_koh_trees, enumerate_koh_trees,
+                          koh_marked_vector, koh_rhs_closed, koh_term, leaf_sigma,
+                          leaf_term_sum, leaves, marked_vector)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ONE, ZERO, q_binomial
 from kohtrees.render import tree_to_dict, tree_to_dot
@@ -473,94 +473,112 @@ def test_dot_marks_attach_circles():
     assert "style=dashed" in dot
 
 
-def first_seen_counts(trees):
-    """Each leaf tuple of trees with the number of trees that have it, in
-    the order the trees first give them."""
-    table = {}
-    for t in trees:
-        table[leaves(t)] = table.get(leaves(t), 0) + 1
-    return table
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(
-    st.tuples(st.just("koh"), st.integers(0, 10), st.integers(1, 8)),
+small_cells = st.one_of(
+    st.tuples(st.just("koh"), st.integers(0, 8), st.integers(1, 6)),
     st.tuples(st.just("goh"),
               st.integers(1, 6).flatmap(lambda size: st.sampled_from(
                   enumerate_partitions(size))),
-              st.integers(1, 5))))
-@example(("koh", 6, 6))
-@example(("goh", Partition((2, 2)), 3))
-def test_the_leaf_table_counts_the_trees_of_each_leaf_tuple(cell):
-    family, shape, k = cell
-    if family == "koh":
-        table = koh_leaf_table(shape, k)
-        trees, count = enumerate_koh_trees(shape, k), count_koh_trees(shape, k)
-    else:
-        table = goh_leaf_table(shape, k)
-        trees = enumerate_goh_trees(shape, k)
-        count = count_trees(goh._typed_configurations(shape, k))
-    # the same tuples in the same order, each with its number of trees
-    assert list(table.items()) == list(first_seen_counts(trees).items())
-    assert sum(table.values()) == count == len(trees)
+              st.integers(1, 4)))
+
+
+def cell_family(cell):
+    from kohtrees.coefficients import koh_family
+    name, shape, k = cell
+    if name == "koh":
+        return koh_family(shape, k), enumerate_koh_trees(shape, k)
+    return goh_family(shape, k), enumerate_goh_trees(shape, k)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(
-    st.tuples(st.just("koh"), st.integers(0, 10), st.integers(1, 8)),
-    st.tuples(st.just("goh"),
-              st.integers(1, 6).flatmap(lambda size: st.sampled_from(
-                  enumerate_partitions(size))),
-              st.integers(1, 5))),
-    st.data())
+@given(small_cells, st.data())
 @example(("koh", 6, 6), None)
 @example(("goh", Partition((2, 2)), 3), None)
-def test_a_bounded_leaf_table_keeps_the_trees_whose_shift_is_at_most_r(cell, data):
-    from kohtrees.coefficients import koh_family
-    from kohtrees.goh import goh_family
-    from kohtrees.marking import marked_counts
-    family, shape, k = cell
-    if family == "koh":
-        full, total = koh_leaf_table(shape, k), shape * k
-        bounded = functools.partial(koh_leaf_table, shape, k)
-        difference = koh_family(shape, k).difference
-    else:
-        full, total = goh_leaf_table(shape, k), shape.size * k
-        bounded = functools.partial(goh_leaf_table, shape, k)
-        difference = goh_family(shape, k).difference
-    rs = range(total // 2 + 1) if data is None else [data.draw(st.integers(0, total // 2))]
-    for r in rs:
-        table = bounded(bound=r)
-        # the full table's tuples whose power shift is at most r, with the
-        # same multiplicities, in the same order
-        assert list(table.items()) == [(lv, ways) for lv, ways in full.items()
-                                       if total - sum(lv) <= 2 * r]
-        assert marked_counts(table.items(), total, range(r, r + 1)) == difference(
-            range(r, r + 1))
+def test_the_marked_route_counts_every_marking_of_every_tree(cell, data):
+    # the vectors against brute force: every tree built, its markings at
+    # each r listed one by one
+    from kohtrees.coefficients import METHOD_MARKED, two_row_counts
+    from kohtrees.marking import enumerate_markings, marking_target
+    family, trees = cell_family(cell)
+    total = family.total
+    listed = tuple(sum(len(enumerate_markings(lv, marking_target(sum(lv), total, r)))
+                       for lv in map(leaves, trees))
+                   for r in range(total // 2 + 1))
+    assert two_row_counts(family, range(total // 2 + 1), METHOD_MARKED,
+                          10 ** 7) == listed
+    # and at one r, from an empty cache, with the vectors cut at r
+    r = total // 2 if data is None else data.draw(st.integers(0, total // 2))
+    koh._MARKED.clear()
+    assert two_row_counts(family, range(r, r + 1), METHOD_MARKED,
+                          10 ** 7) == listed[r:r + 1]
 
 
-def test_a_bounded_table_fills_no_child_table_for_a_label_past_the_bound():
-    koh._LEAVES.clear()
-    koh_leaf_table(12, 12, bound=3)
-    filled = set(koh._LEAVES)
-    koh_leaf_table(12, 12)
-    # the root table is the call's own, and the child tables of the labels
-    # whose own shift passes 3 are left for a later call to fill
-    assert (12, 12) not in filled and filled < set(koh._LEAVES) - {(12, 12)}
-    for _, types in koh._productions(12, 12):
-        if 144 - sum(a * b for _, (a, b) in types) <= 2 * 3:
-            assert {ctype for _, ctype in types} <= filled
+@settings(max_examples=150, deadline=None)
+@given(small_cells, st.data())
+def test_a_capped_vector_matches_the_full_vector_below_its_cap(cell, data):
+    family, trees = cell_family(cell)
+    full = family.marked(10 ** 7, family.total)
+    assert len(full) == family.total // 2 + 1
+    # the number of (tree, marking) pairs over every r: the trees' terms
+    # at q = 1, summed from the middle of the degree down
+    assert sum(full) == sum(koh_term(t).coeff(family.total // 2) if cell[0] == "koh"
+                            else goh_term(t).coeff(family.total // 2) for t in trees)
+    cap = data.draw(st.integers(0, family.total // 2))
+    koh._MARKED.clear()
+    fresh = cell_family(cell)[0]
+    assert fresh.marked(10 ** 7, cap) == full[:cap + 1]
 
 
-def test_the_leaf_tables_repeat_tuples_and_keep_the_budget():
-    table = koh_leaf_table(16, 16)
-    assert (len(table), sum(table.values())) == (6358, 12870)
-    assert goh_leaf_table(Partition((2, 2)), 3) == {(0, 8): 1, (0, 4): 2, (0, 0): 1}
+def test_a_capped_vector_reads_no_child_vector_for_a_label_past_the_cap(monkeypatch):
+    koh._MARKED.clear()
+    full = koh_marked_vector(12, 12, 72)
+    koh._MARKED.clear()
+    # every type the call reads is filled at the cap first
+    koh_marked_vector(12, 12, 3)
+    read = []
+    real = koh._marked
+
+    def recorded(n, k, cap):
+        read.append((n, k, cap))
+        return real(n, k, cap)
+
+    monkeypatch.setattr(koh, "_marked", recorded)
+    productions = koh._productions(12, 12)
+    assert marked_vector(productions, 144, 3) == full[:4]
+    # a label whose own shift passes 3 reads no child vector
+    kept = [types for _, types in productions
+            if 144 - sum(a * b for _, (a, b) in types) <= 2 * 3]
+    assert 0 < len(kept) < len(productions)
+    assert read == [(a, b, 3) for types in kept for _, (a, b) in types]
+
+
+def test_the_marked_vectors_keep_the_budget():
+    from kohtrees.qpoly import q_binomial
+    vector = koh_marked_vector(16, 16, 128)
+    # every (tree, marking) pair: the middle coefficient of the binomial
+    assert (len(vector), sum(vector)) == (129, q_binomial(16, 16).coeff(128))
+    assert goh_family(Partition((2, 2)), 3).marked(4, 6) == [0, 0, 1, 0, 2, 0, 1]
     with pytest.raises(BudgetExceededError,
                        match=r"^70 trees of type \(8, 9\) exceed the budget 69$"):
-        koh_leaf_table(8, 9, max_trees=69)
-    assert sum(koh_leaf_table(8, 9, max_trees=70).values()) == 70
+        koh_marked_vector(8, 9, 10, max_trees=69)
+    assert koh_marked_vector(8, 9, 10, max_trees=70)[10] == 10 == (
+        q_binomial(8, 9).coeff(10) - q_binomial(8, 9).coeff(9))
     with pytest.raises(BudgetExceededError,
                        match=r"^4 trees for \(Partition\(\[2, 2\]\), 3\) exceed "
                              r"the budget 3$"):
-        goh_leaf_table(Partition((2, 2)), 3, max_trees=3)
+        goh_family(Partition((2, 2)), 3).marked(3, 6)
+
+
+def test_every_type_below_14_12_has_the_cayley_sylvester_vector():
+    # Cayley-Sylvester: the copies of V_(ab-2j) in the type (a, b) number
+    # c_j - c_(j-1), the first differences of the Gaussian binomial; every
+    # type reachable from a cell with n <= 14 and k <= 12, filled in full
+    from kohtrees.qpoly import q_binomial
+    koh._MARKED.clear()
+    for n in range(15):
+        for k in range(1, 13):
+            koh_marked_vector(n, k, n * k)
+    assert len(koh._MARKED) == 370
+    for (a, b), vector in koh._MARKED.items():
+        c = q_binomial(a, b).coeffs
+        assert vector == [c[j] - (c[j - 1] if j else 0)
+                          for j in range(a * b // 2 + 1)], (a, b)

@@ -1,20 +1,18 @@
 import itertools
 import random
 import time
-import weakref
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohtrees import marking
-from kohtrees.errors import PreconditionViolationError
-from kohtrees.goh import enumerate_goh_trees, goh_leaf_table
-from kohtrees.koh import enumerate_koh_trees, koh_leaf_table, leaves
-from kohtrees.marking import (_last_step, _PrefixTable, count_markings,
-                              enumerate_markings, marked_counts, marking_target,
-                              witness_counts)
+from kohtrees import koh, marking
+from kohtrees.coefficients import METHOD_MARKED, koh_family, two_row_counts
+from kohtrees.errors import DEFAULT_TREE_BUDGET, PreconditionViolationError
+from kohtrees.goh import enumerate_goh_trees, goh_family
+from kohtrees.koh import enumerate_koh_trees, leaves, marked_vector
+from kohtrees.marking import (count_markings, enumerate_markings, marking_target,
+                              tensor, witness_counts)
 from kohtrees.partitions import enumerate_partitions
 from kohtrees.qpoly import ONE
 from qpoly_oracles import q_int
@@ -48,7 +46,8 @@ def brute_force_markings(a, target):
 
 def dict_dp_markings(a, target):
     """The marking DP kept in a dict of reachable values, one value of the
-    new range at a time: the reference the prefix-sum DP is checked against."""
+    new range at a time: the reference the Clebsch-Gordan step is checked
+    against."""
     if target < 0:
         return 0
     dp = {0: 1}
@@ -67,6 +66,26 @@ def dict_dp_markings(a, target):
 # listing every marking is kept to instances this small; the oracle and
 # the coefficient difference check the rest
 LISTED_MARKINGS_CAP = 20_000
+
+
+def fold(a, cap):
+    """The markings of the leaves a by final value up to cap, one tensor
+    step per leaf."""
+    row, degree = [1], a[0]
+    for x in a[1:]:
+        row = tensor(row, degree, [1], x, cap)
+        degree += x
+    return row
+
+
+def marked_counts(pairs, total, rs):
+    """For each r of rs, the markings at r of the (leaf sequence,
+    multiplicity) pairs, each sequence at its own target, through
+    koh.marked_vector: a sequence is a label whose child types are its
+    leaves, once per tree."""
+    productions = [(None, [(i, (a, 1)) for i, a in enumerate(ls)])
+                   for ls, ways in pairs for _ in range(ways)]
+    return tuple(marked_vector(productions, total, rs[-1])[rs[0]:])
 
 
 @st.composite
@@ -97,6 +116,11 @@ def test_all_r_counts_match_the_one_target_kernel_and_the_dict_oracle(a, shift):
     rs = range(total // 2 + 1)
     for r, count in zip(rs, marked_counts([(a, 1)], total, rs)):
         assert count == count_markings(a, r - shift) == dict_dp_markings(a, r - shift)
+    # one leaf's row is [1]; a longer sequence's holds every value up to
+    # half its leaf sum
+    row = fold(a, total)
+    padded = row + [0] * (sum(a) // 2 + 1 - len(row))
+    assert padded == [count_markings(a, v) for v in range(sum(a) // 2 + 1)]
 
 
 @st.composite
@@ -117,18 +141,14 @@ def trie_visits(draw):
 @settings(max_examples=200, deadline=None)
 @given(trie_visits(), st.integers(0, 12))
 def test_counts_through_one_shared_table_are_exact(visits, cap):
-    # the cap is fixed, so every target asked of the table lies at or below
-    # it; a sequence of two or more leaves counts the window of its head
-    # row, as the single-r loop reads it
-    table = _PrefixTable(cap)
-    for a, target in visits:
-        target = min(target, cap)
-        if len(a) > 1 and target >= 0:
-            shared = _last_step(table.row(a[:-1]), sum(a[:-1]), a[-1], target)
-            assert shared == count_markings(a, target) == dict_dp_markings(a, target), (
-                a, target)
-        # the rows the table serves are the ones a fresh table steps
-        assert table.row(a) == _PrefixTable(cap).row(a)
+    # witness_counts keeps the rows of the previous sequence, cut at r, and
+    # every target it is asked lies at or below r
+    seqs = [a for a, _ in visits]
+    total = max(map(sum, seqs)) + 2 * cap
+    leaf_lists = [a for a in seqs if (total - sum(a)) % 2 == 0]
+    for r in range(cap + 1):
+        assert witness_counts(leaf_lists, total, r) == tuple(
+            dict_dp_markings(a, marking_target(sum(a), total, r)) for a in leaf_lists)
 
 
 def first_seen_table(leaf_lists):
@@ -155,108 +175,89 @@ def test_all_r_counts_through_the_table_match_the_single_r_counts(visits):
         assert count == marked_counts(pairs, total, range(r, r + 1))[0] == sum(each)
 
 
-@settings(max_examples=200, deadline=None)
-@given(trie_visits(), st.data())
-def test_sub_ranges_match_the_per_r_route_while_rows_are_dropped(visits, data):
-    # degrees up to 12 past the largest leaf sum put some power shifts past
-    # the end of the range, and a table of a few cells drops its rows
-    # within a call on both routes
-    seqs = [a for a, _ in visits]
-    total = max(map(sum, seqs)) + data.draw(st.integers(0, 12))
-    leaf_lists = [a for a in seqs if (total - sum(a)) % 2 == 0]
-    pairs = first_seen_table(leaf_lists).items()
-    first = data.draw(st.integers(0, total // 2))
-    rs = range(first, data.draw(st.integers(first, total // 2)) + 1)
-    with mock.patch.object(marking, "_TABLE_CELLS", data.draw(st.integers(1, 24))):
-        all_r = marked_counts(pairs, total, rs)
-        assert len(all_r) == len(rs)
-        for r, count in zip(rs, all_r):
-            assert count == marked_counts(pairs, total, range(r, r + 1))[0]
-            assert count == sum(dict_dp_markings(a, marking_target(sum(a), total, r))
-                                for a in leaf_lists)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("koh"), st.integers(0, 9), st.integers(1, 7)),
+    st.tuples(st.just("goh"), st.integers(1, 6).flatmap(
+        lambda size: st.sampled_from(enumerate_partitions(size))), st.integers(1, 4))),
+    st.data())
+def test_sub_ranges_match_the_per_r_route_while_rows_are_dropped(cell, data):
+    # every query below starts from a cache of marked vectors that is
+    # empty or holds vectors cut at another cap, which it fills again
+    family_name, shape, k = cell
+    family = koh_family(shape, k) if family_name == "koh" else goh_family(shape, k)
+    top = family.total // 2
+    first = data.draw(st.integers(0, top))
+    rs = range(first, data.draw(st.integers(first, top)) + 1)
+    if data.draw(st.booleans()):
+        koh._MARKED.clear()
+    else:
+        two_row_counts(family, range(data.draw(st.integers(0, top)) + 1),
+                       METHOD_MARKED, DEFAULT_TREE_BUDGET)
+    counts = two_row_counts(family, rs, METHOD_MARKED, DEFAULT_TREE_BUDGET)
+    koh._MARKED.clear()
+    assert counts == family.difference(rs) == tuple(
+        two_row_counts(family, range(r, r + 1), METHOD_MARKED, DEFAULT_TREE_BUDGET)[0]
+        for r in rs)
 
 
 @pytest.mark.parametrize("rs", [range(1, 2), range(0, 3)])
 def test_a_leaf_sum_above_the_degree_raises(rs):
-    # a target above the table's cap could only come from such a sequence
-    with pytest.raises(PreconditionViolationError, match="leaf sum 8 exceeds the degree 4"):
-        marked_counts(iter([((2, 2), 1), ((4, 4), 3)]), 4, rs)
-    with pytest.raises(PreconditionViolationError, match="leaf sum 6 exceeds the degree 4"):
-        marked_counts([((6,), 1)], 4, rs)
+    for r in rs:
+        with pytest.raises(PreconditionViolationError,
+                           match="leaf sum 8 exceeds the degree 4"):
+            witness_counts(iter([(2, 2), (4, 4)]), 4, r)
+        with pytest.raises(PreconditionViolationError,
+                           match="leaf sum 6 exceeds the degree 4"):
+            witness_counts([(6,)], 4, r)
 
 
-# leaf sequences whose prefixes come back, one of them (3, 1, 4) in a
-# tree that is not the next one; every leaf sum is even, like 12
-SHARING = [(2, 2, 3, 1), (3, 1, 4), (2, 2, 1, 3), (3, 1, 4, 2), (2, 2, 3, 5)]
+# leaf sequences in tree order: each shares a prefix with the one before
+# it, and (3, 1, 4) is a prefix of the one after it
+SHARING = [(2, 2, 1, 3), (2, 2, 3, 1), (2, 2, 3, 5), (3, 1, 4), (3, 1, 4, 2)]
 
 
 def counted_steps(monkeypatch):
     steps = []
-    original = marking._step
+    original = marking.tensor
 
     def counted(*args):
         steps.append(args)
         return original(*args)
 
-    monkeypatch.setattr(marking, "_step", counted)
+    monkeypatch.setattr(marking, "tensor", counted)
     return steps
 
 
 def test_the_table_steps_each_prefix_once(monkeypatch):
-    expected = {a: _PrefixTable(9).row(a) for a in SHARING}
+    expected = [dict_dp_markings(a, marking_target(sum(a), 12, 3)) for a in SHARING]
     steps = counted_steps(monkeypatch)
-    table = _PrefixTable(9)
-    for _ in range(2):
-        for a in SHARING:
-            assert table.row(a) == expected[a]
+    assert witness_counts(SHARING, 12, 3) == tuple(expected)
+    # one step for each leaf past the first of every distinct prefix
     prefixes = {a[:i] for a in SHARING for i in range(2, len(a) + 1)}
-    assert set(table.rows) == prefixes and len(steps) == len(prefixes)
-    assert table.cells == sum(map(len, table.rows.values()))
+    assert len(steps) == len(prefixes)
+    # each a vector [1] of one leaf, cut at r
+    assert all((y, cap) == ([1], 3) for _, _, y, _, cap in steps)
 
 
 def test_the_table_holds_a_bounded_number_of_values():
-    table = _PrefixTable(40)
     rng = random.Random(3)
     for _ in range(400):
         a = tuple(rng.randint(0, 20) for _ in range(rng.randint(1, 8)))
         # each row holds every value up to the cap or half its leaf sum
-        row = table.row(a)
-        assert row == _PrefixTable(40).row(a)
+        row = fold(a, 40)
         assert len(row) == (min(40, sum(a) // 2) + 1 if len(a) > 1 else 1)
         assert [row[v] for v in (0, 7, 40) if v < len(row)] == [
             dict_dp_markings(a, v) for v in (0, 7, 40) if v < len(row)]
-        assert table.cells == sum(map(len, table.rows.values())) <= marking._TABLE_CELLS
 
 
-@pytest.mark.parametrize("rs", [range(3, 4), range(0, 7)])
-def test_marked_counts_steps_each_prefix_once_and_keeps_no_rows(monkeypatch, rs):
-    steps = counted_steps(monkeypatch)
-    tables, asked = [], []
-
-    class Recorded(_PrefixTable):
-        def __init__(self, cap):
-            super().__init__(cap)
-            tables.append(weakref.ref(self))
-
-        def row(self, prefix):
-            asked.append(prefix)
-            return super().row(prefix)
-
-    monkeypatch.setattr(marking, "_PrefixTable", Recorded)
-    # each sequence stands for one to five trees
-    pairs = [(a, ways) for ways, a in enumerate(SHARING, start=1)]
-    counts = marked_counts(pairs, 12, rs)
-    # both routes ask the table once per sequence for its row of all its
-    # leaves but the last (every target here is feasible); a range of r
-    # then steps each sequence, all of them multi-leaf, past its last leaf
-    # once more, and stores none of it
-    last_steps = len(SHARING) if len(rs) > 1 else 0
-    assert asked == [a[:-1] for a in SHARING]
-    assert len(steps) == len({a[:i] for a in SHARING for i in range(2, len(a))}) + last_steps
-    assert len(tables) == 1 and tables[0]() is None
-    for r, count in zip(rs, counts):
-        assert count == sum(ways * dict_dp_markings(a, marking_target(sum(a), 12, r))
-                            for a, ways in pairs)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=4),
+       st.lists(st.integers(0, 9), min_size=1, max_size=4), st.integers(0, 20))
+def test_a_tensor_of_two_folds_is_the_fold_of_both_cut_at_any_cap(a, b, cap):
+    # V(a) (x) V(b) = V(a + b), and entry j reads only entries up to j
+    joined = tensor(fold(a, cap), sum(a), fold(b, cap), sum(b), cap)
+    assert joined == fold(a + b, cap) == fold(a + b, sum(a + b))[:cap + 1]
 
 
 def test_all_r_counts_small_cases():
@@ -279,13 +280,11 @@ def test_all_r_counts_small_cases():
 
 
 def test_marked_counts_validates_leaves():
-    for rs in range(1, 2), range(0, 3):
+    for r in range(3):
         with pytest.raises(PreconditionViolationError, match="nonempty leaf sequence"):
-            marked_counts([((), 1)], 4, rs)
+            witness_counts([(2, 2), ()], 4, r)
         with pytest.raises(PreconditionViolationError, match="must be nonnegative"):
-            marked_counts([((1, -1), 1)], 4, rs)
-    with pytest.raises(PreconditionViolationError, match="nonempty leaf sequence"):
-        witness_counts([()], 4, 1)
+            witness_counts([(1, -1)], 4, r)
 
 
 def test_a_target_past_half_the_leaf_sum_counts_zero_at_once():
@@ -367,49 +366,51 @@ def test_marked_counts_per_tree_at_each_r():
 
 
 def small_families():
-    """(leaf tuples, degree) of every KOH type with n, k <= 8 and every GOH
-    shape of size <= 6 with k <= 4."""
+    """(family, leaf tuples of its trees) of every KOH type with n, k <= 8
+    and every GOH shape of size <= 6 with k <= 4."""
     for n in range(0, 9):
         for k in range(1, 9):
-            yield [leaves(t) for t in enumerate_koh_trees(n, k)], n * k
+            yield koh_family(n, k), [leaves(t) for t in enumerate_koh_trees(n, k)]
     for size in range(1, 7):
         for mu in enumerate_partitions(size):
             for k in range(1, 5):
-                yield [leaves(t) for t in enumerate_goh_trees(mu, k)], size * k
+                yield goh_family(mu, k), [leaves(t) for t in enumerate_goh_trees(mu, k)]
 
 
 def test_the_all_r_walk_matches_the_single_r_count_tree_by_tree():
-    for leaf_lists, total in small_families():
-        pairs = first_seen_table(leaf_lists).items()
+    for family, leaf_lists in small_families():
+        total = family.total
         top = total // 2
         # every r, then ranges that start above 0 or stop below total // 2
         ranges = [range(top + 1), range(1, top), range(top // 2, top + 1),
                   range(top // 2, top)]
         for rs in (rs for rs in ranges if len(rs) >= 2):
-            all_r = marked_counts(iter(pairs), total, rs)
+            all_r = two_row_counts(family, rs, METHOD_MARKED, DEFAULT_TREE_BUDGET)
             assert len(all_r) == len(rs)
             for r, count in zip(rs, all_r):
-                assert count == marked_counts(pairs, total, range(r, r + 1))[0]
                 assert count == sum(witness_counts(leaf_lists, total, r))
 
 
 @st.composite
 def small_cells(draw):
-    """(leaf table, degree) of a KOH type with n <= 8 and k <= 7, or of a
-    GOH cell of size <= 6 with k <= 4."""
+    """A KOH family with n <= 8 and k <= 7, or a GOH family of size <= 6
+    with k <= 4."""
     if draw(st.booleans()):
-        n, k = draw(st.integers(0, 8)), draw(st.integers(1, 7))
-        return koh_leaf_table(n, k), n * k
+        return koh_family(draw(st.integers(0, 8)), draw(st.integers(1, 7)))
     mu = draw(st.integers(1, 6).flatmap(
         lambda size: st.sampled_from(enumerate_partitions(size))))
-    k = draw(st.integers(1, 4))
-    return goh_leaf_table(mu, k), mu.size * k
+    return goh_family(mu, draw(st.integers(1, 4)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_cells())
-def test_the_all_r_totals_of_a_cell_equal_its_single_r_totals(cell):
-    table, total = cell
-    rs = range(total // 2 + 1)
-    assert marked_counts(table.items(), total, rs) == tuple(
-        marked_counts(table.items(), total, range(r, r + 1))[0] for r in rs)
+def test_the_all_r_totals_of_a_cell_equal_its_single_r_totals(family):
+    rs = range(family.total // 2 + 1)
+    all_r = two_row_counts(family, rs, METHOD_MARKED, DEFAULT_TREE_BUDGET)
+    # each r from a cache that holds only the vectors cut at r
+    single = []
+    for r in rs:
+        koh._MARKED.clear()
+        single += two_row_counts(family, range(r, r + 1), METHOD_MARKED,
+                                 DEFAULT_TREE_BUDGET)
+    assert all_r == tuple(single)
