@@ -3,11 +3,13 @@ Kronecker coefficients and two-row plethysm coefficients.
 
 The library builds on three layers: integer polynomials in q and
 partitions (qpoly, partitions), expansion trees whose terms sum to a
-Gaussian binomial or a principal Schur specialization (koh, goh), and
-leaf markings that single out one coefficient of a product of
-q-integers (marking).  The coefficients module combines them and
-cross-checks every answer against an independent difference formula;
-render writes trees of either family as text, JSON or DOT.
+Gaussian binomial or a principal Schur specialization (koh, trees, goh),
+and leaf markings that single out one coefficient of a product of
+q-integers (marking, and the marked vectors of koh).  The coefficients
+module combines them and cross-checks every answer against an
+independent difference formula; general reduces a general inner shape
+to the two-row plethysm; render writes trees of either family as text,
+JSON or DOT.
 
 The names below load on first use (PEP 562), so importing one module,
 such as kohtrees.cli, does not compile the others.
@@ -20,11 +22,13 @@ _HOMES = {
     **dict.fromkeys(("ONE", "ZERO", "QPoly", "q_binomial"), "qpoly"),
     **dict.fromkeys(("Partition", "count_in_rectangle", "enumerate_partitions"),
                     "partitions"),
-    **dict.fromkeys(("KohTree", "count_koh_trees", "enumerate_koh_trees",
-                     "koh_rhs_closed", "koh_term", "leaves"), "koh"),
+    "KohTree": "trees",
+    **dict.fromkeys(("count_koh_trees", "enumerate_koh_trees", "koh_rhs_closed",
+                     "koh_term", "leaves"), "koh"),
     **dict.fromkeys(("Configuration", "GohTree", "enumerate_configurations",
                      "enumerate_goh_trees", "goh_leaves", "goh_rhs_closed",
-                     "goh_term", "plethysm_two_row_general"), "goh"),
+                     "goh_term"), "goh"),
+    "plethysm_two_row_general": "general",
     **dict.fromkeys(("count_markings", "enumerate_markings", "marking_target"),
                     "marking"),
     **dict.fromkeys(("CoefficientReport", "METHOD_BOTH", "METHOD_DIFFERENCE",

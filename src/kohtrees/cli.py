@@ -21,10 +21,10 @@ This module parses and prints; each command's body lives with what it
 runs.  The parser is built for the subcommand the first argument names
 alone, and in full only for -h, a missing command or an unknown one.
 The tree listing is render's, the sweep and its cell check are
-workers', and the GOH family and the general plethysm reduction are
-goh's, each imported where its command runs: a kronecker query compiles
-no GOH, listing or sweep code, and a difference query no tree, marking
-or polynomial code either.
+workers', the GOH family is goh's and the general plethysm reduction
+general's, each imported where its command runs: a kronecker query
+compiles no GOH, listing or sweep code, and a difference query no tree,
+marking or polynomial code either.
 
 As a process entry (main() with no argv: `python -m kohtrees.cli` and
 the kohtrees script) a command runs with the cyclic garbage collector
@@ -270,7 +270,7 @@ def _run_command(argv: list[str]) -> int:
             report = plethysm_two_row(args.mu, args.k, args.r, args.method,
                                       args.max_trees)
         else:
-            from .goh import plethysm_two_row_general
+            from .general import plethysm_two_row_general
             report = plethysm_two_row_general(args.lam, args.mu, args.nu,
                                               args.method, args.max_trees)
         _print_report(report, args.output_format)

@@ -12,12 +12,15 @@ witness_counts, read on demand, does.  The tree budget still counts
 every tree of the family.
 
 The Kronecker difference route counts partitions in a box and needs
-nothing else, so the koh, marking, qpoly and goh modules load inside the
-functions that use them, and this module holds only what a coefficient
-query runs: a query compiles only the routes it runs.  The GOH family
-(goh_family), the general plethysm reduction and the tableau oracle's
-strip pass live in goh, the ratio of q-integers behind hook content in
-qpoly, the marked tree listing in render and the verify cell check
+nothing else, so the koh, trees, marking, qpoly, goh and general modules
+load inside the functions that use them, and this module holds only
+what a coefficient query runs: a query compiles only the routes it runs.
+A marked query loads koh, whose vectors count the pairs; the trees and
+the markings of their leaf sequences (trees, marking) load only for a
+report's witness_counts.  The GOH family (goh_family) lives in goh, the
+general plethysm reduction and the tableau oracle's strip pass in
+general, the ratio of q-integers behind hook content in qpoly, the
+marked tree listing in render and the verify cell check
 (check_identities) in workers.
 """
 
@@ -102,7 +105,7 @@ def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:
     step a horizontal strip adding i times its size to |T|.  One pass
     per entry carries every reachable shape with its polynomial; the
     shapes after entry i do not depend on k, so one pass per shape, kept
-    for the last few shapes (goh.strip_pass), answers every k.  Its work
+    for the last few shapes (general.strip_pass), answers every k.  Its work
     grows with the shapes inside mu, not the fillings, so it takes no
     budget.  Independent of hook content.
 
@@ -114,7 +117,7 @@ def schur_specialization_oracle(mu: Partition, k: int) -> QPoly:
     if not mu:
         from .qpoly import ONE
         return ONE
-    from .goh import strip_pass
+    from .general import strip_pass
     return strip_pass(mu.parts).value(k)
 
 

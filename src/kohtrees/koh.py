@@ -1,4 +1,5 @@
-"""Trees that expand a Gaussian binomial into shifted products of q-integers.
+"""Trees that expand a Gaussian binomial into shifted products of q-integers,
+counted and marked type by type without building a tree.
 
 Every node carries a label (mu, a, b) with mu a partition of b.  A node
 with b == 1 is a leaf and must look like ((1), a, 1).  A node with
@@ -15,120 +16,38 @@ _productions(n, k) states this rule once for a type: the partitions of
 k whose child widths are all nonnegative, each with its child types from
 _child_types, the per-node rule.  Counting, building, the marked vector
 and the closed form read it; counts, tree tuples and marked vectors are
-filled bottom up over the types below the one asked for (_fill), never
-by recursing down a chain of types.  count_trees, build_trees,
-marked_vector and closed_form serve both families: a GOH configuration
-with its child types is a production too.
+filled bottom up over the types below the ones asked for (_fill), never
+by recursing down a chain of types.  count_trees and marked_vector serve
+both families: a GOH configuration with its child types is a production
+too.
 
 The coefficient routes count (tree, marking) pairs without building a
 tree.  A type's marked vector holds at entry r the number of pairs that
 select coefficient r; a label's pairs are the Clebsch-Gordan tensor of
-its child types' vectors (marking.tensor), moved along by the label's
-own power shift, so marked_vector sums those over the labels.  Vectors
-are cut at a cap, exact below it, and a label whose shift passes the cap
-is skipped.  The budget still counts every tree of the type.  Trees are
-built only where a caller reads them: listings, JSON witnesses, a
-failing verify cell.
+its child types' vectors (tensor), moved along by the label's own power
+shift, so a type's vector sums those over its labels, each label's last
+step adding straight into the type's one difference array.  Vectors are
+cut at a cap, exact below it: a type is filled only up to the largest
+cap a parent label reads, and a label whose shift passes its type's cap
+is skipped.  The budget still counts every tree of the type.
+
+This module holds only what a coefficient query runs.  The tree nodes,
+the tree builder, the leaf-term sums and the closed form live in trees,
+which enumerate_koh_trees, koh_term and koh_rhs_closed import when they
+run; marking holds the markings of one leaf sequence.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import (DEFAULT_TREE_BUDGET, BudgetExceededError,
-                     PreconditionViolationError, StructureViolationError, _Value)
+                     PreconditionViolationError)
 from .partitions import Partition
-
-_LEAF_MU = Partition((1,))
-
-
-class KohTree(_Value):
-    """Tree node; children are (edge label, subtree) pairs, edges ascending.
-
-    family and child_key name the tree in DOT output and its subtrees in
-    the dict form; root_fields() gives the root label in that form.
-    leaf_values, the leaf labels in depth-first order, is computed once
-    when the node is built, from its children's stored tuples; it takes
-    no part in equality, hashing or repr.  The hash of the fields is
-    stored the same way, from the children's stored hashes, so hashing a
-    tree takes one step whatever its depth.
-    """
-
-    __slots__ = ("_mu", "_a", "_b", "_children", "_leaf_values", "_hash")
-    _fields = ("mu", "a", "b", "children")
-    family = "koh"
-    child_key = "tree"
-
-    def __init__(self, mu: Partition, a: int, b: int,
-                 children: tuple[tuple[int, KohTree], ...] = ()) -> None:
-        self._mu = mu
-        self._a = a
-        self._b = b
-        self._children = children
-        if b == 1:
-            self._leaf_values = (a,)
-        else:
-            values = ()
-            for _, child in children:
-                values += child._leaf_values
-            self._leaf_values = values
-        self._hash = hash((mu, a, b, children))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # equality and repr walk the nodes with an explicit stack, so that a
-    # chain deeper than the recursion limit, such as the last tree of
-    # type (2100, 2), compares and prints; the stored hashes tell most
-    # unequal nodes apart at once
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            x, y = todo.pop()
-            if x is y:
-                continue
-            if (x._hash != y._hash or x.__class__ is not y.__class__
-                    or (x._mu, x._a, x._b) != (y._mu, y._a, y._b)
-                    or len(x._children) != len(y._children)):
-                return False
-            for (edge, child), (other_edge, other_child) in zip(x._children, y._children):
-                if edge != other_edge:
-                    return False
-                todo.append((child, other_child))
-        return True
-
-    def __repr__(self) -> str:
-        out, todo = [], [self]
-        while todo:
-            item = todo.pop()
-            if item.__class__ is str:
-                out.append(item)
-                continue
-            kids = item._children
-            pieces = [f"{type(item).__qualname__}(mu={item._mu!r}, a={item._a!r}, "
-                      f"b={item._b!r}, children=("]
-            for i, (edge, child) in enumerate(kids):
-                pieces += [f"{', ' if i else ''}({edge!r}, ", child, ")"]
-            # a tuple of one pair prints with a trailing comma
-            pieces.append(",))" if len(kids) == 1 else "))")
-            todo.extend(reversed(pieces))
-        return "".join(out)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self._b == 1
-
-    @property
-    def degree(self) -> int:
-        return self._a * self._b
-
-    def root_fields(self) -> dict:
-        return {"mu": list(self._mu.parts), "a": self._a, "b": self._b}
 
 
 def _check_type(n: int, k: int) -> None:
@@ -198,17 +117,77 @@ def count_trees(productions: Sequence[tuple[object, list]]) -> int:
                for _, types in productions)
 
 
-def build_trees(productions: Sequence[tuple[object, list]],
-                node: Callable[..., object], *fixed: object) -> tuple:
-    """node(label, *fixed, children) for every label and every choice of
-    one KOH subtree per child type, labels in order and later edges
-    varying fastest."""
-    out = []
-    for label, types in productions:
-        choices = itertools.product(*[[(edge, t) for t in _tree_table(*ctype)]
-                                      for edge, ctype in types])
-        out.extend(map(functools.partial(node, label, *fixed), choices))
-    return tuple(out)
+def _add_tensor(diff: list[int], shift: int, x: Sequence[int], dx: int,
+                y: Sequence[int], dy: int, top: int) -> None:
+    """Add V(x) (x) V(y), moved along by shift, into the difference array
+    diff, up to entry top: each pair (i, l) adds x[i] y[l] to entries
+    shift + i + l .. shift + i + l + min(dx - 2i, dy - 2l).  This is the
+    one Clebsch-Gordan step; the shift sits in each row's base index, and
+    the outer loop runs over the shorter vector."""
+    if len(y) < len(x):
+        x, dx, y, dy = y, dy, x, dx
+    room = top - shift
+    ys = [(l, w, dy - 2 * l) for l, w in enumerate(y[:room + 1]) if w]
+    for i, v in enumerate(x[:room + 1]):
+        if v:
+            left = dx - 2 * i
+            base = shift + i
+            for l, w, other in ys:
+                lo = base + l
+                if lo > top:
+                    break
+                ways = v * w
+                diff[lo] += ways
+                # the last entry, lo + min(left, other), cut at top
+                hi = lo + (left if left < other else other)
+                diff[(hi if hi < top else top) + 1] -= ways
+
+
+def tensor(x: Sequence[int], dx: int, y: Sequence[int], dy: int, cap: int) -> list[int]:
+    """V(x) (x) V(y), V(x) the sum of x[i] copies of V_(dx-2i), as a
+    vector of degree dx + dy up to entry min(cap, (dx + dy) // 2), through
+    _add_tensor and one running sum.  No entry lies past half a degree.
+
+    >>> tensor([1], 2, [1], 2, 2)
+    [1, 1, 1]
+    """
+    top = min(cap, (dx + dy) // 2)
+    diff = [0] * (top + 2)
+    _add_tensor(diff, 0, x, dx, y, dy, top)
+    diff.pop()
+    return list(itertools.accumulate(diff))
+
+
+def _label_sum(productions: Sequence[tuple[object, list]], total: int,
+               top: int) -> list[int]:
+    """The marked vector of a production list up to entry top, read from
+    its child types' vectors in _MARKED, each of which must reach the cap
+    its labels read.
+
+    A label's first child vector is read directly, its middle children
+    fold through tensor, and its last step adds straight into one
+    difference array at the label's own shift; a label with one child
+    adds that vector there.  A label whose shift passes top is skipped.
+    """
+    marked = _MARKED
+    diff = [0] * (top + 2)
+    for _, types in productions:
+        degrees = [a * b for _, (a, b) in types]
+        own = (total - sum(degrees)) // 2
+        if own > top:
+            continue
+        vector, degree = marked[types[0][1]], degrees[0]
+        if len(types) == 1:
+            for r, count in enumerate(vector[:top - own + 1], own):
+                diff[r] += count
+                diff[r + 1] -= count
+            continue
+        for (_, ctype), cdegree in zip(types[1:-1], degrees[1:-1]):
+            vector = tensor(vector, degree, marked[ctype], cdegree, top - own)
+            degree += cdegree
+        _add_tensor(diff, own, vector, degree, marked[types[-1][1]], degrees[-1], top)
+    diff.pop()
+    return list(itertools.accumulate(diff))
 
 
 def marked_vector(productions: Sequence[tuple[object, list]], total: int,
@@ -219,105 +198,100 @@ def marked_vector(productions: Sequence[tuple[object, list]], total: int,
     the vectors at the cap changes no entry below it.
 
     A label's own power shift is (total - the sum of its child degrees)
-    / 2: its pairs are the tensor of its child types' vectors (cached
-    in _MARKED), moved along by that shift.  A label whose shift passes
-    the cap is skipped before its child vectors are read.
+    / 2: its pairs are the tensor of its child types' vectors, moved
+    along by that shift.  Each child type is filled first (_fill) up to
+    the cap its labels read, the cap minus the label's shift, and a label
+    whose shift passes the cap reads none.
 
     >>> marked_vector(_productions(2, 2), 4, 2)
     [1, 0, 1]
     """
-    from .marking import tensor
     top = min(cap, total // 2)
-    out = [0] * (top + 1)
+    wanted: dict[tuple[int, int], int] = {}
     for _, types in productions:
-        own = (total - sum(a * b for _, (a, b) in types)) // 2
-        if own > top:
-            continue
-        vector, degree = [1], 0
-        for _, (a, b) in types:
-            vector = tensor(vector, degree, _marked(a, b, cap), a * b, top - own)
-            degree += a * b
-        for r, count in enumerate(vector, own):
-            out[r] += count
-    return out
+        need = top - (total - sum(a * b for _, (a, b) in types)) // 2
+        if need >= 0:
+            for _, ctype in types:
+                if wanted.get(ctype, -1) < need:
+                    wanted[ctype] = need
+    _fill(_MARKED, _marked_type, wanted)
+    return _label_sum(productions, total, top)
 
 
-def closed_form(productions: Sequence[tuple[object, list]],
-                shift: Callable[[object], int]) -> QPoly:
-    """The sum over labels of q^shift(label) times the product of
-    q_binomial at each of the label's child types: the trees' term sum
-    with every KOH subtree slot summed in closed form."""
-    from .qpoly import q_binomial, sum_of_products
-    return sum_of_products(
-        (shift(label), [q_binomial(*ctype) for _, ctype in types])
-        for label, types in productions)
+def _fill(table: dict, value: Callable[[int, int, int | None], object],
+          wanted: dict[tuple[int, int], int | None]) -> None:
+    """Set table[t] = value(*t, cap) for every type t that wanted names or
+    that their labels reach, where the table lacks t or, with a cap,
+    holds a vector of t that stops short of it; children before parents.
 
-
-def _fill(table: dict, n: int, k: int, value: Callable[[int, int], object],
-          fits: Callable[[tuple[int, int]], bool] = lambda t: True):
-    """table[n, k], first setting table[t] = value(*t) for every type t
-    reachable from (n, k) that the table lacks or holds a value that
-    fits(t) rejects, children before parents.
+    wanted maps each type asked for to its cap, or to None: then every
+    label is read, and a type the table holds is kept with its children.
+    With caps, a child type's cap is the largest that a parent label
+    reads, the parent's cap (cut at half its degree) minus the label's
+    own shift, and a label whose shift passes its type's cap reaches no
+    type: entry j of a tensor reads only entries i and l with i + l <= j.
 
     A child type has a smaller b, or the same b and a smaller a (only
-    mu = (1^b) keeps b, with a' = a + 2 - 2b), so ascending (b, a) puts
-    children first.  Filling in that order instead of recursing keeps
-    the stack flat on thin types: (a, 2) has a chain of about a/2 levels.
+    mu = (1^b) keeps b, with a' = a + 2 - 2b).  So the types are taken
+    in descending (b, a), every parent before its children, which makes
+    a type's cap final when it is taken, and filled in the reverse
+    order.  Taking them in that order instead of recursing keeps the
+    stack flat on thin types: (a, 2) has a chain of about a/2 levels.
     """
-    if (n, k) not in table or not fits((n, k)):
-        todo, seen = [(n, k)], {(n, k)}
-        for a, b in todo:
-            if b > 1:
-                for _, types in _productions(a, b):
-                    for _, ctype in types:
-                        if ctype not in seen and (ctype not in table or not fits(ctype)):
-                            seen.add(ctype)
-                            todo.append(ctype)
-        for a, b in sorted(todo, key=lambda t: (t[1], t[0])):
-            table[a, b] = value(a, b)
-    return table[n, k]
+    caps = dict(wanted)
+    heap = [(-b, -a) for a, b in caps]
+    heapq.heapify(heap)
+    taken = []
+    while heap:
+        b, a = heapq.heappop(heap)
+        a, b = -a, -b
+        cap = caps[a, b]
+        held = table.get((a, b))
+        if held is not None and (cap is None or len(held) > min(cap, a * b // 2)):
+            continue
+        taken.append((a, b))
+        if b == 1:
+            continue
+        top = None if cap is None else min(cap, a * b // 2)
+        for _, types in _productions(a, b):
+            need = None
+            if top is not None:
+                need = top - (a * b - sum(x * y for _, (x, y) in types)) // 2
+                if need < 0:
+                    continue
+            for _, ctype in types:
+                if ctype not in caps:
+                    caps[ctype] = need
+                    heapq.heappush(heap, (-ctype[1], -ctype[0]))
+                elif need is not None and caps[ctype] < need:
+                    caps[ctype] = need
+    for a, b in reversed(taken):
+        table[a, b] = value(a, b, caps[a, b])
 
 
-# tree counts and tree tuples by type, each type filled once, and marked
-# vectors by type, each exact up to its last entry and filled again when
-# a larger cap asks for more
+# tree counts by type, each type filled once, and marked vectors by type,
+# each exact up to its last entry and filled again when a larger cap asks
+# for more; trees.py keeps the tree tuples
 _COUNTS: dict[tuple[int, int], int] = {}
-_TREES: dict[tuple[int, int], tuple[KohTree, ...]] = {}
 _MARKED: dict[tuple[int, int], list[int]] = {}
 
 
-def _count_type(n: int, k: int) -> int:
+def _count_type(n: int, k: int, cap: None) -> int:
     return 1 if k == 1 else count_trees(_productions(n, k))
 
 
-def _build_type(n: int, k: int) -> tuple[KohTree, ...]:
+def _marked_type(n: int, k: int, cap: int) -> list[int]:
     if k == 1:
-        return (KohTree(_LEAF_MU, n, 1),)
-    return build_trees(_productions(n, k), KohTree, n, k)
+        return [1] + [0] * min(cap, n // 2)
+    return _label_sum(_productions(n, k), n * k, min(cap, n * k // 2))
 
 
 def count_koh_trees(n: int, k: int) -> int:
     """Number of trees of type (n, k), computed without materializing them."""
     _check_type(n, k)
-    return _fill(_COUNTS, n, k, _count_type)
-
-
-def _tree_table(n: int, k: int) -> tuple[KohTree, ...]:
-    return _fill(_TREES, n, k, _build_type)
-
-
-def _marked(n: int, k: int, cap: int) -> list[int]:
-    """The marked vector of the type (n, k) from _MARKED, at least up to
-    min(cap, nk // 2), first filling at cap each type it needs whose
-    vector is missing or stops short of that; the caller must not change
-    it."""
-    def value(a: int, b: int) -> list[int]:
-        if b == 1:
-            return [1] + [0] * min(cap, a // 2)
-        return marked_vector(_productions(a, b), a * b, cap)
-
-    return _fill(_MARKED, n, k, value,
-                 lambda t: len(_MARKED[t]) > min(cap, t[0] * t[1] // 2))
+    if (n, k) not in _COUNTS:
+        _fill(_COUNTS, _count_type, {(n, k): None})
+    return _COUNTS[n, k]
 
 
 def _check_budget(total: int, what: str, max_trees: int) -> None:
@@ -340,6 +314,7 @@ def enumerate_koh_trees(n: int, k: int,
     """
     _check_type(n, k)
     _check_budget(count_koh_trees(n, k), f"of type ({n}, {k})", max_trees)
+    from .trees import _tree_table
     return _tree_table(n, k)
 
 
@@ -353,7 +328,8 @@ def koh_marked_vector(n: int, k: int, cap: int,
     [1, 0, 1]
     """
     _check_budget(count_koh_trees(n, k), f"of type ({n}, {k})", max_trees)
-    return _marked(n, k, cap)
+    _fill(_MARKED, _marked_type, {(n, k): cap})
+    return _MARKED[n, k]
 
 
 def leaves(tree) -> tuple[int, ...]:
@@ -366,46 +342,9 @@ def leaves(tree) -> tuple[int, ...]:
     return tree.leaf_values
 
 
-def leaf_sigma(degree: int, leaf_values: tuple[int, ...]) -> int:
-    """The tree degree minus the leaf sum; even and nonnegative on valid
-    trees of either family."""
-    s = degree - sum(leaf_values)
-    if s < 0:
-        raise StructureViolationError(
-            f"leaf sum {sum(leaf_values)} exceeds the degree {degree}")
-    if s % 2:
-        raise StructureViolationError(f"odd defect {s} below the degree {degree}")
-    return s
-
-
-def leaf_term_sum(degree: int,
-                  pairs: Collection[tuple[tuple[int, ...], int]]) -> QPoly:
-    """The sum over the (leaf tuple, multiplicity) pairs of
-    the multiplicity times q^(sigma/2) times the product of [a + 1]_q
-    over the tuple's labels a, sigma being degree minus the tuple's sum;
-    the one kernel for products of q-integers, on packed ints.
-
-    The width comes from the sum at q = 1, the sum over the pairs of the
-    multiplicity times the product of the a + 1, so the terms fit it
-    whatever they sum to.
-    """
-    from .qpoly import pack_width, packed_q_int, unpack
-    width = pack_width(sum(ways * math.prod(a + 1 for a in lv)
-                           for lv, ways in pairs))
-    q_ints: dict[int, int] = {}
-    total = 0
-    for lv, ways in pairs:
-        term = ways
-        for a in lv:
-            if a not in q_ints:
-                q_ints[a] = packed_q_int(a, width)
-            term *= q_ints[a]
-        total += term << (8 * width * (leaf_sigma(degree, lv) // 2))
-    return unpack(total, width)
-
-
 def koh_term(tree: KohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over the leaves."""
+    from .trees import leaf_term_sum
     return leaf_term_sum(tree.degree, ((leaves(tree), 1),))
 
 
@@ -419,4 +358,5 @@ def koh_rhs_closed(n: int, k: int) -> QPoly:
     if n < 0 or k < 0:
         raise PreconditionViolationError(
             f"closed form needs n >= 0 and k >= 0, got ({n}, {k})")
+    from .trees import closed_form
     return closed_form(_productions(n, k), lambda lam: 2 * lam.b_stat())

@@ -15,21 +15,23 @@ The slack of a marking after i leaves, s = a_1 + ... + a_i - 2 k_i,
 moves at the next leaf a to s + a - 2d for each 0 <= d <= min(s, a):
 the sl2 Clebsch-Gordan rule, V_s (x) V_a the sum of V_(s+a-2d) over
 those d (Sylvester 1878; Proctor, Amer. Math. Monthly 89, 1982).  So
-one step, tensor, counts every marking.  A vector x of degree dx holds
-at entry i the number of copies of V_(dx-2i): for a leaf sequence, its
-markings that end at i; for a tree type, the (tree, marking) pairs
-that select coefficient i, the tree's power shift included, since a
-shift only moves entries along.  A vector holds its entries up to a
-cap (or to half its degree, past which every entry is 0) and is exact
+one step, koh.tensor, counts every marking.  A vector x of degree dx
+holds at entry i the number of copies of V_(dx-2i): for a leaf
+sequence, its markings that end at i.  A vector holds its entries up to
+a cap (or to half its degree, past which every entry is 0) and is exact
 there: entry j of a tensor reads only entries i and l with i + l <= j.
 
 witness_counts folds each leaf sequence through tensor, one leaf (the
 vector [1] of degree a) at a time, and count_markings is its case of one
-sequence; koh.marked_vector folds the vectors of a production's child
-types instead.  witness_counts keeps the rows of the previous sequence,
-so a sequence steps only past the prefix it shares with that one: trees
-come in enumeration order, where later edges vary fastest, so
-neighbours share most of their leaves.
+sequence.  witness_counts keeps the rows of the previous sequence, so a
+sequence steps only past the prefix it shares with that one: trees come
+in enumeration order, where later edges vary fastest, so neighbours
+share most of their leaves.
+
+This module holds the markings of leaf sequences only: the listings
+with --r and JSON witnesses load it.  A coefficient query counts its
+(tree, marking) pairs with the marked vectors of koh, which sit next to
+the step, and loads none of it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolationError
+from .koh import tensor
 
 
 def _check_leaves(a: Sequence[int]) -> None:
@@ -45,33 +48,6 @@ def _check_leaves(a: Sequence[int]) -> None:
         raise PreconditionViolationError("marking needs a nonempty leaf sequence")
     if min(a) < 0:
         raise PreconditionViolationError(f"leaf labels must be nonnegative, got {tuple(a)}")
-
-
-def tensor(x: Sequence[int], dx: int, y: Sequence[int], dy: int, cap: int) -> list[int]:
-    """V(x) (x) V(y), V(x) the sum of x[i] copies of V_(dx-2i), as a
-    vector of degree dx + dy up to entry min(cap, (dx + dy) // 2): each
-    pair (i, l) adds x[i] y[l] to entries i + l .. i + l + min(dx - 2i,
-    dy - 2l), through a difference array and one running sum.  No entry
-    lies past half a degree; the outer loop runs over the shorter one."""
-    if len(y) < len(x):
-        x, dx, y, dy = y, dy, x, dx
-    top = min(cap, (dx + dy) // 2)
-    diff = [0] * (top + 2)
-    ys = [(l, w, dy - 2 * l) for l, w in enumerate(y[:top + 1]) if w]
-    for i, v in enumerate(x[:top + 1]):
-        if v:
-            room = dx - 2 * i
-            for l, w, other in ys:
-                lo = i + l
-                if lo > top:
-                    break
-                ways = v * w
-                diff[lo] += ways
-                # the last entry, lo + min(room, other), cut at top
-                hi = lo + (room if room < other else other)
-                diff[(hi if hi < top else top) + 1] -= ways
-    diff.pop()
-    return list(itertools.accumulate(diff))
 
 
 def count_markings(a: Sequence[int], target: int) -> int:

@@ -17,7 +17,8 @@ import sys
 
 from .coefficients import METHOD_MARKED, two_row
 from .errors import BudgetExceededError
-from .koh import leaf_sigma, leaves
+from .koh import leaves
+from .trees import leaf_sigma
 
 
 def _compact(value) -> str:

@@ -10,6 +10,11 @@ and the results come back in cell order whatever the split.  A child
 inherits the caller's modules, caches and settings, such as a test's
 replacement cell check or the collector switched off, and sends back only
 the marshalled results.  Only the verify command loads this module.
+
+A cell reads its family's marked vector (koh), the closed form (trees)
+and the other references (qpoly, and for goh the tableau oracle's strip
+pass in general), which the sweep loads before the fork; the markings of
+leaf sequences (marking) load nowhere in a sweep.
 """
 
 from __future__ import annotations
@@ -120,9 +125,9 @@ def sweep(family_name: str, size: int, max_k: int, max_trees: int, workers: int,
 
     # every cell runs these: load them before the fork, so that the
     # workers inherit them instead of each compiling its own copy
-    from . import koh, marking, qpoly
+    from . import koh, qpoly, trees
     if family_name == "goh":
-        from . import goh
+        from . import general, goh
     results = check_groups(check, groups, workers)
     failures = [detail for _, ok, detail in results if ok is False]
     over = [detail for _, ok, detail in results if ok is None]

@@ -12,11 +12,12 @@ import random
 from kohtrees.coefficients import (hook_content, kronecker_two_row,
                                    plethysm_two_row,
                                    schur_specialization_oracle)
+from kohtrees.general import plethysm_two_row_general
 from kohtrees.goh import (enumerate_configurations, enumerate_goh_trees,
                           goh_leaves, goh_rhs_closed, goh_term,
-                          plethysm_two_row_general, Configuration, GohTree)
-from kohtrees.koh import (KohTree, enumerate_koh_trees, koh_rhs_closed,
-                          koh_term, leaf_sigma, leaves)
+                          Configuration, GohTree)
+from kohtrees.koh import enumerate_koh_trees, koh_rhs_closed, koh_term, leaves
+from kohtrees.trees import KohTree, leaf_sigma
 from kohtrees.marking import (count_markings, enumerate_markings,
                               marking_target, witness_counts)
 from kohtrees.partitions import (Partition, count_in_rectangle,

@@ -651,20 +651,19 @@ def test_failing_koh_cell_prints_a_capped_witness_list(capsys, monkeypatch):
 
 
 def test_a_marking_dropped_by_the_value_table_fails_its_cell(capsys, monkeypatch):
-    import kohtrees.marking as marking
     from kohtrees import koh
-    real = marking.tensor
+    real = koh._add_tensor
 
-    def drop_one(x, dx, y, dy, cap):
-        # the step that puts the tree with the one leaf 36 under the root of
-        # koh n=6 k=6 matches no other step of this sweep; drop its marking
-        # with value 0, which counts at r = 0
-        by_value = real(x, dx, y, dy, cap)
-        if (dx, dy, cap) == (0, 36, 18):
-            by_value[0] -= 1
-        return by_value
+    def drop_one(diff, shift, x, dx, y, dy, top):
+        # the last step of the label of koh n=6 k=6 with own shift 2 and
+        # child degrees 4 and 28 matches no other step of this sweep; drop
+        # one of its pairs at r = 2, a copy of V_32
+        real(diff, shift, x, dx, y, dy, top)
+        if (shift, dx, dy, top) == (2, 4, 28, 18):
+            diff[2] -= 1
+            diff[3] += 1
 
-    monkeypatch.setattr(marking, "tensor", drop_one)
+    monkeypatch.setattr(koh, "_add_tensor", drop_one)
     # an empty cache of marked vectors, so that the sweep fills every type
     monkeypatch.setattr(koh, "_MARKED", {})
     code, out, _ = run_cli(capsys, "verify", "koh", "--max-n", "6",
@@ -672,17 +671,17 @@ def test_a_marking_dropped_by_the_value_table_fails_its_cell(capsys, monkeypatch
     assert code == 1
     assert "FAIL koh n=6 k=6\n" in out
     assert "checked 42 cells: 41 passed, 1 failed" in out
-    # every coefficient of the tree sum is one short
+    # the coefficients from q^2 to q^34 of the tree sum are one short
     from kohtrees.qpoly import QPoly, q_binomial
     ref = q_binomial(6, 6)
-    short = QPoly([c - 1 for c in ref.coeffs])
+    short = QPoly([c - (2 <= i <= 34) for i, c in enumerate(ref.coeffs)])
     assert out.split("first counterexample:\n", 1)[1].splitlines()[1] == (
         f"  tree terms sum to {short} but the reference gives {ref} and the "
         f"closed form gives {ref} for n=6, k=6")
 
 
 def test_a_single_r_query_reads_one_vector_cut_at_r(capsys, monkeypatch):
-    from kohtrees import goh, koh
+    from kohtrees import goh, koh, trees
     read = []
     for module, name in (koh, "koh_marked_vector"), (goh, "marked_vector"):
         real = getattr(module, name)
@@ -695,7 +694,7 @@ def test_a_single_r_query_reads_one_vector_cut_at_r(capsys, monkeypatch):
         monkeypatch.setattr(module, name, recorded)
     # no cached vector, and no tree table to build trees in
     monkeypatch.setattr(koh, "_MARKED", {})
-    monkeypatch.setattr(koh, "_TREES", None)
+    monkeypatch.setattr(trees, "_TREES", None)
     for argv, r, coefficient in [
             (("kronecker", "--n", "6", "--k", "6", "--r", "9"), 9, 4),
             (("plethysm", "--mu", "2,2", "--k", "3", "--r", "2"), 2, 1)]:
@@ -709,7 +708,7 @@ def test_a_single_r_query_reads_one_vector_cut_at_r(capsys, monkeypatch):
 
 
 def test_coefficient_routes_build_no_trees(capsys, monkeypatch):
-    from kohtrees import goh
+    from kohtrees import goh, trees
     from kohtrees.coefficients import koh_family, kronecker_two_row
     from kohtrees.goh import goh_family
     from kohtrees.workers import check_identities
@@ -722,15 +721,15 @@ def test_coefficient_routes_build_no_trees(capsys, monkeypatch):
         real(self, *args)
 
     monkeypatch.setattr(goh.GohTree, "__init__", recorded)
-    koh._TREES.clear()
+    trees._TREES.clear()
     report = kronecker_two_row(16, 16, 89)
     assert run_cli(capsys, "kronecker", "--n", "16", "--k", "16", "--r", "128") == (
         0, "coefficient: 6235\nmethod: both\n", "")
     check_identities(koh_family(8, 8), DEFAULT_TREE_BUDGET)
     check_identities(goh_family(Partition((4, 3, 2)), 4), DEFAULT_TREE_BUDGET)
-    assert not koh._TREES and not built
+    assert not trees._TREES and not built
     # the witnesses build the trees when read, and only then
-    assert len(report.witness_counts) == 12870 and koh._TREES
+    assert len(report.witness_counts) == 12870 and trees._TREES
     assert sum(report.witness_counts) == report.value
 
 
@@ -893,28 +892,39 @@ def _modules_after(*argv):
 
 def test_a_query_loads_only_the_modules_it_runs():
     kron = _modules_after("kronecker", "--n", "6", "--k", "6", "--r", "9")
-    assert {"kohtrees.koh", "kohtrees.marking"} <= kron
-    assert not kron & {"dataclasses", "kohtrees.goh", "kohtrees.qpoly",
+    assert "kohtrees.koh" in kron
+    assert not kron & {"dataclasses", "kohtrees.marking", "kohtrees.trees",
+                       "kohtrees.goh", "kohtrees.general", "kohtrees.qpoly",
                        "kohtrees.render", "kohtrees.workers"}
     diff = _modules_after("kronecker", "--n", "6", "--k", "6", "--r", "9",
                           "--method", "difference")
-    assert not diff & {"kohtrees.koh", "kohtrees.marking", "kohtrees.qpoly",
-                       "kohtrees.goh", "kohtrees.render", "kohtrees.workers"}
+    assert not diff & {"kohtrees.koh", "kohtrees.marking", "kohtrees.trees",
+                       "kohtrees.qpoly", "kohtrees.goh", "kohtrees.general",
+                       "kohtrees.render", "kohtrees.workers"}
     pleth = _modules_after("plethysm", "--mu", "2,1", "--k", "2", "--r", "1")
-    assert {"kohtrees.goh", "kohtrees.qpoly"} <= pleth
-    assert not pleth & {"kohtrees.render", "kohtrees.workers"}
+    assert {"kohtrees.goh", "kohtrees.koh", "kohtrees.qpoly"} <= pleth
+    assert not pleth & {"kohtrees.marking", "kohtrees.trees", "kohtrees.general",
+                        "kohtrees.render", "kohtrees.workers"}
+    general = _modules_after("plethysm-general", "--lambda", "4,2", "--mu", "2",
+                             "--nu", "2,1")
+    assert {"kohtrees.general", "kohtrees.goh"} <= general
+    # the JSON witnesses build and mark the trees
+    witnesses = _modules_after("kronecker", "--n", "6", "--k", "6", "--r", "9",
+                               "--format", "json")
+    assert {"kohtrees.marking", "kohtrees.trees"} <= witnesses
     verify_koh = _modules_after("verify", "koh", "--max-n", "3", "--max-k", "3",
                                 "--workers", "1")
-    assert {"kohtrees.koh", "kohtrees.marking", "kohtrees.workers"} <= verify_koh
-    assert not verify_koh & {"kohtrees.goh", "kohtrees.render"}
+    assert {"kohtrees.koh", "kohtrees.trees", "kohtrees.workers"} <= verify_koh
+    assert not verify_koh & {"kohtrees.goh", "kohtrees.marking", "kohtrees.render"}
     verify_goh = _modules_after("verify", "goh", "--max-size", "3", "--max-k", "2",
                                 "--workers", "1")
-    assert {"kohtrees.goh", "kohtrees.workers"} <= verify_goh
-    assert "kohtrees.render" not in verify_goh
-    trees = _modules_after("trees", "koh", "--n", "4", "--k", "3")
-    assert "kohtrees.render" in trees
-    assert not trees & {"kohtrees.goh", "kohtrees.workers"}
+    assert {"kohtrees.goh", "kohtrees.general", "kohtrees.workers"} <= verify_goh
+    assert not verify_goh & {"kohtrees.marking", "kohtrees.render"}
+    listing = _modules_after("trees", "koh", "--n", "4", "--k", "3")
+    assert {"kohtrees.render", "kohtrees.trees"} <= listing
+    assert not listing & {"kohtrees.goh", "kohtrees.workers"}
     assert not _modules_after() & {"kohtrees.koh", "kohtrees.marking",
+                                   "kohtrees.trees", "kohtrees.general",
                                    "kohtrees.qpoly"}
 
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohtrees import coefficients, goh
+from kohtrees import coefficients, general, goh
 from kohtrees.coefficients import (METHOD_BOTH, METHOD_DIFFERENCE,
                                    METHOD_MARKED, CoefficientReport,
                                    TreeFamily, hook_content, koh_family,
                                    kronecker_two_row, plethysm_two_row,
                                    schur_specialization_oracle)
-from kohtrees.goh import goh_family, plethysm_two_row_general
+from kohtrees.general import plethysm_two_row_general
+from kohtrees.goh import goh_family
 from kohtrees.render import marked_listing
 from kohtrees.workers import check_identities
 from kohtrees.errors import (BudgetExceededError, CrossCheckFailedError,
@@ -96,10 +97,10 @@ def test_one_strip_pass_per_shape_matches_the_per_cell_pass():
             # extended one entry at a time, or run to the largest k at once
             # and the smaller k read back
             for ks in (range(8), (7, *range(7))):
-                goh.strip_pass.cache_clear()
+                general.strip_pass.cache_clear()
                 for k in ks:
                     assert schur_specialization_oracle(mu, k) == per_cell_strip_count(mu, k)
-    assert goh.strip_pass.cache_info().currsize <= 8
+    assert general.strip_pass.cache_info().currsize <= 8
 
 
 def test_threads_sharing_a_strip_pass_read_whole_states():
@@ -107,7 +108,7 @@ def test_threads_sharing_a_strip_pass_read_whole_states():
     import threading
     mu = Partition((4, 3, 2, 1))
     want = [per_cell_strip_count(mu, k) for k in range(9)]
-    goh.strip_pass.cache_clear()
+    general.strip_pass.cache_clear()
     got, errors = [], []
 
     def ask(ks):
@@ -573,10 +574,10 @@ def test_library_routes_leave_no_cyclic_garbage():
     # the CLI runs with the cyclic collector off, which is sound only while
     # reference counting frees everything a route builds; caches cleared,
     # so every enumerator runs again
-    from kohtrees import goh, koh
+    from kohtrees import goh, koh, trees
     koh._productions.cache_clear()
     koh._COUNTS.clear()
-    koh._TREES.clear()
+    trees._TREES.clear()
     goh._typed_configurations.cache_clear()
     goh._BLOCKS.clear()
     gc.collect()

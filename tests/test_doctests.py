@@ -2,13 +2,13 @@
 
 import doctest
 
-from kohtrees import coefficients, goh, koh, marking, partitions, qpoly
+from kohtrees import coefficients, general, goh, koh, marking, partitions, qpoly, trees
 
 
 def test_module_doctests():
     failed = 0
     attempted = 0
-    for module in (qpoly, partitions, koh, goh, marking, coefficients):
+    for module in (qpoly, partitions, koh, trees, goh, general, marking, coefficients):
         result = doctest.testmod(module)
         failed += result.failed
         attempted += result.attempted

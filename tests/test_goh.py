@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohtrees import goh, koh
+from kohtrees import goh, koh, trees
 from kohtrees.coefficients import hook_content
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import (Configuration, GohTree, enumerate_configurations,
                           enumerate_goh_trees, goh_leaves, goh_rhs_closed, goh_term)
-from kohtrees.koh import KohTree, count_trees, leaf_sigma, leaves
+from kohtrees.koh import count_trees, leaves
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ZERO, q_binomial, sum_of_products
 from kohtrees.render import tree_to_dict, tree_to_dot
+from kohtrees.trees import KohTree, leaf_sigma
 from qpoly_oracles import poly_add
 from tree_oracles import (goh_tree_from_dict as tree_from_dict, second_difference,
                           validate_configuration, validate_goh_tree)
@@ -382,7 +383,7 @@ def test_child_types_run_once_per_configuration(monkeypatch):
 
     monkeypatch.setattr(goh, "GohTree", no_trees)
     # the shared builder reads every KOH subtree from this table
-    monkeypatch.setattr(koh, "_tree_table", no_trees)
+    monkeypatch.setattr(trees, "_tree_table", no_trees)
     with pytest.raises(BudgetExceededError):
         enumerate_goh_trees(lam, k, max_trees=total - 1)
     assert not walks and not slots
@@ -397,7 +398,7 @@ def test_no_budget_argument_means_the_default_budget(monkeypatch):
         raise AssertionError("a tree was built over budget")
 
     monkeypatch.setattr(goh, "GohTree", no_trees)
-    monkeypatch.setattr(koh, "_tree_table", no_trees)
+    monkeypatch.setattr(trees, "_tree_table", no_trees)
     # one row: a single configuration whose one slot is a (28, 28) KOH tree
     with pytest.raises(BudgetExceededError,
                        match=f"40116600 trees .* exceed the budget "

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kohtrees import goh, koh, partitions
+from kohtrees import goh, koh, partitions, trees
+from kohtrees.coefficients import koh_family
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
 from kohtrees.goh import enumerate_goh_trees, goh_family, goh_term
-from kohtrees.koh import (KohTree, count_koh_trees, enumerate_koh_trees,
-                          koh_marked_vector, koh_rhs_closed, koh_term, leaf_sigma,
-                          leaf_term_sum, leaves, marked_vector)
+from kohtrees.koh import (count_koh_trees, enumerate_koh_trees, koh_marked_vector,
+                          koh_rhs_closed, koh_term, leaves, marked_vector)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ONE, ZERO, q_binomial
 from kohtrees.render import tree_to_dict, tree_to_dot
+from kohtrees.trees import KohTree, leaf_sigma, leaf_term_sum
 from qpoly_oracles import poly_add, q_int
 from tree_oracles import koh_tree_from_dict as tree_from_dict, validate_koh_tree
 
@@ -149,7 +150,7 @@ def test_a_tree_past_the_recursion_limit_prints_and_compares():
         [i == j for j in range(len(small))] for i in range(len(small))]
     deep = enumerate_koh_trees(2100, 2)[-1]
     deep_goh = enumerate_goh_trees(Partition((2100,)), 2)[-1]
-    koh._TREES.clear()
+    trees._TREES.clear()
     again = enumerate_koh_trees(2100, 2)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -206,7 +207,7 @@ def test_productions_agree_with_the_loop_over_partitions():
 def test_one_child_type_pass_per_node_label(monkeypatch):
     koh._productions.cache_clear()
     koh._COUNTS.clear()
-    koh._TREES.clear()
+    trees._TREES.clear()
     calls = []
     original = koh._child_types
 
@@ -315,8 +316,8 @@ def test_budget_is_checked_before_any_tree_is_built(monkeypatch):
         raise AssertionError("a tree was built over budget")
 
     koh._COUNTS.clear()
-    monkeypatch.setattr(koh, "KohTree", no_trees)
-    monkeypatch.setattr(koh, "_tree_table", no_trees)
+    monkeypatch.setattr(trees, "KohTree", no_trees)
+    monkeypatch.setattr(trees, "_tree_table", no_trees)
     with pytest.raises(BudgetExceededError, match="70 trees"):
         enumerate_koh_trees(8, 9, max_trees=69)
 
@@ -325,7 +326,7 @@ def test_no_budget_argument_means_the_default_budget(monkeypatch):
     def no_trees(*args, **kwargs):
         raise AssertionError("a tree was built over budget")
 
-    monkeypatch.setattr(koh, "_tree_table", no_trees)
+    monkeypatch.setattr(trees, "_tree_table", no_trees)
     with pytest.raises(BudgetExceededError,
                        match=r"40116600 trees of type \(28, 28\) exceed "
                              f"the budget {koh.DEFAULT_TREE_BUDGET}$"):
@@ -482,7 +483,6 @@ small_cells = st.one_of(
 
 
 def cell_family(cell):
-    from kohtrees.coefficients import koh_family
     name, shape, k = cell
     if name == "koh":
         return koh_family(shape, k), enumerate_koh_trees(shape, k)
@@ -532,23 +532,88 @@ def test_a_capped_vector_reads_no_child_vector_for_a_label_past_the_cap(monkeypa
     koh._MARKED.clear()
     full = koh_marked_vector(12, 12, 72)
     koh._MARKED.clear()
-    # every type the call reads is filled at the cap first
+    # every type the call reads is filled at its cap first
     koh_marked_vector(12, 12, 3)
     read = []
-    real = koh._marked
 
-    def recorded(n, k, cap):
-        read.append((n, k, cap))
-        return real(n, k, cap)
+    class Recorded(dict):
+        def __getitem__(self, ctype):
+            read.append(ctype)
+            return dict.__getitem__(self, ctype)
 
-    monkeypatch.setattr(koh, "_marked", recorded)
+    monkeypatch.setattr(koh, "_MARKED", Recorded(koh._MARKED))
     productions = koh._productions(12, 12)
     assert marked_vector(productions, 144, 3) == full[:4]
     # a label whose own shift passes 3 reads no child vector
     kept = [types for _, types in productions
             if 144 - sum(a * b for _, (a, b) in types) <= 2 * 3]
     assert 0 < len(kept) < len(productions)
-    assert read == [(a, b, 3) for types in kept for _, (a, b) in types]
+    assert read == [ctype for types in kept for _, ctype in types]
+
+
+def _reachable_caps(n, k, cap):
+    """The cap of every type that a marked vector of the type (n, k) cut
+    at cap reads, by the definition: a child type's cap is the largest
+    that a parent label within its parent's cap asks, the parent's cap,
+    cut at half its degree, minus the label's own shift."""
+    caps = {(n, k): cap}
+    todo = [(n, k)]
+    while todo:
+        a, b = todo.pop()
+        if b == 1:
+            continue
+        top = min(caps[a, b], a * b // 2)
+        for _, types in koh._productions(a, b):
+            own = (a * b - sum(x * y for _, (x, y) in types)) // 2
+            for _, ctype in types:
+                if own <= top and caps.get(ctype, -1) < top - own:
+                    caps[ctype] = top - own
+                    todo.append(ctype)
+    return caps
+
+
+def test_a_capped_query_fills_only_the_types_its_labels_read(monkeypatch):
+    from kohtrees.coefficients import METHOD_MARKED, kronecker_two_row
+    monkeypatch.setattr(koh, "_MARKED", {})
+    koh._COUNTS.clear()
+    koh._productions.cache_clear()
+    assert kronecker_two_row(24, 24, 10, method=METHOD_MARKED).value == 12
+    caps = _reachable_caps(24, 24, 10)
+    # every type below 24 x 24 has a tree count, and only the reachable
+    # ones a vector, each as long as the largest cap its parents read
+    assert len(koh._COUNTS) == 559
+    assert koh._MARKED.keys() == caps.keys() and len(caps) == 21
+    for (a, b), vector in koh._MARKED.items():
+        assert len(vector) == min(caps[a, b], a * b // 2) + 1, (a, b)
+    # the same r from the uncapped vectors
+    koh._MARKED.clear()
+    assert koh_marked_vector(24, 24, 288)[10] == 12
+
+
+def _query(family):
+    return st.tuples(st.just(family), st.integers(0, family.total // 2))
+
+
+marked_queries = st.lists(st.one_of(
+    st.tuples(st.integers(0, 12), st.integers(1, 12)).flatmap(
+        lambda cell: _query(koh_family(*cell))),
+    st.tuples(st.integers(1, 7).flatmap(
+                  lambda size: st.sampled_from(enumerate_partitions(size))),
+              st.integers(1, 5)).flatmap(lambda cell: _query(goh_family(*cell)))),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(marked_queries)
+def test_capped_queries_sharing_the_tables_match_the_uncapped_vector(queries):
+    # one process's vectors, filled at whatever caps the queries before
+    # asked for, against the coefficient differences at every r up to the
+    # query's, which the vectors cut at no cap must equal
+    koh._MARKED.clear()
+    for family, r in queries:
+        vector = family.marked(10 ** 7, r)
+        assert vector[:r + 1] == list(family.difference(range(r + 1))), (
+            family.where, r)
 
 
 def test_the_marked_vectors_keep_the_budget():

@@ -10,9 +10,9 @@ from kohtrees import koh, marking
 from kohtrees.coefficients import METHOD_MARKED, koh_family, two_row_counts
 from kohtrees.errors import DEFAULT_TREE_BUDGET, PreconditionViolationError
 from kohtrees.goh import enumerate_goh_trees, goh_family
-from kohtrees.koh import enumerate_koh_trees, leaves, marked_vector
+from kohtrees.koh import enumerate_koh_trees, leaves, marked_vector, tensor
 from kohtrees.marking import (count_markings, enumerate_markings, marking_target,
-                              tensor, witness_counts)
+                              witness_counts)
 from kohtrees.partitions import enumerate_partitions
 from kohtrees.qpoly import ONE
 from qpoly_oracles import q_int

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohtrees.errors import NonExactDivisionError, StructureViolationError
-from kohtrees.koh import leaf_term_sum
+from kohtrees.trees import leaf_term_sum
 from kohtrees.qpoly import (ONE, ZERO, QPoly, pack, pack_width, packed_q_int,
                             q_binomial, sum_of_products, unpack)
 from qpoly_oracles import is_symmetric, is_unimodal, poly_add, q_int

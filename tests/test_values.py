@@ -16,10 +16,11 @@ import kohtrees
 from kohtrees import goh, koh
 from kohtrees.coefficients import CoefficientReport
 from kohtrees.goh import Configuration, GohTree, enumerate_goh_trees
-from kohtrees.koh import KohTree, enumerate_koh_trees
+from kohtrees.koh import enumerate_koh_trees
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import QPoly
 from kohtrees.render import tree_to_dict
+from kohtrees.trees import KohTree
 from tree_oracles import goh_tree_from_dict, koh_tree_from_dict
 
 

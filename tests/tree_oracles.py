@@ -9,7 +9,7 @@ package writes determines the tree it wrote."""
 
 from kohtrees.errors import StructureViolationError
 from kohtrees.goh import Configuration, GohTree
-from kohtrees.koh import KohTree
+from kohtrees.trees import KohTree
 from kohtrees.partitions import Partition
 
 
