@@ -36,10 +36,12 @@ each slot's KOH trees summed as a q-binomial; hook content and the
 tableau oracle are the references independent of both.
 
 goh_family is the plethysm family that both coefficient routes read,
-with those three references.  The builder, the term sums and the closed
+with those three references.  The builder, the leaf term and the closed
 form load from trees where they run, so a plethysm query loads no tree
-code; the general plethysm reduction and the tableau oracle's strip
-pass live in general.  A kronecker query loads none of this module.
+code; goh_term and goh_rhs_closed both multiply through
+qpoly.sum_of_products, the one packed product kernel.  The general
+plethysm reduction and the tableau oracle's strip pass live in general.
+A kronecker query loads none of this module.
 """
 
 from __future__ import annotations
@@ -329,8 +331,8 @@ def goh_leaves(tree: GohTree) -> tuple[int, ...]:
 
 def goh_term(tree: GohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over all leaves."""
-    from .trees import leaf_term_sum
-    return leaf_term_sum(tree.degree, ((goh_leaves(tree), 1),))
+    from .trees import leaf_term
+    return leaf_term(tree.degree, goh_leaves(tree))
 
 
 def goh_family(mu: Partition, k: int) -> TreeFamily:

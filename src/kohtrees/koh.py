@@ -32,9 +32,11 @@ cap a parent label reads, and a label whose shift passes its type's cap
 is skipped.  The budget still counts every tree of the type.
 
 This module holds only what a coefficient query runs.  The tree nodes,
-the tree builder, the leaf-term sums and the closed form live in trees,
+the tree builder, the leaf term and the closed form live in trees,
 which enumerate_koh_trees, koh_term and koh_rhs_closed import when they
-run; marking holds the markings of one leaf sequence.
+run; a tree's term and the closed form are both multiplied by
+qpoly.sum_of_products, the one packed product kernel.  marking holds the
+markings of one leaf sequence.
 """
 
 from __future__ import annotations
@@ -344,8 +346,8 @@ def leaves(tree) -> tuple[int, ...]:
 
 def koh_term(tree: KohTree) -> QPoly:
     """q^(sigma/2) times the product of [leaf + 1]_q over the leaves."""
-    from .trees import leaf_term_sum
-    return leaf_term_sum(tree.degree, ((leaves(tree), 1),))
+    from .trees import leaf_term
+    return leaf_term(tree.degree, leaves(tree))
 
 
 def koh_rhs_closed(n: int, k: int) -> QPoly:

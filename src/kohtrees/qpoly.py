@@ -2,6 +2,10 @@
 
 Everything here is exact: coefficients are arbitrary-precision ints and
 the only division on offer refuses to leave a remainder.
+
+sum_of_products is the one packed product kernel: a tree's term (a
+shift times the leaves' q-integers) and each closed-form label (a shift
+times its child types' q-binomials) are terms of it.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Expansion trees built node by node: the KOH tree node, the tree
-builder over production lists of either family, the leaf-term sums and
-the closed form.
+builder over production lists of either family, the leaf term and the
+closed form.
 
 KohTree is one node of a tree of type (n, k) (see koh for the child
 rule); tree tuples are filled bottom up per type through koh._fill, as
 counts and marked vectors are, and build_trees takes the product of the
 children's tuples over any production list, so GOH trees are built here
-too.  leaf_term_sum is the one kernel for products of q-integers, and
-closed_form sums each label's child types as q-binomials.
+too.  A tree's term and the closed form are both shifted products that
+qpoly.sum_of_products, the one packed product kernel, multiplies:
+leaf_term takes one term whose factors are the leaves' q-integers, and
+closed_form one term per label whose factors are its child types'
+q-binomials.
 
 Only what reads trees or polynomial references loads this module: the
 listings, JSON witnesses, the closed forms and verify.  A coefficient
@@ -18,8 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import StructureViolationError, _Value
 from .koh import _fill, _productions
@@ -168,27 +170,10 @@ def leaf_sigma(degree: int, leaf_values: tuple[int, ...]) -> int:
     return s
 
 
-def leaf_term_sum(degree: int,
-                  pairs: Collection[tuple[tuple[int, ...], int]]) -> QPoly:
-    """The sum over the (leaf tuple, multiplicity) pairs of
-    the multiplicity times q^(sigma/2) times the product of [a + 1]_q
-    over the tuple's labels a, sigma being degree minus the tuple's sum;
-    the one kernel for products of q-integers, on packed ints.
-
-    The width comes from the sum at q = 1, the sum over the pairs of the
-    multiplicity times the product of the a + 1, so the terms fit it
-    whatever they sum to.
-    """
-    from .qpoly import pack_width, packed_q_int, unpack
-    width = pack_width(sum(ways * math.prod(a + 1 for a in lv)
-                           for lv, ways in pairs))
-    q_ints: dict[int, int] = {}
-    total = 0
-    for lv, ways in pairs:
-        term = ways
-        for a in lv:
-            if a not in q_ints:
-                q_ints[a] = packed_q_int(a, width)
-            term *= q_ints[a]
-        total += term << (8 * width * (leaf_sigma(degree, lv) // 2))
-    return unpack(total, width)
+def leaf_term(degree: int, leaf_values: tuple[int, ...]) -> QPoly:
+    """q^(sigma/2) times the product of [a + 1]_q over the leaf labels a,
+    one sum_of_products term; each [a + 1]_q is packed_q_int at width 1,
+    whose slots are all 1, so a negative label raises ValueError there."""
+    from .qpoly import packed_q_int, sum_of_products, unpack
+    factors = [unpack(packed_q_int(a, 1), 1) for a in leaf_values]
+    return sum_of_products([(leaf_sigma(degree, leaf_values) // 2, factors)])

@@ -12,13 +12,13 @@ from kohtrees import goh, koh, partitions, trees
 from kohtrees.coefficients import koh_family
 from kohtrees.errors import (BudgetExceededError, PreconditionViolationError,
                              StructureViolationError)
-from kohtrees.goh import enumerate_goh_trees, goh_family, goh_term
+from kohtrees.goh import GohTree, enumerate_goh_trees, goh_family, goh_term
 from kohtrees.koh import (count_koh_trees, enumerate_koh_trees, koh_marked_vector,
                           koh_rhs_closed, koh_term, leaves, marked_vector)
 from kohtrees.partitions import Partition, enumerate_partitions
 from kohtrees.qpoly import ONE, ZERO, q_binomial
 from kohtrees.render import tree_to_dict, tree_to_dot
-from kohtrees.trees import KohTree, leaf_sigma, leaf_term_sum
+from kohtrees.trees import KohTree, leaf_sigma
 from qpoly_oracles import poly_add, q_int
 from tree_oracles import koh_tree_from_dict as tree_from_dict, validate_koh_tree
 
@@ -109,8 +109,43 @@ def test_leaf_term_is_the_shifted_product_of_q_integers():
         for a in leaves(t):
             product = product * q_int(a)
         term = product.shift(leaf_sigma(t.degree, leaves(t)) // 2)
-        assert leaf_term_sum(t.degree, ((leaves(t), 1),)) == term
         assert (koh_term if t.family == "koh" else goh_term)(t) == term
+
+
+def test_leaf_term_edge_cases():
+    def leaf(a):
+        return KohTree(Partition((1,)), a, 1)
+
+    # a GOH root of degree k over the given leaves; the term reads only the
+    # degree and the leaf labels, so one configuration serves every case
+    config = enumerate_goh_trees(Partition((1,)), 1)[0].config
+
+    def goh_tree(k, *labels):
+        return GohTree(config, k, tuple((None, leaf(a)) for a in labels))
+
+    def koh_tree(a, *labels):
+        return KohTree(Partition((2,)), a, 2,
+                       tuple((j, leaf(b)) for j, b in enumerate(labels, 1)))
+
+    assert leaf_sigma(0, (0, 0, 0)) == 0
+    assert koh_term(leaf(0)) == ONE
+    assert goh_term(goh_tree(0, 0, 0, 0)) == ONE
+    assert koh_term(koh_tree(0, 0, 0)) == ONE
+    assert goh_term(goh_tree(3, 0, 3)) == q_int(3)
+    # the last tree's defect is odd too, but its negative label fails first
+    for term, tree in ((koh_term, koh_tree(1, 3, -1)), (goh_term, goh_tree(1, 2, -1)),
+                       (koh_term, koh_tree(1, -1))):
+        with pytest.raises(ValueError, match=r"packed_q_int needs a >= 0, got -1"):
+            term(tree)
+    for term, tree in (koh_term, koh_tree(1, 1)), (goh_term, goh_tree(2, 1)):
+        with pytest.raises(StructureViolationError, match="odd defect 1 below"):
+            term(tree)
+    with pytest.raises(StructureViolationError, match="exceeds the degree 1$"):
+        leaf_sigma(1, (2,))
+    with pytest.raises(StructureViolationError, match="leaf sum 2 exceeds the degree 1$"):
+        goh_term(goh_tree(1, 2))
+    with pytest.raises(StructureViolationError, match="leaf sum 3 exceeds the degree 2$"):
+        koh_term(koh_tree(1, 3))
 
 
 def test_stored_leaf_tuple_is_not_part_of_the_value():

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohtrees.errors import NonExactDivisionError, StructureViolationError
-from kohtrees.trees import leaf_term_sum
+from kohtrees.errors import NonExactDivisionError
 from kohtrees.qpoly import (ONE, ZERO, QPoly, pack, pack_width, packed_q_int,
                             q_binomial, sum_of_products, unpack)
 from qpoly_oracles import is_symmetric, is_unimodal, poly_add, q_int
@@ -78,39 +77,6 @@ def test_q_int_validates():
     assert q_int(0) == ONE
     with pytest.raises(ValueError, match=r"q_int needs a >= 0, got -1"):
         q_int(-1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.lists(st.integers(0, 12), max_size=8),
-                          st.integers(1, 4)), max_size=4),
-       st.integers(0, 5))
-def test_leaf_term_sum_matches_repeated_multiplication(pairs, extra):
-    # one more label, 0 or 1, makes every sum even, so every defect below
-    # an even degree is even too; each tuple stands for ways trees
-    pairs = [((*labels, sum(labels) % 2), ways) for labels, ways in pairs]
-    degree = max((sum(labels) for labels, _ in pairs), default=0) + 2 * extra
-    expected = ZERO
-    for labels, ways in pairs:
-        product = ONE
-        for a in labels:
-            product = product * q_int(a)
-        for _ in range(ways):
-            expected = poly_add(expected, product.shift((degree - sum(labels)) // 2))
-    assert leaf_term_sum(degree, pairs) == expected
-
-
-def test_leaf_term_sum_edge_cases():
-    assert leaf_term_sum(0, ()) == ZERO
-    assert leaf_term_sum(0, (((), 1),)) == ONE
-    assert leaf_term_sum(0, (((0, 0, 0), 1),)) == ONE
-    assert leaf_term_sum(3, (((0, 3), 1),)) == q_int(3)
-    assert leaf_term_sum(3, (((0, 3), 5),)) == QPoly([5, 5, 5, 5])
-    with pytest.raises(ValueError, match=r"packed_q_int needs a >= 0, got -1"):
-        leaf_term_sum(1, (((2, -1), 1),))
-    with pytest.raises(StructureViolationError, match="odd defect 1"):
-        leaf_term_sum(2, (((1,), 1),))
-    with pytest.raises(StructureViolationError, match="exceeds the degree 1"):
-        leaf_term_sum(1, (((2,), 1),))
 
 
 def test_q_binomial_small_values():
